@@ -22,10 +22,22 @@ import scipy.sparse as sp
 from .errors import HmgeError, NumericError
 from .multiplex import NormalizedAdjacency, SparseAdjacency
 
-# Patterns at least this dense (and small enough) run on BLAS-backed dense
-# kernels; the two code paths agree to ~1e-12 and are regression-tested.
+# Patterns at least this dense (and small enough) run S @ H and S^T @ H on
+# BLAS-backed dense kernels, the rest in CSR; the two agree to ~1e-12 and are
+# regression-tested. The value gradient does not depend on this choice.
 DENSE_DENSITY_THRESHOLD = 0.05
 DENSE_MAX_NODES = 2600
+
+# The value gradient (an SDDMM) runs over row blocks whose dense B x N
+# product holds at most SDDMM_BLOCK_ELEMS float64 (2 MB, cache-sized). A
+# block at least SDDMM_GEMM_DENSITY dense computes that product with one GEMM
+# and gathers its entries; a sparser block gathers the rows of both operands
+# entry by entry. On a 2-core x86-64 host with OpenBLAS (2 threads), N in
+# {1000, 2000, 8000} and K in {32, 64}, a gather cost 1.6-3.8 ns per
+# entry-column and a GEMM 0.025-0.051 ns per multiply-add, so the two break
+# even at 1-2 % density.
+SDDMM_BLOCK_ELEMS = 1 << 18
+SDDMM_GEMM_DENSITY = 0.015
 
 
 class Node:
@@ -658,21 +670,18 @@ def _transpose_permutation(n, indptr, indices) -> np.ndarray:
 class SpmmPlan:
     """Kernels for S @ H where S has fixed pattern and per-pass values.
 
-    ``dense_mode`` scatters values into a dense matrix and runs BLAS; the
-    sparse mode stays in CSR. Chosen automatically from pattern density
-    unless forced.
+    ``dense_mode`` picks the kernels of S @ H and S^T @ H only: dense mode
+    scatters the values into a dense matrix and runs BLAS, sparse mode stays
+    in CSR. It is chosen from pattern density and size unless forced. Both
+    modes share one row-blocked SDDMM for the value gradient, planned here
+    once per block from that block's density.
     """
-
-    _GRAD_CHUNK = 1 << 18
 
     def __init__(self, num_nodes, indptr, indices, dense_mode: bool | None = None,
                  symmetric_values: bool = False):
         self.num_nodes = int(num_nodes)
         self.indptr = indptr
         self.indices = indices
-        self.rows = np.repeat(
-            np.arange(self.num_nodes, dtype=np.int64), np.diff(indptr)
-        )
         self.nnz = int(indices.shape[0])
         self.tperm = _transpose_permutation(self.num_nodes, indptr, indices)
         # Callers assert value symmetry (S == S^T exactly); skips a gather.
@@ -684,42 +693,78 @@ class SpmmPlan:
                 and self.num_nodes <= DENSE_MAX_NODES
             )
         self.dense_mode = bool(dense_mode)
+        n = self.num_nodes
+        self.row_counts = np.diff(indptr)
+        self.rows_per_block = max(1, SDDMM_BLOCK_ELEMS // n)
+        # Offset of every entry in its row block's dense (B x N) matrix.
+        self.block_flat = np.repeat(
+            np.arange(n, dtype=np.int64) % self.rows_per_block, self.row_counts
+        )
+        self.block_flat *= n
+        self.block_flat += indices
+        self.blocks = []  # (first row, end row, first entry, end entry, gemm)
+        for lo in range(0, n, self.rows_per_block):
+            hi = min(lo + self.rows_per_block, n)
+            a, b = int(indptr[lo]), int(indptr[hi])
+            if a < b:
+                gemm = b - a >= SDDMM_GEMM_DENSITY * (hi - lo) * n
+                self.blocks.append((lo, hi, a, b, gemm))
 
     def _dense(self, values: np.ndarray, cache: dict | None) -> np.ndarray:
         if cache is not None and "dense" in cache:
             return cache["dense"]
         mat = np.zeros((self.num_nodes, self.num_nodes))
-        mat[self.rows, self.indices] = values
+        for lo, hi, a, b, _ in self.blocks:
+            mat[lo:hi].reshape(-1)[self.block_flat[a:b]] = values[a:b]
         if cache is not None:
             cache["dense"] = mat
         return mat
 
-    def _csr(self, values: np.ndarray) -> sp.csr_matrix:
+    def _csr(self, values: np.ndarray, cache: dict | None,
+             transpose: bool = False) -> sp.csr_matrix:
+        """S (or S^T) in CSR, built once per values node when ``cache`` is given."""
+        mirrored = transpose and not self.symmetric_values
+        key = "csr_t" if mirrored else "csr"
+        if cache is not None and key in cache:
+            return cache[key]
         n = self.num_nodes
-        return sp.csr_matrix((values, self.indices, self.indptr), shape=(n, n))
+        data = values[self.tperm] if mirrored else values
+        mat = sp.csr_matrix((data, self.indices, self.indptr), shape=(n, n))
+        if cache is not None:
+            cache[key] = mat
+        return mat
 
     def matmul(self, values, dense, cache=None) -> np.ndarray:
         if self.dense_mode:
             return self._dense(values, cache) @ dense
-        return self._csr(values) @ dense
+        return self._csr(values, cache) @ dense
 
     def matmul_transpose(self, values, dense, cache=None) -> np.ndarray:
         if self.dense_mode:
             return self._dense(values, cache).T @ dense
-        if self.symmetric_values:
-            return self._csr(values) @ dense
-        return self._csr(values[self.tperm]) @ dense
+        return self._csr(values, cache, transpose=True) @ dense
 
     def grad_values(self, g: np.ndarray, h: np.ndarray) -> np.ndarray:
-        """d(loss)/d(values) for out = S @ H given d(loss)/d(out) = g."""
-        if self.dense_mode:
-            return (g @ h.T)[self.rows, self.indices]
+        """d(loss)/d(values) for out = S @ H given d(loss)/d(out) = g.
+
+        The SDDMM out[e] = g[row_e] . h[col_e], block by block: a GEMM block
+        multiplies its rows of g by h^T into one reused buffer and gathers
+        its entries; a gather block takes the dot product of each entry's
+        two rows.
+        """
+        n = self.num_nodes
         out = np.empty(self.nnz)
-        for lo in range(0, self.nnz, self._GRAD_CHUNK):
-            hi = min(lo + self._GRAD_CHUNK, self.nnz)
-            out[lo:hi] = np.einsum(
-                "ek,ek->e", g[self.rows[lo:hi]], h[self.indices[lo:hi]]
-            )
+        buf = None
+        for lo, hi, a, b, gemm in self.blocks:
+            if gemm:
+                if buf is None:
+                    buf = np.empty(self.rows_per_block * n)
+                prod = buf[: (hi - lo) * n]
+                np.matmul(g[lo:hi], h.T, out=prod.reshape(hi - lo, n))
+                np.take(prod, self.block_flat[a:b], out=out[a:b])
+            else:
+                g_rows = np.repeat(g[lo:hi], self.row_counts[lo:hi], axis=0)
+                np.einsum("ek,ek->e", g_rows, h[self.indices[a:b]], out=out[a:b])
         return out
 
 

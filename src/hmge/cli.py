@@ -344,6 +344,28 @@ def cmd_sweep(options: _Options) -> int:
     return EXIT_OK
 
 
+def _check_model_fits(params, graph) -> None:
+    """Raise DataFormatError unless ``graph`` has the inputs ``params`` take."""
+    from .errors import DataFormatError
+    from .model import HmgeParams
+
+    if isinstance(params, HmgeParams):
+        first_weights = params.layers[0].gcn_w
+    else:
+        first_weights = [stack[0] for stack in params.gcn_w]
+    num_dims, width = len(first_weights), first_weights[0].shape[0]
+    if graph.num_dims != num_dims:
+        raise DataFormatError(
+            f"model takes {num_dims} dimensions, dataset has {graph.num_dims}"
+        )
+    if graph.num_features != width:
+        raise DataFormatError(
+            f"model takes {width} features per node, dataset has "
+            f"{graph.num_features} (a model trained with --identity-features "
+            f"takes one per node and cannot be exported yet)"
+        )
+
+
 def cmd_export(options: _Options) -> int:
     from .model import (
         HmgeParams,
@@ -357,6 +379,7 @@ def cmd_export(options: _Options) -> int:
 
     config, params = load_model(options.get("model", required=True))
     graph = load_multiplex(options.get("data", required=True))
+    _check_model_fits(params, graph)
     out = Path(options.get("out", required=True))
     out.mkdir(parents=True, exist_ok=True)
     if isinstance(params, HmgeParams):

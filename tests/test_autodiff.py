@@ -429,6 +429,97 @@ class TestSparseOps:
             assert np.abs(a - b).max() < 1e-12
 
 
+def banded_pattern(n, band, sparse_density, empty, seed):
+    """Symmetric pattern: nodes [0, band) ~30 % linked among themselves, the
+    others at ``sparse_density``, and the last ``empty`` nodes isolated."""
+    rng = np.random.default_rng(seed)
+    m = rng.random((n, n)) < sparse_density
+    m[:band, :band] = rng.random((band, band)) < 0.3
+    m = np.triu(m, 1)
+    m = m | m.T
+    m[n - empty:, :] = False
+    m[:, n - empty:] = False
+    return ad.UnionPattern.union([SparseAdjacency.from_dense(m.astype(float))])
+
+
+def assert_sddmm_matches_oracle(plan, g, h):
+    """Gather blocks equal the eager einsum bitwise, GEMM blocks to 1e-12."""
+    rows = np.repeat(np.arange(plan.num_nodes), np.diff(plan.indptr))
+    expected = np.einsum("ek,ek->e", g[rows], h[plan.indices])
+    scale = np.einsum("ek,ek->e", np.abs(g[rows]), np.abs(h[plan.indices]))
+    got = plan.grad_values(g, h)
+    assert sum(b - a for _, _, a, b, _ in plan.blocks) == plan.nnz
+    for _, _, a, b, gemm in plan.blocks:
+        if gemm:
+            assert np.all(np.abs(got[a:b] - expected[a:b]) <= 1e-12 * scale[a:b])
+        else:
+            assert np.array_equal(got[a:b], expected[a:b])
+
+
+class TestBlockedSddmm:
+    @pytest.mark.parametrize("width", [1, 4])
+    @pytest.mark.parametrize("dense_mode", [True, False])
+    def test_mixed_blocks_match_oracle(self, width, dense_mode):
+        # 1024 nodes make 4 blocks of 256 rows: the band is one GEMM block,
+        # the sparse rows (with 7 empty ones) run as gather blocks.
+        union = banded_pattern(1024, 256, 0.003, 7, seed=50)
+        plan = ad.SpmmPlan(union.num_nodes, union.indptr, union.indices,
+                           dense_mode=dense_mode, symmetric_values=True)
+        assert plan.rows_per_block == 256
+        assert [blk[4] for blk in plan.blocks] == [True, False, False, False]
+        rng = np.random.default_rng(51)
+        g = rng.standard_normal((1024, width))
+        h = rng.standard_normal((1024, width))
+        assert_sddmm_matches_oracle(plan, g, h)
+
+    def test_one_row_blocks_above_budget(self, monkeypatch):
+        monkeypatch.setattr(ad, "SDDMM_BLOCK_ELEMS", 64)
+        union = banded_pattern(100, 20, 0.02, 5, seed=52)
+        plan = ad.SpmmPlan(union.num_nodes, union.indptr, union.indices)
+        assert plan.rows_per_block == 1
+        assert {blk[4] for blk in plan.blocks} == {True, False}
+        assert all(hi - lo == 1 for lo, hi, _, _, _ in plan.blocks)
+        rng = np.random.default_rng(53)
+        assert_sddmm_matches_oracle(
+            plan, rng.standard_normal((100, 3)), rng.standard_normal((100, 3))
+        )
+
+    @pytest.mark.parametrize("dense_mode", [True, False])
+    def test_spmm_var_gradients_mixed_blocks(self, monkeypatch, dense_mode):
+        monkeypatch.setattr(ad, "SDDMM_BLOCK_ELEMS", 48)
+        monkeypatch.setattr(ad, "SDDMM_GEMM_DENSITY", 0.2)
+        union = banded_pattern(12, 4, 0.15, 1, seed=54)
+        plan = ad.SpmmPlan(union.num_nodes, union.indptr, union.indices,
+                           dense_mode=dense_mode)
+        assert {blk[4] for blk in plan.blocks} == {True, False}
+        rng = np.random.default_rng(55)
+        vals = rng.uniform(0.2, 1.5, union.nnz)
+        h = rng.uniform(-1, 1, (12, 2))
+
+        def build(tape, nodes):
+            return ad.sum_all(ad.tanh(ad.spmm_var(nodes[0], plan, nodes[1])))
+
+        assert fd_check(build, [vals, h]) < 1e-4
+
+    def test_sparse_mode_builds_csr_once_per_values(self):
+        import scipy.sparse as sp
+
+        union = banded_pattern(30, 10, 0.1, 2, seed=56)
+        plan = ad.SpmmPlan(union.num_nodes, union.indptr, union.indices, dense_mode=False)
+        rng = np.random.default_rng(57)
+        vals = rng.uniform(0.2, 1.5, union.nnz)
+        h = rng.standard_normal((30, 3))
+        eager = sp.csr_matrix((vals, union.indices, union.indptr), shape=(30, 30))
+        cache = {}
+        assert np.array_equal(plan.matmul(vals, h, cache), eager @ h)
+        assert np.array_equal(plan.matmul_transpose(vals, h, cache), eager.T.tocsr() @ h)
+        built = dict(cache)
+        assert set(built) == {"csr", "csr_t"}
+        plan.matmul(vals, h, cache)
+        plan.matmul_transpose(vals, h, cache)
+        assert all(cache[k] is built[k] for k in built)
+
+
 class TestGradCheckHelper:
     def test_nonfinite_loss_raises(self):
         from hmge.errors import NumericError

@@ -176,6 +176,37 @@ class TestEvalAblateSweep:
         assert code == EXIT_OK
         assert (exp / "embeddings.csv").read_text() == (run / "embeddings.csv").read_text()
 
+    def test_export_identity_feature_model_is_data_error(self, tmp_path, capsys):
+        data = tmp_path / "d60"
+        assert main(["synth", "--nodes", "60", "--dims", "3", "--out", str(data)]) == EXIT_OK
+        run = tmp_path / "run"
+        assert main(
+            ["train", "--data", str(data), "--out", str(run), "--identity-features",
+             "--layers", "1", "--embed-size", "8", "--epochs", "2", "--patience", "2"]
+        ) == EXIT_OK
+        code = main(
+            ["export", "--model", str(run / "model.bin"), "--data", str(data),
+             "--out", str(tmp_path / "exp")]
+        )
+        assert code == EXIT_DATA
+        assert "takes 60 features per node, dataset has 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("layers", ["0", "1"])
+    def test_export_dimension_mismatch_is_data_error(self, dataset_dir, tmp_path, layers, capsys):
+        run = tmp_path / "run"
+        assert main(
+            ["train", "--data", str(dataset_dir), "--out", str(run), "--embed-size", "4",
+             "--layers", layers, "--epochs", "2", "--patience", "2", "--seed", "1"]
+        ) == EXIT_OK
+        data4 = tmp_path / "d4"
+        assert main(["synth", "--nodes", "40", "--dims", "4", "--out", str(data4)]) == EXIT_OK
+        code = main(
+            ["export", "--model", str(run / "model.bin"), "--data", str(data4),
+             "--out", str(tmp_path / "exp")]
+        )
+        assert code == EXIT_DATA
+        assert "model takes 3 dimensions, dataset has 4" in capsys.readouterr().err
+
     def test_seed_determinism(self, dataset_dir, tmp_path):
         outs = []
         for name in ("r1", "r2"):
