@@ -233,7 +233,10 @@ def cmd_train(options: _Options) -> int:
     export_embeddings(result.embeddings, out / "embeddings.csv")
     if isinstance(result.params, HmgeParams):
         export_combination_weights(result.params, out)
-    save_model(out / "model.bin", hmge_config, result.params)
+    save_model(
+        out / "model.bin", hmge_config, result.params,
+        identity_features=bool(options.get("identity_features")),
+    )
     print(
         f"trained {len(result.loss_history)} epochs, best loss "
         f"{result.best_loss:.6f} at epoch {result.best_epoch}; outputs in {out}"
@@ -349,24 +352,21 @@ def _check_model_fits(params, graph) -> None:
     from .errors import DataFormatError
     from .model import HmgeParams
 
-    if isinstance(params, HmgeParams):
-        first_weights = params.layers[0].gcn_w
-    else:
-        first_weights = [stack[0] for stack in params.gcn_w]
-    num_dims, width = len(first_weights), first_weights[0].shape[0]
+    first = params.layers[0].gcn_w if isinstance(params, HmgeParams) else params.gcn_w[0]
+    num_dims, width = first.shape[:2]
     if graph.num_dims != num_dims:
         raise DataFormatError(
             f"model takes {num_dims} dimensions, dataset has {graph.num_dims}"
         )
     if graph.num_features != width:
         raise DataFormatError(
-            f"model takes {width} features per node, dataset has "
-            f"{graph.num_features} (a model trained with --identity-features "
-            f"takes one per node and cannot be exported yet)"
+            f"model takes {width} features per node, dataset has {graph.num_features}"
         )
 
 
 def cmd_export(options: _Options) -> int:
+    import numpy as np
+
     from .model import (
         HmgeParams,
         encode,
@@ -377,8 +377,10 @@ def cmd_export(options: _Options) -> int:
     )
     from .multiplex import load_multiplex
 
-    config, params = load_model(options.get("model", required=True))
+    config, params, identity_features = load_model(options.get("model", required=True))
     graph = load_multiplex(options.get("data", required=True))
+    if identity_features:
+        graph = graph.with_features(np.eye(graph.num_nodes))
     _check_model_fits(params, graph)
     out = Path(options.get("out", required=True))
     out.mkdir(parents=True, exist_ok=True)

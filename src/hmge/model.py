@@ -25,7 +25,6 @@ from . import autodiff as ad
 from .errors import ConfigError, DataFormatError
 from .multiplex import (
     MultiplexGraph,
-    NormalizedAdjacency,
     SparseAdjacency,
     normalize_adjacency,
 )
@@ -33,7 +32,7 @@ from .multiplex import (
 ACTIVATIONS = ("relu", "identity")
 ATTENTION_MODES = ("learned", "sum")
 ATTENTION_GUARD = 1e-6
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
 
 
 def _validate_schedule(schedule: tuple[int, ...], num_layers: int) -> None:
@@ -107,19 +106,16 @@ def activate(node: ad.Node, kind: str) -> ad.Node:
 
 @dataclass
 class LayerParams:
-    """Trainables of one hierarchical layer (indexed by input dimension)."""
+    """Trainables of one hierarchical layer, stacked over its input dimensions."""
 
-    alpha: np.ndarray            # combination logits, D_in x D_out
-    gcn_w: list[np.ndarray]      # per dim: prev_width x M
-    attn_v: list[np.ndarray]     # per dim: M x M
-    attn_y: list[np.ndarray]     # per dim: M
+    alpha: np.ndarray    # combination logits, D_in x D_out
+    gcn_w: np.ndarray    # D_in x prev_width x M
+    attn_v: np.ndarray   # D_in x M x M
+    attn_y: np.ndarray   # D_in x M
 
     def copy(self) -> "LayerParams":
         return LayerParams(
-            self.alpha.copy(),
-            [w.copy() for w in self.gcn_w],
-            [v.copy() for v in self.attn_v],
-            [y.copy() for y in self.attn_y],
+            self.alpha.copy(), self.gcn_w.copy(), self.attn_v.copy(), self.attn_y.copy()
         )
 
 
@@ -141,24 +137,24 @@ class HmgeParams:
 class LinearParams:
     """Parameters of the linear-aggregation baseline.
 
-    ``gcn_w[d]`` holds the per-level weight stack of dimension d; one
-    attention aggregation sits on top of the stacks.
+    ``gcn_w[k]`` stacks the level-k GCN weights of every dimension
+    (D x width x M); one attention aggregation sits on top of the stacks.
     """
 
-    gcn_w: list[list[np.ndarray]]
-    attn_v: list[np.ndarray]
-    attn_y: list[np.ndarray]
+    gcn_w: list[np.ndarray]
+    attn_v: np.ndarray   # D x M x M
+    attn_y: np.ndarray   # D x M
     disc_q: np.ndarray
 
     @property
     def depth(self) -> int:
-        return len(self.gcn_w[0])
+        return len(self.gcn_w)
 
     def copy(self) -> "LinearParams":
         return LinearParams(
-            [[w.copy() for w in stack] for stack in self.gcn_w],
-            [v.copy() for v in self.attn_v],
-            [y.copy() for y in self.attn_y],
+            [w.copy() for w in self.gcn_w],
+            self.attn_v.copy(),
+            self.attn_y.copy(),
             self.disc_q.copy(),
         )
 
@@ -168,16 +164,18 @@ def _uniform_init(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
     return rng.uniform(-limit, limit, size=shape)
 
 
-def _attention_init(rng: np.random.Generator, m: int):
-    """Identity-like V and positive y.
+def _attention_init(rng: np.random.Generator, m: int, num_dims: int):
+    """Identity-like V and positive y for each dimension, stacked.
 
     Embeddings are non-negative after ReLU, so positive-leaning scores keep
     the signed attention normalization away from its near-zero-sum
     pathology at the start of training (sign-symmetric draws blow the
     weights up by orders of magnitude and stall learning).
     """
-    v = np.eye(m) + _uniform_init(rng, (m, m), m) * 0.1
-    y = rng.uniform(0.0, 1.0 / math.sqrt(m), size=m)
+    v, y = np.empty((num_dims, m, m)), np.empty((num_dims, m))
+    for d in range(num_dims):
+        v[d] = np.eye(m) + _uniform_init(rng, (m, m), m) * 0.1
+        y[d] = rng.uniform(0.0, 1.0 / math.sqrt(m), size=m)
     return v, y
 
 
@@ -199,13 +197,13 @@ def init_params(
     width = num_features
     for l in range(config.num_layers):
         d_in, d_out = schedule[l], schedule[l + 1]
-        attn = [_attention_init(rng, m) for _ in range(d_in)]
+        attn_v, attn_y = _attention_init(rng, m, d_in)
         layers.append(
             LayerParams(
                 alpha=np.zeros((d_in, d_out)),
-                gcn_w=[_uniform_init(rng, (width, m), width) for _ in range(d_in)],
-                attn_v=[v for v, _ in attn],
-                attn_y=[y for _, y in attn],
+                gcn_w=_uniform_init(rng, (d_in, width, m), width),
+                attn_v=attn_v,
+                attn_y=attn_y,
             )
         )
         width = m
@@ -224,15 +222,14 @@ def init_linear_params(
     if depth < 1:
         raise ConfigError(f"linear aggregation depth must be >= 1, got {depth}")
     m = embed_size
-    stacks = []
-    for _ in range(num_dims):
-        widths = [num_features] + [m] * (depth - 1)
-        stacks.append([_uniform_init(rng, (w, m), w) for w in widths])
-    attn = [_attention_init(rng, m) for _ in range(num_dims)]
+    widths = [num_features] + [m] * (depth - 1)
+    # Drawn dimension by dimension, each through all levels, then stacked.
+    draws = [[_uniform_init(rng, (w, m), w) for w in widths] for _ in range(num_dims)]
+    attn_v, attn_y = _attention_init(rng, m, num_dims)
     return LinearParams(
-        gcn_w=stacks,
-        attn_v=[v for v, _ in attn],
-        attn_y=[y for _, y in attn],
+        gcn_w=[np.stack([stack[k] for stack in draws]) for k in range(depth)],
+        attn_v=attn_v,
+        attn_y=attn_y,
         disc_q=_uniform_init(rng, (m, m), m),
     )
 
@@ -246,7 +243,6 @@ class ForwardTrace:
     attention: list[np.ndarray | None]
     z: np.ndarray
     summary: np.ndarray
-    z_hat: np.ndarray | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -256,9 +252,11 @@ class ForwardTrace:
 class EncodePlan:
     """Per-graph precomputation shared by every epoch.
 
-    Holds the normalized input dimensions (constants), the union sparsity
-    pattern hosting all latent adjacencies, and position maps of each input
-    dimension into that pattern.
+    Holds the first-level GCN operator (the D normalized input graphs as one
+    block-diagonal matrix over D*N nodes), the first-level propagation of the
+    clean features, the union sparsity pattern hosting all latent
+    adjacencies, and the input values stacked one column per dimension on
+    that pattern.
     """
 
     def __init__(
@@ -271,53 +269,55 @@ class EncodePlan:
         self.config = config
         self.schedule = config.schedule_for(graph.num_dims)
         self.normalize = normalize
+        self.num_dims = graph.num_dims
         self.num_nodes = graph.num_nodes
-        self.num_features = graph.num_features
         self.features = graph.features
-        if normalize:
-            self.orig_gcn = [normalize_adjacency(d) for d in graph.dimensions]
-        else:
-            self.orig_gcn = list(graph.dimensions)
-        # With one-hot node features the first GCN collapses to A_norm @ W
-        # (and A_norm @ W[perm] on the corrupted side): no dense propagation.
+        inputs = [
+            (normalize_adjacency(d).matrix if normalize else d).to_scipy()
+            for d in graph.dimensions
+        ]
+        block = sp.block_diag(inputs, format="csr")
+        block.sort_indices()
+        self.first_gcn = SparseAdjacency(
+            block.shape[0], block.indptr, block.indices, block.data
+        )
+        # With one-hot node features the first GCN collapses to A_d @ W_d
+        # (and A_d @ W_d[perm] on the corrupted side): no propagation.
         self.identity_features = _is_identity(graph.features)
-        if self.identity_features:
-            self.orig_prop = None
-            self.orig_prop_stack = None
-        else:
-            # First-layer propagation of the clean features never changes.
-            self.orig_prop = [m.matmul_dense(graph.features) for m in self.orig_gcn]
-            self.orig_prop_stack = np.stack(self.orig_prop, axis=0)
+        self.feature_prop = None if self.identity_features else self.propagate(graph.features)
         self.union = None
-        self.orig_maps = None
-        self.orig_values = None
         self.orig_stacked = None
         self.orig_stacked_t = None
         self.norm_plan = None
-        self.raw_spmm = None
+        self.latent_spmm = None
         if config.num_layers >= 1:
             self.union = ad.UnionPattern.union(graph.dimensions)
-            self.orig_maps = [self.union.position_map(d) for d in graph.dimensions]
-            self.orig_values = [d.values for d in graph.dimensions]
-            slots = np.concatenate(self.orig_maps)
-            cols = np.concatenate(
-                [np.full(m.shape[0], d, dtype=np.int64) for d, m in enumerate(self.orig_maps)]
-            )
-            data = np.concatenate(self.orig_values)
+            maps = [self.union.position_map(d) for d in graph.dimensions]
+            cols = np.repeat(np.arange(graph.num_dims), [m.shape[0] for m in maps])
+            data = np.concatenate([d.values for d in graph.dimensions])
             self.orig_stacked = sp.csr_matrix(
-                (data, (slots, cols)), shape=(self.union.nnz, graph.num_dims)
+                (data, (np.concatenate(maps), cols)),
+                shape=(self.union.nnz, graph.num_dims),
             )
             self.orig_stacked_t = self.orig_stacked.T.tocsr()
             if normalize:
                 self.norm_plan = ad.NormalizePlan(self.union, dense_mode)
+                self.latent_spmm = self.norm_plan.spmm
             else:
-                self.raw_spmm = ad.SpmmPlan(
+                self.latent_spmm = ad.SpmmPlan(
                     self.union.num_nodes,
                     self.union.indptr,
                     self.union.indices,
                     dense_mode,
                     symmetric_values=True,
                 )
+
+    def propagate(self, features: np.ndarray) -> np.ndarray:
+        """A_d @ X for every input dimension d, as a (D, N, F) stack."""
+        stacked = np.tile(features, (self.num_dims, 1))
+        return self.first_gcn.matmul_dense(stacked).reshape(
+            self.num_dims, self.num_nodes, -1
+        )
 
 
 def param_leaves(params, train_alpha: bool = True):
@@ -326,27 +326,22 @@ def param_leaves(params, train_alpha: bool = True):
     Decay applies to GCN weights, attention V matrices, and the
     discriminator; alpha logits and attention y vectors are exempt. The
     order here defines the tape-parameter order everywhere (trainer,
-    gradient checks), so keep it in sync with ``structure_from_leaves``.
+    gradient checks, model files), so keep it in sync with
+    ``structure_from_leaves``.
     """
     if isinstance(params, HmgeParams):
         for l, layer in enumerate(params.layers):
             yield f"alpha_{l}", layer.alpha, False, train_alpha
-            for d, w in enumerate(layer.gcn_w):
-                yield f"w_{l}_{d}", w, True, True
-            for d, v in enumerate(layer.attn_v):
-                yield f"v_{l}_{d}", v, True, True
-            for d, y in enumerate(layer.attn_y):
-                yield f"y_{l}_{d}", y, False, True
+            yield f"w_{l}", layer.gcn_w, True, True
+            yield f"v_{l}", layer.attn_v, True, True
+            yield f"y_{l}", layer.attn_y, False, True
         yield "final_w", params.final_w, True, True
         yield "disc_q", params.disc_q, True, True
     elif isinstance(params, LinearParams):
-        for d, stack in enumerate(params.gcn_w):
-            for k, w in enumerate(stack):
-                yield f"w_{d}_{k}", w, True, True
-        for d, v in enumerate(params.attn_v):
-            yield f"v_{d}", v, True, True
-        for d, y in enumerate(params.attn_y):
-            yield f"y_{d}", y, False, True
+        for k, w in enumerate(params.gcn_w):
+            yield f"w_{k}", w, True, True
+        yield "v", params.attn_v, True, True
+        yield "y", params.attn_y, False, True
         yield "disc_q", params.disc_q, True, True
     else:
         raise ConfigError(f"unknown parameter container {type(params).__name__}")
@@ -356,22 +351,17 @@ def structure_from_leaves(params, leaves):
     """Rebuild the node structure the forward builders expect from flat leaves."""
     it = iter(leaves)
     if isinstance(params, HmgeParams):
-        layers = []
-        for layer in params.layers:
-            layers.append(
-                {
-                    "alpha": next(it),
-                    "gcn_w": [next(it) for _ in layer.gcn_w],
-                    "attn_v": [next(it) for _ in layer.attn_v],
-                    "attn_y": [next(it) for _ in layer.attn_y],
-                }
-            )
-        out = {"layers": layers, "final_w": next(it), "disc_q": next(it)}
+        keys = ("alpha", "gcn_w", "attn_v", "attn_y")
+        out = {
+            "layers": [{k: next(it) for k in keys} for _ in params.layers],
+            "final_w": next(it),
+            "disc_q": next(it),
+        }
     else:
         out = {
-            "gcn_w": [[next(it) for _ in stack] for stack in params.gcn_w],
-            "attn_v": [next(it) for _ in params.attn_v],
-            "attn_y": [next(it) for _ in params.attn_y],
+            "gcn_w": [next(it) for _ in params.gcn_w],
+            "attn_v": next(it),
+            "attn_y": next(it),
             "disc_q": next(it),
         }
     leftover = object()
@@ -400,200 +390,109 @@ def _is_identity(features: np.ndarray) -> bool:
     return bool(np.all(np.diagonal(features) == 1.0))
 
 
-def _stack_attention(h_stack: ad.Node, v_nodes, y_nodes, mode: str):
-    """Aggregate a (D, N, M) embedding stack; returns (H (N, M), beta (N, D))."""
+def _stack_attention(h_stack: ad.Node, v: ad.Node, y: ad.Node, mode: str):
+    """Aggregate a (D, N, M) embedding stack; returns (H (N, M), beta (N, D)).
+
+    A single dimension passes through with weight 1 (beta None in sum mode).
+    """
     tape = h_stack.tape
     d_in, n, _ = h_stack.value.shape
+    if d_in == 1:
+        beta = None if mode == "sum" else tape.constant(np.ones((n, 1)))
+        return ad.select_matrix(h_stack, 0), beta
     if mode == "sum":
-        ones = tape.constant(np.ones((n, d_in)))
-        return ad.mix_stack(h_stack, ones), None
-    v_stack = ad.stack_matrices(v_nodes)
-    y_stack = ad.transpose2d(ad.stack_columns(y_nodes))
-    projected = ad.batched_matmul(h_stack, v_stack, transpose_b=True)
-    scores = ad.tanh(ad.batched_matvec(projected, y_stack))
+        return ad.mix_stack(h_stack, tape.constant(np.ones((n, d_in)))), None
+    projected = ad.batched_matmul(h_stack, v, transpose_b=True)
+    scores = ad.tanh(ad.batched_matvec(projected, y))
     beta = ad.row_normalize_signed(ad.transpose2d(scores), ATTENTION_GUARD)
     return ad.mix_stack(h_stack, beta), beta
 
 
 def build_latent_structure(plan: EncodePlan, pnodes):
-    """Phase-two chain: latent adjacency values plus their multiply-ready form.
+    """Phase-two chain: every layer's latent adjacencies as one value block.
 
     Latent structure depends only on the combination logits, so it is built
-    once and shared by the clean and corrupted embedding passes. The first
-    layer computes every combination in one sparse product over the stacked
-    input values and normalizes all columns as one block.
+    once and shared by the clean and corrupted embedding passes. Layer l
+    mixes the columns of the previous layer's block (at layer 0, the stacked
+    input values) with softmax_cols(alpha_l) and normalizes all resulting
+    columns as one block.
 
-    Returns (raw, gcn_ready) where raw[l][j] is the value vector of latent
-    adjacency j from layer l+1 and gcn_ready[l][j] its (possibly
-    normalized) counterpart fed to spmm_var.
+    Returns (raw, gcn_ready): raw[l] is the (nnz, D_{l+1}) block of latent
+    adjacency values from layer l on the union pattern, gcn_ready[l] its
+    (possibly normalized) counterpart fed to spmm_var.
     """
-    schedule = plan.schedule
     act = plan.config.activation
-    raw_layers: list[list[ad.Node]] = []
-    gcn_layers: list[list[ad.Node]] = []
-    current: list[ad.Node] | None = None
-    for l in range(plan.config.num_layers):
-        weights = ad.softmax_cols(pnodes["layers"][l]["alpha"])
-        d_out = schedule[l + 1]
-        block = None
-        if l == 0:
-            block = activate(
-                ad.csr_combine_stack(weights, plan.orig_stacked, plan.orig_stacked_t),
-                act,
-            )
-            cols = [ad.select_column(block, j) for j in range(d_out)]
+    raw: list[ad.Node] = []
+    gcn_ready: list[ad.Node] = []
+    for layer in pnodes["layers"]:
+        weights = ad.softmax_cols(layer["alpha"])
+        if raw:
+            block = ad.matmul(raw[-1], weights)
         else:
-            cols = []
-            for j in range(d_out):
-                w_col = ad.select_column(weights, j)
-                combined = ad.csr_combine(
-                    w_col, current, [None] * len(current), plan.union.nnz
-                )
-                cols.append(activate(combined, act))
-        raw_layers.append(cols)
-        if not plan.normalize:
-            gcn_layers.append(cols)
-        elif block is not None and d_out > 1:
-            nblock = ad.csr_normalize(block, plan.norm_plan)
-            gcn_layers.append([ad.select_column(nblock, j) for j in range(d_out)])
-        else:
-            gcn_layers.append([ad.csr_normalize(c, plan.norm_plan) for c in cols])
-        current = cols
-    return raw_layers, gcn_layers
+            block = ad.csr_combine_stack(weights, plan.orig_stacked, plan.orig_stacked_t)
+        block = activate(block, act)
+        raw.append(block)
+        gcn_ready.append(ad.csr_normalize(block, plan.norm_plan) if plan.normalize else block)
+    return raw, gcn_ready
 
 
-def _first_layer_embed(plan, tape, gcn_w, d, h, perm, cached_prop, act):
-    """One dimension's first GCN output for either feature mode."""
+def _first_level(plan: EncodePlan, w: ad.Node, perm, act: str) -> ad.Node:
+    """activation(A_d @ X @ W_d) for every input dimension d, as a (D, N, M) stack.
+
+    X is the feature matrix, its rows shuffled by ``perm`` unless that is
+    None (the clean pass).
+    """
     if plan.identity_features:
-        w = gcn_w[d]
         if perm is not None:
             w = ad.permute_rows(w, perm)
-        return activate(ad.spmm(plan.orig_gcn[d], w), act)
-    if cached_prop:
-        prop = tape.constant(plan.orig_prop[d])
-    else:
-        prop = ad.spmm(plan.orig_gcn[d], h)
-    return activate(ad.matmul(prop, gcn_w[d]), act)
+        return activate(ad.spmm(plan.first_gcn, w), act)
+    prop = plan.feature_prop if perm is None else plan.propagate(plan.features[perm])
+    return activate(ad.batched_matmul(w.tape.constant(prop), w), act)
 
 
-def build_embedding_chain(plan: EncodePlan, pnodes, x_spec, latent_gcn, mode="learned"):
+def build_embedding_chain(plan: EncodePlan, pnodes, perm, latent_gcn, mode="learned"):
     """Phase-one chain for one feature input; returns (z, h per layer, beta per layer).
 
-    ``x_spec`` is (feature node, corruption permutation); the node is None
-    in identity-feature mode, where a permutation stands in for the
-    shuffled one-hot features. ``latent_gcn[l][d]`` is the multiply-ready
-    value node of latent adjacency d produced by layer l+1.
+    ``perm`` shuffles the feature rows for the corrupted pass and is None
+    for the clean one. ``latent_gcn[l]`` is the multiply-ready value block
+    of the latent adjacencies produced by layer l.
     """
-    x_node, perm = x_spec
-    cfg = plan.config
-    act = cfg.activation
-    spmm_plan = plan.norm_plan.spmm if plan.normalize else plan.raw_spmm
-    tape = x_node.tape if x_node is not None else pnodes["disc_q"].tape
-    cached_prop = (
-        not plan.identity_features
-        and x_node is not None
-        and x_node.value is plan.features
-    )
-    n = plan.num_nodes
-    h = x_node
+    act = plan.config.activation
+    layers = pnodes["layers"]
+    h_stack = _first_level(plan, layers[0]["gcn_w"], perm, act)
     h_layers, betas = [], []
-    for l in range(cfg.num_layers):
-        layer = pnodes["layers"][l]
-        d_in = plan.schedule[l]
-        if d_in == 1:
-            if l == 0:
-                h = _first_layer_embed(
-                    plan, tape, layer["gcn_w"], 0, h, perm, cached_prop, act
-                )
-            else:
-                prop = ad.spmm_var(latent_gcn[l - 1][0], spmm_plan, h)
-                h = activate(ad.matmul(prop, layer["gcn_w"][0]), act)
-            beta = None if mode == "sum" else tape.constant(np.ones((n, 1)))
-        else:
-            if l == 0 and plan.identity_features:
-                h_stack = ad.stack_matrices(
-                    [
-                        _first_layer_embed(
-                            plan, tape, layer["gcn_w"], d, h, perm, cached_prop, act
-                        )
-                        for d in range(d_in)
-                    ]
-                )
-            else:
-                if l == 0 and cached_prop:
-                    prop_stack = tape.constant(plan.orig_prop_stack)
-                elif l == 0:
-                    prop_stack = ad.stack_matrices(
-                        [ad.spmm(plan.orig_gcn[d], h) for d in range(d_in)]
-                    )
-                else:
-                    prop_stack = ad.stack_matrices(
-                        [
-                            ad.spmm_var(latent_gcn[l - 1][d], spmm_plan, h)
-                            for d in range(d_in)
-                        ]
-                    )
-                w_stack = ad.stack_matrices(layer["gcn_w"])
-                h_stack = activate(ad.batched_matmul(prop_stack, w_stack), act)
-            h, beta = _stack_attention(h_stack, layer["attn_v"], layer["attn_y"], mode)
+    for l, layer in enumerate(layers):
+        h, beta = _stack_attention(h_stack, layer["attn_v"], layer["attn_y"], mode)
         h_layers.append(h)
         betas.append(beta)
+        prop = ad.spmm_var(latent_gcn[l], plan.latent_spmm, h)
+        if l + 1 < len(layers):
+            h_stack = activate(ad.batched_matmul(prop, layers[l + 1]["gcn_w"]), act)
     # The embedding head is linear: clipping the output space measurably
     # discards class information, and the two-layer expansion of this
     # architecture is stated without a trailing non-linearity.
-    prop = ad.spmm_var(latent_gcn[cfg.num_layers - 1][0], spmm_plan, h)
-    z = ad.matmul(prop, pnodes["final_w"])
+    z = ad.matmul(ad.select_matrix(prop, 0), pnodes["final_w"])
     return z, h_layers, betas
 
 
-def build_hmge_forward(plan: EncodePlan, pnodes, x_specs, attention_mode="learned"):
-    """Latent adjacencies once, then one embedding chain per feature input."""
+def build_hmge_forward(plan: EncodePlan, pnodes, perms, attention_mode="learned"):
+    """Latent adjacencies once, then one embedding chain per corruption permutation."""
     raw, latent_gcn = build_latent_structure(plan, pnodes)
     chains = [
-        build_embedding_chain(plan, pnodes, spec, latent_gcn, attention_mode)
-        for spec in x_specs
+        build_embedding_chain(plan, pnodes, perm, latent_gcn, attention_mode)
+        for perm in perms
     ]
     return raw, chains
 
 
-def build_linear_forward(plan: EncodePlan, pnodes, x_specs, attention_mode="learned"):
+def build_linear_forward(plan: EncodePlan, pnodes, perms, attention_mode="learned"):
     """Per-dimension GCN stacks on the original graphs, one attention on top."""
     act = plan.config.activation
-    num_dims = len(pnodes["gcn_w"])
-    depth = len(pnodes["gcn_w"][0])
     chains = []
-    for x_node, perm in x_specs:
-        tape = x_node.tape if x_node is not None else pnodes["disc_q"].tape
-        cached_prop = (
-            not plan.identity_features
-            and x_node is not None
-            and x_node.value is plan.features
-        )
-        n = plan.num_nodes
-        level0 = [
-            _first_layer_embed(
-                plan, tape, [s[0] for s in pnodes["gcn_w"]], d, x_node, perm,
-                cached_prop, act,
-            )
-            for d in range(num_dims)
-        ]
-        if num_dims == 1:
-            h = level0[0]
-            for w in pnodes["gcn_w"][0][1:]:
-                h = activate(ad.matmul(ad.spmm(plan.orig_gcn[0], h), w), act)
-            beta = None if attention_mode == "sum" else tape.constant(np.ones((n, 1)))
-            chains.append((h, [h], [beta]))
-            continue
-        h_stack = ad.stack_matrices(level0)
-        for level in range(1, depth):
-            prop_stack = ad.stack_matrices(
-                [
-                    ad.spmm(plan.orig_gcn[d], ad.select_matrix(h_stack, d))
-                    for d in range(num_dims)
-                ]
-            )
-            w_stack = ad.stack_matrices([stack[level] for stack in pnodes["gcn_w"]])
-            h_stack = activate(ad.batched_matmul(prop_stack, w_stack), act)
+    for perm in perms:
+        h_stack = _first_level(plan, pnodes["gcn_w"][0], perm, act)
+        for w in pnodes["gcn_w"][1:]:
+            h_stack = activate(ad.batched_matmul(ad.spmm(plan.first_gcn, h_stack), w), act)
         h, beta = _stack_attention(
             h_stack, pnodes["attn_v"], pnodes["attn_y"], attention_mode
         )
@@ -708,44 +607,36 @@ def encode(
     """Run the encoder and capture every intermediate product.
 
     With zero layers this degenerates to the linear-aggregation baseline at
-    depth 1 (params must then be LinearParams).
+    depth 1 (params must then be LinearParams). A supplied ``plan`` must
+    have been built from this graph's features.
     """
     if attention_mode not in ATTENTION_MODES:
         raise ConfigError(f"unknown attention mode {attention_mode!r}")
     if plan is None:
         plan = EncodePlan(graph, config, normalize=normalize, dense_mode=dense_mode)
-    tape = ad.Tape()
-    x = None if plan.identity_features else tape.constant(graph.features)
-    if config.num_layers == 0:
-        if not isinstance(params, LinearParams):
-            raise ConfigError("zero-layer encode needs LinearParams")
-        pnodes = lift_params(tape, params, constant=True)
-        chains = build_linear_forward(plan, pnodes, [(x, None)], attention_mode)
-        z_node, h_nodes, beta_nodes = chains[0]
-        trace = ForwardTrace(
-            latent_adjacencies=[],
-            embeddings=[h.value for h in h_nodes],
-            attention=[b.value if b is not None else None for b in beta_nodes],
-            z=z_node.value,
-            summary=readout(z_node.value),
-        )
-        tape.release()
-        return trace
-    if not isinstance(params, HmgeParams):
+    elif plan.features is not graph.features and not np.array_equal(
+        plan.features, graph.features
+    ):
+        raise ConfigError("encode plan was built from another graph's features")
+    if config.num_layers == 0 and not isinstance(params, LinearParams):
+        raise ConfigError("zero-layer encode needs LinearParams")
+    if config.num_layers > 0 and not isinstance(params, HmgeParams):
         raise ConfigError("hierarchical encode needs HmgeParams")
+    tape = ad.Tape()
     pnodes = lift_params(tape, params, constant=True)
-    latent, chains = build_hmge_forward(plan, pnodes, [(x, None)], attention_mode)
+    if config.num_layers == 0:
+        latent, chains = [], build_linear_forward(plan, pnodes, [None], attention_mode)
+    else:
+        latent, chains = build_hmge_forward(plan, pnodes, [None], attention_mode)
     z_node, h_nodes, beta_nodes = chains[0]
-    z = z_node.value
-    latent_mats = [
-        [plan.union.to_adjacency(v.value) for v in layer] for layer in latent
-    ]
     trace = ForwardTrace(
-        latent_adjacencies=latent_mats,
+        latent_adjacencies=[
+            [plan.union.to_adjacency(col) for col in block.value.T] for block in latent
+        ],
         embeddings=[h.value for h in h_nodes],
         attention=[b.value if b is not None else None for b in beta_nodes],
-        z=z,
-        summary=readout(z),
+        z=z_node.value,
+        summary=readout(z_node.value),
     )
     tape.release()
     return trace
@@ -760,19 +651,12 @@ def linear_aggregation_encode(
     activation: str = "relu",
 ) -> np.ndarray:
     """Embeddings of the linear-aggregation baseline (GCN stacks + attention)."""
-    if attention_mode not in ATTENTION_MODES:
-        raise ConfigError(f"unknown attention mode {attention_mode!r}")
     config = HmgeConfig(
         embed_size=params.disc_q.shape[0], num_layers=0, activation=activation
     )
-    plan = EncodePlan(graph, config, normalize=normalize)
-    tape = ad.Tape()
-    x = None if plan.identity_features else tape.constant(graph.features)
-    pnodes = lift_params(tape, params, constant=True)
-    chains = build_linear_forward(plan, pnodes, [(x, None)], attention_mode)
-    z = chains[0][0].value
-    tape.release()
-    return z
+    return encode(
+        graph, params, config, normalize=normalize, attention_mode=attention_mode
+    ).z
 
 
 # ---------------------------------------------------------------------------
@@ -806,39 +690,16 @@ def export_embeddings(z: np.ndarray, path) -> Path:
     return path
 
 
-def save_model(path, config: HmgeConfig, params) -> None:
-    """Versioned binary dump of a trained parameter set (npz container)."""
-    arrays = {}
-    if isinstance(params, HmgeParams):
-        kind = "hmge"
-        for l, layer in enumerate(params.layers):
-            arrays[f"layer{l}_alpha"] = layer.alpha
-            for d, w in enumerate(layer.gcn_w):
-                arrays[f"layer{l}_w{d}"] = w
-            for d, v in enumerate(layer.attn_v):
-                arrays[f"layer{l}_v{d}"] = v
-            for d, y in enumerate(layer.attn_y):
-                arrays[f"layer{l}_y{d}"] = y
-        arrays["final_w"] = params.final_w
-        arrays["disc_q"] = params.disc_q
-        dims = [len(layer.gcn_w) for layer in params.layers]
-        extra = {"layer_dims": dims}
-    elif isinstance(params, LinearParams):
-        kind = "linear"
-        for d, stack in enumerate(params.gcn_w):
-            for k, w in enumerate(stack):
-                arrays[f"w{d}_{k}"] = w
-        for d, v in enumerate(params.attn_v):
-            arrays[f"v{d}"] = v
-        for d, y in enumerate(params.attn_y):
-            arrays[f"y{d}"] = y
-        arrays["disc_q"] = params.disc_q
-        extra = {"num_dims": len(params.gcn_w), "depth": params.depth}
-    else:
-        raise ConfigError(f"cannot save parameters of type {type(params).__name__}")
+def save_model(path, config: HmgeConfig, params, identity_features: bool = False) -> None:
+    """Versioned binary dump of a trained parameter set (npz container).
+
+    Format 2 stores every stacked parameter array under its ``param_leaves``
+    name and records whether the model was trained on one-hot node features.
+    """
+    arrays = {name: arr for name, arr, _, _ in param_leaves(params)}
     meta = {
         "format_version": MODEL_FORMAT_VERSION,
-        "kind": kind,
+        "kind": "hmge" if isinstance(params, HmgeParams) else "linear",
         "config": {
             "embed_size": config.embed_size,
             "num_layers": config.num_layers,
@@ -847,52 +708,51 @@ def save_model(path, config: HmgeConfig, params) -> None:
             else None,
             "activation": config.activation,
         },
-        **extra,
+        "identity_features": bool(identity_features),
     }
+    if isinstance(params, LinearParams):
+        meta["depth"] = params.depth
     with open(path, "wb") as fh:
         np.savez(fh, meta=np.str_(json.dumps(meta)), **arrays)
 
 
 def load_model(path):
-    """Load a model file; returns (config, params)."""
+    """Load a model file; returns (config, params, identity_features)."""
     try:
         archive = np.load(path, allow_pickle=False)
     except (OSError, ValueError) as exc:
         raise DataFormatError(f"cannot read model file {path}: {exc}") from exc
-    if "meta" not in archive:
-        raise DataFormatError(f"{path} is not a model file (missing meta)")
-    meta = json.loads(str(archive["meta"]))
-    if meta.get("format_version") != MODEL_FORMAT_VERSION:
-        raise DataFormatError(
-            f"unsupported model format version {meta.get('format_version')}"
-        )
-    cfg = meta["config"]
-    config = HmgeConfig(
-        embed_size=cfg["embed_size"],
-        num_layers=cfg["num_layers"],
-        dims_schedule=tuple(cfg["dims_schedule"]) if cfg["dims_schedule"] else None,
-        activation=cfg["activation"],
-    )
-    if meta["kind"] == "hmge":
-        layers = []
-        for l, d_in in enumerate(meta["layer_dims"]):
-            layers.append(
-                LayerParams(
-                    alpha=archive[f"layer{l}_alpha"],
-                    gcn_w=[archive[f"layer{l}_w{d}"] for d in range(d_in)],
-                    attn_v=[archive[f"layer{l}_v{d}"] for d in range(d_in)],
-                    attn_y=[archive[f"layer{l}_y{d}"] for d in range(d_in)],
-                )
+    with archive:
+        if "meta" not in archive:
+            raise DataFormatError(f"{path} is not a model file (missing meta)")
+        meta = json.loads(str(archive["meta"]))
+        if meta.get("format_version") != MODEL_FORMAT_VERSION:
+            raise DataFormatError(
+                f"unsupported model format version {meta.get('format_version')}"
             )
-        params = HmgeParams(layers, archive["final_w"], archive["disc_q"])
-    elif meta["kind"] == "linear":
-        num_dims, depth = meta["num_dims"], meta["depth"]
-        params = LinearParams(
-            gcn_w=[[archive[f"w{d}_{k}"] for k in range(depth)] for d in range(num_dims)],
-            attn_v=[archive[f"v{d}"] for d in range(num_dims)],
-            attn_y=[archive[f"y{d}"] for d in range(num_dims)],
-            disc_q=archive["disc_q"],
+        cfg = meta["config"]
+        config = HmgeConfig(
+            embed_size=cfg["embed_size"],
+            num_layers=cfg["num_layers"],
+            dims_schedule=tuple(cfg["dims_schedule"]) if cfg["dims_schedule"] else None,
+            activation=cfg["activation"],
         )
-    else:
-        raise DataFormatError(f"unknown model kind {meta['kind']!r}")
-    return config, params
+        try:
+            if meta["kind"] == "hmge":
+                layers = [
+                    LayerParams(*(archive[f"{key}_{l}"] for key in ("alpha", "w", "v", "y")))
+                    for l in range(config.num_layers)
+                ]
+                params = HmgeParams(layers, archive["final_w"], archive["disc_q"])
+            elif meta["kind"] == "linear":
+                params = LinearParams(
+                    gcn_w=[archive[f"w_{k}"] for k in range(meta["depth"])],
+                    attn_v=archive["v"],
+                    attn_y=archive["y"],
+                    disc_q=archive["disc_q"],
+                )
+            else:
+                raise DataFormatError(f"unknown model kind {meta['kind']!r}")
+        except KeyError as exc:
+            raise DataFormatError(f"{path} lacks model entry {exc}") from exc
+    return config, params, meta["identity_features"]

@@ -127,10 +127,6 @@ class SparseAdjacency:
     def to_dense(self) -> np.ndarray:
         return self.to_scipy().toarray()
 
-    def with_values(self, values: np.ndarray) -> "SparseAdjacency":
-        """Same sparsity pattern, new entry values."""
-        return SparseAdjacency(self.num_nodes, self.indptr, self.indices, values)
-
     def row_sums(self) -> np.ndarray:
         return np.asarray(self.to_scipy().sum(axis=1)).ravel()
 
@@ -260,15 +256,6 @@ class MultiplexGraph:
     @property
     def num_features(self) -> int:
         return int(self.features.shape[1])
-
-    @property
-    def max_edges(self) -> int:
-        """Largest stored-entry count over the dimensions (cached)."""
-        cached = self.__dict__.get("_max_edges")
-        if cached is None:
-            cached = max(d.nnz for d in self.dimensions)
-            self.__dict__["_max_edges"] = cached
-        return cached
 
     def with_features(self, features: np.ndarray) -> "MultiplexGraph":
         """New graph sharing all adjacency structure with replaced features."""

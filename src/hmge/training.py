@@ -28,6 +28,11 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 LOG_CLAMP = 1e-12
+# Adam updates each parameter in flat slices of this many elements so its
+# temporaries stay in L2. On a 2-core x86-64 Xeon (2 MB L2 per core), one
+# step over (41, 1000, 32), (41, 32, 32) and (41, 32) stacks took a median
+# 40 ms unsliced, 18.5 ms at 2^15, 20.7 ms at 2^13 and 22.4 ms at 2^17.
+ADAM_SLICE = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -55,6 +60,8 @@ class AdamState:
     """Adam moments for a fixed parameter list, with decoupled weight decay."""
 
     def __init__(self, params: list[np.ndarray]):
+        if not all(p.flags.c_contiguous for p in params):
+            raise ValueError("Adam updates parameters in place through flat views")
         self.first = [np.zeros_like(p) for p in params]
         self.second = [np.zeros_like(p) for p in params]
         self.step_count = 0
@@ -67,14 +74,17 @@ class AdamState:
         bias1 = 1.0 - ADAM_BETA1**t
         bias2 = 1.0 - ADAM_BETA2**t
         for p, g, m, v, decay in zip(params, grads, self.first, self.second, decay_flags):
-            m *= ADAM_BETA1
-            m += (1.0 - ADAM_BETA1) * g
-            v *= ADAM_BETA2
-            v += (1.0 - ADAM_BETA2) * (g * g)
-            update = (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
-            if decay and weight_decay:
-                update = update + weight_decay * p
-            p -= learning_rate * update
+            flat = [a.reshape(-1) for a in (p, g, m, v)]
+            for lo in range(0, flat[0].size, ADAM_SLICE):
+                p, g, m, v = (a[lo:lo + ADAM_SLICE] for a in flat)
+                m *= ADAM_BETA1
+                m += (1.0 - ADAM_BETA1) * g
+                v *= ADAM_BETA2
+                v += (1.0 - ADAM_BETA2) * (g * g)
+                update = (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
+                if decay and weight_decay:
+                    update = update + weight_decay * p
+                p -= learning_rate * update
 
 
 def corrupt(graph: MultiplexGraph, rng: np.random.Generator) -> MultiplexGraph:
@@ -108,20 +118,17 @@ def infomax_loss(z, z_hat, s, q) -> float:
 
 
 def build_loss_nodes(tape, plan, pnodes, features, perm, attention_mode="learned"):
-    """Tape version of the training objective; returns (loss, z, z_hat, s)."""
+    """Tape version of the training objective; returns (loss, z, z_hat, s).
+
+    ``features`` are the clean features the plan was built from; the
+    corrupted pass shuffles their rows by ``perm``.
+    """
     n = features.shape[0]
-    if plan.identity_features:
-        # One-hot features: the shuffled input is just a row permutation of
-        # the first-layer weights, so no dense feature matrices are built.
-        specs = [(None, None), (None, perm)]
-    else:
-        x = tape.constant(features)
-        x_hat = tape.constant(features[perm])
-        specs = [(x, None), (x_hat, None)]
+    perms = [None, perm]
     if "layers" in pnodes:
-        _, chains = mdl.build_hmge_forward(plan, pnodes, specs, attention_mode)
+        _, chains = mdl.build_hmge_forward(plan, pnodes, perms, attention_mode)
     else:
-        chains = mdl.build_linear_forward(plan, pnodes, specs, attention_mode)
+        chains = mdl.build_linear_forward(plan, pnodes, perms, attention_mode)
     z, z_hat = chains[0][0], chains[1][0]
     s = ad.mean_rows(z)
     q = pnodes["disc_q"]

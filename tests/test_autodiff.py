@@ -10,6 +10,16 @@ def fd_check(build, arrays, eps=1e-5):
     return ad.grad_check(build, arrays, eps=eps)
 
 
+def symmetric_value_block(union, rng, columns):
+    """(nnz, columns) value block; each column is a symmetric matrix on ``union``."""
+    block = []
+    for _ in range(columns):
+        sym = union.to_adjacency(rng.uniform(0.2, 1.5, union.nnz)).to_dense()
+        sym = 0.5 * (sym + sym.T)
+        block.append(sym[union.rows, union.indices])
+    return np.stack(block, axis=1)
+
+
 def random_sym_adj(n, density, seed):
     rng = np.random.default_rng(seed)
     m = (rng.random((n, n)) < density).astype(float)
@@ -37,11 +47,6 @@ class TestForwardValues:
         loss = ad.sum_all(ad.relu(x))
         t.backward(loss)
         assert x.adjoint[0] == 0.0
-
-    def test_softmax_vec_equal_logits(self):
-        t = ad.Tape()
-        out = ad.softmax_vec(t.constant(np.array([2.5, 2.5, 2.5])))
-        assert np.allclose(out.value, 1.0 / 3.0, atol=0, rtol=0)
 
     def test_softmax_cols_columns_sum_to_one(self):
         t = ad.Tape()
@@ -178,20 +183,10 @@ def op_cases():
     cases.append(
         ("sigmoid", [rng.uniform(-1, 1, (4, 4))], lambda t, n: ad.sum_all(ad.sigmoid(n[0])))
     )
-    c_sr = rng.uniform(-1, 1, (4, 5))
-    cases.append(
-        ("softmax_rows", [rng.uniform(-1, 1, (4, 5))],
-         lambda t, n: ad.sum_all(ad.elementwise_mul(ad.softmax_rows(n[0]), t.constant(c_sr))))
-    )
     c_sc = rng.uniform(-1, 1, (4, 5))
     cases.append(
         ("softmax_cols", [rng.uniform(-1, 1, (4, 5))],
          lambda t, n: ad.sum_all(ad.elementwise_mul(ad.softmax_cols(n[0]), t.constant(c_sc))))
-    )
-    c_sv = rng.uniform(-1, 1, 6)
-    cases.append(
-        ("softmax_vec", [rng.uniform(-1, 1, 6)],
-         lambda t, n: ad.sum_all(ad.elementwise_mul(ad.softmax_vec(n[0]), t.constant(c_sv))))
     )
     # rows with sums away from the fallback guard
     rn = rng.uniform(0.2, 1.0, (5, 4))
@@ -199,22 +194,6 @@ def op_cases():
     cases.append(
         ("row_normalize", [rn],
          lambda t, n: ad.sum_all(ad.elementwise_mul(ad.row_normalize_signed(n[0]), t.constant(c_rn))))
-    )
-    cases.append(
-        ("select_column", [rng.uniform(-1, 1, (5, 4))],
-         lambda t, n: ad.sum_all(ad.tanh(ad.select_column(n[0], 2))))
-    )
-    cases.append(
-        ("row_select", [rng.uniform(-1, 1, (5, 4))],
-         lambda t, n: ad.sum_all(ad.tanh(ad.row_select(n[0], 3))))
-    )
-    cases.append(
-        ("stack_columns", [rng.uniform(-1, 1, 5) for _ in range(3)],
-         lambda t, n: ad.sum_all(ad.tanh(ad.stack_columns(n))))
-    )
-    cases.append(
-        ("scale_rows", [rng.uniform(-1, 1, (5, 3)), rng.uniform(-1, 1, 5)],
-         lambda t, n: ad.sum_all(ad.scale_rows(n[0], n[1])))
     )
     cases.append(
         ("mean_rows", [rng.uniform(-1, 1, (6, 3))],
@@ -227,10 +206,6 @@ def op_cases():
     cases.append(
         ("log_clamped", [rng.uniform(0.05, 0.95, (4, 4))],
          lambda t, n: ad.sum_all(ad.log_clamped(n[0])))
-    )
-    cases.append(
-        ("stack_matrices", [rng.uniform(-1, 1, (4, 3)) for _ in range(3)],
-         lambda t, n: ad.sum_all(ad.tanh(ad.stack_matrices(n))))
     )
     cases.append(
         ("select_matrix", [rng.uniform(-1, 1, (3, 4, 2))],
@@ -270,7 +245,7 @@ class TestSparseOps:
         adj = random_sym_adj(6, 0.5, 0)
         norm = normalize_adjacency(adj)
         rng = np.random.default_rng(1)
-        arrays = [rng.uniform(-1, 1, (6, 3))]
+        arrays = [rng.uniform(-1, 1, (1, 6, 3))]
 
         def build(tape, nodes):
             return ad.sum_all(ad.tanh(ad.spmm(norm, nodes[0])))
@@ -279,35 +254,10 @@ class TestSparseOps:
 
     def test_spmm_value_matches_dense(self):
         adj = random_sym_adj(7, 0.4, 2)
-        h = np.random.default_rng(3).standard_normal((7, 4))
+        h = np.random.default_rng(3).standard_normal((1, 7, 4))
         t = ad.Tape()
         out = ad.spmm(adj, t.constant(h))
-        assert np.allclose(out.value, adj.to_dense() @ h, atol=1e-13)
-
-    def test_csr_combine_matches_dense_sum(self):
-        adjs = [random_sym_adj(6, 0.4, s) for s in (0, 1, 2)]
-        union = ad.UnionPattern.union(adjs)
-        maps = [union.position_map(a) for a in adjs]
-        w = np.array([0.2, 0.5, 0.3])
-        t = ad.Tape()
-        wn = t.constant(w)
-        out = ad.csr_combine(wn, [a.values for a in adjs], maps, union.nnz)
-        expected = sum(wi * a.to_dense() for wi, a in zip(w, adjs))
-        assert np.allclose(union.to_adjacency(out.value).to_dense(), expected, atol=1e-14)
-
-    def test_csr_combine_gradients(self):
-        adjs = [random_sym_adj(6, 0.4, s) for s in (3, 4)]
-        union = ad.UnionPattern.union(adjs)
-        maps = [union.position_map(a) for a in adjs]
-        rng = np.random.default_rng(5)
-        coeff = rng.uniform(-1, 1, union.nnz)
-        arrays = [rng.uniform(0.1, 1.0, 2), rng.uniform(0.1, 1.0, adjs[0].nnz)]
-
-        def build(tape, nodes):
-            mixed = ad.csr_combine(nodes[0], [nodes[1], adjs[1].values], maps, union.nnz)
-            return ad.sum_all(ad.elementwise_mul(mixed, tape.constant(coeff)))
-
-        assert fd_check(build, arrays) < 1e-4
+        assert np.allclose(out.value[0], adj.to_dense() @ h[0], atol=1e-13)
 
     def test_csr_combine_stack_gradients(self):
         adjs = [random_sym_adj(6, 0.4, s) for s in (6, 7, 8)]
@@ -389,9 +339,7 @@ class TestSparseOps:
         adjs = [random_sym_adj(6, 0.5, 30)]
         union = ad.UnionPattern.union(adjs)
         rng = np.random.default_rng(31)
-        sym = union.to_adjacency(rng.uniform(0.2, 1.5, union.nnz)).to_dense()
-        sym = 0.5 * (sym + sym.T)
-        vals = sym[union.rows, union.indices]
+        vals = symmetric_value_block(union, rng, 2)
         h = rng.uniform(-1, 1, (6, 3))
         for dense_mode in (True, False):
             plan = ad.SpmmPlan(
@@ -408,9 +356,7 @@ class TestSparseOps:
         adjs = [random_sym_adj(8, 0.4, 40)]
         union = ad.UnionPattern.union(adjs)
         rng = np.random.default_rng(41)
-        sym = union.to_adjacency(rng.uniform(0.2, 1.5, union.nnz)).to_dense()
-        sym = 0.5 * (sym + sym.T)
-        vals = sym[union.rows, union.indices]
+        vals = symmetric_value_block(union, rng, 3)
         h = rng.uniform(-1, 1, (8, 4))
         outs = []
         for dense_mode in (True, False):
@@ -493,7 +439,7 @@ class TestBlockedSddmm:
                            dense_mode=dense_mode)
         assert {blk[4] for blk in plan.blocks} == {True, False}
         rng = np.random.default_rng(55)
-        vals = rng.uniform(0.2, 1.5, union.nnz)
+        vals = rng.uniform(0.2, 1.5, (union.nnz, 2))
         h = rng.uniform(-1, 1, (12, 2))
 
         def build(tape, nodes):
@@ -518,6 +464,28 @@ class TestBlockedSddmm:
         plan.matmul(vals, h, cache)
         plan.matmul_transpose(vals, h, cache)
         assert all(cache[k] is built[k] for k in built)
+
+    @pytest.mark.parametrize("dense_mode", [True, False])
+    def test_spmm_var_shares_column_kernels_across_products(self, dense_mode):
+        import scipy.sparse as sp
+
+        union = banded_pattern(30, 10, 0.1, 2, seed=58)
+        plan = ad.SpmmPlan(union.num_nodes, union.indptr, union.indices,
+                           dense_mode=dense_mode)
+        rng = np.random.default_rng(59)
+        vals = rng.uniform(0.2, 1.5, (union.nnz, 2))
+        t = ad.Tape()
+        v = t.constant(vals)
+        first = ad.spmm_var(v, plan, t.constant(rng.standard_normal((30, 3))))
+        built = {d: dict(kernels) for d, kernels in v.cache().items()}
+        h = rng.standard_normal((30, 3))
+        second = ad.spmm_var(v, plan, t.constant(h))
+        assert first.value.shape == second.value.shape == (2, 30, 3)
+        assert set(built) == {0, 1}
+        for d, kernels in built.items():
+            assert all(v.cache()[d][k] is kernels[k] for k in kernels)
+            eager = sp.csr_matrix((vals[:, d], union.indices, union.indptr), shape=(30, 30))
+            assert np.abs(second.value[d] - eager @ h).max() < 1e-12
 
 
 class TestGradCheckHelper:

@@ -176,20 +176,46 @@ class TestEvalAblateSweep:
         assert code == EXIT_OK
         assert (exp / "embeddings.csv").read_text() == (run / "embeddings.csv").read_text()
 
-    def test_export_identity_feature_model_is_data_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("layers", ["0", "1"])
+    def test_export_identity_feature_round_trip(self, tmp_path, layers, capsys):
         data = tmp_path / "d60"
         assert main(["synth", "--nodes", "60", "--dims", "3", "--out", str(data)]) == EXIT_OK
         run = tmp_path / "run"
         assert main(
             ["train", "--data", str(data), "--out", str(run), "--identity-features",
-             "--layers", "1", "--embed-size", "8", "--epochs", "2", "--patience", "2"]
+             "--layers", layers, "--embed-size", "8", "--epochs", "2", "--patience", "2"]
         ) == EXIT_OK
+        exp = tmp_path / "exp"
         code = main(
             ["export", "--model", str(run / "model.bin"), "--data", str(data),
+             "--out", str(exp)]
+        )
+        assert code == EXIT_OK
+        assert (exp / "embeddings.csv").read_text() == (run / "embeddings.csv").read_text()
+        # one-hot features of another node count do not fit the model
+        data40 = tmp_path / "d40"
+        assert main(["synth", "--nodes", "40", "--dims", "3", "--out", str(data40)]) == EXIT_OK
+        code = main(
+            ["export", "--model", str(run / "model.bin"), "--data", str(data40),
+             "--out", str(tmp_path / "exp40")]
+        )
+        assert code == EXIT_DATA
+        assert "takes 60 features per node, dataset has 40" in capsys.readouterr().err
+
+    def test_export_version_one_model_is_data_error(self, dataset_dir, tmp_path, capsys):
+        model = tmp_path / "model.bin"
+        meta = {"format_version": 1, "kind": "hmge",
+                "config": {"embed_size": 4, "num_layers": 1, "dims_schedule": None,
+                           "activation": "relu"},
+                "layer_dims": [3]}
+        with open(model, "wb") as fh:
+            np.savez(fh, meta=np.str_(json.dumps(meta)), layer0_alpha=np.zeros((3, 1)))
+        code = main(
+            ["export", "--model", str(model), "--data", str(dataset_dir),
              "--out", str(tmp_path / "exp")]
         )
         assert code == EXIT_DATA
-        assert "takes 60 features per node, dataset has 3" in capsys.readouterr().err
+        assert "unsupported model format version 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("layers", ["0", "1"])
     def test_export_dimension_mismatch_is_data_error(self, dataset_dir, tmp_path, layers, capsys):

@@ -239,7 +239,7 @@ def oracle_instance(rng, commuting: bool, m=4, n=5):
     config = HmgeConfig(embed_size=m, num_layers=1, dims_schedule=(2, 1), activation="identity")
     params = init_params(config, 2, m, rng)
     params.layers[0].alpha = logits.copy()
-    params.layers[0].gcn_w = [w.copy(), w.copy()]
+    params.layers[0].gcn_w = np.stack([w, w])
     params.final_w = w.copy()
     return graph, params, config, weights, (a1, a2, x, w)
 
@@ -275,7 +275,7 @@ class TestClosedFormOracles:
             w = rng.standard_normal((4, 4))
             graph = two_dim_graph(a1, a2, x)
             params = init_linear_params(4, 2, 4, 2, rng)
-            params.gcn_w = [[w.copy(), w.copy()], [w.copy(), w.copy()]]
+            params.gcn_w = [np.stack([w, w]), np.stack([w, w])]
             z = linear_aggregation_encode(
                 graph, params, normalize=False, attention_mode="sum", activation="identity"
             )
@@ -335,6 +335,17 @@ class TestEncode:
         with pytest.raises(ConfigError):
             encode(graph, params, cfg)
 
+    def test_plan_from_other_features_rejected(self):
+        graph = self.make_graph()
+        cfg = HmgeConfig(embed_size=4, num_layers=1)
+        params = init_params(cfg, 2, 3, np.random.default_rng(8))
+        plan = EncodePlan(graph, cfg)
+        shuffled = graph.with_features(graph.features[::-1])
+        assert np.array_equal(encode(graph.with_features(graph.features.copy()), params, cfg,
+                                     plan=plan).z, encode(graph, params, cfg).z)
+        with pytest.raises(ConfigError):
+            encode(shuffled, params, cfg, plan=plan)
+
     def test_permutation_equivariance(self):
         graph = self.make_graph(n=8, dims=2, seed=5)
         cfg = HmgeConfig(embed_size=4, num_layers=1)
@@ -364,8 +375,7 @@ class TestEncode:
         trace_fast = encode(eye_graph, params, cfg, plan=plan_fast)
         plan_slow = EncodePlan(eye_graph, cfg)
         plan_slow.identity_features = False
-        plan_slow.orig_prop = [m.matmul_dense(eye_graph.features) for m in plan_slow.orig_gcn]
-        plan_slow.orig_prop_stack = np.stack(plan_slow.orig_prop, axis=0)
+        plan_slow.feature_prop = plan_slow.propagate(eye_graph.features)
         trace_slow = encode(eye_graph, params, cfg, plan=plan_slow)
         assert np.abs(trace_fast.z - trace_slow.z).max() < 1e-12
 
@@ -379,13 +389,14 @@ class TestLinearAggregation:
         graph1 = MultiplexGraph(6, (SparseAdjacency.from_dense(a),), x)
         params2 = init_linear_params(4, 2, 3, 1, rng)
         # same stack and attention for both dims
-        params2.gcn_w[1] = [w.copy() for w in params2.gcn_w[0]]
-        params2.attn_v[1] = params2.attn_v[0].copy()
-        params2.attn_y[1] = params2.attn_y[0].copy()
+        for w in params2.gcn_w:
+            w[1] = w[0]
+        params2.attn_v[1] = params2.attn_v[0]
+        params2.attn_y[1] = params2.attn_y[0]
         params1 = LinearParams(
-            gcn_w=[[w.copy() for w in params2.gcn_w[0]]],
-            attn_v=[params2.attn_v[0].copy()],
-            attn_y=[params2.attn_y[0].copy()],
+            gcn_w=[w[:1].copy() for w in params2.gcn_w],
+            attn_v=params2.attn_v[:1].copy(),
+            attn_y=params2.attn_y[:1].copy(),
             disc_q=params2.disc_q.copy(),
         )
         z2 = linear_aggregation_encode(graph2, params2)
@@ -401,9 +412,10 @@ class TestModelFile:
         params = init_params(cfg, 3, 5, np.random.default_rng(0))
         path = tmp_path / "model.bin"
         save_model(path, cfg, params)
-        cfg2, params2 = load_model(path)
+        cfg2, params2, identity_features = load_model(path)
         assert cfg2 == cfg
         assert isinstance(params2, HmgeParams)
+        assert identity_features is False
         for (_, a, _, _), (_, b, _, _) in zip(param_leaves(params), param_leaves(params2)):
             assert np.array_equal(a, b)
 
@@ -411,9 +423,10 @@ class TestModelFile:
         params = init_linear_params(4, 3, 5, 2, np.random.default_rng(1))
         cfg = HmgeConfig(embed_size=4, num_layers=0)
         path = tmp_path / "model.bin"
-        save_model(path, cfg, params)
-        cfg2, params2 = load_model(path)
+        save_model(path, cfg, params, identity_features=True)
+        cfg2, params2, identity_features = load_model(path)
         assert isinstance(params2, LinearParams)
+        assert identity_features is True
         assert params2.depth == 2
         for (_, a, _, _), (_, b, _, _) in zip(param_leaves(params), param_leaves(params2)):
             assert np.array_equal(a, b)

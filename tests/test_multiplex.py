@@ -135,9 +135,8 @@ class TestNormalize:
         assert np.all(vals > 0.0) and np.all(vals <= 1.0)
 
     def test_rejects_nonfinite(self):
-        adj = SparseAdjacency(2, np.array([0, 1, 2]), np.array([1, 0]), np.ones(2))
         with pytest.raises(DataFormatError):
-            adj.with_values(np.array([np.nan, 1.0]))
+            SparseAdjacency(2, np.array([0, 1, 2]), np.array([1, 0]), np.array([np.nan, 1.0]))
 
     def test_rejects_negative(self):
         adj = SparseAdjacency(2, np.array([0, 1, 2]), np.array([1, 0]), np.array([-1.0, -1.0]))
@@ -154,7 +153,7 @@ class TestNormalize:
 class TestGraphModel:
     def test_invariants(self):
         g = graph_from_edges(3, [[(0, 1)], [(1, 2)]])
-        assert g.num_dims == 2 and g.num_features == 1 and g.max_edges == 2
+        assert g.num_dims == 2 and g.num_features == 1
 
     def test_dimension_size_mismatch(self):
         d1 = SparseAdjacency.from_undirected_edges(3, [0], [1])
