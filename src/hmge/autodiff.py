@@ -386,10 +386,9 @@ def permute_rows(a: Node, perm: np.ndarray) -> Node:
 
     def backward(g):
         if a.requires_grad:
-            if a.adjoint is None:
-                a.adjoint = np.zeros_like(a.value)
-            # perm has unique indices, so fancy in-place add is safe
-            a.adjoint[:, perm] += g
+            inverse = np.empty_like(perm)
+            inverse[perm] = np.arange(perm.shape[0])
+            _accum_owned(a, g[:, inverse])
 
     return a.tape._add(a.value[:, perm], (a,), backward, name="permute_rows")
 
@@ -752,21 +751,26 @@ def spmm(adj, h: Node) -> Node:
     """Constant block-diagonal sparse matrix times a (D, N, M) stack.
 
     ``adj`` holds D graphs over N nodes each as one matrix over D*N nodes;
-    its block d multiplies ``h[d]``. No gradient flows to the matrix.
+    its block d multiplies ``h[d]``. No gradient flows to the matrix. A
+    scipy CSR matrix is used as it is; a SparseAdjacency or
+    NormalizedAdjacency is converted to one on every call.
     """
-    mat = adj.matrix if isinstance(adj, NormalizedAdjacency) else adj
-    if not isinstance(mat, SparseAdjacency):
-        raise ValueError("spmm expects a SparseAdjacency or NormalizedAdjacency")
+    if isinstance(adj, NormalizedAdjacency):
+        adj = adj.matrix
+    if isinstance(adj, SparseAdjacency):
+        adj = adj.to_scipy()
+    if not (sp.issparse(adj) and adj.format == "csr"):
+        raise ValueError("spmm expects a CSR matrix, SparseAdjacency or NormalizedAdjacency")
+    size = adj.shape[0]
     shape = h.value.shape
-    if h.value.ndim != 3 or shape[0] * shape[1] != mat.num_nodes:
-        raise ValueError(f"spmm shape mismatch: {mat.num_nodes} nodes vs {shape}")
-    sc = mat.to_scipy()
+    if h.value.ndim != 3 or shape[0] * shape[1] != size:
+        raise ValueError(f"spmm shape mismatch: {size} nodes vs {shape}")
 
     def backward(g):
         if h.requires_grad:
-            _accum_owned(h, (sc.T @ g.reshape(mat.num_nodes, -1)).reshape(shape))
+            _accum_owned(h, (adj.T @ g.reshape(size, -1)).reshape(shape))
 
-    out = sc @ h.value.reshape(mat.num_nodes, -1)
+    out = adj @ h.value.reshape(size, -1)
     return h.tape._add(out.reshape(shape), (h,), backward, name="spmm")
 
 

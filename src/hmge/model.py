@@ -253,7 +253,8 @@ class EncodePlan:
     """Per-graph precomputation shared by every epoch.
 
     Holds the first-level GCN operator (the D normalized input graphs as one
-    block-diagonal matrix over D*N nodes), the first-level propagation of the
+    block-diagonal scipy CSR matrix over D*N nodes, built once so no epoch
+    converts it again), the first-level propagation of the
     clean features, the union sparsity pattern hosting all latent
     adjacencies, and the input values stacked one column per dimension on
     that pattern.
@@ -276,11 +277,8 @@ class EncodePlan:
             (normalize_adjacency(d).matrix if normalize else d).to_scipy()
             for d in graph.dimensions
         ]
-        block = sp.block_diag(inputs, format="csr")
-        block.sort_indices()
-        self.first_gcn = SparseAdjacency(
-            block.shape[0], block.indptr, block.indices, block.data
-        )
+        self.first_gcn = sp.block_diag(inputs, format="csr")
+        self.first_gcn.sort_indices()
         # With one-hot node features the first GCN collapses to A_d @ W_d
         # (and A_d @ W_d[perm] on the corrupted side): no propagation.
         self.identity_features = _is_identity(graph.features)
@@ -315,7 +313,7 @@ class EncodePlan:
     def propagate(self, features: np.ndarray) -> np.ndarray:
         """A_d @ X for every input dimension d, as a (D, N, F) stack."""
         stacked = np.tile(features, (self.num_dims, 1))
-        return self.first_gcn.matmul_dense(stacked).reshape(
+        return (self.first_gcn @ stacked).reshape(
             self.num_dims, self.num_nodes, -1
         )
 

@@ -12,7 +12,10 @@ the returned parameters are the best-loss snapshot.
 from __future__ import annotations
 
 import csv
+import ctypes
+import functools
 import math
+import platform
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -33,6 +36,18 @@ LOG_CLAMP = 1e-12
 # step over (41, 1000, 32), (41, 32, 32) and (41, 32) stacks took a median
 # 40 ms unsliced, 18.5 ms at 2^15, 20.7 ms at 2^13 and 22.4 ms at 2^17.
 ADAM_SLICE = 1 << 15
+# glibc malloc policy for training (mallopt parameters from malloc.h). By
+# default glibc serves large arrays from fresh mmaps and trims the free top
+# of the heap, so every epoch faults its tape arrays in again once the
+# previous epoch's tape is released. With every array below 32 MiB on the
+# heap and no trim below 512 MiB free, the next epoch reuses those pages.
+# On a 2-core x86-64 Xeon, a steady epoch of the three benchmark workloads
+# went from 3.9k-8.7k minor faults to 0, with bitwise-equal losses and no
+# higher peak RSS.
+M_TRIM_THRESHOLD = -1
+M_MMAP_THRESHOLD = -3
+MMAP_THRESHOLD_BYTES = 32 << 20
+TRIM_THRESHOLD_BYTES = 512 << 20
 
 
 @dataclass(frozen=True)
@@ -85,6 +100,21 @@ class AdamState:
                 if decay and weight_decay:
                     update = update + weight_decay * p
                 p -= learning_rate * update
+
+
+@functools.cache
+def pin_malloc() -> None:
+    """Set the process-wide glibc malloc policy above, once per process.
+
+    Elsewhere than on glibc it does nothing.
+    """
+    if platform.libc_ver()[0] != "glibc":
+        return
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+    mallopt.restype = ctypes.c_int
+    mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD_BYTES)
+    mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD_BYTES)
 
 
 def corrupt(graph: MultiplexGraph, rng: np.random.Generator) -> MultiplexGraph:
@@ -189,8 +219,10 @@ def train(
 
     ``train_alpha=False`` freezes the combination logits (used by the
     uniform-weights ablation). A fresh parameter set is drawn from the seed
-    unless ``params`` is supplied.
+    unless ``params`` is supplied. On glibc the first call sets the
+    process-wide malloc policy of ``pin_malloc``.
     """
+    pin_malloc()
     seed_init, seed_corrupt = np.random.SeedSequence(train_config.rng_seed).spawn(2)
     if params is None:
         params = mdl.init_params(

@@ -231,6 +231,13 @@ def op_cases():
         ("mix_stack", [rng.uniform(-1, 1, (3, 5, 2)), rng.uniform(-1, 1, (5, 3))],
          lambda t, n: ad.sum_all(ad.tanh(ad.mix_stack(n[0], n[1]))))
     )
+    perm = rng.permutation(5)
+    c_pr = rng.uniform(-1, 1, (2, 5, 3))
+    cases.append(
+        ("permute_rows", [rng.uniform(-1, 1, (2, 5, 3))],
+         lambda t, n: ad.sum_all(ad.tanh(ad.add(
+             ad.permute_rows(n[0], perm), ad.elementwise_mul(n[0], t.constant(c_pr))))))
+    )
     return cases
 
 
@@ -258,6 +265,19 @@ class TestSparseOps:
         t = ad.Tape()
         out = ad.spmm(adj, t.constant(h))
         assert np.allclose(out.value[0], adj.to_dense() @ h[0], atol=1e-13)
+
+    def test_spmm_scipy_operand_matches_adjacency(self):
+        adj = normalize_adjacency(random_sym_adj(7, 0.4, 4))
+        h = np.random.default_rng(5).standard_normal((1, 7, 3))
+        results = []
+        for operand in (adj, adj.matrix.to_scipy()):
+            t = ad.Tape()
+            x = t.parameter(h)
+            loss = ad.sum_all(ad.tanh(ad.spmm(operand, x)))
+            t.backward(loss)
+            results.append((loss.value, x.adjoint))
+        assert results[0][0] == results[1][0]
+        assert np.array_equal(results[0][1], results[1][1])
 
     def test_csr_combine_stack_gradients(self):
         adjs = [random_sym_adj(6, 0.4, s) for s in (6, 7, 8)]

@@ -1,7 +1,15 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from hmge import sbm
 from hmge.errors import ConfigError
+from hmge.multiplex import SparseAdjacency
 from hmge.sbm import (
     PER_DIM_LABELS_FILE,
     SbmConfig,
@@ -10,6 +18,22 @@ from hmge.sbm import (
     generate_multiplex,
     save_dataset,
 )
+
+
+def reference_dimension(config, rng):
+    """The direct sampler: one uniform per upper-triangle pair, all at once.
+
+    generate_dimension streams the same draws in chunks, so the two must
+    agree bitwise; this one needs O(N^2) memory.
+    """
+    n = config.num_nodes
+    labels = rng.choice(config.num_classes, size=n, p=np.asarray(config.class_probs))
+    iu, iv = np.triu_indices(n, k=1)
+    same = labels[iu] == labels[iv]
+    prob = np.where(same, config.p_in, config.p_out)
+    mask = rng.random(prob.shape[0]) < prob
+    adjacency = SparseAdjacency.from_undirected_edges(n, iu[mask], iv[mask])
+    return adjacency, labels
 
 
 class TestConfig:
@@ -70,6 +94,45 @@ class TestGenerateDimension:
             assert abs(cross_edges - cross_mean) <= 3 * sigma_c
         # consecutive draws differ
         assert not np.array_equal(labels_seen[0], labels_seen[1])
+
+    @pytest.mark.parametrize("chunk", [sbm.SAMPLE_CHUNK, 5, 64])
+    @pytest.mark.parametrize("n", [1, 2, 37, 700])
+    @pytest.mark.parametrize("p_in,p_out", [(0.0, 0.0), (1.0, 1.0), (0.3, 0.05)])
+    def test_matches_direct_sampler(self, monkeypatch, chunk, n, p_in, p_out):
+        # Chunks of 5 and 64 end mid-row for every n here but n = 2.
+        monkeypatch.setattr(sbm, "SAMPLE_CHUNK", chunk)
+        cfg = SbmConfig(num_nodes=n, num_dims=1, num_classes=3,
+                        class_probs=(0.6, 0.3, 0.1), p_in=p_in, p_out=p_out)
+        rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
+        for _ in range(2):
+            adj, labels = generate_dimension(cfg, rng)
+            ref_adj, ref_labels = reference_dimension(cfg, ref_rng)
+            assert adj.equals(ref_adj)
+            assert np.array_equal(labels, ref_labels)
+        # both samplers leave the stream at the same point
+        assert rng.random() == ref_rng.random()
+
+    def test_memory_grows_with_edges_not_pairs(self):
+        # 6000 nodes are 18M pairs: about 720 MB for a sampler that holds
+        # every pair at once, against ~30k edges at mean degree ~10.
+        script = textwrap.dedent("""
+            import resource, sys
+            from hmge.sbm import SbmConfig, generate_multiplex
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+            ds = generate_multiplex(SbmConfig(num_nodes=6000, num_dims=1,
+                                              p_in=0.0028, p_out=0.0005, rng_seed=1))
+            after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+            scale = 1 if sys.platform == "darwin" else 1024
+            print((after - before) * scale / 2**20, ds.graph.dimensions[0].num_edges)
+        """)
+        src = str(Path(sbm.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            timeout=120, check=True, env={**os.environ, "PYTHONPATH": src},
+        ).stdout.split()
+        grown_mb, edges = float(out[0]), int(out[1])
+        assert 20_000 < edges < 40_000
+        assert grown_mb < 100
 
 
 class TestGenerateMultiplex:

@@ -1,8 +1,15 @@
 import math
+import os
+import platform
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hmge
 from hmge.errors import ConfigError, NumericError
 from hmge.model import HmgeConfig, init_linear_params, init_params, param_leaves
 from hmge.multiplex import MultiplexGraph, SparseAdjacency
@@ -261,6 +268,48 @@ GRAD_CHECK_CASES = {
     "linear2": (HmgeConfig(embed_size=4, num_layers=0), 2, False, 2),
     "linear2-onehot": (HmgeConfig(embed_size=4, num_layers=0), 2, True, 2),
 }
+
+
+HEAP_SCRIPT = textwrap.dedent("""
+    import resource, statistics
+    import numpy as np
+    from hmge import autodiff as ad
+    from hmge.model import HmgeConfig
+    from hmge.multiplex import MultiplexGraph, SparseAdjacency
+    from hmge.training import TrainConfig, train
+
+    n, rng = 2000, np.random.default_rng(0)
+    dims = []
+    for _ in range(3):
+        u, v = rng.integers(0, n, (2, 10 * n))
+        keep = u != v
+        dims.append(SparseAdjacency.from_undirected_edges(n, u[keep], v[keep]))
+    graph = MultiplexGraph(n, tuple(dims), rng.standard_normal((n, 8)))
+    faults = []
+    release = ad.Tape.release
+
+    def counting_release(tape):
+        release(tape)
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+
+    ad.Tape.release = counting_release
+    train(graph, HmgeConfig(embed_size=64, num_layers=1),
+          TrainConfig(epochs=8, patience=8, rng_seed=1))
+    print(statistics.median(np.diff(faults)[2:]))
+""")
+
+
+class TestHeap:
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc malloc policy")
+    def test_steady_epochs_reuse_the_heap(self):
+        # Without the malloc policy each epoch faults its released tape
+        # arrays back in: ~13k minor faults per epoch on this graph.
+        src = str(Path(hmge.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-c", HEAP_SCRIPT], capture_output=True, text=True,
+            timeout=300, check=True, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert float(out.stdout.split()[-1]) <= 64
 
 
 class TestFullGradients:
