@@ -283,7 +283,9 @@ def relu(a: Node) -> Node:
     def backward(g):
         _accum_owned(a, g * mask)
 
-    return a.tape._add(np.where(mask, a.value, 0.0), (a,), backward, name="relu")
+    # np.maximum passes NaN through (np.where would zero it), so a non-finite
+    # pre-activation still reaches the non-finite-loss guard in Tape.backward.
+    return a.tape._add(np.maximum(a.value, 0.0), (a,), backward, name="relu")
 
 
 def tanh(a: Node) -> Node:
@@ -407,40 +409,47 @@ def select_matrix(stack: Node, index: int) -> Node:
     return stack.tape._add(stack.value[index].copy(), (stack,), backward, name="select_matrix")
 
 
-def batched_matmul(a: Node, b: Node, transpose_b: bool = False) -> Node:
+def batched_matmul(a: Node, b: Node) -> Node:
     """Per-block matrix product: (D, N, K) @ (D, K, M) -> (D, N, M)."""
     tape = _same_tape(a, b)
     av, bv = a.value, b.value
     if av.ndim != 3 or bv.ndim != 3 or av.shape[0] != bv.shape[0]:
         raise ValueError(f"batched_matmul expects stacked operands: {av.shape} @ {bv.shape}")
-    right = np.swapaxes(bv, 1, 2) if transpose_b else bv
-    if av.shape[2] != right.shape[1]:
+    if av.shape[2] != bv.shape[1]:
         raise ValueError(f"batched_matmul shape mismatch: {av.shape} @ {bv.shape}")
 
     def backward(g):
         if a.requires_grad:
-            _accum_owned(a, g @ np.swapaxes(right, 1, 2))
+            _accum_owned(a, g @ np.swapaxes(bv, 1, 2))
         if b.requires_grad:
-            db = np.swapaxes(av, 1, 2) @ g
-            _accum_owned(b, np.swapaxes(db, 1, 2) if transpose_b else db)
+            _accum_owned(b, np.swapaxes(av, 1, 2) @ g)
 
-    return tape._add(av @ right, (a, b), backward, name="batched_matmul")
+    return tape._add(av @ bv, (a, b), backward, name="batched_matmul")
 
 
-def batched_matvec(a: Node, y: Node) -> Node:
-    """Per-block matrix-vector product: (D, N, M) x (D, M) -> (D, N)."""
+def batched_matvec(a: Node, y: Node, transpose_a: bool = False) -> Node:
+    """Per-block matrix-vector product: (D, N, M) x (D, M) -> (D, N).
+
+    With ``transpose_a`` each block is contracted over its rows instead:
+    (D, N, M) x (D, N) -> (D, M), the stack of a_d^T y_d.
+    """
     tape = _same_tape(a, y)
     av, yv = a.value, y.value
-    if av.ndim != 3 or yv.ndim != 2 or av.shape[0] != yv.shape[0] or av.shape[2] != yv.shape[1]:
+    inner = 1 if transpose_a else 2
+    if av.ndim != 3 or yv.ndim != 2 or av.shape[0] != yv.shape[0] or av.shape[inner] != yv.shape[1]:
         raise ValueError(f"batched_matvec shape mismatch: {av.shape} x {yv.shape}")
+    # y's adjoint contracts g over the axis the forward product keeps.
+    over_rows, over_cols = "dnm,dn->dm", "dnm,dm->dn"
+    forward, y_adjoint = (over_rows, over_cols) if transpose_a else (over_cols, over_rows)
 
     def backward(g):
         if a.requires_grad:
-            _accum_owned(a, g[:, :, None] * yv[:, None, :])
+            left, right = (yv, g) if transpose_a else (g, yv)
+            _accum_owned(a, left[:, :, None] * right[:, None, :])
         if y.requires_grad:
-            _accum_owned(y, np.einsum("dnm,dn->dm", av, g))
+            _accum_owned(y, np.einsum(y_adjoint, av, g))
 
-    return tape._add(np.einsum("dnm,dm->dn", av, yv), (a, y), backward, name="batched_matvec")
+    return tape._add(np.einsum(forward, av, yv), (a, y), backward, name="batched_matvec")
 
 
 def transpose2d(a: Node) -> Node:

@@ -142,7 +142,10 @@ def _setup_threads(options: _Options) -> None:
     threads = options.get("threads")
     if threads is None:
         env = os.environ.get("HMGE_THREADS")
-        threads = int(env) if env else None
+        try:
+            threads = int(env) if env else None
+        except ValueError:
+            raise UsageError(f"HMGE_THREADS must be a positive integer, got {env!r}")
     if threads is not None:
         if int(threads) < 1:
             raise UsageError(f"--threads must be positive, got {threads}")

@@ -392,6 +392,8 @@ def _stack_attention(h_stack: ad.Node, v: ad.Node, y: ad.Node, mode: str):
     """Aggregate a (D, N, M) embedding stack; returns (H (N, M), beta (N, D)).
 
     A single dimension passes through with weight 1 (beta None in sum mode).
+    The learned score tanh((h_d V_d^T) y_d) is evaluated as h_d (V_d^T y_d):
+    one (D, M) vector per layer instead of a projected (D, N, M) stack.
     """
     tape = h_stack.tape
     d_in, n, _ = h_stack.value.shape
@@ -400,8 +402,8 @@ def _stack_attention(h_stack: ad.Node, v: ad.Node, y: ad.Node, mode: str):
         return ad.select_matrix(h_stack, 0), beta
     if mode == "sum":
         return ad.mix_stack(h_stack, tape.constant(np.ones((n, d_in)))), None
-    projected = ad.batched_matmul(h_stack, v, transpose_b=True)
-    scores = ad.tanh(ad.batched_matvec(projected, y))
+    u = ad.batched_matvec(v, y, transpose_a=True)
+    scores = ad.tanh(ad.batched_matvec(h_stack, u))
     beta = ad.row_normalize_signed(ad.transpose2d(scores), ATTENTION_GUARD)
     return ad.mix_stack(h_stack, beta), beta
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hmge import autodiff as ad
-from hmge.errors import HmgeError
+from hmge.errors import HmgeError, NumericError
 from hmge.multiplex import SparseAdjacency, normalize_adjacency
 
 
@@ -47,6 +47,18 @@ class TestForwardValues:
         loss = ad.sum_all(ad.relu(x))
         t.backward(loss)
         assert x.adjoint[0] == 0.0
+
+    def test_relu_propagates_nan(self):
+        # A NaN pre-activation must reach the loss, and so the non-finite
+        # guard in Tape.backward, instead of being clipped to zero.
+        t = ad.Tape()
+        x = t.parameter(np.array([np.nan, -1.0, 2.0]))
+        out = ad.relu(x)
+        assert np.isnan(out.value[0]) and out.value[1] == 0.0 and out.value[2] == 2.0
+        loss = ad.sum_all(out)
+        assert np.isnan(loss.value)
+        with pytest.raises(NumericError):
+            t.backward(loss)
 
     def test_softmax_cols_columns_sum_to_one(self):
         t = ad.Tape()
@@ -216,12 +228,12 @@ def op_cases():
          lambda t, n: ad.sum_all(ad.tanh(ad.batched_matmul(n[0], n[1]))))
     )
     cases.append(
-        ("batched_matmul_tb", [rng.uniform(-1, 1, (2, 4, 3)), rng.uniform(-1, 1, (2, 5, 3))],
-         lambda t, n: ad.sum_all(ad.tanh(ad.batched_matmul(n[0], n[1], transpose_b=True))))
-    )
-    cases.append(
         ("batched_matvec", [rng.uniform(-1, 1, (2, 4, 3)), rng.uniform(-1, 1, (2, 3))],
          lambda t, n: ad.sum_all(ad.tanh(ad.batched_matvec(n[0], n[1]))))
+    )
+    cases.append(
+        ("batched_matvec_ta", [rng.uniform(-1, 1, (2, 4, 3)), rng.uniform(-1, 1, (2, 4))],
+         lambda t, n: ad.sum_all(ad.tanh(ad.batched_matvec(n[0], n[1], transpose_a=True))))
     )
     cases.append(
         ("transpose2d", [rng.uniform(-1, 1, (4, 3))],

@@ -261,3 +261,12 @@ class TestThreads:
              "--threads", "0", "--epochs", "2", "--patience", "2"]
         )
         assert code == EXIT_USAGE
+
+    def test_bad_threads_env_var(self, dataset_dir, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("HMGE_THREADS", "abc")
+        code = main(
+            ["train", "--data", str(dataset_dir), "--out", str(tmp_path / "x"),
+             "--epochs", "2", "--patience", "2"]
+        )
+        assert code == EXIT_USAGE
+        assert "HMGE_THREADS" in capsys.readouterr().err

@@ -380,6 +380,52 @@ class TestEncode:
         assert np.abs(trace_fast.z - trace_slow.z).max() < 1e-12
 
 
+class TestLearnedAttention:
+    """The tape's learned attention against the eager ``attention_aggregate``."""
+
+    def make_graph(self, seed, n=12, dims=4):
+        rng = np.random.default_rng(seed)
+        mats = [SparseAdjacency.from_dense(random_sym_dense(n, rng)) for _ in range(dims)]
+        return MultiplexGraph(n, tuple(mats), rng.standard_normal((n, 3)))
+
+    def test_hierarchical_matches_eager_reference(self):
+        cfg = HmgeConfig(embed_size=5, num_layers=2, dims_schedule=(4, 2, 1))
+        worst = 0.0
+        for seed in range(20):
+            graph = self.make_graph(seed)
+            params = init_params(cfg, 4, 3, np.random.default_rng(100 + seed))
+            trace = encode(graph, params, cfg)
+            h = graph.features
+            layer_graphs = graph.dimensions
+            for l, layer in enumerate(params.layers):
+                stack = [
+                    gcn_forward(h, normalize_adjacency(adj), w)
+                    for adj, w in zip(layer_graphs, layer.gcn_w)
+                ]
+                h, beta = attention_aggregate(stack, layer.attn_v, layer.attn_y)
+                worst = max(worst, np.abs(trace.embeddings[l] - h).max(),
+                            np.abs(trace.attention[l] - beta).max())
+                h = trace.embeddings[l]
+                layer_graphs = trace.latent_adjacencies[l]
+        assert worst <= 1e-12
+
+    def test_linear_matches_eager_reference(self):
+        cfg = HmgeConfig(embed_size=5, num_layers=0)
+        for seed in range(20):
+            graph = self.make_graph(seed)
+            params = init_linear_params(5, 4, 3, 2, np.random.default_rng(200 + seed))
+            trace = encode(graph, params, cfg)
+            stack = []
+            for d, adj in enumerate(graph.dimensions):
+                h = graph.features
+                for w in params.gcn_w:
+                    h = gcn_forward(h, normalize_adjacency(adj), w[d])
+                stack.append(h)
+            h, beta = attention_aggregate(stack, params.attn_v, params.attn_y)
+            assert np.abs(trace.embeddings[0] - h).max() <= 1e-12
+            assert np.abs(trace.attention[0] - beta).max() <= 1e-12
+
+
 class TestLinearAggregation:
     def test_identical_dimensions_halve_attention(self):
         rng = np.random.default_rng(0)
