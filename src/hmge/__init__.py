@@ -19,11 +19,9 @@ from .model import (
     LinearParams,
     encode,
     init_params,
-    linear_aggregation_encode,
 )
 from .multiplex import (
     MultiplexGraph,
-    NormalizedAdjacency,
     SparseAdjacency,
     load_multiplex,
     normalize_adjacency,
@@ -42,7 +40,6 @@ __all__ = [
     "HmgeParams",
     "LinearParams",
     "MultiplexGraph",
-    "NormalizedAdjacency",
     "NumericError",
     "SbmConfig",
     "SparseAdjacency",
@@ -54,7 +51,6 @@ __all__ = [
     "generate_multiplex",
     "infomax_loss",
     "init_params",
-    "linear_aggregation_encode",
     "load_multiplex",
     "normalize_adjacency",
     "save_multiplex",

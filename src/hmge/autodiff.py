@@ -20,7 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import HmgeError, NumericError
-from .multiplex import NormalizedAdjacency, SparseAdjacency
+from .multiplex import SparseAdjacency
 
 # Patterns at least this dense (and small enough) run S @ H and S^T @ H on
 # BLAS-backed dense kernels, the rest in CSR; the two agree to ~1e-12 and are
@@ -197,41 +197,21 @@ def _same_tape(*nodes: Node) -> Tape:
 # dense ops
 
 
-def matmul(a: Node, b: Node, transpose_a: bool = False, transpose_b: bool = False) -> Node:
+def matmul(a: Node, b: Node) -> Node:
     tape = _same_tape(a, b)
     av, bv = a.value, b.value
-    if bv.ndim == 1:
-        if transpose_b:
-            raise ValueError("cannot transpose a vector operand")
-        left = av.T if transpose_a else av
-        if left.ndim != 2 or left.shape[1] != bv.shape[0]:
-            raise ValueError(f"matvec shape mismatch: {left.shape} @ {bv.shape}")
-
-        def backward(g):
-            if a.requires_grad:
-                da = np.outer(g, bv)
-                _accum_owned(a, da.T if transpose_a else da)
-            if b.requires_grad:
-                _accum_owned(b, left.T @ g)
-
-        return tape._add(left @ bv, (a, b), backward, name="matvec")
-
     if av.ndim != 2 or bv.ndim != 2:
         raise ValueError("matmul expects 2-D operands")
-    left = av.T if transpose_a else av
-    right = bv.T if transpose_b else bv
-    if left.shape[1] != right.shape[0]:
-        raise ValueError(f"matmul shape mismatch: {left.shape} @ {right.shape}")
+    if av.shape[1] != bv.shape[0]:
+        raise ValueError(f"matmul shape mismatch: {av.shape} @ {bv.shape}")
 
     def backward(g):
         if a.requires_grad:
-            da = g @ right.T
-            _accum_owned(a, da.T if transpose_a else da)
+            _accum_owned(a, g @ bv.T)
         if b.requires_grad:
-            db = left.T @ g
-            _accum_owned(b, db.T if transpose_b else db)
+            _accum_owned(b, av.T @ g)
 
-    return tape._add(left @ right, (a, b), backward, name="matmul")
+    return tape._add(av @ bv, (a, b), backward, name="matmul")
 
 
 def add(*nodes: Node) -> Node:
@@ -260,20 +240,6 @@ def scale(a: Node, factor: float) -> Node:
         _accum_owned(a, g * factor)
 
     return a.tape._add(a.value * factor, (a,), backward, name="scale")
-
-
-def elementwise_mul(a: Node, b: Node) -> Node:
-    tape = _same_tape(a, b)
-    if a.value.shape != b.value.shape:
-        raise ValueError(f"elementwise_mul shape mismatch: {a.shape} vs {b.shape}")
-
-    def backward(g):
-        if a.requires_grad:
-            _accum_owned(a, g * b.value)
-        if b.requires_grad:
-            _accum_owned(b, g * a.value)
-
-    return tape._add(a.value * b.value, (a, b), backward, name="mul")
 
 
 def relu(a: Node) -> Node:
@@ -690,7 +656,7 @@ class NormalizePlan:
     is the matching multiply plan for that extended pattern.
     """
 
-    def __init__(self, pattern: UnionPattern, dense_mode: bool | None = None):
+    def __init__(self, pattern: UnionPattern):
         self.pattern = pattern
         n = pattern.num_nodes
         base = sp.csr_matrix(
@@ -708,9 +674,7 @@ class NormalizePlan:
         diag_mask = self.out_rows == self.out_indices
         self.diag_positions = np.flatnonzero(diag_mask)
         # Normalized values are exactly symmetric for symmetric inputs.
-        self.spmm = SpmmPlan(
-            n, self.out_indptr, self.out_indices, dense_mode, symmetric_values=True
-        )
+        self.spmm = SpmmPlan(n, self.out_indptr, self.out_indices, symmetric_values=True)
 
     def _map_into(self, pattern: UnionPattern) -> np.ndarray:
         n = pattern.num_nodes
@@ -719,20 +683,16 @@ class NormalizePlan:
         return np.searchsorted(out_keys, in_keys)
 
     def forward(self, values: np.ndarray):
-        """Accepts (nnz,) or a column block (nnz, D); shapes carry through.
+        """Normalize an (nnz, D) block; returns (values, prod, deg) blocks.
 
-        A block is normalized column by column into a column-major result:
+        The block is normalized column by column into a column-major result:
         the 1-D gathers and segment sums run two to three times faster than
         their 2-D forms, and spmm_var reads the columns contiguously.
         """
-        if values.ndim == 2:
-            return tuple(_stack(p).T for p in zip(*map(self._forward, values.T)))
-        return self._forward(values)
+        return tuple(_stack(p).T for p in zip(*map(self._forward, values.T)))
 
     def backward(self, g, out_values, prod, deg):
-        if g.ndim == 2:
-            return _stack(list(map(self._backward, g.T, out_values.T, prod.T, deg.T))).T
-        return self._backward(g, out_values, prod, deg)
+        return _stack(list(map(self._backward, g.T, out_values.T, prod.T, deg.T))).T
 
     def _forward(self, values):
         vhat = np.zeros(self.out_nnz)
@@ -756,20 +716,15 @@ class NormalizePlan:
 # sparse ops
 
 
-def spmm(adj, h: Node) -> Node:
+def spmm(adj: sp.csr_matrix, h: Node) -> Node:
     """Constant block-diagonal sparse matrix times a (D, N, M) stack.
 
-    ``adj`` holds D graphs over N nodes each as one matrix over D*N nodes;
-    its block d multiplies ``h[d]``. No gradient flows to the matrix. A
-    scipy CSR matrix is used as it is; a SparseAdjacency or
-    NormalizedAdjacency is converted to one on every call.
+    ``adj`` is a scipy CSR matrix holding D graphs over N nodes each as one
+    matrix over D*N nodes; its block d multiplies ``h[d]``. No gradient
+    flows to the matrix.
     """
-    if isinstance(adj, NormalizedAdjacency):
-        adj = adj.matrix
-    if isinstance(adj, SparseAdjacency):
-        adj = adj.to_scipy()
     if not (sp.issparse(adj) and adj.format == "csr"):
-        raise ValueError("spmm expects a CSR matrix, SparseAdjacency or NormalizedAdjacency")
+        raise ValueError("spmm expects a scipy CSR matrix")
     size = adj.shape[0]
     shape = h.value.shape
     if h.value.ndim != 3 or shape[0] * shape[1] != size:
@@ -807,10 +762,10 @@ def csr_combine_stack(weights: Node, stacked: sp.csr_matrix, stacked_t: sp.csr_m
 def csr_normalize(values: Node, plan: NormalizePlan) -> Node:
     """Symmetric normalization with self-loops along the trainable sparse path.
 
-    Accepts one value vector (nnz,) or a block of columns (nnz, D) that are
-    normalized independently.
+    Takes a block of value columns (nnz, D) and normalizes each column
+    independently.
     """
-    if values.value.shape[0] != plan.pattern.nnz or values.value.ndim > 2:
+    if values.value.ndim != 2 or values.value.shape[0] != plan.pattern.nnz:
         raise ValueError(
             f"normalize expects {plan.pattern.nnz} values, got {values.value.shape}"
         )

@@ -1,10 +1,11 @@
 """Command-line entry point.
 
 Subcommands: synth, train, eval, ablate, sweep, export. Flags beat values
-from a ``--config`` JSON file, which beat built-in defaults. Heavy imports
-happen after thread setup so ``--threads``/``HMGE_THREADS`` can cap the
-BLAS pool. Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric
-failure.
+from a ``--config`` JSON file, which beat built-in defaults.
+``--threads``/``HMGE_THREADS`` is validated and copied into the BLAS thread
+variables, but ``import hmge`` has loaded numpy by then, so it does not
+cap the pool yet. Exit codes: 0 success, 1 usage error, 2 data error,
+3 numeric failure.
 """
 
 from __future__ import annotations
@@ -171,11 +172,13 @@ def _configs_from(options: _Options):
         num_layers=int(options.get("layers", _TRAIN_DEFAULTS["layers"])),
         dims_schedule=_parse_schedule(options.get("schedule")),
     )
+    epochs = int(options.get("epochs", _TRAIN_DEFAULTS["epochs"]))
     train_config = TrainConfig(
-        epochs=int(options.get("epochs", _TRAIN_DEFAULTS["epochs"])),
+        epochs=epochs,
         learning_rate=float(options.get("lr", _TRAIN_DEFAULTS["lr"])),
         weight_decay=float(options.get("weight_decay", _TRAIN_DEFAULTS["weight_decay"])),
-        patience=int(options.get("patience", _TRAIN_DEFAULTS["patience"])),
+        # The default patience shrinks to fit a short run; an explicit one must fit.
+        patience=int(options.get("patience", min(_TRAIN_DEFAULTS["patience"], epochs))),
         rng_seed=int(options.get("seed", _TRAIN_DEFAULTS["seed"])),
     )
     return hmge_config, train_config
@@ -375,7 +378,6 @@ def cmd_export(options: _Options) -> int:
         encode,
         export_combination_weights,
         export_embeddings,
-        linear_aggregation_encode,
         load_model,
     )
     from .multiplex import load_multiplex
@@ -387,12 +389,9 @@ def cmd_export(options: _Options) -> int:
     _check_model_fits(params, graph)
     out = Path(options.get("out", required=True))
     out.mkdir(parents=True, exist_ok=True)
+    z = encode(graph, params, config).z
     if isinstance(params, HmgeParams):
-        trace = encode(graph, params, config)
-        z = trace.z
         export_combination_weights(params, out)
-    else:
-        z = linear_aggregation_encode(graph, params, activation=config.activation)
     export_embeddings(z, out / "embeddings.csv")
     print(f"wrote embeddings for {graph.num_nodes} nodes to {out}")
     return EXIT_OK

@@ -265,7 +265,6 @@ class EncodePlan:
         graph: MultiplexGraph,
         config: HmgeConfig,
         normalize: bool = True,
-        dense_mode: bool | None = None,
     ):
         self.config = config
         self.schedule = config.schedule_for(graph.num_dims)
@@ -274,7 +273,7 @@ class EncodePlan:
         self.num_nodes = graph.num_nodes
         self.features = graph.features
         inputs = [
-            (normalize_adjacency(d).matrix if normalize else d).to_scipy()
+            (normalize_adjacency(d) if normalize else d).to_scipy()
             for d in graph.dimensions
         ]
         self.first_gcn = sp.block_diag(inputs, format="csr")
@@ -299,14 +298,13 @@ class EncodePlan:
             )
             self.orig_stacked_t = self.orig_stacked.T.tocsr()
             if normalize:
-                self.norm_plan = ad.NormalizePlan(self.union, dense_mode)
+                self.norm_plan = ad.NormalizePlan(self.union)
                 self.latent_spmm = self.norm_plan.spmm
             else:
                 self.latent_spmm = ad.SpmmPlan(
                     self.union.num_nodes,
                     self.union.indptr,
                     self.union.indices,
-                    dense_mode,
                     symmetric_values=True,
                 )
 
@@ -500,94 +498,12 @@ def build_linear_forward(plan: EncodePlan, pnodes, perms, attention_mode="learne
     return chains
 
 
-# ---------------------------------------------------------------------------
-# public operations (eager)
-
-
-def gcn_forward(h_prev: np.ndarray, a_norm, w: np.ndarray, activation="relu") -> np.ndarray:
-    """One graph convolution: activation(A_norm @ H @ W)."""
-    h_prev = np.asarray(h_prev, dtype=np.float64)
-    w = np.asarray(w, dtype=np.float64)
-    if h_prev.ndim != 2 or w.ndim != 2 or h_prev.shape[1] != w.shape[0]:
-        raise ValueError(f"gcn shape mismatch: {h_prev.shape} @ {w.shape}")
-    if a_norm.num_nodes != h_prev.shape[0]:
-        raise ValueError(
-            f"gcn shape mismatch: {a_norm.num_nodes} nodes vs H {h_prev.shape}"
-        )
-    out = a_norm.matmul_dense(h_prev) @ w
-    return np.maximum(out, 0.0) if activation == "relu" else out
-
-
-def attention_aggregate(embeddings, attn_v, attn_y, guard: float = ATTENTION_GUARD):
-    """Weight per-dimension embeddings by tanh attention scores.
-
-    Returns (aggregated N x M matrix, attention weights N x D). Rows of the
-    weights sum to 1, through the uniform fallback when the signed score sum
-    is within ``guard`` of zero.
-    """
-    mats = [np.asarray(h, dtype=np.float64) for h in embeddings]
-    if not mats:
-        raise ValueError("attention needs at least one embedding matrix")
-    n = mats[0].shape[0]
-    d_in = len(mats)
-    if d_in == 1:
-        return mats[0].copy(), np.ones((n, 1))
-    scores = np.empty((n, d_in))
-    for d, (h, v, y) in enumerate(zip(mats, attn_v, attn_y)):
-        scores[:, d] = np.tanh((h @ np.asarray(v).T) @ np.asarray(y))
-    sums = scores.sum(axis=1, keepdims=True)
-    floor = np.maximum(
-        guard, np.abs(scores).max(axis=1, keepdims=True) / ad.AMPLIFICATION_BOUND
-    )
-    safe = np.abs(sums) >= floor
-    beta = np.where(safe, scores / np.where(safe, sums, 1.0), ad.uniform_weights(d_in))
-    agg = np.zeros_like(mats[0])
-    for d, h in enumerate(mats):
-        agg += beta[:, d][:, None] * h
-    return agg, beta
-
-
-def combine_adjacencies(
-    adjacencies, alpha_logits: np.ndarray, activation: str = "relu"
-) -> list[SparseAdjacency]:
-    """Softmax-weighted sums of adjacency matrices on their union pattern."""
-    adjacencies = list(adjacencies)
-    logits = np.asarray(alpha_logits, dtype=np.float64)
-    if logits.ndim != 2 or logits.shape[0] != len(adjacencies):
-        raise ValueError(
-            f"alpha shape {logits.shape} does not match {len(adjacencies)} inputs"
-        )
-    weights = np.exp(logits - logits.max(axis=0, keepdims=True))
-    weights /= weights.sum(axis=0, keepdims=True)
-    union = ad.UnionPattern.union(adjacencies)
-    maps = [union.position_map(a) for a in adjacencies]
-    outs = []
-    for j in range(logits.shape[1]):
-        vals = np.zeros(union.nnz)
-        for i, (a, m) in enumerate(zip(adjacencies, maps)):
-            vals[m] += weights[i, j] * a.values
-        if activation == "relu":
-            vals = np.maximum(vals, 0.0)
-        outs.append(union.to_adjacency(vals))
-    return outs
-
-
 def readout(z: np.ndarray) -> np.ndarray:
     """Graph summary: the mean of all node embeddings."""
     z = np.asarray(z, dtype=np.float64)
     if z.ndim != 2:
         raise ValueError("readout expects an N x M matrix")
     return z.mean(axis=0)
-
-
-def discriminate(h: np.ndarray, s: np.ndarray, q: np.ndarray) -> float:
-    """Probability that a patch/summary pair is genuine: sigmoid(h^T Q s)."""
-    h = np.asarray(h, dtype=np.float64)
-    s = np.asarray(s, dtype=np.float64)
-    q = np.asarray(q, dtype=np.float64)
-    if q.shape != (h.shape[0], s.shape[0]):
-        raise ValueError(f"bilinear shape mismatch: {h.shape}, {q.shape}, {s.shape}")
-    return float(ad.sigmoid_value(h @ q @ s))
 
 
 # ---------------------------------------------------------------------------
@@ -601,19 +517,19 @@ def encode(
     *,
     normalize: bool = True,
     attention_mode: str = "learned",
-    dense_mode: bool | None = None,
     plan: EncodePlan | None = None,
 ) -> ForwardTrace:
     """Run the encoder and capture every intermediate product.
 
-    With zero layers this degenerates to the linear-aggregation baseline at
-    depth 1 (params must then be LinearParams). A supplied ``plan`` must
-    have been built from this graph's features.
+    With zero layers this runs the linear-aggregation baseline (params must
+    then be LinearParams, of any depth). ``normalize=False`` and
+    ``attention_mode="sum"`` exist for the closed-form tests. A supplied
+    ``plan`` must have been built from this graph's features.
     """
     if attention_mode not in ATTENTION_MODES:
         raise ConfigError(f"unknown attention mode {attention_mode!r}")
     if plan is None:
-        plan = EncodePlan(graph, config, normalize=normalize, dense_mode=dense_mode)
+        plan = EncodePlan(graph, config, normalize=normalize)
     elif plan.features is not graph.features and not np.array_equal(
         plan.features, graph.features
     ):
@@ -640,23 +556,6 @@ def encode(
     )
     tape.release()
     return trace
-
-
-def linear_aggregation_encode(
-    graph: MultiplexGraph,
-    params: LinearParams,
-    *,
-    normalize: bool = True,
-    attention_mode: str = "learned",
-    activation: str = "relu",
-) -> np.ndarray:
-    """Embeddings of the linear-aggregation baseline (GCN stacks + attention)."""
-    config = HmgeConfig(
-        embed_size=params.disc_q.shape[0], num_layers=0, activation=activation
-    )
-    return encode(
-        graph, params, config, normalize=normalize, attention_mode=attention_mode
-    ).z
 
 
 # ---------------------------------------------------------------------------

@@ -153,9 +153,6 @@ class SparseAdjacency:
         mask = rows < self.indices
         return np.stack([rows[mask], self.indices[mask]], axis=1)
 
-    def matmul_dense(self, dense: np.ndarray) -> np.ndarray:
-        return self.to_scipy() @ dense
-
     def equals(self, other: "SparseAdjacency") -> bool:
         return (
             self.num_nodes == other.num_nodes
@@ -165,33 +162,13 @@ class SparseAdjacency:
         )
 
 
-@dataclass(frozen=True)
-class NormalizedAdjacency:
+def normalize_adjacency(adj: SparseAdjacency) -> SparseAdjacency:
     """D^{-1/2} (A + I) D^{-1/2} with D the degree matrix of A + I.
-
-    Symmetric for symmetric A; entry (i, i) equals 1/deg(i); all stored
-    values lie in (0, 1].
-    """
-
-    matrix: SparseAdjacency
-
-    @property
-    def num_nodes(self) -> int:
-        return self.matrix.num_nodes
-
-    def to_dense(self) -> np.ndarray:
-        return self.matrix.to_dense()
-
-    def matmul_dense(self, dense: np.ndarray) -> np.ndarray:
-        return self.matrix.matmul_dense(dense)
-
-
-def normalize_adjacency(adj: SparseAdjacency) -> NormalizedAdjacency:
-    """Symmetrically normalize an adjacency matrix with an added self-loop.
 
     Every row of A + I has a positive sum because of the self-loop, so the
     operation is total on valid inputs. Values must be finite and
-    non-negative.
+    non-negative. The result is symmetric for symmetric A, entry (i, i)
+    equals 1/deg(i), and all stored values lie in (0, 1].
     """
     if not np.all(np.isfinite(adj.values)):
         raise DataFormatError("cannot normalize: non-finite adjacency value")
@@ -205,8 +182,7 @@ def normalize_adjacency(adj: SparseAdjacency) -> NormalizedAdjacency:
     rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(ahat.indptr))
     # dinv[r] * dinv[c] first: commutative, so the result is exactly symmetric.
     vals = ahat.data * (dinv[rows] * dinv[ahat.indices])
-    out = SparseAdjacency(n, ahat.indptr, ahat.indices, vals)
-    return NormalizedAdjacency(out)
+    return SparseAdjacency(n, ahat.indptr, ahat.indices, vals)
 
 
 @dataclass(frozen=True)

@@ -147,7 +147,7 @@ def infomax_loss(z, z_hat, s, q) -> float:
     return (math.fsum(log_pos) + math.fsum(log_neg)) * (-1.0 / (2.0 * n))
 
 
-def build_loss_nodes(tape, plan, pnodes, features, perm, attention_mode="learned"):
+def build_loss_nodes(tape, plan, pnodes, features, perm):
     """Tape version of the training objective; returns (loss, z, z_hat, s).
 
     ``features`` are the clean features the plan was built from; the
@@ -156,9 +156,9 @@ def build_loss_nodes(tape, plan, pnodes, features, perm, attention_mode="learned
     n = features.shape[0]
     perms = [None, perm]
     if "layers" in pnodes:
-        _, chains = mdl.build_hmge_forward(plan, pnodes, perms, attention_mode)
+        _, chains = mdl.build_hmge_forward(plan, pnodes, perms)
     else:
-        chains = mdl.build_linear_forward(plan, pnodes, perms, attention_mode)
+        chains = mdl.build_linear_forward(plan, pnodes, perms)
     z, z_hat = chains[0][0], chains[1][0]
     s = ad.mean_rows(z)
     q = pnodes["disc_q"]
@@ -173,23 +173,14 @@ def build_loss_nodes(tape, plan, pnodes, features, perm, attention_mode="learned
     return loss, z, z_hat, s
 
 
-def full_loss_builder(
-    graph: MultiplexGraph,
-    config: mdl.HmgeConfig,
-    params,
-    perm: np.ndarray,
-    attention_mode: str = "learned",
-    normalize: bool = True,
-):
+def full_loss_builder(graph: MultiplexGraph, config: mdl.HmgeConfig, params, perm: np.ndarray):
     """(build_loss, flat parameter copies) for grad_check over the whole model."""
-    plan = mdl.EncodePlan(graph, config, normalize=normalize)
+    plan = mdl.EncodePlan(graph, config)
     arrays = [arr.copy() for _, arr, _, _ in mdl.param_leaves(params)]
 
     def build(tape, nodes):
         pnodes = mdl.structure_from_leaves(params, nodes)
-        loss, *_ = build_loss_nodes(
-            tape, plan, pnodes, graph.features, perm, attention_mode
-        )
+        loss, *_ = build_loss_nodes(tape, plan, pnodes, graph.features, perm)
         return loss
 
     return build, arrays
@@ -211,8 +202,6 @@ def train(
     *,
     params=None,
     train_alpha: bool = True,
-    attention_mode: str = "learned",
-    dense_mode: bool | None = None,
     log_path=None,
 ) -> TrainResult:
     """Run the InfoMax loop; returns best-loss parameters, embeddings, history.
@@ -231,7 +220,7 @@ def train(
         )
     else:
         params = params.copy()
-    plan = mdl.EncodePlan(graph, hmge_config, dense_mode=dense_mode)
+    plan = mdl.EncodePlan(graph, hmge_config)
     corrupt_rng = np.random.default_rng(seed_corrupt)
 
     flat_refs = []
@@ -254,9 +243,7 @@ def train(
         perm = corrupt_rng.permutation(graph.num_nodes)
         tape = ad.Tape()
         pnodes = mdl.lift_params(tape, params, train_alpha=train_alpha)
-        loss_node, *_ = build_loss_nodes(
-            tape, plan, pnodes, graph.features, perm, attention_mode
-        )
+        loss_node, *_ = build_loss_nodes(tape, plan, pnodes, graph.features, perm)
         loss = float(loss_node.value)
         if not math.isfinite(loss):
             raise NumericError(
@@ -289,8 +276,7 @@ def train(
     if log_path is not None:
         _write_train_log(log_path, log_rows)
 
-    trace = mdl.encode(graph, best_params, hmge_config, plan=plan,
-                       attention_mode=attention_mode)
+    trace = mdl.encode(graph, best_params, hmge_config, plan=plan)
     return TrainResult(
         params=best_params,
         embeddings=trace.z,

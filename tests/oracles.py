@@ -1,0 +1,106 @@
+"""Eager references that the tests compare the tape against.
+
+Production runs every step below on the tape (``hmge.model``); these
+numpy versions compute the same quantities one matrix at a time, in the
+order the paper writes them, so the tests can check the tape's results.
+``elementwise_mul`` is a tape op that only the gradient checks use.
+"""
+
+import numpy as np
+
+from hmge import autodiff as ad
+from hmge.autodiff import Node, _accum_owned, _same_tape
+from hmge.model import ATTENTION_GUARD
+from hmge.multiplex import SparseAdjacency
+
+
+def gcn_forward(h_prev: np.ndarray, a_norm, w: np.ndarray, activation="relu") -> np.ndarray:
+    """One graph convolution: activation(A_norm @ H @ W)."""
+    h_prev = np.asarray(h_prev, dtype=np.float64)
+    w = np.asarray(w, dtype=np.float64)
+    if h_prev.ndim != 2 or w.ndim != 2 or h_prev.shape[1] != w.shape[0]:
+        raise ValueError(f"gcn shape mismatch: {h_prev.shape} @ {w.shape}")
+    if a_norm.num_nodes != h_prev.shape[0]:
+        raise ValueError(
+            f"gcn shape mismatch: {a_norm.num_nodes} nodes vs H {h_prev.shape}"
+        )
+    out = (a_norm.to_scipy() @ h_prev) @ w
+    return np.maximum(out, 0.0) if activation == "relu" else out
+
+
+def attention_aggregate(embeddings, attn_v, attn_y, guard: float = ATTENTION_GUARD):
+    """Weight per-dimension embeddings by tanh attention scores.
+
+    Returns (aggregated N x M matrix, attention weights N x D). Rows of the
+    weights sum to 1, through the uniform fallback when the signed score sum
+    is within ``guard`` of zero.
+    """
+    mats = [np.asarray(h, dtype=np.float64) for h in embeddings]
+    if not mats:
+        raise ValueError("attention needs at least one embedding matrix")
+    n = mats[0].shape[0]
+    d_in = len(mats)
+    if d_in == 1:
+        return mats[0].copy(), np.ones((n, 1))
+    scores = np.empty((n, d_in))
+    for d, (h, v, y) in enumerate(zip(mats, attn_v, attn_y)):
+        scores[:, d] = np.tanh((h @ np.asarray(v).T) @ np.asarray(y))
+    sums = scores.sum(axis=1, keepdims=True)
+    floor = np.maximum(
+        guard, np.abs(scores).max(axis=1, keepdims=True) / ad.AMPLIFICATION_BOUND
+    )
+    safe = np.abs(sums) >= floor
+    beta = np.where(safe, scores / np.where(safe, sums, 1.0), ad.uniform_weights(d_in))
+    agg = np.zeros_like(mats[0])
+    for d, h in enumerate(mats):
+        agg += beta[:, d][:, None] * h
+    return agg, beta
+
+
+def combine_adjacencies(
+    adjacencies, alpha_logits: np.ndarray, activation: str = "relu"
+) -> list[SparseAdjacency]:
+    """Softmax-weighted sums of adjacency matrices on their union pattern."""
+    adjacencies = list(adjacencies)
+    logits = np.asarray(alpha_logits, dtype=np.float64)
+    if logits.ndim != 2 or logits.shape[0] != len(adjacencies):
+        raise ValueError(
+            f"alpha shape {logits.shape} does not match {len(adjacencies)} inputs"
+        )
+    weights = np.exp(logits - logits.max(axis=0, keepdims=True))
+    weights /= weights.sum(axis=0, keepdims=True)
+    union = ad.UnionPattern.union(adjacencies)
+    maps = [union.position_map(a) for a in adjacencies]
+    outs = []
+    for j in range(logits.shape[1]):
+        vals = np.zeros(union.nnz)
+        for i, (a, m) in enumerate(zip(adjacencies, maps)):
+            vals[m] += weights[i, j] * a.values
+        if activation == "relu":
+            vals = np.maximum(vals, 0.0)
+        outs.append(union.to_adjacency(vals))
+    return outs
+
+
+def discriminate(h: np.ndarray, s: np.ndarray, q: np.ndarray) -> float:
+    """Probability that a patch/summary pair is genuine: sigmoid(h^T Q s)."""
+    h = np.asarray(h, dtype=np.float64)
+    s = np.asarray(s, dtype=np.float64)
+    q = np.asarray(q, dtype=np.float64)
+    if q.shape != (h.shape[0], s.shape[0]):
+        raise ValueError(f"bilinear shape mismatch: {h.shape}, {q.shape}, {s.shape}")
+    return float(ad.sigmoid_value(h @ q @ s))
+
+
+def elementwise_mul(a: Node, b: Node) -> Node:
+    tape = _same_tape(a, b)
+    if a.value.shape != b.value.shape:
+        raise ValueError(f"elementwise_mul shape mismatch: {a.shape} vs {b.shape}")
+
+    def backward(g):
+        if a.requires_grad:
+            _accum_owned(a, g * b.value)
+        if b.requires_grad:
+            _accum_owned(b, g * a.value)
+
+    return tape._add(a.value * b.value, (a, b), backward, name="mul")

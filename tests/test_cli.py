@@ -101,6 +101,23 @@ class TestTrain:
         rows = (out / "embeddings.csv").read_text().splitlines()
         assert len(rows[0].split(",")) == 6  # flag beat the config file
 
+    def test_default_patience_fits_short_run(self, dataset_dir, tmp_path):
+        out = tmp_path / "short"
+        code = main(
+            ["train", "--data", str(dataset_dir), "--out", str(out), "--embed-size", "4",
+             "--layers", "1", "--epochs", "2", "--seed", "1"]
+        )
+        assert code == EXIT_OK
+        assert len((out / "train_log.csv").read_text().splitlines()) == 3
+
+    def test_explicit_patience_beyond_epochs_is_usage_error(self, dataset_dir, tmp_path, capsys):
+        code = main(
+            ["train", "--data", str(dataset_dir), "--out", str(tmp_path / "x"),
+             "--epochs", "2", "--patience", "5"]
+        )
+        assert code == EXIT_USAGE
+        assert "patience must lie in [1, epochs], got 5 vs 2" in capsys.readouterr().err
+
 
 class TestEvalAblateSweep:
     def test_eval_link(self, dataset_dir, tmp_path):
@@ -162,11 +179,12 @@ class TestEvalAblateSweep:
         report = json.loads((out / "report.json").read_text())
         assert [r["embed_size"] for r in report["rows"]] == [4, 6]
 
-    def test_export_round_trip(self, dataset_dir, tmp_path):
+    @pytest.mark.parametrize("layers", ["0", "1"])
+    def test_export_round_trip(self, dataset_dir, tmp_path, layers):
         run = tmp_path / "run"
         assert main(
             ["train", "--data", str(dataset_dir), "--out", str(run), "--embed-size", "4",
-             "--layers", "1", "--epochs", "3", "--patience", "3", "--seed", "1"]
+             "--layers", layers, "--epochs", "3", "--patience", "3", "--seed", "1"]
         ) == EXIT_OK
         exp = tmp_path / "exp"
         code = main(

@@ -9,14 +9,9 @@ from hmge.model import (
     HmgeConfig,
     HmgeParams,
     LinearParams,
-    attention_aggregate,
-    combine_adjacencies,
-    discriminate,
     encode,
-    gcn_forward,
     init_linear_params,
     init_params,
-    linear_aggregation_encode,
     load_model,
     readout,
     save_model,
@@ -24,6 +19,7 @@ from hmge.model import (
 )
 from hmge.multiplex import MultiplexGraph, SparseAdjacency, normalize_adjacency
 from hmge.model import param_leaves
+from oracles import attention_aggregate, combine_adjacencies, discriminate, gcn_forward
 
 
 def random_sym_dense(n, rng, density=0.4):
@@ -276,9 +272,8 @@ class TestClosedFormOracles:
             graph = two_dim_graph(a1, a2, x)
             params = init_linear_params(4, 2, 4, 2, rng)
             params.gcn_w = [np.stack([w, w]), np.stack([w, w])]
-            z = linear_aggregation_encode(
-                graph, params, normalize=False, attention_mode="sum", activation="identity"
-            )
+            config = HmgeConfig(embed_size=4, num_layers=0, activation="identity")
+            z = encode(graph, params, config, normalize=False, attention_mode="sum").z
             expected = (a1 @ a1 + a2 @ a2) @ x @ w @ w
             assert np.abs(z - expected).max() < 1e-8
 
@@ -299,8 +294,8 @@ class TestEncode:
         params = init_params(cfg, 2, 3, np.random.default_rng(1))
         assert isinstance(params, LinearParams)
         trace = encode(graph, params, cfg)
-        z2 = linear_aggregation_encode(graph, params)
-        assert np.array_equal(trace.z, z2)
+        depth_one = init_linear_params(4, 2, 3, 1, np.random.default_rng(1))
+        assert np.array_equal(trace.z, encode(graph, depth_one, cfg).z)
 
     def test_single_dimension_is_plain_gcn_stack(self):
         graph = self.make_graph(dims=1)
@@ -445,8 +440,9 @@ class TestLinearAggregation:
             attn_y=params2.attn_y[:1].copy(),
             disc_q=params2.disc_q.copy(),
         )
-        z2 = linear_aggregation_encode(graph2, params2)
-        z1 = linear_aggregation_encode(graph1, params1)
+        cfg = HmgeConfig(embed_size=4, num_layers=0)
+        z2 = encode(graph2, params2, cfg).z
+        z1 = encode(graph1, params1, cfg).z
         # identical dims with identical weights: attention 0.5/0.5 reproduces
         # the single-dimension embedding
         assert np.abs(z2 - z1).max() < 1e-12

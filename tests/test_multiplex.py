@@ -131,7 +131,7 @@ class TestNormalize:
         rng = np.random.default_rng(11)
         m = (rng.random((15, 15)) < 0.5).astype(float)
         m = np.triu(m, 1) + np.triu(m, 1).T
-        vals = normalize_adjacency(SparseAdjacency.from_dense(m)).matrix.values
+        vals = normalize_adjacency(SparseAdjacency.from_dense(m)).values
         assert np.all(vals > 0.0) and np.all(vals <= 1.0)
 
     def test_rejects_nonfinite(self):
@@ -145,8 +145,8 @@ class TestNormalize:
 
     def test_not_idempotent(self):
         adj = SparseAdjacency.from_undirected_edges(2, [0], [1])
-        once = normalize_adjacency(adj).matrix
-        twice = normalize_adjacency(once).matrix
+        once = normalize_adjacency(adj)
+        twice = normalize_adjacency(once)
         assert not np.allclose(once.to_dense(), twice.to_dense())
 
 
