@@ -9,6 +9,10 @@ Latent adjacency matrices live as blocks of value columns, one column per
 matrix, tied to a fixed sparsity pattern (UnionPattern). Both combination
 weights and the symmetric normalization are differentiable along that path;
 plain ``spmm`` treats its sparse operand as a constant.
+
+The attention step is two ops: ``attention_weights`` scores a (D, N, M)
+embedding stack and normalizes the scores per node, with one hand-written
+pullback; ``mix_stack`` forms the weighted sum over dimensions.
 """
 
 from __future__ import annotations
@@ -254,15 +258,6 @@ def relu(a: Node) -> Node:
     return a.tape._add(np.maximum(a.value, 0.0), (a,), backward, name="relu")
 
 
-def tanh(a: Node) -> Node:
-    t = np.tanh(a.value)
-
-    def backward(g):
-        _accum_owned(a, g * (1.0 - t * t))
-
-    return a.tape._add(t, (a,), backward, name="tanh")
-
-
 def sigmoid(a: Node) -> Node:
     s = sigmoid_value(a.value)
 
@@ -295,44 +290,6 @@ def softmax_cols(a: Node) -> Node:
         _accum_owned(a, s * (g - inner))
 
     return a.tape._add(s, (a,), backward, name="softmax_cols")
-
-
-AMPLIFICATION_BOUND = 10.0
-
-
-def uniform_weights(width: int) -> np.ndarray:
-    """1/width per entry, last entry compensated so the true sum is exactly 1."""
-    row = np.full(width, 1.0 / width)
-    row[-1] = 1.0 - (width - 1) * (1.0 / width)
-    return row
-
-
-def row_normalize_signed(a: Node, guard: float = 1e-6,
-                         amplification: float = AMPLIFICATION_BOUND) -> Node:
-    """Divide each row by its (signed) sum, as the attention step requires.
-
-    Ill-conditioned rows fall back to uniform weights 1/D and pass no
-    gradient. A row is ill-conditioned when its sum is within ``guard`` of
-    zero or smaller than max|row|/``amplification``: dividing by a sum much
-    smaller than the scores themselves would scale the weights by orders of
-    magnitude (observed four orders at 41 dimensions), which drowns the
-    aggregated signal. The surviving rows divide by the signed sum exactly,
-    so their weights are bounded by ``amplification`` and still sum to 1.
-    """
-    if a.value.ndim != 2:
-        raise ValueError("row_normalize_signed expects a matrix")
-    width = a.value.shape[1]
-    sums = a.value.sum(axis=1, keepdims=True)
-    floor = np.maximum(guard, np.abs(a.value).max(axis=1, keepdims=True) / amplification)
-    safe = np.abs(sums) >= floor
-    denom = np.where(safe, sums, 1.0)
-    out = np.where(safe, a.value / denom, uniform_weights(width))
-
-    def backward(g):
-        inner = (g * out).sum(axis=1, keepdims=True)
-        _accum_owned(a, np.where(safe, (g - inner) / denom, 0.0))
-
-    return a.tape._add(out, (a,), backward, name="row_normalize")
 
 
 def mean_rows(a: Node) -> Node:
@@ -393,39 +350,63 @@ def batched_matmul(a: Node, b: Node) -> Node:
     return tape._add(av @ bv, (a, b), backward, name="batched_matmul")
 
 
-def batched_matvec(a: Node, y: Node, transpose_a: bool = False) -> Node:
-    """Per-block matrix-vector product: (D, N, M) x (D, M) -> (D, N).
+# A row of attention scores is ill-conditioned when its signed sum lies
+# within ATTENTION_GUARD of zero or below max|score| / AMPLIFICATION_BOUND:
+# dividing by a sum much smaller than the scores themselves would scale the
+# weights by orders of magnitude (observed four orders at 41 dimensions),
+# which drowns the aggregated signal.
+ATTENTION_GUARD = 1e-6
+AMPLIFICATION_BOUND = 10.0
 
-    With ``transpose_a`` each block is contracted over its rows instead:
-    (D, N, M) x (D, N) -> (D, M), the stack of a_d^T y_d.
+
+def uniform_weights(width: int) -> np.ndarray:
+    """1/width per entry, last entry compensated so the true sum is exactly 1."""
+    row = np.full(width, 1.0 / width)
+    row[-1] = 1.0 - (width - 1) * (1.0 / width)
+    return row
+
+
+def attention_weights(h: Node, v: Node, y: Node) -> Node:
+    """Attention weights (N, D) of a (D, N, M) embedding stack.
+
+    Scores s_nd = tanh(h_nd V_d^T y_d) are evaluated as h_nd u_d with
+    u_d = V_d^T y_d, one (D, M) block instead of a projected stack. Each row
+    is divided by its signed sum, so its weights sum to 1 and stay bounded
+    by AMPLIFICATION_BOUND; ill-conditioned rows fall back to uniform
+    weights 1/D and pass no gradient. With one dimension every weight is
+    exactly 1 and the gradient exactly 0.
     """
-    tape = _same_tape(a, y)
-    av, yv = a.value, y.value
-    inner = 1 if transpose_a else 2
-    if av.ndim != 3 or yv.ndim != 2 or av.shape[0] != yv.shape[0] or av.shape[inner] != yv.shape[1]:
-        raise ValueError(f"batched_matvec shape mismatch: {av.shape} x {yv.shape}")
-    # y's adjoint contracts g over the axis the forward product keeps.
-    over_rows, over_cols = "dnm,dn->dm", "dnm,dm->dn"
-    forward, y_adjoint = (over_rows, over_cols) if transpose_a else (over_cols, over_rows)
+    tape = _same_tape(h, v, y)
+    hv, vv, yv = h.value, v.value, y.value
+    d, m = hv.shape[0], hv.shape[-1]
+    if hv.ndim != 3 or vv.shape != (d, m, m) or yv.shape != (d, m):
+        raise ValueError(
+            f"attention_weights shape mismatch: {hv.shape}, {vv.shape}, {yv.shape}"
+        )
+    u = np.einsum("dnm,dn->dm", vv, yv)
+    scores = np.ascontiguousarray(np.tanh(np.einsum("dnm,dm->dn", hv, u)).T)
+    sums = scores.sum(axis=1, keepdims=True)
+    floor = np.maximum(
+        ATTENTION_GUARD, np.abs(scores).max(axis=1, keepdims=True) / AMPLIFICATION_BOUND
+    )
+    safe = np.abs(sums) >= floor
+    denom = np.where(safe, sums, 1.0)
+    beta = np.where(safe, scores / denom, uniform_weights(d))
 
     def backward(g):
-        if a.requires_grad:
-            left, right = (yv, g) if transpose_a else (g, yv)
-            _accum_owned(a, left[:, :, None] * right[:, None, :])
-        if y.requires_grad:
-            _accum_owned(y, np.einsum(y_adjoint, av, g))
+        inner = (g * beta).sum(axis=1, keepdims=True)
+        # d(loss)/d(h_nd . u_d), through the normalization and the tanh.
+        c = (np.where(safe, (g - inner) / denom, 0.0) * (1.0 - scores * scores)).T
+        if h.requires_grad:
+            _accum_owned(h, c[:, :, None] * u[:, None, :])
+        if v.requires_grad or y.requires_grad:
+            du = np.einsum("dnm,dn->dm", hv, c)
+            if v.requires_grad:
+                _accum_owned(v, yv[:, :, None] * du[:, None, :])
+            if y.requires_grad:
+                _accum_owned(y, np.einsum("dnm,dm->dn", vv, du))
 
-    return tape._add(np.einsum(forward, av, yv), (a, y), backward, name="batched_matvec")
-
-
-def transpose2d(a: Node) -> Node:
-    if a.value.ndim != 2:
-        raise ValueError("transpose2d expects a matrix")
-
-    def backward(g):
-        _accum(a, g.T)
-
-    return a.tape._add(np.ascontiguousarray(a.value.T), (a,), backward, name="transpose")
+    return tape._add(beta, (h, v, y), backward, name="attention_weights")
 
 
 def mix_stack(stack: Node, weights: Node) -> Node:

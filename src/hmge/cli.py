@@ -317,11 +317,12 @@ def cmd_ablate(options: _Options) -> int:
 def cmd_sweep(options: _Options) -> int:
     import numpy as np
 
-    from .evaluation import classification_metrics
+    from .evaluation import classification_metrics, require_labels
     from .model import HmgeConfig
     from .training import train
 
     graph = _load_graph(options)
+    require_labels(graph)
     out = Path(options.get("out", required=True))
     sizes_text = options.get("embed_sizes", required=True)
     try:

@@ -308,7 +308,10 @@ def f1_scores(predicted, actual, num_classes: int) -> tuple[float, float]:
 def stratified_split(
     labels, train_fraction: float, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-class random split; every class keeps at least one training row."""
+    """Per-class random split; every class keeps at least one training row.
+
+    Raises ConfigError when the fraction leaves no row to test on.
+    """
     if not (0.0 < train_fraction < 1.0):
         raise ConfigError(f"train fraction must be in (0, 1), got {train_fraction}")
     single = _single_label_array(labels)
@@ -317,17 +320,24 @@ def stratified_split(
         # Multilabel: plain random split, stratification is ill-defined.
         perm = rng.permutation(n)
         cut = max(1, math.ceil(train_fraction * n))
-        return np.sort(perm[:cut]), np.sort(perm[cut:])
-    train_idx = []
-    for c in np.unique(single):
-        members = np.flatnonzero(single == c)
-        members = members[rng.permutation(members.shape[0])]
-        take = max(1, math.ceil(train_fraction * members.shape[0]))
-        train_idx.extend(members[:take])
-    train_idx = np.sort(np.array(train_idx, dtype=np.int64))
-    mask = np.ones(n, dtype=bool)
-    mask[train_idx] = False
-    return train_idx, np.flatnonzero(mask)
+        train_idx, test_idx = np.sort(perm[:cut]), np.sort(perm[cut:])
+    else:
+        train_idx = []
+        for c in np.unique(single):
+            members = np.flatnonzero(single == c)
+            members = members[rng.permutation(members.shape[0])]
+            take = max(1, math.ceil(train_fraction * members.shape[0]))
+            train_idx.extend(members[:take])
+        train_idx = np.sort(np.array(train_idx, dtype=np.int64))
+        mask = np.ones(n, dtype=bool)
+        mask[train_idx] = False
+        test_idx = np.flatnonzero(mask)
+    if test_idx.shape[0] == 0:
+        raise ConfigError(
+            f"train fraction {train_fraction} puts all {n} labeled nodes in the "
+            "training split; nothing is left to test"
+        )
+    return train_idx, test_idx
 
 
 # ---------------------------------------------------------------------------
@@ -388,12 +398,17 @@ def evaluate_classification(
     rng: np.random.Generator | None = None,
 ) -> dict:
     """Unsupervised embeddings, then logistic regression on a labeled subset."""
-    if graph.labels is None:
-        raise DataFormatError("classification needs node labels")
+    require_labels(graph)
     if rng is None:
         rng = np.random.default_rng(train_config.rng_seed)
     result = train(graph, hmge_config, train_config, train_alpha=train_alpha)
     return classification_metrics(result.embeddings, graph.labels, train_fraction, rng)
+
+
+def require_labels(graph: MultiplexGraph) -> None:
+    """Raise DataFormatError unless ``graph`` has node labels to classify."""
+    if graph.labels is None:
+        raise DataFormatError("classification needs node labels")
 
 
 def classification_metrics(z, labels, train_fraction, rng) -> dict:
@@ -526,6 +541,7 @@ def run_ablations(
     Each variant is trained separately for the link and classification
     tasks; the report has one row per variant with all four metrics.
     """
+    require_labels(graph)
     rows = []
     for variant in ABLATION_VARIANTS:
         if variant == "no_hierarchy":

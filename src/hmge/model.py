@@ -31,7 +31,6 @@ from .multiplex import (
 
 ACTIVATIONS = ("relu", "identity")
 ATTENTION_MODES = ("learned", "sum")
-ATTENTION_GUARD = 1e-6
 MODEL_FORMAT_VERSION = 2
 
 
@@ -389,20 +388,13 @@ def _is_identity(features: np.ndarray) -> bool:
 def _stack_attention(h_stack: ad.Node, v: ad.Node, y: ad.Node, mode: str):
     """Aggregate a (D, N, M) embedding stack; returns (H (N, M), beta (N, D)).
 
-    A single dimension passes through with weight 1 (beta None in sum mode).
-    The learned score tanh((h_d V_d^T) y_d) is evaluated as h_d (V_d^T y_d):
-    one (D, M) vector per layer instead of a projected (D, N, M) stack.
+    The learned weights come from ``attention_weights``; the sum mode mixes
+    with weight 1 per dimension and returns beta None.
     """
-    tape = h_stack.tape
-    d_in, n, _ = h_stack.value.shape
-    if d_in == 1:
-        beta = None if mode == "sum" else tape.constant(np.ones((n, 1)))
-        return ad.select_matrix(h_stack, 0), beta
     if mode == "sum":
-        return ad.mix_stack(h_stack, tape.constant(np.ones((n, d_in)))), None
-    u = ad.batched_matvec(v, y, transpose_a=True)
-    scores = ad.tanh(ad.batched_matvec(h_stack, u))
-    beta = ad.row_normalize_signed(ad.transpose2d(scores), ATTENTION_GUARD)
+        d_in, n, _ = h_stack.value.shape
+        return ad.mix_stack(h_stack, h_stack.tape.constant(np.ones((n, d_in)))), None
+    beta = ad.attention_weights(h_stack, v, y)
     return ad.mix_stack(h_stack, beta), beta
 
 

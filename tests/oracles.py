@@ -3,14 +3,13 @@
 Production runs every step below on the tape (``hmge.model``); these
 numpy versions compute the same quantities one matrix at a time, in the
 order the paper writes them, so the tests can check the tape's results.
-``elementwise_mul`` is a tape op that only the gradient checks use.
+``elementwise_mul`` and ``tanh`` are tape ops that only the tests use.
 """
 
 import numpy as np
 
 from hmge import autodiff as ad
 from hmge.autodiff import Node, _accum_owned, _same_tape
-from hmge.model import ATTENTION_GUARD
 from hmge.multiplex import SparseAdjacency
 
 
@@ -28,7 +27,7 @@ def gcn_forward(h_prev: np.ndarray, a_norm, w: np.ndarray, activation="relu") ->
     return np.maximum(out, 0.0) if activation == "relu" else out
 
 
-def attention_aggregate(embeddings, attn_v, attn_y, guard: float = ATTENTION_GUARD):
+def attention_aggregate(embeddings, attn_v, attn_y, guard: float = ad.ATTENTION_GUARD):
     """Weight per-dimension embeddings by tanh attention scores.
 
     Returns (aggregated N x M matrix, attention weights N x D). Rows of the
@@ -104,3 +103,12 @@ def elementwise_mul(a: Node, b: Node) -> Node:
             _accum_owned(b, g * a.value)
 
     return tape._add(a.value * b.value, (a, b), backward, name="mul")
+
+
+def tanh(a: Node) -> Node:
+    t = np.tanh(a.value)
+
+    def backward(g):
+        _accum_owned(a, g * (1.0 - t * t))
+
+    return a.tape._add(t, (a,), backward, name="tanh")

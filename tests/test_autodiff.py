@@ -4,7 +4,7 @@ import pytest
 from hmge import autodiff as ad
 from hmge.errors import HmgeError, NumericError
 from hmge.multiplex import SparseAdjacency, normalize_adjacency
-from oracles import elementwise_mul
+from oracles import elementwise_mul, tanh
 
 
 def fd_check(build, arrays, eps=1e-5):
@@ -121,7 +121,7 @@ class TestBackwardBasics:
             rng = np.random.default_rng(42)
             a = t.parameter(rng.standard_normal((4, 3)))
             b = t.parameter(rng.standard_normal((3, 4)))
-            loss = ad.sum_all(ad.tanh(ad.matmul(a, b)))
+            loss = ad.sum_all(tanh(ad.matmul(a, b)))
             t.backward(loss)
             return float(loss.value), a.adjoint.copy(), b.adjoint.copy()
 
@@ -135,7 +135,7 @@ class TestBackwardBasics:
         arrays = [rng.uniform(-1, 1, (4, 3)), rng.uniform(-1, 1, (3, 4))]
 
         def build(tape, nodes):
-            return ad.sum_all(ad.tanh(ad.matmul(nodes[0], nodes[1])))
+            return ad.sum_all(tanh(ad.matmul(nodes[0], nodes[1])))
 
         assert fd_check(build, arrays) < 1e-4
 
@@ -148,6 +148,20 @@ class TestBackwardBasics:
             return ad.sum_all(elementwise_mul(nodes[0], tape.constant(x)))
 
         assert fd_check(build, arrays) < 1e-10
+
+
+def attention_arrays(rng, dims, n=5, m=4):
+    """(h, V, y) for ``attention_weights`` with positive, well-conditioned scores."""
+    h = rng.uniform(0.1, 1.0, (dims, n, m))
+    v = np.eye(m) + rng.uniform(-0.3, 0.3, (dims, m, m))
+    y = rng.uniform(0.2, 1.0, (dims, m))
+    return [h, v, y]
+
+
+def fallback_attention_arrays(rng):
+    """Two dimensions whose scores cancel exactly: y_1 = -y_0, the rest equal."""
+    h, v, y = attention_arrays(rng, 1)
+    return [np.concatenate([h, h]), np.concatenate([v, v]), np.concatenate([y, -y])]
 
 
 def op_cases():
@@ -166,7 +180,7 @@ def op_cases():
     )
     cases.append(
         ("add3", [rng.uniform(-1, 1, (3, 3)) for _ in range(3)],
-         lambda t, n: ad.sum_all(ad.tanh(ad.add(*n))))
+         lambda t, n: ad.sum_all(tanh(ad.add(*n))))
     )
     cases.append(
         ("scale", [rng.uniform(-1, 1, (3, 3))],
@@ -180,7 +194,7 @@ def op_cases():
         ("relu", [away_from_zero((4, 4))],
          lambda t, n: ad.sum_all(ad.relu(n[0])))
     )
-    cases.append(("tanh", [rng.uniform(-1, 1, (4, 4))], lambda t, n: ad.sum_all(ad.tanh(n[0]))))
+    cases.append(("tanh", [rng.uniform(-1, 1, (4, 4))], lambda t, n: ad.sum_all(tanh(n[0]))))
     cases.append(
         ("sigmoid", [rng.uniform(-1, 1, (4, 4))], lambda t, n: ad.sum_all(ad.sigmoid(n[0])))
     )
@@ -189,16 +203,9 @@ def op_cases():
         ("softmax_cols", [rng.uniform(-1, 1, (4, 5))],
          lambda t, n: ad.sum_all(elementwise_mul(ad.softmax_cols(n[0]), t.constant(c_sc))))
     )
-    # rows with sums away from the fallback guard
-    rn = rng.uniform(0.2, 1.0, (5, 4))
-    c_rn = rng.uniform(-1, 1, (5, 4))
-    cases.append(
-        ("row_normalize", [rn],
-         lambda t, n: ad.sum_all(elementwise_mul(ad.row_normalize_signed(n[0]), t.constant(c_rn))))
-    )
     cases.append(
         ("mean_rows", [rng.uniform(-1, 1, (6, 3))],
-         lambda t, n: ad.sum_all(ad.tanh(ad.mean_rows(n[0]))))
+         lambda t, n: ad.sum_all(tanh(ad.mean_rows(n[0]))))
     )
     cases.append(
         ("bilinear", [rng.uniform(-1, 1, (5, 3)), rng.uniform(-1, 1, (3, 3)), rng.uniform(-1, 1, 3)],
@@ -210,33 +217,36 @@ def op_cases():
     )
     cases.append(
         ("select_matrix", [rng.uniform(-1, 1, (3, 4, 2))],
-         lambda t, n: ad.sum_all(ad.tanh(ad.select_matrix(n[0], 1))))
+         lambda t, n: ad.sum_all(tanh(ad.select_matrix(n[0], 1))))
     )
     cases.append(
         ("batched_matmul", [rng.uniform(-1, 1, (2, 4, 3)), rng.uniform(-1, 1, (2, 3, 5))],
-         lambda t, n: ad.sum_all(ad.tanh(ad.batched_matmul(n[0], n[1]))))
-    )
-    cases.append(
-        ("batched_matvec", [rng.uniform(-1, 1, (2, 4, 3)), rng.uniform(-1, 1, (2, 3))],
-         lambda t, n: ad.sum_all(ad.tanh(ad.batched_matvec(n[0], n[1]))))
-    )
-    cases.append(
-        ("batched_matvec_ta", [rng.uniform(-1, 1, (2, 4, 3)), rng.uniform(-1, 1, (2, 4))],
-         lambda t, n: ad.sum_all(ad.tanh(ad.batched_matvec(n[0], n[1], transpose_a=True))))
-    )
-    cases.append(
-        ("transpose2d", [rng.uniform(-1, 1, (4, 3))],
-         lambda t, n: ad.sum_all(ad.tanh(ad.transpose2d(n[0]))))
+         lambda t, n: ad.sum_all(tanh(ad.batched_matmul(n[0], n[1]))))
     )
     cases.append(
         ("mix_stack", [rng.uniform(-1, 1, (3, 5, 2)), rng.uniform(-1, 1, (5, 3))],
-         lambda t, n: ad.sum_all(ad.tanh(ad.mix_stack(n[0], n[1]))))
+         lambda t, n: ad.sum_all(tanh(ad.mix_stack(n[0], n[1]))))
+    )
+    # Weights sum to 1 per row, so the loss weighs them by fixed coefficients.
+    c_aw = rng.uniform(-1, 1, (5, 3))
+    cases.append(
+        ("attention_weights", attention_arrays(rng, 3),
+         lambda t, n: ad.sum_all(elementwise_mul(ad.attention_weights(*n), t.constant(c_aw))))
+    )
+    cases.append(
+        ("attention_weights_d1", attention_arrays(rng, 1),
+         lambda t, n: ad.sum_all(tanh(ad.mix_stack(n[0], ad.attention_weights(*n)))))
+    )
+    c_fb = rng.uniform(-1, 1, (5, 2))
+    cases.append(
+        ("attention_weights_fallback", fallback_attention_arrays(rng),
+         lambda t, n: ad.sum_all(elementwise_mul(ad.attention_weights(*n), t.constant(c_fb))))
     )
     perm = rng.permutation(5)
     c_pr = rng.uniform(-1, 1, (2, 5, 3))
     cases.append(
         ("permute_rows", [rng.uniform(-1, 1, (2, 5, 3))],
-         lambda t, n: ad.sum_all(ad.tanh(ad.add(
+         lambda t, n: ad.sum_all(tanh(ad.add(
              ad.permute_rows(n[0], perm), elementwise_mul(n[0], t.constant(c_pr))))))
     )
     return cases
@@ -248,6 +258,23 @@ def test_op_gradients_match_finite_differences(case):
     assert fd_check(build, arrays) < 1e-4
 
 
+@pytest.mark.parametrize("width", [1, 2])
+def test_attention_weights_degenerate_rows_pass_no_gradient(width):
+    # One dimension gives weight exactly 1; two dimensions whose scores
+    # cancel exactly fall back to uniform weights. Neither passes a gradient.
+    rng = np.random.default_rng(8)
+    arrays = attention_arrays(rng, 1) if width == 1 else fallback_attention_arrays(rng)
+    t = ad.Tape()
+    h, v, y = (t.parameter(a) for a in arrays)
+    beta = ad.attention_weights(h, v, y)
+    expected = np.tile(ad.uniform_weights(width), (5, 1))
+    assert np.array_equal(beta.value, expected)
+    loss = ad.sum_all(elementwise_mul(beta, t.constant(rng.uniform(-1, 1, (5, width)))))
+    t.backward(loss)
+    for node in (h, v, y):
+        assert node.adjoint is not None and not np.any(node.adjoint)
+
+
 class TestSparseOps:
     def test_spmm_constant_operand(self):
         adj = random_sym_adj(6, 0.5, 0)
@@ -256,7 +283,7 @@ class TestSparseOps:
         arrays = [rng.uniform(-1, 1, (1, 6, 3))]
 
         def build(tape, nodes):
-            return ad.sum_all(ad.tanh(ad.spmm(norm, nodes[0])))
+            return ad.sum_all(tanh(ad.spmm(norm, nodes[0])))
 
         assert fd_check(build, arrays) < 1e-4
 
@@ -356,7 +383,7 @@ class TestSparseOps:
             )
 
             def build(tape, nodes):
-                return ad.sum_all(ad.tanh(ad.spmm_var(nodes[0], plan, nodes[1])))
+                return ad.sum_all(tanh(ad.spmm_var(nodes[0], plan, nodes[1])))
 
             assert fd_check(build, [vals, h]) < 1e-4
 
@@ -376,7 +403,7 @@ class TestSparseOps:
             v = t.parameter(vals)
             hn = t.parameter(h)
             out = ad.spmm_var(v, plan, hn)
-            loss = ad.sum_all(ad.tanh(out))
+            loss = ad.sum_all(tanh(out))
             t.backward(loss)
             outs.append((out.value.copy(), v.adjoint.copy(), hn.adjoint.copy()))
         for a, b in zip(outs[0], outs[1]):
@@ -451,7 +478,7 @@ class TestBlockedSddmm:
         h = rng.uniform(-1, 1, (12, 2))
 
         def build(tape, nodes):
-            return ad.sum_all(ad.tanh(ad.spmm_var(nodes[0], plan, nodes[1])))
+            return ad.sum_all(tanh(ad.spmm_var(nodes[0], plan, nodes[1])))
 
         assert fd_check(build, [vals, h]) < 1e-4
 

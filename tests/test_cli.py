@@ -179,6 +179,42 @@ class TestEvalAblateSweep:
         report = json.loads((out / "report.json").read_text())
         assert [r["embed_size"] for r in report["rows"]] == [4, 6]
 
+    @pytest.mark.parametrize("command", [
+        ["sweep", "--embed-sizes", "4,6"],
+        ["ablate", "--ratio", "0.2"],
+    ])
+    def test_unlabeled_data_is_data_error_before_training(
+        self, dataset_dir, tmp_path, monkeypatch, capsys, command
+    ):
+        import hmge.evaluation
+        import hmge.training
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained before checking the labels")
+
+        monkeypatch.setattr(hmge.training, "train", no_training)
+        monkeypatch.setattr(hmge.evaluation, "train", no_training)
+        (dataset_dir / "labels.csv").unlink()
+        out = tmp_path / "out"
+        code = main(
+            command + ["--data", str(dataset_dir), "--out", str(out), "--embed-size", "4",
+                       "--layers", "1", "--epochs", "2", "--seed", "1"]
+        )
+        assert code == EXIT_DATA
+        assert "classification needs node labels" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
+    def test_eval_class_empty_test_split_is_usage_error(self, dataset_dir, tmp_path, capsys):
+        out = tmp_path / "evalc"
+        code = main(
+            ["eval", "--data", str(dataset_dir), "--task", "class", "--train-fraction", "0.99",
+             "--out", str(out), "--embed-size", "4", "--layers", "1", "--epochs", "2",
+             "--seed", "1"]
+        )
+        assert code == EXIT_USAGE
+        assert "nothing is left to test" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
     @pytest.mark.parametrize("layers", ["0", "1"])
     def test_export_round_trip(self, dataset_dir, tmp_path, layers):
         run = tmp_path / "run"

@@ -289,6 +289,21 @@ class TestStratifiedSplit:
         train, _ = stratified_split(labels, 0.05, np.random.default_rng(0))
         assert 1 in labels[train]
 
+    def test_empty_test_side_rejected(self):
+        # ceil(0.99 * k) = k for every class below 100 members
+        with pytest.raises(ConfigError, match="nothing is left to test"):
+            stratified_split(np.array([0] * 30 + [1] * 30), 0.99, np.random.default_rng(0))
+        # one member per class: the guaranteed training row takes it
+        with pytest.raises(ConfigError, match="nothing is left to test"):
+            stratified_split(np.arange(5), 0.1, np.random.default_rng(0))
+
+    def test_empty_multilabel_test_side_rejected(self):
+        labels = [(0, 1)] * 10 + [(1,)] * 10
+        train, test = stratified_split(labels, 0.9, np.random.default_rng(0))
+        assert len(train) == 18 and len(test) == 2
+        with pytest.raises(ConfigError, match="nothing is left to test"):
+            stratified_split(labels, 0.99, np.random.default_rng(0))
+
 
 class TestEvalReport:
     def test_metric_range_enforced(self):

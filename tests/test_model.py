@@ -187,6 +187,26 @@ class TestCombineAdjacencies:
         w = softmax_alpha(logits)
         assert np.abs(w.sum(axis=0) - 1.0).max() < 1e-12
 
+    def test_matches_tape_latent_adjacencies(self):
+        # The tape builds every layer's latent graphs as one value block on
+        # the union pattern; the oracle combines them layer by layer.
+        cfg = HmgeConfig(embed_size=4, num_layers=2, dims_schedule=(4, 2, 1))
+        for seed in range(5):
+            rng = np.random.default_rng(300 + seed)
+            mats = [SparseAdjacency.from_dense(random_sym_dense(9, rng)) for _ in range(4)]
+            graph = MultiplexGraph(9, tuple(mats), rng.standard_normal((9, 3)))
+            params = init_params(cfg, 4, 3, rng)
+            for layer in params.layers:
+                layer.alpha = rng.standard_normal(layer.alpha.shape)
+            trace = encode(graph, params, cfg)
+            inputs = graph.dimensions
+            for layer, latent in zip(params.layers, trace.latent_adjacencies):
+                expected = combine_adjacencies(inputs, layer.alpha, "relu")
+                assert len(latent) == len(expected)
+                for got, want in zip(latent, expected):
+                    assert np.abs(got.to_dense() - want.to_dense()).max() <= 1e-12
+                inputs = expected
+
 
 class TestReadoutDiscriminate:
     def test_readout_zeros(self):

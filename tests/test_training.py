@@ -223,6 +223,37 @@ class TestTrainLoop:
         loss_node, *_ = build_loss_nodes(tape, plan, pnodes, g.features, perm)
         assert float(loss_node.value) == res.best_loss
 
+    @pytest.mark.parametrize("layers", [0, 2])
+    def test_tape_loss_matches_discriminate_oracle(self, layers):
+        # Mean BCE of the eager discriminator over the clean rows (label 1)
+        # and the corrupted rows (label 0), against the summary of the clean
+        # embeddings.
+        from oracles import discriminate
+
+        from hmge import autodiff as ad
+        from hmge.model import EncodePlan, encode, lift_params, readout
+        from hmge.training import LOG_CLAMP, build_loss_nodes
+
+        g = er_multiplex(12, (0.5, 0.4, 0.6), 31)
+        cfg = HmgeConfig(embed_size=4, num_layers=layers)
+        params = init_params(cfg, 3, g.num_features, np.random.default_rng(32))
+        params.disc_q = 10.0 * np.random.default_rng(33).standard_normal((4, 4))
+        perm = np.random.default_rng(34).permutation(12)
+        tape = ad.Tape()
+        loss, *_ = build_loss_nodes(
+            tape, EncodePlan(g, cfg), lift_params(tape, params), g.features, perm
+        )
+        z = encode(g, params, cfg).z
+        z_hat = encode(g.with_features(g.features[perm]), params, cfg).z
+        s = readout(z)
+        terms = [math.log(np.clip(discriminate(row, s, params.disc_q),
+                                  LOG_CLAMP, 1.0 - LOG_CLAMP)) for row in z]
+        terms += [math.log(np.clip(1.0 - discriminate(row, s, params.disc_q),
+                                   LOG_CLAMP, 1.0 - LOG_CLAMP)) for row in z_hat]
+        expected = -math.fsum(terms) / (2 * 12)
+        assert abs(float(loss.value) - expected) <= 1e-12
+        assert abs(expected - math.log(2)) > 1e-4
+
     def test_wd_zero_allowed(self):
         g = self.graph16()
         cfg = HmgeConfig(embed_size=3, num_layers=1)
