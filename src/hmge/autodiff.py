@@ -474,44 +474,26 @@ def sum_all(a: Node) -> Node:
 
 
 class UnionPattern:
-    """Diagonal-free sparsity pattern shared by a family of value vectors."""
+    """Diagonal-free union of the sparsity patterns of D adjacencies over N nodes.
 
-    def __init__(self, num_nodes: int, indptr: np.ndarray, indices: np.ndarray):
-        self.num_nodes = int(num_nodes)
-        self.indptr = np.ascontiguousarray(indptr, dtype=np.int64)
-        self.indices = np.ascontiguousarray(indices, dtype=np.int64)
-        self.rows = np.repeat(
-            np.arange(self.num_nodes, dtype=np.int64), np.diff(self.indptr)
-        )
-        self.nnz = int(self.indices.shape[0])
+    Built from one sort of the keys row * N + col of every stored entry of
+    every adjacency: the distinct keys, in order, are the union in CSR
+    order, and an entry's rank among them is its slot. ``slots`` holds the
+    slot of every input entry, adjacency by adjacency in CSR order.
+    """
 
-    @classmethod
-    def union(cls, adjacencies: Sequence[SparseAdjacency]) -> "UnionPattern":
+    def __init__(self, adjacencies: Sequence[SparseAdjacency]):
         n = adjacencies[0].num_nodes
-        acc = None
-        for adj in adjacencies:
-            if adj.num_nodes != n:
-                raise ValueError("union over differently sized adjacencies")
-            part = sp.csr_matrix(
-                (np.ones(adj.nnz, dtype=np.float64), adj.indices, adj.indptr),
-                shape=(n, n),
-            )
-            acc = part if acc is None else acc + part
-        acc = acc.tocsr()
-        acc.sort_indices()
-        if np.any(acc.diagonal()):
+        if any(adj.num_nodes != n for adj in adjacencies):
+            raise ValueError("union over differently sized adjacencies")
+        keys = np.concatenate([adj.row_indices() * n + adj.indices for adj in adjacencies])
+        keys, self.slots = np.unique(keys, return_inverse=True)
+        self.num_nodes = int(n)
+        self.rows, self.indices = np.divmod(keys, n)
+        if np.any(self.rows == self.indices):
             raise ValueError("union pattern unexpectedly contains diagonal entries")
-        return cls(n, acc.indptr, acc.indices)
-
-    def position_map(self, adj: SparseAdjacency) -> np.ndarray:
-        """Slot in this pattern of every stored entry of ``adj`` (CSR order)."""
-        # Canonical CSR order makes row*n + col globally sorted.
-        own_keys = self.rows * self.num_nodes + self.indices
-        adj_keys = adj.row_indices() * self.num_nodes + adj.indices
-        pos = np.searchsorted(own_keys, adj_keys)
-        if np.any(pos >= own_keys.shape[0]) or np.any(own_keys[pos] != adj_keys):
-            raise ValueError("adjacency entry missing from union pattern")
-        return pos
+        self.indptr = np.searchsorted(self.rows, np.arange(n + 1))
+        self.nnz = int(keys.shape[0])
 
     def to_adjacency(self, values: np.ndarray) -> SparseAdjacency:
         return SparseAdjacency(self.num_nodes, self.indptr, self.indices, values)
@@ -639,29 +621,19 @@ class NormalizePlan:
 
     def __init__(self, pattern: UnionPattern):
         self.pattern = pattern
-        n = pattern.num_nodes
-        base = sp.csr_matrix(
-            (np.ones(pattern.nnz), pattern.indices, pattern.indptr), shape=(n, n)
-        )
-        ext = (base + sp.identity(n, format="csr")).tocsr()
-        ext.sort_indices()
-        self.out_indptr = ext.indptr.astype(np.int64)
-        self.out_indices = ext.indices.astype(np.int64)
+        n, rows, cols = pattern.num_nodes, pattern.rows, pattern.indices
+        # Row r gains (r, r) after its entries left of the diagonal, so each
+        # entry moves right by one slot per diagonal entry placed before it.
+        self.in2out = np.arange(pattern.nnz) + rows + (cols > rows)
+        self.out_indptr = pattern.indptr + np.arange(n + 1)
+        self.diag_positions = self.out_indptr[:-1] + np.bincount(rows[cols < rows], minlength=n)
+        self.out_nnz = pattern.nnz + n
+        self.out_indices = np.empty(self.out_nnz, dtype=np.int64)
+        self.out_indices[self.in2out] = cols
+        self.out_indices[self.diag_positions] = np.arange(n)
         self.out_rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(self.out_indptr))
-        self.out_nnz = int(self.out_indices.shape[0])
-        if self.out_nnz != pattern.nnz + n:
-            raise ValueError("pattern already contained diagonal entries")
-        self.in2out = self._map_into(pattern)
-        diag_mask = self.out_rows == self.out_indices
-        self.diag_positions = np.flatnonzero(diag_mask)
         # Normalized values are exactly symmetric for symmetric inputs.
         self.spmm = SpmmPlan(n, self.out_indptr, self.out_indices, symmetric_values=True)
-
-    def _map_into(self, pattern: UnionPattern) -> np.ndarray:
-        n = pattern.num_nodes
-        out_keys = self.out_rows * n + self.out_indices
-        in_keys = pattern.rows * n + pattern.indices
-        return np.searchsorted(out_keys, in_keys)
 
     def forward(self, values: np.ndarray):
         """Normalize an (nnz, D) block; returns (values, prod, deg) blocks.
@@ -719,24 +691,24 @@ def spmm(adj: sp.csr_matrix, h: Node) -> Node:
     return h.tape._add(out.reshape(shape), (h,), backward, name="spmm")
 
 
-def csr_combine_stack(weights: Node, stacked: sp.csr_matrix, stacked_t: sp.csr_matrix) -> Node:
+def csr_combine_stack(weights: Node, stacked: sp.csr_matrix) -> Node:
     """All softmax-weighted combinations of constant inputs in one product.
 
-    ``stacked`` holds the input adjacency values column-per-input on the
-    union pattern (nnz x D_in); the result column j is the j-th combined
-    value vector. ``stacked_t`` is the precomputed transpose for backward.
+    ``stacked`` holds the input adjacency values row-per-input on the union
+    pattern (D_in x nnz); column j of the (nnz, D_out) result is the j-th
+    combined value vector.
     """
-    if weights.value.ndim != 2 or weights.value.shape[0] != stacked.shape[1]:
+    if weights.value.ndim != 2 or weights.value.shape[0] != stacked.shape[0]:
         raise ValueError(
-            f"weights {weights.value.shape} do not match {stacked.shape[1]} stacked inputs"
+            f"weights {weights.value.shape} do not match {stacked.shape[0]} stacked inputs"
         )
 
     def backward(g):
         if weights.requires_grad:
-            _accum_owned(weights, stacked_t @ g)
+            _accum_owned(weights, stacked @ g)
 
     return weights.tape._add(
-        stacked @ weights.value, (weights,), backward, name="csr_combine_stack"
+        stacked.T @ weights.value, (weights,), backward, name="csr_combine_stack"
     )
 
 

@@ -322,7 +322,8 @@ def cmd_sweep(options: _Options) -> int:
     from .training import train
 
     graph = _load_graph(options)
-    require_labels(graph)
+    train_fraction = float(options.get("train_fraction", 0.1))
+    require_labels(graph, train_fraction)
     out = Path(options.get("out", required=True))
     sizes_text = options.get("embed_sizes", required=True)
     try:
@@ -341,7 +342,7 @@ def cmd_sweep(options: _Options) -> int:
         metrics = classification_metrics(
             result.embeddings,
             graph.labels,
-            float(options.get("train_fraction", 0.1)),
+            train_fraction,
             np.random.default_rng(train_config.rng_seed),
         )
         rows.append({"embed_size": m, **metrics})

@@ -305,6 +305,23 @@ def f1_scores(predicted, actual, num_classes: int) -> tuple[float, float]:
     return macro, micro
 
 
+def _check_split(single: np.ndarray | None, n: int, train_fraction: float) -> None:
+    """Raise ConfigError unless ``stratified_split`` leaves rows to test on.
+
+    ``single`` is ``_single_label_array`` of the n labels. The split sizes
+    depend only on the class sizes and the fraction, not on the draw, so
+    callers check them before training.
+    """
+    if not (0.0 < train_fraction < 1.0):
+        raise ConfigError(f"train fraction must be in (0, 1), got {train_fraction}")
+    sizes = [n] if single is None else np.unique(single, return_counts=True)[1]
+    if sum(max(1, math.ceil(train_fraction * int(s))) for s in sizes) >= n:
+        raise ConfigError(
+            f"train fraction {train_fraction} puts all {n} labeled nodes in the "
+            "training split; nothing is left to test"
+        )
+
+
 def stratified_split(
     labels, train_fraction: float, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -312,10 +329,9 @@ def stratified_split(
 
     Raises ConfigError when the fraction leaves no row to test on.
     """
-    if not (0.0 < train_fraction < 1.0):
-        raise ConfigError(f"train fraction must be in (0, 1), got {train_fraction}")
     single = _single_label_array(labels)
-    n = len(_as_label_sets(labels))
+    n = len(labels)
+    _check_split(single, n, train_fraction)
     if single is None:
         # Multilabel: plain random split, stratification is ill-defined.
         perm = rng.permutation(n)
@@ -332,11 +348,6 @@ def stratified_split(
         mask = np.ones(n, dtype=bool)
         mask[train_idx] = False
         test_idx = np.flatnonzero(mask)
-    if test_idx.shape[0] == 0:
-        raise ConfigError(
-            f"train fraction {train_fraction} puts all {n} labeled nodes in the "
-            "training split; nothing is left to test"
-        )
     return train_idx, test_idx
 
 
@@ -398,17 +409,19 @@ def evaluate_classification(
     rng: np.random.Generator | None = None,
 ) -> dict:
     """Unsupervised embeddings, then logistic regression on a labeled subset."""
-    require_labels(graph)
+    require_labels(graph, train_fraction)
     if rng is None:
         rng = np.random.default_rng(train_config.rng_seed)
     result = train(graph, hmge_config, train_config, train_alpha=train_alpha)
     return classification_metrics(result.embeddings, graph.labels, train_fraction, rng)
 
 
-def require_labels(graph: MultiplexGraph) -> None:
-    """Raise DataFormatError unless ``graph`` has node labels to classify."""
+def require_labels(graph: MultiplexGraph, train_fraction: float) -> None:
+    """Raise DataFormatError unless ``graph`` has node labels to classify, and
+    ConfigError unless ``train_fraction`` leaves some of them to test on."""
     if graph.labels is None:
         raise DataFormatError("classification needs node labels")
+    _check_split(_single_label_array(graph.labels), graph.num_nodes, train_fraction)
 
 
 def classification_metrics(z, labels, train_fraction, rng) -> dict:
@@ -471,6 +484,7 @@ def run_synthetic_experiment(
                 )
             )
             graph = dataset.graph
+            require_labels(graph, train_fraction)
             if identity_features:
                 graph = graph.with_features(np.eye(num_nodes))
             tcfg = TrainConfig(
@@ -541,7 +555,7 @@ def run_ablations(
     Each variant is trained separately for the link and classification
     tasks; the report has one row per variant with all four metrics.
     """
-    require_labels(graph)
+    require_labels(graph, train_fraction)
     rows = []
     for variant in ABLATION_VARIANTS:
         if variant == "no_hierarchy":

@@ -255,8 +255,14 @@ class EncodePlan:
     block-diagonal scipy CSR matrix over D*N nodes, built once so no epoch
     converts it again), the first-level propagation of the
     clean features, the union sparsity pattern hosting all latent
-    adjacencies, and the input values stacked one column per dimension on
+    adjacencies, and the input values stacked one row per dimension on
     that pattern.
+
+    The latent-path structures come from one sort of all E stored input
+    entries (``autodiff.UnionPattern``): it yields the union pattern and
+    the slot of every entry, hence the stacked (D, nnz) block; the
+    normalization's pattern with the diagonal follows from the union by
+    index arithmetic. That is O(E log E) time and O(E) memory.
     """
 
     def __init__(
@@ -282,20 +288,19 @@ class EncodePlan:
         self.identity_features = _is_identity(graph.features)
         self.feature_prop = None if self.identity_features else self.propagate(graph.features)
         self.union = None
-        self.orig_stacked = None
-        self.orig_stacked_t = None
+        self.stacked = None
         self.norm_plan = None
         self.latent_spmm = None
         if config.num_layers >= 1:
-            self.union = ad.UnionPattern.union(graph.dimensions)
-            maps = [self.union.position_map(d) for d in graph.dimensions]
-            cols = np.repeat(np.arange(graph.num_dims), [m.shape[0] for m in maps])
-            data = np.concatenate([d.values for d in graph.dimensions])
-            self.orig_stacked = sp.csr_matrix(
-                (data, (np.concatenate(maps), cols)),
-                shape=(self.union.nnz, graph.num_dims),
+            self.union = ad.UnionPattern(graph.dimensions)
+            self.stacked = sp.csr_matrix(
+                (
+                    np.concatenate([d.values for d in graph.dimensions]),
+                    self.union.slots,
+                    np.cumsum([0] + [d.nnz for d in graph.dimensions]),
+                ),
+                shape=(graph.num_dims, self.union.nnz),
             )
-            self.orig_stacked_t = self.orig_stacked.T.tocsr()
             if normalize:
                 self.norm_plan = ad.NormalizePlan(self.union)
                 self.latent_spmm = self.norm_plan.spmm
@@ -419,7 +424,7 @@ def build_latent_structure(plan: EncodePlan, pnodes):
         if raw:
             block = ad.matmul(raw[-1], weights)
         else:
-            block = ad.csr_combine_stack(weights, plan.orig_stacked, plan.orig_stacked_t)
+            block = ad.csr_combine_stack(weights, plan.stacked)
         block = activate(block, act)
         raw.append(block)
         gcn_ready.append(ad.csr_normalize(block, plan.norm_plan) if plan.normalize else block)

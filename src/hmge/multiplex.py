@@ -251,11 +251,6 @@ class MultiplexGraph:
                 raise DataFormatError(f"dimension {k} is not symmetric")
 
 
-def _format_float(x: float) -> str:
-    # repr round-trips exactly through float(), keeping save/load bit-equal.
-    return repr(float(x))
-
-
 def save_multiplex(graph: MultiplexGraph, path) -> None:
     """Write a graph as a dataset directory (see load_multiplex for layout).
 
@@ -272,13 +267,13 @@ def save_multiplex(graph: MultiplexGraph, path) -> None:
             "num_features": graph.num_features,
         }
         (root / META_FILE).write_text(json.dumps(meta, indent=2) + "\n")
+        # Python ints and floats from tolist() format several times faster
+        # than numpy scalars, with the same text.
         for k, dim in enumerate(graph.dimensions):
-            pairs = dim.undirected_pairs()
-            lines = [f"{u}\t{v}" for u, v in pairs]
-            (root / f"dim_{k}.tsv").write_text("\n".join(lines) + ("\n" if lines else ""))
-        feat_lines = [
-            ",".join(_format_float(x) for x in row) for row in graph.features
-        ]
+            text = "\n".join(map("{}\t{}".format, *dim.undirected_pairs().T.tolist()))
+            (root / f"dim_{k}.tsv").write_text(text + "\n" if text else "")
+        # repr round-trips exactly through float(), keeping save/load bit-equal.
+        feat_lines = [",".join(map(repr, row)) for row in graph.features.tolist()]
         (root / FEATURES_FILE).write_text("\n".join(feat_lines) + "\n")
         if graph.labels is not None:
             label_lines = [";".join(str(c) for c in row) for row in graph.labels]

@@ -4,9 +4,14 @@ Production runs every step below on the tape (``hmge.model``); these
 numpy versions compute the same quantities one matrix at a time, in the
 order the paper writes them, so the tests can check the tape's results.
 ``elementwise_mul`` and ``tanh`` are tape ops that only the tests use.
+``union_pattern``, ``position_map`` and ``extended_pattern`` build the
+latent-path patterns with scipy additions and binary searches, one
+adjacency at a time, as references for ``autodiff.UnionPattern`` and
+``autodiff.NormalizePlan``.
 """
 
 import numpy as np
+import scipy.sparse as sp
 
 from hmge import autodiff as ad
 from hmge.autodiff import Node, _accum_owned, _same_tape
@@ -56,6 +61,57 @@ def attention_aggregate(embeddings, attn_v, attn_y, guard: float = ad.ATTENTION_
     return agg, beta
 
 
+def union_pattern(adjacencies) -> tuple[np.ndarray, np.ndarray]:
+    """(indptr, indices) of the union of the patterns, by repeated scipy addition."""
+    n = adjacencies[0].num_nodes
+    acc = None
+    for adj in adjacencies:
+        part = sp.csr_matrix(
+            (np.ones(adj.nnz, dtype=np.float64), adj.indices, adj.indptr), shape=(n, n)
+        )
+        acc = part if acc is None else acc + part
+    acc = acc.tocsr()
+    acc.sort_indices()
+    if np.any(acc.diagonal()):
+        raise ValueError("union pattern unexpectedly contains diagonal entries")
+    return acc.indptr.astype(np.int64), acc.indices.astype(np.int64)
+
+
+def _keys(n, indptr, indices) -> np.ndarray:
+    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+    return rows * n + indices
+
+
+def position_map(indptr, indices, adj: SparseAdjacency) -> np.ndarray:
+    """Slot in the pattern (indptr, indices) of every stored entry of ``adj``."""
+    n = adj.num_nodes
+    # Canonical CSR order makes row*n + col globally sorted.
+    own_keys = _keys(n, indptr, indices)
+    adj_keys = _keys(n, adj.indptr, adj.indices)
+    pos = np.searchsorted(own_keys, adj_keys)
+    if np.any(pos >= own_keys.shape[0]) or np.any(own_keys[pos] != adj_keys):
+        raise ValueError("adjacency entry missing from union pattern")
+    return pos
+
+
+def extended_pattern(n, indptr, indices):
+    """The pattern plus the diagonal, by scipy addition of the identity.
+
+    Returns (out_indptr, out_indices, in2out, diag_positions): the extended
+    CSR pattern, the extended slot of every input entry and of every
+    diagonal entry.
+    """
+    base = sp.csr_matrix((np.ones(indices.shape[0]), indices, indptr), shape=(n, n))
+    ext = (base + sp.identity(n, format="csr")).tocsr()
+    ext.sort_indices()
+    out_indptr = ext.indptr.astype(np.int64)
+    out_indices = ext.indices.astype(np.int64)
+    out_keys = _keys(n, out_indptr, out_indices)
+    in2out = np.searchsorted(out_keys, _keys(n, indptr, indices))
+    diag_positions = np.searchsorted(out_keys, np.arange(n, dtype=np.int64) * (n + 1))
+    return out_indptr, out_indices, in2out, diag_positions
+
+
 def combine_adjacencies(
     adjacencies, alpha_logits: np.ndarray, activation: str = "relu"
 ) -> list[SparseAdjacency]:
@@ -68,16 +124,16 @@ def combine_adjacencies(
         )
     weights = np.exp(logits - logits.max(axis=0, keepdims=True))
     weights /= weights.sum(axis=0, keepdims=True)
-    union = ad.UnionPattern.union(adjacencies)
-    maps = [union.position_map(a) for a in adjacencies]
+    indptr, indices = union_pattern(adjacencies)
+    maps = [position_map(indptr, indices, a) for a in adjacencies]
     outs = []
     for j in range(logits.shape[1]):
-        vals = np.zeros(union.nnz)
+        vals = np.zeros(indices.shape[0])
         for i, (a, m) in enumerate(zip(adjacencies, maps)):
             vals[m] += weights[i, j] * a.values
         if activation == "relu":
             vals = np.maximum(vals, 0.0)
-        outs.append(union.to_adjacency(vals))
+        outs.append(SparseAdjacency(adjacencies[0].num_nodes, indptr, indices, vals))
     return outs
 
 

@@ -4,7 +4,7 @@ import pytest
 from hmge import autodiff as ad
 from hmge.errors import HmgeError, NumericError
 from hmge.multiplex import SparseAdjacency, normalize_adjacency
-from oracles import elementwise_mul, tanh
+from oracles import elementwise_mul, position_map, tanh
 
 
 def fd_check(build, arrays, eps=1e-5):
@@ -296,28 +296,28 @@ class TestSparseOps:
 
     def test_csr_combine_stack_gradients(self):
         adjs = [random_sym_adj(6, 0.4, s) for s in (6, 7, 8)]
-        union = ad.UnionPattern.union(adjs)
-        maps = [union.position_map(a) for a in adjs]
+        union = ad.UnionPattern(adjs)
         import scipy.sparse as sp
 
-        slots = np.concatenate(maps)
-        cols = np.concatenate([np.full(m.shape[0], d) for d, m in enumerate(maps)])
+        slots = np.concatenate(
+            [position_map(union.indptr, union.indices, a) for a in adjs]
+        )
+        indptr = np.cumsum([0] + [a.nnz for a in adjs])
         data = np.concatenate([a.values for a in adjs])
-        stacked = sp.csr_matrix((data, (slots, cols)), shape=(union.nnz, 3))
-        stacked_t = stacked.T.tocsr()
+        stacked = sp.csr_matrix((data, slots, indptr), shape=(3, union.nnz))
         rng = np.random.default_rng(9)
         coeff = rng.uniform(-1, 1, (union.nnz, 2))
         arrays = [rng.uniform(-1, 1, (3, 2))]
 
         def build(tape, nodes):
-            mixed = ad.csr_combine_stack(nodes[0], stacked, stacked_t)
+            mixed = ad.csr_combine_stack(nodes[0], stacked)
             return ad.sum_all(elementwise_mul(mixed, tape.constant(coeff)))
 
         assert fd_check(build, arrays) < 1e-4
 
         # value equals the per-column dense weighted sum
         t = ad.Tape()
-        out = ad.csr_combine_stack(t.constant(arrays[0]), stacked, stacked_t)
+        out = ad.csr_combine_stack(t.constant(arrays[0]), stacked)
         for j in range(2):
             expected = sum(arrays[0][i, j] * a.to_dense() for i, a in enumerate(adjs))
             got = union.to_adjacency(out.value[:, j]).to_dense()
@@ -325,7 +325,7 @@ class TestSparseOps:
 
     def test_csr_normalize_matches_dense_and_gradients(self):
         adjs = [random_sym_adj(6, 0.5, 11)]
-        union = ad.UnionPattern.union(adjs)
+        union = ad.UnionPattern(adjs)
         plan = ad.NormalizePlan(union)
         rng = np.random.default_rng(12)
         # symmetric values so they form a valid undirected matrix
@@ -351,7 +351,7 @@ class TestSparseOps:
 
     def test_csr_normalize_block_columns_independent(self):
         adjs = [random_sym_adj(5, 0.6, 20)]
-        union = ad.UnionPattern.union(adjs)
+        union = ad.UnionPattern(adjs)
         plan = ad.NormalizePlan(union)
         rng = np.random.default_rng(21)
         block = rng.uniform(0.2, 1.5, (union.nnz, 3))
@@ -372,7 +372,7 @@ class TestSparseOps:
 
     def test_spmm_var_gradients_both_modes(self):
         adjs = [random_sym_adj(6, 0.5, 30)]
-        union = ad.UnionPattern.union(adjs)
+        union = ad.UnionPattern(adjs)
         rng = np.random.default_rng(31)
         vals = symmetric_value_block(union, rng, 2)
         h = rng.uniform(-1, 1, (6, 3))
@@ -389,7 +389,7 @@ class TestSparseOps:
 
     def test_spmm_var_dense_sparse_agree(self):
         adjs = [random_sym_adj(8, 0.4, 40)]
-        union = ad.UnionPattern.union(adjs)
+        union = ad.UnionPattern(adjs)
         rng = np.random.default_rng(41)
         vals = symmetric_value_block(union, rng, 3)
         h = rng.uniform(-1, 1, (8, 4))
@@ -420,7 +420,7 @@ def banded_pattern(n, band, sparse_density, empty, seed):
     m = m | m.T
     m[n - empty:, :] = False
     m[:, n - empty:] = False
-    return ad.UnionPattern.union([SparseAdjacency.from_dense(m.astype(float))])
+    return ad.UnionPattern([SparseAdjacency.from_dense(m.astype(float))])
 
 
 def assert_sddmm_matches_oracle(plan, g, h):

@@ -204,12 +204,29 @@ class TestEvalAblateSweep:
         assert "classification needs node labels" in capsys.readouterr().err
         assert not (out / "report.json").exists()
 
-    def test_eval_class_empty_test_split_is_usage_error(self, dataset_dir, tmp_path, capsys):
-        out = tmp_path / "evalc"
+    @pytest.mark.parametrize("command", [
+        ["eval", "--task", "class"],
+        ["sweep", "--embed-sizes", "4,6"],
+        ["ablate", "--ratio", "0.2"],
+    ], ids=["eval", "sweep", "ablate"])
+    def test_empty_test_split_is_usage_error_before_training(
+        self, tmp_path, monkeypatch, capsys, command
+    ):
+        import hmge.evaluation
+        import hmge.training
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained before checking the split")
+
+        data = tmp_path / "data"
+        assert main(["synth", "--nodes", "60", "--dims", "3", "--seed", "1",
+                     "--out", str(data)]) == EXIT_OK
+        monkeypatch.setattr(hmge.training, "train", no_training)
+        monkeypatch.setattr(hmge.evaluation, "train", no_training)
+        out = tmp_path / "out"
         code = main(
-            ["eval", "--data", str(dataset_dir), "--task", "class", "--train-fraction", "0.99",
-             "--out", str(out), "--embed-size", "4", "--layers", "1", "--epochs", "2",
-             "--seed", "1"]
+            command + ["--data", str(data), "--train-fraction", "0.99", "--out", str(out),
+                       "--embed-size", "4", "--layers", "1", "--epochs", "2", "--seed", "1"]
         )
         assert code == EXIT_USAGE
         assert "nothing is left to test" in capsys.readouterr().err

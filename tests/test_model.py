@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hmge import autodiff as ad
 from hmge.errors import ConfigError
 from hmge.model import (
     EncodePlan,
@@ -19,7 +22,15 @@ from hmge.model import (
 )
 from hmge.multiplex import MultiplexGraph, SparseAdjacency, normalize_adjacency
 from hmge.model import param_leaves
-from oracles import attention_aggregate, combine_adjacencies, discriminate, gcn_forward
+from oracles import (
+    attention_aggregate,
+    combine_adjacencies,
+    discriminate,
+    extended_pattern,
+    gcn_forward,
+    position_map,
+    union_pattern,
+)
 
 
 def random_sym_dense(n, rng, density=0.4):
@@ -393,6 +404,65 @@ class TestEncode:
         plan_slow.feature_prop = plan_slow.propagate(eye_graph.features)
         trace_slow = encode(eye_graph, params, cfg, plan=plan_slow)
         assert np.abs(trace_fast.z - trace_slow.z).max() < 1e-12
+
+
+@st.composite
+def multiplex_graphs(draw):
+    """Small graphs with empty, repeated and weighted dimensions, N down to 1."""
+    n = draw(st.integers(1, 9))
+    dims = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["random", "empty", "repeat"]))
+        if kind == "repeat" and dims:
+            dims.append(draw(st.sampled_from(dims)))
+            continue
+        upper = np.zeros((n, n))
+        if kind == "random":
+            rows, cols = np.triu_indices(n, 1)
+            flags = draw(st.lists(st.booleans(), min_size=rows.size, max_size=rows.size))
+            weights = draw(st.lists(st.sampled_from([0.5, 1.0, 2.25, 3.0]),
+                                    min_size=rows.size, max_size=rows.size))
+            upper[rows, cols] = np.where(flags, weights, 0.0)
+        dims.append(SparseAdjacency.from_dense(upper + upper.T))
+    return MultiplexGraph(n, tuple(dims), np.eye(n))
+
+
+class TestEncodePlanPatterns:
+    """The one-sort plan against the per-adjacency scipy and searchsorted builds."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(multiplex_graphs())
+    def test_plan_matches_reference_builds(self, graph):
+        n = graph.num_nodes
+        plan = EncodePlan(graph, HmgeConfig(embed_size=2, num_layers=1))
+        union = plan.union
+        indptr, indices = union_pattern(graph.dimensions)
+        assert np.array_equal(union.indptr, indptr)
+        assert np.array_equal(union.indices, indices)
+        maps = [position_map(indptr, indices, d) for d in graph.dimensions]
+        assert np.array_equal(union.slots, np.concatenate(maps))
+
+        stacked = plan.stacked
+        assert stacked.shape == (graph.num_dims, union.nnz)
+        assert np.array_equal(stacked.indptr, np.cumsum([0] + [d.nnz for d in graph.dimensions]))
+        assert np.array_equal(stacked.indices, np.concatenate(maps))
+        assert np.array_equal(stacked.data, np.concatenate([d.values for d in graph.dimensions]))
+
+        norm = plan.norm_plan
+        out_indptr, out_indices, in2out, diag_positions = extended_pattern(n, indptr, indices)
+        assert np.array_equal(norm.out_indptr, out_indptr)
+        assert np.array_equal(norm.out_indices, out_indices)
+        assert np.array_equal(norm.in2out, in2out)
+        assert np.array_equal(norm.diag_positions, diag_positions)
+        out_rows = np.repeat(np.arange(n), np.diff(out_indptr))
+        out_keys = out_rows * n + out_indices
+        mirrors = np.searchsorted(out_keys, out_indices * n + out_rows)
+        assert np.array_equal(norm.spmm.tperm, mirrors)
+
+    def test_diagonal_entries_rejected(self):
+        looped = SparseAdjacency.from_dense(np.array([[1.0, 1.0], [1.0, 0.0]]))
+        with pytest.raises(ValueError, match="diagonal"):
+            ad.UnionPattern([looped])
 
 
 class TestLearnedAttention:

@@ -257,3 +257,33 @@ class TestLoadSave:
         assert g2.labels == ds.graph.labels
         for a, b in zip(ds.graph.dimensions, g2.dimensions):
             assert a.equals(b)
+
+    def test_saved_bytes_are_pinned(self, tmp_path):
+        import hashlib
+
+        from hmge.sbm import SbmConfig, generate_multiplex, save_dataset
+
+        cfg = SbmConfig(num_nodes=30, num_dims=3, num_classes=3, p_in=0.3, p_out=0.05, rng_seed=4)
+        save_dataset(generate_multiplex(cfg), tmp_path / "sbm")
+        digests = {
+            p.name: hashlib.sha256(p.read_bytes()).hexdigest()[:16]
+            for p in (tmp_path / "sbm").iterdir()
+        }
+        assert digests == {
+            "dim_0.tsv": "bc237b4bf28974e0",
+            "dim_1.tsv": "0b813a7458bbc24d",
+            "dim_2.tsv": "38205d57ba28ff42",
+            "features.csv": "a03848b19d8f63e0",
+            "labels.csv": "51d6314993196c7b",
+            "labels_per_dim.csv": "4b74875b0ed6ccfe",
+            "meta.json": "605ffc5e1e4914ea",
+        }
+
+        g = graph_from_edges(3, [[(2, 0), (0, 1)], []],
+                             features=np.array([[1 / 3], [-0.0], [1e-300]]))
+        save_multiplex(g, tmp_path / "small")
+        assert (tmp_path / "small" / "dim_0.tsv").read_bytes() == b"0\t1\n0\t2\n"
+        assert (tmp_path / "small" / "dim_1.tsv").read_bytes() == b""
+        assert (tmp_path / "small" / "features.csv").read_bytes() == (
+            b"0.3333333333333333\n-0.0\n1e-300\n"
+        )
