@@ -45,29 +45,25 @@ SDDMM_GEMM_DENSITY = 0.015
 
 
 class Node:
-    """One tape entry: a value, its producers, and a pullback closure."""
+    """One tape entry: a value and the pullback closure into its producers."""
 
     __slots__ = (
         "tape",
         "value",
-        "parents",
         "requires_grad",
         "is_parameter",
-        "weight_decay",
         "name",
         "adjoint",
         "_backward",
         "_cache",
     )
 
-    def __init__(self, tape, value, parents=(), backward=None, requires_grad=False,
-                 is_parameter=False, weight_decay=False, name=None):
+    def __init__(self, tape, value, backward=None, requires_grad=False,
+                 is_parameter=False, name=None):
         self.tape = tape
         self.value = value
-        self.parents = parents
         self.requires_grad = requires_grad
         self.is_parameter = is_parameter
-        self.weight_decay = weight_decay
         self.name = name
         self.adjoint = None
         self._backward = backward
@@ -98,8 +94,7 @@ class Tape:
     def _add(self, value, parents=(), backward=None, name=None) -> Node:
         value = np.asarray(value, dtype=np.float64)
         requires = any(p.requires_grad for p in parents)
-        node = Node(self, value, tuple(parents), backward, requires_grad=requires,
-                    name=name)
+        node = Node(self, value, backward, requires_grad=requires, name=name)
         self.nodes.append(node)
         return node
 
@@ -108,9 +103,9 @@ class Tape:
         self.nodes.append(node)
         return node
 
-    def parameter(self, value, weight_decay=False, name=None) -> Node:
+    def parameter(self, value, name=None) -> Node:
         node = Node(self, np.array(value, dtype=np.float64), requires_grad=True,
-                    is_parameter=True, weight_decay=weight_decay, name=name)
+                    is_parameter=True, name=name)
         self.nodes.append(node)
         self.parameters.append(node)
         return node
@@ -153,7 +148,6 @@ class Tape:
         Values, adjoints, and closures all go; the tape is unusable after.
         """
         for node in self.nodes:
-            node.parents = ()
             node._backward = None
             node._cache = None
             node.adjoint = None
@@ -514,22 +508,22 @@ def _transpose_permutation(n, indptr, indices) -> np.ndarray:
 class SpmmPlan:
     """Kernels for S @ H where S has fixed pattern and per-pass values.
 
-    ``dense_mode`` picks the kernels of S @ H and S^T @ H only: dense mode
-    scatters the values into a dense matrix and runs BLAS, sparse mode stays
-    in CSR. It is chosen from pattern density and size unless forced. Both
-    modes share one row-blocked SDDMM for the value gradient, planned here
-    once per block from that block's density.
+    The pattern must be structurally symmetric and the values exactly
+    symmetric (S == S^T), as ``NormalizePlan`` produces them, so S^T @ H
+    runs on the kernel of S. ``dense_mode`` picks the kernels of S @ H and
+    S^T @ H only: dense mode scatters the values into a dense matrix and
+    runs BLAS, sparse mode stays in CSR. It is chosen from pattern density
+    and size unless forced. Both modes share one row-blocked SDDMM for the
+    value gradient, planned here once per block from that block's density.
     """
 
-    def __init__(self, num_nodes, indptr, indices, dense_mode: bool | None = None,
-                 symmetric_values: bool = False):
+    def __init__(self, num_nodes, indptr, indices, dense_mode: bool | None = None):
         self.num_nodes = int(num_nodes)
         self.indptr = indptr
         self.indices = indices
         self.nnz = int(indices.shape[0])
+        # Data index of every entry's mirror, for NormalizePlan's backward.
         self.tperm = _transpose_permutation(self.num_nodes, indptr, indices)
-        # Callers assert value symmetry (S == S^T exactly); skips a gather.
-        self.symmetric_values = bool(symmetric_values)
         if dense_mode is None:
             density = self.nnz / float(self.num_nodes) ** 2
             dense_mode = (
@@ -564,18 +558,14 @@ class SpmmPlan:
             cache["dense"] = mat
         return mat
 
-    def _csr(self, values: np.ndarray, cache: dict | None,
-             transpose: bool = False) -> sp.csr_matrix:
-        """S (or S^T) in CSR, built once per values node when ``cache`` is given."""
-        mirrored = transpose and not self.symmetric_values
-        key = "csr_t" if mirrored else "csr"
-        if cache is not None and key in cache:
-            return cache[key]
+    def _csr(self, values: np.ndarray, cache: dict | None) -> sp.csr_matrix:
+        """S in CSR, built once per values node when ``cache`` is given."""
+        if cache is not None and "csr" in cache:
+            return cache["csr"]
         n = self.num_nodes
-        data = values[self.tperm] if mirrored else values
-        mat = sp.csr_matrix((data, self.indices, self.indptr), shape=(n, n))
+        mat = sp.csr_matrix((values, self.indices, self.indptr), shape=(n, n))
         if cache is not None:
-            cache[key] = mat
+            cache["csr"] = mat
         return mat
 
     def matmul(self, values, dense, cache=None) -> np.ndarray:
@@ -586,7 +576,7 @@ class SpmmPlan:
     def matmul_transpose(self, values, dense, cache=None) -> np.ndarray:
         if self.dense_mode:
             return self._dense(values, cache).T @ dense
-        return self._csr(values, cache, transpose=True) @ dense
+        return self._csr(values, cache) @ dense
 
     def grad_values(self, g: np.ndarray, h: np.ndarray) -> np.ndarray:
         """d(loss)/d(values) for out = S @ H given d(loss)/d(out) = g.
@@ -633,7 +623,7 @@ class NormalizePlan:
         self.out_indices[self.diag_positions] = np.arange(n)
         self.out_rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(self.out_indptr))
         # Normalized values are exactly symmetric for symmetric inputs.
-        self.spmm = SpmmPlan(n, self.out_indptr, self.out_indices, symmetric_values=True)
+        self.spmm = SpmmPlan(n, self.out_indptr, self.out_indices)
 
     def forward(self, values: np.ndarray):
         """Normalize an (nnz, D) block; returns (values, prod, deg) blocks.

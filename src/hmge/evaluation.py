@@ -127,16 +127,10 @@ def auc_roc(scores, labels) -> float:
     if scores.shape != labels.shape:
         raise ValueError("scores and labels differ in length")
     _check_binary_labels(labels)
-    order = np.argsort(scores, kind="stable")
-    sorted_scores = scores[order]
-    ranks = np.empty(scores.shape[0], dtype=np.float64)
-    i = 0
-    while i < sorted_scores.shape[0]:
-        j = i
-        while j + 1 < sorted_scores.shape[0] and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    _, inverse, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    # A run of tied scores shares the mean of its 1-based ranks: the run
+    # ending at rank r with c members gets r - (c - 1) / 2.
+    ranks = (np.cumsum(counts) - 0.5 * (counts - 1))[inverse]
     pos = int(labels.sum())
     neg = labels.shape[0] - pos
     rank_sum = float(ranks[labels].sum())
@@ -559,11 +553,7 @@ def run_ablations(
     rows = []
     for variant in ABLATION_VARIANTS:
         if variant == "no_hierarchy":
-            config = mdl.HmgeConfig(
-                embed_size=hmge_config.embed_size,
-                num_layers=0,
-                activation=hmge_config.activation,
-            )
+            config = mdl.HmgeConfig(embed_size=hmge_config.embed_size, num_layers=0)
             train_alpha = True
         else:
             config = hmge_config

@@ -29,8 +29,6 @@ from .multiplex import (
     normalize_adjacency,
 )
 
-ACTIVATIONS = ("relu", "identity")
-ATTENTION_MODES = ("learned", "sum")
 MODEL_FORMAT_VERSION = 2
 
 
@@ -55,22 +53,18 @@ class HmgeConfig:
 
     ``dims_schedule`` lists the dimension count entering each level,
     ``[D_0, D_1, ..., D_L]`` with ``D_L = 1``; None derives a halving
-    schedule. ``activation`` switches every non-linearity at once; the
-    identity setting exists for closed-form tests.
+    schedule. Every non-linearity of the encoder is a ReLU.
     """
 
     embed_size: int = 64
     num_layers: int = 2
     dims_schedule: tuple[int, ...] | None = None
-    activation: str = "relu"
 
     def __post_init__(self):
         if self.embed_size < 1:
             raise ConfigError(f"embed_size must be positive, got {self.embed_size}")
         if self.num_layers < 0:
             raise ConfigError(f"num_layers must be >= 0, got {self.num_layers}")
-        if self.activation not in ACTIVATIONS:
-            raise ConfigError(f"unknown activation {self.activation!r}")
         if self.dims_schedule is not None:
             schedule = tuple(int(d) for d in self.dims_schedule)
             object.__setattr__(self, "dims_schedule", schedule)
@@ -97,10 +91,6 @@ class HmgeConfig:
         schedule.append(1)
         _validate_schedule(tuple(schedule), self.num_layers)
         return tuple(schedule)
-
-
-def activate(node: ad.Node, kind: str) -> ad.Node:
-    return ad.relu(node) if kind == "relu" else node
 
 
 @dataclass
@@ -239,7 +229,7 @@ class ForwardTrace:
 
     latent_adjacencies: list[list[SparseAdjacency]]
     embeddings: list[np.ndarray]
-    attention: list[np.ndarray | None]
+    attention: list[np.ndarray]
     z: np.ndarray
     summary: np.ndarray
 
@@ -248,41 +238,50 @@ class ForwardTrace:
 # forward-pass plumbing
 
 
+def _block_diagonal(blocks: list[SparseAdjacency]) -> sp.csr_matrix:
+    """The D N x N blocks as one block-diagonal CSR matrix over D*N nodes.
+
+    Block k's column indices move right by k*N and its row pointers by the
+    entry count of the blocks before it; indices are int32 when they fit,
+    as scipy's own constructors choose.
+    """
+    n, size = blocks[0].num_nodes, len(blocks) * blocks[0].num_nodes
+    offsets = np.cumsum([0] + [b.nnz for b in blocks])
+    index_dtype = np.int32 if max(size, offsets[-1]) <= np.iinfo(np.int32).max else np.int64
+    indptr = np.empty(size + 1, dtype=index_dtype)
+    indices = np.empty(offsets[-1], dtype=index_dtype)
+    for k, b in enumerate(blocks):
+        np.add(b.indptr[:-1], offsets[k], out=indptr[k * n:(k + 1) * n], casting="unsafe")
+        np.add(b.indices, k * n, out=indices[offsets[k]:offsets[k + 1]], casting="unsafe")
+    indptr[-1] = offsets[-1]
+    data = np.concatenate([b.values for b in blocks])
+    return sp.csr_matrix((data, indices, indptr), shape=(size, size))
+
+
 class EncodePlan:
     """Per-graph precomputation shared by every epoch.
 
-    Holds the first-level GCN operator (the D normalized input graphs as one
-    block-diagonal scipy CSR matrix over D*N nodes, built once so no epoch
-    converts it again), the first-level propagation of the
-    clean features, the union sparsity pattern hosting all latent
-    adjacencies, and the input values stacked one row per dimension on
-    that pattern.
+    Holds the first-level GCN operator (the D input graphs, each normalized
+    to D^{-1/2}(A + I)D^{-1/2}, as one block-diagonal scipy CSR matrix over
+    D*N nodes, built once so no epoch converts it again), the first-level
+    propagation of the clean features, the union sparsity pattern hosting
+    all latent adjacencies, and the input values stacked one row per
+    dimension on that pattern.
 
     The latent-path structures come from one sort of all E stored input
     entries (``autodiff.UnionPattern``): it yields the union pattern and
     the slot of every entry, hence the stacked (D, nnz) block; the
     normalization's pattern with the diagonal follows from the union by
-    index arithmetic. That is O(E log E) time and O(E) memory.
+    index arithmetic, and ``norm_plan.spmm`` multiplies by the normalized
+    latent adjacencies. That is O(E log E) time and O(E) memory.
     """
 
-    def __init__(
-        self,
-        graph: MultiplexGraph,
-        config: HmgeConfig,
-        normalize: bool = True,
-    ):
-        self.config = config
-        self.schedule = config.schedule_for(graph.num_dims)
-        self.normalize = normalize
+    def __init__(self, graph: MultiplexGraph, config: HmgeConfig):
+        config.schedule_for(graph.num_dims)  # raises ConfigError on a mismatch
         self.num_dims = graph.num_dims
         self.num_nodes = graph.num_nodes
         self.features = graph.features
-        inputs = [
-            (normalize_adjacency(d) if normalize else d).to_scipy()
-            for d in graph.dimensions
-        ]
-        self.first_gcn = sp.block_diag(inputs, format="csr")
-        self.first_gcn.sort_indices()
+        self.first_gcn = _block_diagonal([normalize_adjacency(d) for d in graph.dimensions])
         # With one-hot node features the first GCN collapses to A_d @ W_d
         # (and A_d @ W_d[perm] on the corrupted side): no propagation.
         self.identity_features = _is_identity(graph.features)
@@ -290,7 +289,6 @@ class EncodePlan:
         self.union = None
         self.stacked = None
         self.norm_plan = None
-        self.latent_spmm = None
         if config.num_layers >= 1:
             self.union = ad.UnionPattern(graph.dimensions)
             self.stacked = sp.csr_matrix(
@@ -301,16 +299,7 @@ class EncodePlan:
                 ),
                 shape=(graph.num_dims, self.union.nnz),
             )
-            if normalize:
-                self.norm_plan = ad.NormalizePlan(self.union)
-                self.latent_spmm = self.norm_plan.spmm
-            else:
-                self.latent_spmm = ad.SpmmPlan(
-                    self.union.num_nodes,
-                    self.union.indptr,
-                    self.union.indices,
-                    symmetric_values=True,
-                )
+            self.norm_plan = ad.NormalizePlan(self.union)
 
     def propagate(self, features: np.ndarray) -> np.ndarray:
         """A_d @ X for every input dimension d, as a (D, N, F) stack."""
@@ -373,11 +362,11 @@ def structure_from_leaves(params, leaves):
 def lift_params(tape: ad.Tape, params, train_alpha: bool = True, constant: bool = False):
     """Register all parameter arrays on a tape and return the node structure."""
     nodes = []
-    for name, arr, decay, trainable in param_leaves(params, train_alpha):
+    for name, arr, _, trainable in param_leaves(params, train_alpha):
         if constant or not trainable:
             nodes.append(tape.constant(arr, name=name))
         else:
-            nodes.append(tape.parameter(arr, weight_decay=decay, name=name))
+            nodes.append(tape.parameter(arr, name=name))
     return structure_from_leaves(params, nodes)
 
 
@@ -390,15 +379,8 @@ def _is_identity(features: np.ndarray) -> bool:
     return bool(np.all(np.diagonal(features) == 1.0))
 
 
-def _stack_attention(h_stack: ad.Node, v: ad.Node, y: ad.Node, mode: str):
-    """Aggregate a (D, N, M) embedding stack; returns (H (N, M), beta (N, D)).
-
-    The learned weights come from ``attention_weights``; the sum mode mixes
-    with weight 1 per dimension and returns beta None.
-    """
-    if mode == "sum":
-        d_in, n, _ = h_stack.value.shape
-        return ad.mix_stack(h_stack, h_stack.tape.constant(np.ones((n, d_in)))), None
+def _stack_attention(h_stack: ad.Node, v: ad.Node, y: ad.Node):
+    """Aggregate a (D, N, M) embedding stack; returns (H (N, M), beta (N, D))."""
     beta = ad.attention_weights(h_stack, v, y)
     return ad.mix_stack(h_stack, beta), beta
 
@@ -414,9 +396,8 @@ def build_latent_structure(plan: EncodePlan, pnodes):
 
     Returns (raw, gcn_ready): raw[l] is the (nnz, D_{l+1}) block of latent
     adjacency values from layer l on the union pattern, gcn_ready[l] its
-    (possibly normalized) counterpart fed to spmm_var.
+    normalized counterpart fed to spmm_var.
     """
-    act = plan.config.activation
     raw: list[ad.Node] = []
     gcn_ready: list[ad.Node] = []
     for layer in pnodes["layers"]:
@@ -425,14 +406,14 @@ def build_latent_structure(plan: EncodePlan, pnodes):
             block = ad.matmul(raw[-1], weights)
         else:
             block = ad.csr_combine_stack(weights, plan.stacked)
-        block = activate(block, act)
+        block = ad.relu(block)
         raw.append(block)
-        gcn_ready.append(ad.csr_normalize(block, plan.norm_plan) if plan.normalize else block)
+        gcn_ready.append(ad.csr_normalize(block, plan.norm_plan))
     return raw, gcn_ready
 
 
-def _first_level(plan: EncodePlan, w: ad.Node, perm, act: str) -> ad.Node:
-    """activation(A_d @ X @ W_d) for every input dimension d, as a (D, N, M) stack.
+def _first_level(plan: EncodePlan, w: ad.Node, perm) -> ad.Node:
+    """relu(A_d @ X @ W_d) for every input dimension d, as a (D, N, M) stack.
 
     X is the feature matrix, its rows shuffled by ``perm`` unless that is
     None (the clean pass).
@@ -440,29 +421,28 @@ def _first_level(plan: EncodePlan, w: ad.Node, perm, act: str) -> ad.Node:
     if plan.identity_features:
         if perm is not None:
             w = ad.permute_rows(w, perm)
-        return activate(ad.spmm(plan.first_gcn, w), act)
+        return ad.relu(ad.spmm(plan.first_gcn, w))
     prop = plan.feature_prop if perm is None else plan.propagate(plan.features[perm])
-    return activate(ad.batched_matmul(w.tape.constant(prop), w), act)
+    return ad.relu(ad.batched_matmul(w.tape.constant(prop), w))
 
 
-def build_embedding_chain(plan: EncodePlan, pnodes, perm, latent_gcn, mode="learned"):
+def build_embedding_chain(plan: EncodePlan, pnodes, perm, latent_gcn):
     """Phase-one chain for one feature input; returns (z, h per layer, beta per layer).
 
     ``perm`` shuffles the feature rows for the corrupted pass and is None
-    for the clean one. ``latent_gcn[l]`` is the multiply-ready value block
-    of the latent adjacencies produced by layer l.
+    for the clean one. ``latent_gcn[l]`` is the normalized value block of
+    the latent adjacencies produced by layer l.
     """
-    act = plan.config.activation
     layers = pnodes["layers"]
-    h_stack = _first_level(plan, layers[0]["gcn_w"], perm, act)
+    h_stack = _first_level(plan, layers[0]["gcn_w"], perm)
     h_layers, betas = [], []
     for l, layer in enumerate(layers):
-        h, beta = _stack_attention(h_stack, layer["attn_v"], layer["attn_y"], mode)
+        h, beta = _stack_attention(h_stack, layer["attn_v"], layer["attn_y"])
         h_layers.append(h)
         betas.append(beta)
-        prop = ad.spmm_var(latent_gcn[l], plan.latent_spmm, h)
+        prop = ad.spmm_var(latent_gcn[l], plan.norm_plan.spmm, h)
         if l + 1 < len(layers):
-            h_stack = activate(ad.batched_matmul(prop, layers[l + 1]["gcn_w"]), act)
+            h_stack = ad.relu(ad.batched_matmul(prop, layers[l + 1]["gcn_w"]))
     # The embedding head is linear: clipping the output space measurably
     # discards class information, and the two-layer expansion of this
     # architecture is stated without a trailing non-linearity.
@@ -470,27 +450,21 @@ def build_embedding_chain(plan: EncodePlan, pnodes, perm, latent_gcn, mode="lear
     return z, h_layers, betas
 
 
-def build_hmge_forward(plan: EncodePlan, pnodes, perms, attention_mode="learned"):
+def build_hmge_forward(plan: EncodePlan, pnodes, perms):
     """Latent adjacencies once, then one embedding chain per corruption permutation."""
     raw, latent_gcn = build_latent_structure(plan, pnodes)
-    chains = [
-        build_embedding_chain(plan, pnodes, perm, latent_gcn, attention_mode)
-        for perm in perms
-    ]
+    chains = [build_embedding_chain(plan, pnodes, perm, latent_gcn) for perm in perms]
     return raw, chains
 
 
-def build_linear_forward(plan: EncodePlan, pnodes, perms, attention_mode="learned"):
+def build_linear_forward(plan: EncodePlan, pnodes, perms):
     """Per-dimension GCN stacks on the original graphs, one attention on top."""
-    act = plan.config.activation
     chains = []
     for perm in perms:
-        h_stack = _first_level(plan, pnodes["gcn_w"][0], perm, act)
+        h_stack = _first_level(plan, pnodes["gcn_w"][0], perm)
         for w in pnodes["gcn_w"][1:]:
-            h_stack = activate(ad.batched_matmul(ad.spmm(plan.first_gcn, h_stack), w), act)
-        h, beta = _stack_attention(
-            h_stack, pnodes["attn_v"], pnodes["attn_y"], attention_mode
-        )
+            h_stack = ad.relu(ad.batched_matmul(ad.spmm(plan.first_gcn, h_stack), w))
+        h, beta = _stack_attention(h_stack, pnodes["attn_v"], pnodes["attn_y"])
         chains.append((h, [h], [beta]))
     return chains
 
@@ -512,21 +486,16 @@ def encode(
     params,
     config: HmgeConfig,
     *,
-    normalize: bool = True,
-    attention_mode: str = "learned",
     plan: EncodePlan | None = None,
 ) -> ForwardTrace:
     """Run the encoder and capture every intermediate product.
 
     With zero layers this runs the linear-aggregation baseline (params must
-    then be LinearParams, of any depth). ``normalize=False`` and
-    ``attention_mode="sum"`` exist for the closed-form tests. A supplied
-    ``plan`` must have been built from this graph's features.
+    then be LinearParams, of any depth). A supplied ``plan`` must have been
+    built from this graph's features.
     """
-    if attention_mode not in ATTENTION_MODES:
-        raise ConfigError(f"unknown attention mode {attention_mode!r}")
     if plan is None:
-        plan = EncodePlan(graph, config, normalize=normalize)
+        plan = EncodePlan(graph, config)
     elif plan.features is not graph.features and not np.array_equal(
         plan.features, graph.features
     ):
@@ -538,16 +507,16 @@ def encode(
     tape = ad.Tape()
     pnodes = lift_params(tape, params, constant=True)
     if config.num_layers == 0:
-        latent, chains = [], build_linear_forward(plan, pnodes, [None], attention_mode)
+        latent, chains = [], build_linear_forward(plan, pnodes, [None])
     else:
-        latent, chains = build_hmge_forward(plan, pnodes, [None], attention_mode)
+        latent, chains = build_hmge_forward(plan, pnodes, [None])
     z_node, h_nodes, beta_nodes = chains[0]
     trace = ForwardTrace(
         latent_adjacencies=[
             [plan.union.to_adjacency(col) for col in block.value.T] for block in latent
         ],
         embeddings=[h.value for h in h_nodes],
-        attention=[b.value if b is not None else None for b in beta_nodes],
+        attention=[b.value for b in beta_nodes],
         z=z_node.value,
         summary=readout(z_node.value),
     )
@@ -591,6 +560,8 @@ def save_model(path, config: HmgeConfig, params, identity_features: bool = False
 
     Format 2 stores every stacked parameter array under its ``param_leaves``
     name and records whether the model was trained on one-hot node features.
+    The config keeps ``"activation": "relu"``, the encoder's one
+    non-linearity and the only value ``load_model`` accepts.
     """
     arrays = {name: arr for name, arr, _, _ in param_leaves(params)}
     meta = {
@@ -602,7 +573,7 @@ def save_model(path, config: HmgeConfig, params, identity_features: bool = False
             "dims_schedule": list(config.dims_schedule)
             if config.dims_schedule is not None
             else None,
-            "activation": config.activation,
+            "activation": "relu",
         },
         "identity_features": bool(identity_features),
     }
@@ -627,11 +598,12 @@ def load_model(path):
                 f"unsupported model format version {meta.get('format_version')}"
             )
         cfg = meta["config"]
+        if cfg.get("activation") != "relu":
+            raise DataFormatError(f"unsupported activation {cfg.get('activation')!r}")
         config = HmgeConfig(
             embed_size=cfg["embed_size"],
             num_layers=cfg["num_layers"],
             dims_schedule=tuple(cfg["dims_schedule"]) if cfg["dims_schedule"] else None,
-            activation=cfg["activation"],
         )
         try:
             if meta["kind"] == "hmge":

@@ -7,7 +7,8 @@ order the paper writes them, so the tests can check the tape's results.
 ``union_pattern``, ``position_map`` and ``extended_pattern`` build the
 latent-path patterns with scipy additions and binary searches, one
 adjacency at a time, as references for ``autodiff.UnionPattern`` and
-``autodiff.NormalizePlan``.
+``autodiff.NormalizePlan``. ``auc_roc_loop`` ranks tied scores one run
+at a time, as the reference for ``evaluation.auc_roc``.
 """
 
 import numpy as np
@@ -135,6 +136,26 @@ def combine_adjacencies(
             vals = np.maximum(vals, 0.0)
         outs.append(SparseAdjacency(adjacencies[0].num_nodes, indptr, indices, vals))
     return outs
+
+
+def auc_roc_loop(scores, labels) -> float:
+    """Rank-sum AUC with the average rank of every run of ties found by a loop."""
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels).astype(bool)
+    order = np.argsort(scores, kind="stable")
+    sorted_scores = scores[order]
+    ranks = np.empty(scores.shape[0], dtype=np.float64)
+    i = 0
+    while i < sorted_scores.shape[0]:
+        j = i
+        while j + 1 < sorted_scores.shape[0] and sorted_scores[j + 1] == sorted_scores[i]:
+            j += 1
+        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    pos = int(labels.sum())
+    neg = labels.shape[0] - pos
+    rank_sum = float(ranks[labels].sum())
+    return (rank_sum - pos * (pos + 1) / 2.0) / (pos * neg)
 
 
 def discriminate(h: np.ndarray, s: np.ndarray, q: np.ndarray) -> float:

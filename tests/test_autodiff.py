@@ -377,10 +377,7 @@ class TestSparseOps:
         vals = symmetric_value_block(union, rng, 2)
         h = rng.uniform(-1, 1, (6, 3))
         for dense_mode in (True, False):
-            plan = ad.SpmmPlan(
-                union.num_nodes, union.indptr, union.indices,
-                dense_mode=dense_mode, symmetric_values=True,
-            )
+            plan = ad.SpmmPlan(union.num_nodes, union.indptr, union.indices, dense_mode=dense_mode)
 
             def build(tape, nodes):
                 return ad.sum_all(tanh(ad.spmm_var(nodes[0], plan, nodes[1])))
@@ -395,10 +392,7 @@ class TestSparseOps:
         h = rng.uniform(-1, 1, (8, 4))
         outs = []
         for dense_mode in (True, False):
-            plan = ad.SpmmPlan(
-                union.num_nodes, union.indptr, union.indices,
-                dense_mode=dense_mode, symmetric_values=True,
-            )
+            plan = ad.SpmmPlan(union.num_nodes, union.indptr, union.indices, dense_mode=dense_mode)
             t = ad.Tape()
             v = t.parameter(vals)
             hn = t.parameter(h)
@@ -445,7 +439,7 @@ class TestBlockedSddmm:
         # the sparse rows (with 7 empty ones) run as gather blocks.
         union = banded_pattern(1024, 256, 0.003, 7, seed=50)
         plan = ad.SpmmPlan(union.num_nodes, union.indptr, union.indices,
-                           dense_mode=dense_mode, symmetric_values=True)
+                           dense_mode=dense_mode)
         assert plan.rows_per_block == 256
         assert [blk[4] for blk in plan.blocks] == [True, False, False, False]
         rng = np.random.default_rng(51)
@@ -474,7 +468,7 @@ class TestBlockedSddmm:
                            dense_mode=dense_mode)
         assert {blk[4] for blk in plan.blocks} == {True, False}
         rng = np.random.default_rng(55)
-        vals = rng.uniform(0.2, 1.5, (union.nnz, 2))
+        vals = symmetric_value_block(union, rng, 2)
         h = rng.uniform(-1, 1, (12, 2))
 
         def build(tape, nodes):
@@ -488,14 +482,15 @@ class TestBlockedSddmm:
         union = banded_pattern(30, 10, 0.1, 2, seed=56)
         plan = ad.SpmmPlan(union.num_nodes, union.indptr, union.indices, dense_mode=False)
         rng = np.random.default_rng(57)
-        vals = rng.uniform(0.2, 1.5, union.nnz)
+        vals = symmetric_value_block(union, rng, 1)[:, 0]
         h = rng.standard_normal((30, 3))
         eager = sp.csr_matrix((vals, union.indices, union.indptr), shape=(30, 30))
         cache = {}
         assert np.array_equal(plan.matmul(vals, h, cache), eager @ h)
         assert np.array_equal(plan.matmul_transpose(vals, h, cache), eager.T.tocsr() @ h)
         built = dict(cache)
-        assert set(built) == {"csr", "csr_t"}
+        # Symmetric values: S^T @ H runs on the kernel of S.
+        assert set(built) == {"csr"}
         plan.matmul(vals, h, cache)
         plan.matmul_transpose(vals, h, cache)
         assert all(cache[k] is built[k] for k in built)

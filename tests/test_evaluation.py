@@ -20,6 +20,7 @@ from hmge.evaluation import (
 )
 from hmge.multiplex import MultiplexGraph, SparseAdjacency
 from hmge.sbm import SbmConfig, generate_multiplex
+from oracles import auc_roc_loop
 
 
 def brute_force_auc(scores, labels):
@@ -103,6 +104,16 @@ class TestRankingMetrics:
         assert average_precision(scores, labels_arr) == pytest.approx(
             brute_force_ap(scores, labels), abs=0
         )
+
+    def test_matches_tie_loop_on_large_case(self):
+        # Distinct, rounded (heavily tied) and saturated scores, as link
+        # scoring produces them; the vectorized ranks must agree bitwise.
+        rng = np.random.default_rng(8)
+        scores = rng.random(32768)
+        scores[:12000] = np.round(scores[:12000], 2)
+        scores[12000:16000] = 1.0
+        labels = rng.random(32768) < 0.5
+        assert auc_roc(scores, labels) == auc_roc_loop(scores, labels)
 
 
 class TestClassificationMetrics:
@@ -314,6 +325,24 @@ class TestEvalReport:
         report = EvalReport(task="link", metrics={"auc": 0.9}, seed=3, config={"m": 8})
         payload = report.to_dict()
         assert payload["task"] == "link" and payload["metrics"]["auc"] == 0.9
+
+
+class TestSyntheticExperiment:
+    def test_smoke_sweep_writes_reproducible_csv(self, tmp_path):
+        from hmge.evaluation import run_synthetic_experiment
+
+        settings = dict(num_nodes=40, embed_size=4, epochs=3, patience=3)
+        first, second = tmp_path / "a" / "fig6.csv", tmp_path / "b" / "fig6.csv"
+        rows = run_synthetic_experiment([2, 3], [1], out_csv=first, **settings)
+        run_synthetic_experiment([2, 3], [1], out_csv=second, **settings)
+        assert [(r["dims"], r["method"], r["seed"]) for r in rows] == [
+            (2, "hmge", 1), (2, "linear", 1), (3, "hmge", 1), (3, "linear", 1)
+        ]
+        assert all(0.0 <= r["accuracy"] <= 1.0 for r in rows)
+        lines = first.read_text().splitlines()
+        assert lines[0] == "dims,method,seed,accuracy"
+        assert len(lines) == 5
+        assert first.read_bytes() == second.read_bytes()
 
 
 @pytest.mark.slow

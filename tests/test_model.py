@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -80,10 +81,6 @@ class TestConfig:
         cfg = HmgeConfig(num_layers=1, dims_schedule=(3, 1))
         with pytest.raises(ConfigError):
             cfg.schedule_for(4)
-
-    def test_bad_activation(self):
-        with pytest.raises(ConfigError):
-            HmgeConfig(activation="gelu")
 
 
 class TestGcnForward:
@@ -250,8 +247,25 @@ class TestReadoutDiscriminate:
         assert abs(discriminate(h, s, q) - direct) < 1e-12
 
 
+def normalized_dense(a):
+    """D^{-1/2}(A + I)D^{-1/2} of a dense symmetric adjacency."""
+    ahat = a + np.eye(a.shape[0])
+    dinv = 1.0 / np.sqrt(ahat.sum(axis=1))
+    return ahat * np.outer(dinv, dinv)
+
+
+@pytest.fixture
+def linear_relu(monkeypatch):
+    """Every ReLU of the encoder becomes the identity."""
+    monkeypatch.setattr(ad, "relu", lambda a: a)
+
+
 def oracle_instance(rng, commuting: bool, m=4, n=5):
-    """(graph, params, config, alpha weights, X, W) for the closed-form tests."""
+    """(graph, params, config, alpha weights, X, W) for the closed-form tests.
+
+    A zero attention vector y scores every dimension 0, so the attention
+    guard weighs the two dimensions by exactly 1/2.
+    """
     if commuting:
         options = [(1,), (2,), (1, 2)]
         a1 = circulant_dense(n, options[rng.integers(0, 3)])
@@ -263,38 +277,57 @@ def oracle_instance(rng, commuting: bool, m=4, n=5):
     logits = rng.standard_normal((2, 1))
     weights = softmax_alpha(logits)[:, 0]
     graph = two_dim_graph(a1, a2, x)
-    config = HmgeConfig(embed_size=m, num_layers=1, dims_schedule=(2, 1), activation="identity")
+    config = HmgeConfig(embed_size=m, num_layers=1, dims_schedule=(2, 1))
     params = init_params(config, 2, m, rng)
     params.layers[0].alpha = logits.copy()
     params.layers[0].gcn_w = np.stack([w, w])
+    params.layers[0].attn_y[:] = 0.0
     params.final_w = w.copy()
     return graph, params, config, weights, (a1, a2, x, w)
 
 
+@pytest.mark.usefixtures("linear_relu")
 class TestClosedFormOracles:
+    """The paper's two-layer expansions on the production encoder, with the
+    ReLUs made linear and the attention at its uniform 1/2 split."""
+
     def test_hierarchical_matches_product_form_any_graph(self):
-        # Unsimplified two-layer form: (a1 A1 + a2 A2)(A1 + A2) X W^2.
+        # Unsimplified two-layer form: N(a1 A1 + a2 A2) (N(A1) + N(A2))/2 X W^2.
         for trial in range(20):
             rng = np.random.default_rng(500 + trial)
             graph, params, config, w8s, (a1, a2, x, w) = oracle_instance(rng, commuting=False)
-            trace = encode(graph, params, config, normalize=False, attention_mode="sum")
-            expected = (w8s[0] * a1 + w8s[1] * a2) @ (a1 + a2) @ x @ w @ w
+            trace = encode(graph, params, config)
+            assert np.array_equal(trace.attention[0], np.full((5, 2), 0.5))
+            expected = (
+                normalized_dense(w8s[0] * a1 + w8s[1] * a2)
+                @ (0.5 * (normalized_dense(a1) + normalized_dense(a2)))
+                @ x @ w @ w
+            )
             assert np.abs(trace.z - expected).max() < 1e-8
 
     def test_hierarchical_matches_printed_closed_form_commuting(self):
-        # (a1 A1^2 + (a1+a2) A1 A2 + a2 A2^2) X W^2 needs A1 A2 = A2 A1;
-        # circulant pairs commute, so the printed form is exact there.
+        # With Ã = A + I, a k-regular circulant normalizes to c Ã, c = 1/(k+1),
+        # and a1 + a2 = 1 gives N(a1 A1 + a2 A2) = c (a1 Ã1 + a2 Ã2) with
+        # c = 1/(a1 k1 + a2 k2 + 1). Circulant pairs commute, so
+        # z = c/2 (a1 c1 Ã1^2 + (a1 c2 + a2 c1) Ã1 Ã2 + a2 c2 Ã2^2) X W^2:
+        # the printed (a1, a1 + a2, a2) expansion times a scalar when k1 = k2.
         for trial in range(20):
             rng = np.random.default_rng(900 + trial)
             graph, params, config, w8s, (a1, a2, x, w) = oracle_instance(rng, commuting=True)
-            trace = encode(graph, params, config, normalize=False, attention_mode="sum")
-            expected = (
-                w8s[0] * a1 @ a1 + (w8s[0] + w8s[1]) * a1 @ a2 + w8s[1] * a2 @ a2
+            trace = encode(graph, params, config)
+            t1, t2 = a1 + np.eye(5), a2 + np.eye(5)
+            k1, k2 = a1.sum(axis=1)[0], a2.sum(axis=1)[0]
+            c1, c2 = 1.0 / (k1 + 1.0), 1.0 / (k2 + 1.0)
+            c = 1.0 / (w8s[0] * k1 + w8s[1] * k2 + 1.0)
+            expected = 0.5 * c * (
+                w8s[0] * c1 * t1 @ t1
+                + (w8s[0] * c2 + w8s[1] * c1) * t1 @ t2
+                + w8s[1] * c2 * t2 @ t2
             ) @ x @ w @ w
             assert np.abs(trace.z - expected).max() < 1e-8
 
     def test_linear_aggregation_matches_closed_form(self):
-        # (A1^2 + A2^2) X W^2 holds for arbitrary graphs.
+        # (N(A1)^2 + N(A2)^2)/2 X W^2 holds for arbitrary graphs.
         for trial in range(20):
             rng = np.random.default_rng(700 + trial)
             a1, a2 = random_sym_dense(5, rng), random_sym_dense(5, rng)
@@ -303,9 +336,11 @@ class TestClosedFormOracles:
             graph = two_dim_graph(a1, a2, x)
             params = init_linear_params(4, 2, 4, 2, rng)
             params.gcn_w = [np.stack([w, w]), np.stack([w, w])]
-            config = HmgeConfig(embed_size=4, num_layers=0, activation="identity")
-            z = encode(graph, params, config, normalize=False, attention_mode="sum").z
-            expected = (a1 @ a1 + a2 @ a2) @ x @ w @ w
+            params.attn_y[:] = 0.0
+            config = HmgeConfig(embed_size=4, num_layers=0)
+            z = encode(graph, params, config).z
+            n1, n2 = normalized_dense(a1), normalized_dense(a2)
+            expected = 0.5 * (n1 @ n1 + n2 @ n2) @ x @ w @ w
             assert np.abs(z - expected).max() < 1e-8
 
 
@@ -562,6 +597,23 @@ class TestModelFile:
         assert params2.depth == 2
         for (_, a, _, _), (_, b, _, _) in zip(param_leaves(params), param_leaves(params2)):
             assert np.array_equal(a, b)
+
+    def test_other_activation_rejected(self, tmp_path):
+        from hmge.errors import DataFormatError
+
+        cfg = HmgeConfig(embed_size=3, num_layers=1)
+        params = init_params(cfg, 2, 4, np.random.default_rng(2))
+        path = tmp_path / "model.bin"
+        save_model(path, cfg, params)
+        with np.load(path) as archive:
+            arrays = dict(archive)
+        meta = json.loads(str(arrays.pop("meta")))
+        assert meta["config"]["activation"] == "relu"
+        meta["config"]["activation"] = "identity"
+        with open(path, "wb") as fh:
+            np.savez(fh, meta=np.str_(json.dumps(meta)), **arrays)
+        with pytest.raises(DataFormatError, match="unsupported activation 'identity'"):
+            load_model(path)
 
     def test_bad_file_rejected(self, tmp_path):
         from hmge.errors import DataFormatError

@@ -287,17 +287,17 @@ class TestTrainLoop:
 
 
 GRAD_CHECK_CASES = {
-    # name: (config, input dimensions, one-hot features, linear depth); the
-    # zero-layer configs train the linear baseline at that depth.
-    "l1": (HmgeConfig(embed_size=4, num_layers=1), 2, False, None),
-    # The identity activation keeps finite differences off the relu kinks:
-    # with relu one 6e-8 gradient entry reads 1.3e-4 from step noise alone.
-    "l2": (HmgeConfig(embed_size=4, num_layers=2, dims_schedule=(3, 2, 1),
-                      activation="identity"), 3, False, None),
-    "l2-onehot": (HmgeConfig(embed_size=4, num_layers=2, dims_schedule=(3, 2, 1),
-                             activation="identity"), 3, True, None),
-    "linear2": (HmgeConfig(embed_size=4, num_layers=0), 2, False, 2),
-    "linear2-onehot": (HmgeConfig(embed_size=4, num_layers=0), 2, True, 2),
+    # name: (config, input dimensions, one-hot features, linear depth, linear
+    # ReLUs); the zero-layer configs train the linear baseline at that depth.
+    "l1": (HmgeConfig(embed_size=4, num_layers=1), 2, False, None, False),
+    # Linear ReLUs keep finite differences off the kinks: with the ReLU one
+    # 6e-8 gradient entry reads 1.3e-4 from step noise alone.
+    "l2": (HmgeConfig(embed_size=4, num_layers=2, dims_schedule=(3, 2, 1)), 3, False, None,
+           True),
+    "l2-onehot": (HmgeConfig(embed_size=4, num_layers=2, dims_schedule=(3, 2, 1)), 3, True,
+                  None, True),
+    "linear2": (HmgeConfig(embed_size=4, num_layers=0), 2, False, 2, False),
+    "linear2-onehot": (HmgeConfig(embed_size=4, num_layers=0), 2, True, 2, False),
 }
 
 
@@ -345,8 +345,10 @@ class TestHeap:
 
 class TestFullGradients:
     @pytest.mark.parametrize("case", list(GRAD_CHECK_CASES))
-    def test_full_loss_grad_check(self, case):
-        cfg, num_dims, one_hot, depth = GRAD_CHECK_CASES[case]
+    def test_full_loss_grad_check(self, case, monkeypatch):
+        cfg, num_dims, one_hot, depth, linear_relu = GRAD_CHECK_CASES[case]
+        if linear_relu:
+            monkeypatch.setattr(hmge.autodiff, "relu", lambda a: a)
         graph = er_multiplex(6, (0.6, 0.4, 0.5)[:num_dims], 3)
         if one_hot:
             graph = graph.with_features(np.eye(6))
