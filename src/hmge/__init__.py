@@ -28,7 +28,7 @@ from .multiplex import (
     save_multiplex,
 )
 from .sbm import SbmConfig, SynthDataset, generate_multiplex
-from .training import AdamState, TrainConfig, TrainResult, corrupt, infomax_loss, train
+from .training import AdamState, TrainConfig, TrainResult, infomax_loss, train
 
 __all__ = [
     "AdamState",
@@ -46,7 +46,6 @@ __all__ = [
     "SynthDataset",
     "TrainConfig",
     "TrainResult",
-    "corrupt",
     "encode",
     "generate_multiplex",
     "infomax_loss",

@@ -43,6 +43,9 @@ DENSE_MAX_NODES = 2600
 SDDMM_BLOCK_ELEMS = 1 << 18
 SDDMM_GEMM_DENSITY = 0.015
 
+# log_clamped keeps the InfoMax loss finite when the discriminator saturates.
+LOG_CLAMP = 1e-12
+
 
 class Node:
     """One tape entry: a value and the pullback closure into its producers."""
@@ -442,8 +445,9 @@ def bilinear_form(z: Node, q: Node, s: Node) -> Node:
     return tape._add(zv @ qs, (z, q, s), backward, name="bilinear_form")
 
 
-def log_clamped(a: Node, low: float = 1e-12, high: float = 1.0 - 1e-12) -> Node:
-    """log of the input clamped into [low, high]; clamped entries pass no gradient."""
+def log_clamped(a: Node) -> Node:
+    """log clamped into [LOG_CLAMP, 1 - LOG_CLAMP]; clamped entries pass no gradient."""
+    low, high = LOG_CLAMP, 1.0 - LOG_CLAMP
     clipped = np.clip(a.value, low, high)
     inside = (a.value >= low) & (a.value <= high)
 
@@ -512,25 +516,24 @@ class SpmmPlan:
     symmetric (S == S^T), as ``NormalizePlan`` produces them, so S^T @ H
     runs on the kernel of S. ``dense_mode`` picks the kernels of S @ H and
     S^T @ H only: dense mode scatters the values into a dense matrix and
-    runs BLAS, sparse mode stays in CSR. It is chosen from pattern density
-    and size unless forced. Both modes share one row-blocked SDDMM for the
-    value gradient, planned here once per block from that block's density.
+    runs BLAS, sparse mode stays in CSR. The pattern alone picks it through
+    DENSE_DENSITY_THRESHOLD and DENSE_MAX_NODES; to force a mode, set those
+    constants before building the plan. Both modes share one row-blocked
+    SDDMM for the value gradient, planned here once per block from that
+    block's density.
     """
 
-    def __init__(self, num_nodes, indptr, indices, dense_mode: bool | None = None):
+    def __init__(self, num_nodes, indptr, indices):
         self.num_nodes = int(num_nodes)
         self.indptr = indptr
         self.indices = indices
         self.nnz = int(indices.shape[0])
         # Data index of every entry's mirror, for NormalizePlan's backward.
         self.tperm = _transpose_permutation(self.num_nodes, indptr, indices)
-        if dense_mode is None:
-            density = self.nnz / float(self.num_nodes) ** 2
-            dense_mode = (
-                density >= DENSE_DENSITY_THRESHOLD
-                and self.num_nodes <= DENSE_MAX_NODES
-            )
-        self.dense_mode = bool(dense_mode)
+        density = self.nnz / float(self.num_nodes) ** 2
+        self.dense_mode = bool(
+            density >= DENSE_DENSITY_THRESHOLD and self.num_nodes <= DENSE_MAX_NODES
+        )
         n = self.num_nodes
         self.row_counts = np.diff(indptr)
         self.rows_per_block = max(1, SDDMM_BLOCK_ELEMS // n)
@@ -548,32 +551,27 @@ class SpmmPlan:
                 gemm = b - a >= SDDMM_GEMM_DENSITY * (hi - lo) * n
                 self.blocks.append((lo, hi, a, b, gemm))
 
-    def _dense(self, values: np.ndarray, cache: dict | None) -> np.ndarray:
-        if cache is not None and "dense" in cache:
-            return cache["dense"]
-        mat = np.zeros((self.num_nodes, self.num_nodes))
-        for lo, hi, a, b, _ in self.blocks:
-            mat[lo:hi].reshape(-1)[self.block_flat[a:b]] = values[a:b]
-        if cache is not None:
+    def _dense(self, values: np.ndarray, cache: dict) -> np.ndarray:
+        if "dense" not in cache:
+            mat = np.zeros((self.num_nodes, self.num_nodes))
+            for lo, hi, a, b, _ in self.blocks:
+                mat[lo:hi].reshape(-1)[self.block_flat[a:b]] = values[a:b]
             cache["dense"] = mat
-        return mat
+        return cache["dense"]
 
-    def _csr(self, values: np.ndarray, cache: dict | None) -> sp.csr_matrix:
-        """S in CSR, built once per values node when ``cache`` is given."""
-        if cache is not None and "csr" in cache:
-            return cache["csr"]
-        n = self.num_nodes
-        mat = sp.csr_matrix((values, self.indices, self.indptr), shape=(n, n))
-        if cache is not None:
-            cache["csr"] = mat
-        return mat
+    def _csr(self, values: np.ndarray, cache: dict) -> sp.csr_matrix:
+        """S in CSR, built once per ``cache``."""
+        if "csr" not in cache:
+            n = self.num_nodes
+            cache["csr"] = sp.csr_matrix((values, self.indices, self.indptr), shape=(n, n))
+        return cache["csr"]
 
-    def matmul(self, values, dense, cache=None) -> np.ndarray:
+    def matmul(self, values, dense, cache: dict) -> np.ndarray:
         if self.dense_mode:
             return self._dense(values, cache) @ dense
         return self._csr(values, cache) @ dense
 
-    def matmul_transpose(self, values, dense, cache=None) -> np.ndarray:
+    def matmul_transpose(self, values, dense, cache: dict) -> np.ndarray:
         if self.dense_mode:
             return self._dense(values, cache).T @ dense
         return self._csr(values, cache) @ dense
@@ -755,9 +753,7 @@ def spmm_var(values: Node, plan: SpmmPlan, h: Node) -> Node:
 
 
 def grad_check(
-    build_loss: Callable[[Tape, list[Node]], Node],
-    params: Sequence[np.ndarray],
-    eps: float = 1e-5,
+    build_loss: Callable[[Tape, list[Node]], Node], params: Sequence[np.ndarray]
 ) -> float:
     """Max relative error between tape gradients and central differences.
 
@@ -792,6 +788,7 @@ def grad_check(
             raise NumericError("grad_check: perturbed loss is not finite")
         return val
 
+    eps = 1e-5
     worst = 0.0
     for k, p in enumerate(base):
         flat = p.reshape(-1)

@@ -1,7 +1,9 @@
 """Command-line entry point.
 
 Subcommands: synth, train, eval, ablate, sweep, export. Flags beat values
-from a ``--config`` JSON file, which beat built-in defaults.
+from a ``--config`` JSON file, which beat the defaults of the library's
+config classes and functions. A config value is checked as its flag would
+check it; keys that name no flag of the subcommand are ignored.
 ``--threads``/``HMGE_THREADS`` is validated and copied into the BLAS thread
 variables, but ``import hmge`` has loaded numpy by then, so it does not
 cap the pool yet. Exit codes: 0 success, 1 usage error, 2 data error,
@@ -21,22 +23,16 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
 
-_TRAIN_DEFAULTS = {
-    "embed_size": 64,
-    "layers": 2,
-    "schedule": None,
-    "lr": 0.001,
-    "weight_decay": 1e-5,
-    "epochs": 2000,
-    "patience": 100,
-    "seed": 0,
-}
+
+def int_list(text: str) -> tuple[int, ...]:
+    """Comma-separated integers, the type of list-valued flags."""
+    return tuple(int(x) for x in text.split(","))
 
 
 def _add_train_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--embed-size", type=int, help="node embedding width M")
     parser.add_argument("--layers", type=int, help="hierarchical layers L (0 = linear baseline)")
-    parser.add_argument("--schedule", type=str, help="comma-separated dimension schedule, e.g. 41,21,1")
+    parser.add_argument("--schedule", type=int_list, help="dimension schedule, e.g. 41,21,1")
     parser.add_argument("--lr", type=float, help="Adam learning rate")
     parser.add_argument("--weight-decay", type=float, help="decoupled weight decay")
     parser.add_argument("--epochs", type=int, help="maximum training epochs")
@@ -65,7 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a synthetic SBM multiplex dataset")
     p.add_argument("--nodes", type=int, help="number of nodes")
     p.add_argument("--dims", type=int, help="number of dimensions")
-    p.add_argument("--classes", type=int, help="number of classes (default 2)")
+    p.add_argument("--classes", type=int, help="number of equally likely classes")
     p.add_argument("--p-in", type=float, help="within-class edge probability")
     p.add_argument("--p-out", type=float, help="cross-class edge probability")
     p.add_argument("--out", type=str, help="output dataset directory")
@@ -96,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="embedding-size sensitivity sweep")
     p.add_argument("--data", type=str, help="dataset directory")
-    p.add_argument("--embed-sizes", type=str, help="comma-separated sizes, e.g. 16,32,64")
+    p.add_argument("--embed-sizes", type=int_list, help="embedding sizes, e.g. 16,32,64")
     p.add_argument("--train-fraction", type=float, help="labeled fraction")
     p.add_argument("--out", type=str, help="output directory")
     _add_train_flags(p)
@@ -108,7 +104,36 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=str, help="output directory")
     _add_common(p)
 
+    for p in sub.choices.values():
+        # _Options checks --config values against the subcommand's own flags.
+        p.set_defaults(
+            flags={a.dest: a for a in p._actions if a.option_strings and a.dest != "help"}
+        )
     return parser
+
+
+def _flag_value(action: argparse.Action, value, config_path: str):
+    """A config file's ``value`` for ``action``, parsed as its flag would be.
+
+    A const flag takes only true or false; any other flag takes a string or
+    a number, converted by the flag's type and checked against its choices.
+    """
+    where = f"config file {config_path}: {action.option_strings[0]}"
+    if action.nargs == 0:
+        if not isinstance(value, bool):
+            raise UsageError(f"{where}: expected true or false, got {json.dumps(value)}")
+        return action.const if value else None
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise UsageError(f"{where}: expected a string or a number, got {json.dumps(value)}")
+    convert = action.type or str
+    try:
+        parsed = convert(str(value))
+    except ValueError:
+        raise UsageError(f"{where}: invalid {convert.__name__} value {value!r}")
+    if action.choices is not None and parsed not in action.choices:
+        choices = ", ".join(map(str, action.choices))
+        raise UsageError(f"{where}: invalid choice {value!r} (choose from {choices})")
+    return parsed
 
 
 class _Options:
@@ -120,19 +145,31 @@ class _Options:
         config_path = self.ns.get("config")
         if config_path:
             try:
-                self.file_values = json.loads(Path(config_path).read_text())
+                values = json.loads(Path(config_path).read_text())
             except (OSError, json.JSONDecodeError) as exc:
                 raise UsageError(f"cannot read config file {config_path}: {exc}")
-            if not isinstance(self.file_values, dict):
+            if not isinstance(values, dict):
                 raise UsageError(f"config file {config_path} must hold a JSON object")
+            flags = self.ns["flags"]
+            self.file_values = {
+                name: _flag_value(flags[name], value, config_path)
+                for name, value in values.items()
+                if name in flags and value is not None
+            }
 
-    def get(self, name: str, default=None, required: bool = False):
+    def get(self, name: str, required: bool = False):
         value = self.ns.get(name)
         if value is None:
-            value = self.file_values.get(name, default)
+            value = self.file_values.get(name)
         if value is None and required:
             raise UsageError(f"missing required option --{name.replace('_', '-')}")
         return value
+
+    def given(self, **names) -> dict:
+        """{keyword: value} of each option ``names[keyword]`` that is set, so
+        the callee's own defaults fill in the rest."""
+        values = {key: self.get(name) for key, name in names.items()}
+        return {key: value for key, value in values.items() if value is not None}
 
 
 class UsageError(Exception):
@@ -148,40 +185,27 @@ def _setup_threads(options: _Options) -> None:
         except ValueError:
             raise UsageError(f"HMGE_THREADS must be a positive integer, got {env!r}")
     if threads is not None:
-        if int(threads) < 1:
+        if threads < 1:
             raise UsageError(f"--threads must be positive, got {threads}")
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = str(int(threads))
-
-
-def _parse_schedule(text):
-    if text is None:
-        return None
-    try:
-        return tuple(int(x) for x in str(text).split(","))
-    except ValueError:
-        raise UsageError(f"bad schedule {text!r}; expected comma-separated integers")
+            os.environ[var] = str(threads)
 
 
 def _configs_from(options: _Options):
     from .model import HmgeConfig
     from .training import TrainConfig
 
-    hmge_config = HmgeConfig(
-        embed_size=int(options.get("embed_size", _TRAIN_DEFAULTS["embed_size"])),
-        num_layers=int(options.get("layers", _TRAIN_DEFAULTS["layers"])),
-        dims_schedule=_parse_schedule(options.get("schedule")),
+    model_fields = options.given(
+        embed_size="embed_size", num_layers="layers", dims_schedule="schedule"
     )
-    epochs = int(options.get("epochs", _TRAIN_DEFAULTS["epochs"]))
-    train_config = TrainConfig(
-        epochs=epochs,
-        learning_rate=float(options.get("lr", _TRAIN_DEFAULTS["lr"])),
-        weight_decay=float(options.get("weight_decay", _TRAIN_DEFAULTS["weight_decay"])),
-        # The default patience shrinks to fit a short run; an explicit one must fit.
-        patience=int(options.get("patience", min(_TRAIN_DEFAULTS["patience"], epochs))),
-        rng_seed=int(options.get("seed", _TRAIN_DEFAULTS["seed"])),
+    train_fields = options.given(
+        epochs="epochs", learning_rate="lr", weight_decay="weight_decay",
+        patience="patience", rng_seed="seed",
     )
-    return hmge_config, train_config
+    # The default patience shrinks to fit a short run; an explicit one must fit.
+    epochs = train_fields.get("epochs", TrainConfig.epochs)
+    train_fields.setdefault("patience", min(TrainConfig.patience, epochs))
+    return HmgeConfig(**model_fields), TrainConfig(**train_fields)
 
 
 def _load_graph(options: _Options):
@@ -206,12 +230,9 @@ def cmd_synth(options: _Options) -> int:
     from .sbm import SbmConfig, generate_multiplex, save_dataset
 
     config = SbmConfig(
-        num_nodes=int(options.get("nodes", required=True)),
-        num_dims=int(options.get("dims", required=True)),
-        num_classes=int(options.get("classes", 2)),
-        p_in=float(options.get("p_in", 0.05)),
-        p_out=float(options.get("p_out", 0.01)),
-        rng_seed=int(options.get("seed", 0)),
+        num_nodes=options.get("nodes", required=True),
+        num_dims=options.get("dims", required=True),
+        **options.given(num_classes="classes", p_in="p_in", p_out="p_out", rng_seed="seed"),
     )
     out = Path(options.get("out", required=True))
     dataset = generate_multiplex(config)
@@ -251,8 +272,6 @@ def cmd_train(options: _Options) -> int:
 
 
 def cmd_eval(options: _Options) -> int:
-    import numpy as np
-
     from .evaluation import (
         EvalReport,
         evaluate_classification,
@@ -263,27 +282,19 @@ def cmd_eval(options: _Options) -> int:
     task = options.get("task", required=True)
     out = Path(options.get("out", required=True))
     hmge_config, train_config = _configs_from(options)
-    seed = train_config.rng_seed
     if task == "link":
         metrics = evaluate_link_prediction(
-            graph,
-            hmge_config,
-            train_config,
-            float(options.get("ratio", 0.1)),
-            rng=np.random.default_rng(seed),
+            graph, hmge_config, train_config, **options.given(ratio="ratio")
         )
     else:
         metrics = evaluate_classification(
-            graph,
-            hmge_config,
-            train_config,
-            float(options.get("train_fraction", 0.1)),
-            rng=np.random.default_rng(seed),
+            graph, hmge_config, train_config,
+            **options.given(train_fraction="train_fraction"),
         )
     report = EvalReport(
         task=task,
         metrics=metrics,
-        seed=seed,
+        seed=train_config.rng_seed,
         config={"embed_size": hmge_config.embed_size, "layers": hmge_config.num_layers},
     )
     path = _write_report(out, report.to_dict())
@@ -298,11 +309,8 @@ def cmd_ablate(options: _Options) -> int:
     out = Path(options.get("out", required=True))
     hmge_config, train_config = _configs_from(options)
     rows = run_ablations(
-        graph,
-        hmge_config,
-        train_config,
-        ratio=float(options.get("ratio", 0.1)),
-        train_fraction=float(options.get("train_fraction", 0.1)),
+        graph, hmge_config, train_config,
+        **options.given(ratio="ratio", train_fraction="train_fraction"),
     )
     path = _write_report(out, {"task": "ablation", "rows": rows, "seed": train_config.rng_seed})
     for row in rows:
@@ -315,35 +323,19 @@ def cmd_ablate(options: _Options) -> int:
 
 
 def cmd_sweep(options: _Options) -> int:
-    import numpy as np
+    import dataclasses
 
-    from .evaluation import classification_metrics, require_labels
-    from .model import HmgeConfig
-    from .training import train
+    from .evaluation import evaluate_classification
 
     graph = _load_graph(options)
-    train_fraction = float(options.get("train_fraction", 0.1))
-    require_labels(graph, train_fraction)
     out = Path(options.get("out", required=True))
-    sizes_text = options.get("embed_sizes", required=True)
-    try:
-        sizes = [int(x) for x in str(sizes_text).split(",")]
-    except ValueError:
-        raise UsageError(f"bad --embed-sizes {sizes_text!r}")
+    sizes = options.get("embed_sizes", required=True)
     base, train_config = _configs_from(options)
     rows = []
     for m in sizes:
-        config = HmgeConfig(
-            embed_size=m,
-            num_layers=base.num_layers,
-            dims_schedule=base.dims_schedule,
-        )
-        result = train(graph, config, train_config)
-        metrics = classification_metrics(
-            result.embeddings,
-            graph.labels,
-            train_fraction,
-            np.random.default_rng(train_config.rng_seed),
+        config = dataclasses.replace(base, embed_size=m)
+        metrics = evaluate_classification(
+            graph, config, train_config, **options.given(train_fraction="train_fraction")
         )
         rows.append({"embed_size": m, **metrics})
         print(

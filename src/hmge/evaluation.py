@@ -192,13 +192,7 @@ def _augment(z: np.ndarray) -> np.ndarray:
 
 
 def logistic_fit(
-    z_train: np.ndarray,
-    labels,
-    num_classes: int,
-    multilabel: bool = False,
-    l2: float = LOGISTIC_L2,
-    iterations: int = LOGISTIC_ITERATIONS,
-    learning_rate: float = LOGISTIC_LEARNING_RATE,
+    z_train: np.ndarray, labels, num_classes: int, multilabel: bool = False
 ) -> LogisticClassifier:
     """Full-batch gradient-descent softmax regression (or K one-vs-rest
     sigmoid classifiers in multilabel mode) with an L2 penalty off the bias.
@@ -231,7 +225,7 @@ def logistic_fit(
     w = np.zeros((x.shape[1], num_classes))
     reg_mask = np.ones_like(w)
     reg_mask[-1, :] = 0.0
-    for _ in range(iterations):
+    for _ in range(LOGISTIC_ITERATIONS):
         logits = x @ w
         if multilabel:
             probs = sigmoid_value(logits)
@@ -239,8 +233,8 @@ def logistic_fit(
             shifted = logits - logits.max(axis=1, keepdims=True)
             e = np.exp(shifted)
             probs = e / e.sum(axis=1, keepdims=True)
-        grad = x.T @ (probs - y) / n + l2 * (w * reg_mask)
-        w -= learning_rate * grad
+        grad = x.T @ (probs - y) / n + LOGISTIC_L2 * (w * reg_mask)
+        w -= LOGISTIC_LEARNING_RATE * grad
     return LogisticClassifier(
         weights=w,
         num_classes=num_classes,
@@ -377,12 +371,9 @@ def evaluate_link_prediction(
     ratio: float = 0.1,
     *,
     train_alpha: bool = True,
-    rng: np.random.Generator | None = None,
 ) -> dict:
-    """Split, retrain on the reduced graph, and score held-out pairs."""
-    if rng is None:
-        rng = np.random.default_rng(train_config.rng_seed)
-    split = split_links(graph, ratio, rng)
+    """Split (seeded by the run seed), retrain, and score held-out pairs."""
+    split = split_links(graph, ratio, np.random.default_rng(train_config.rng_seed))
     result = train(split.training_graph, hmge_config, train_config, train_alpha=train_alpha)
     pairs = split.positives + split.negatives
     scores = link_scores(result.embeddings, pairs)
@@ -400,13 +391,12 @@ def evaluate_classification(
     train_fraction: float = 0.1,
     *,
     train_alpha: bool = True,
-    rng: np.random.Generator | None = None,
 ) -> dict:
-    """Unsupervised embeddings, then logistic regression on a labeled subset."""
+    """Unsupervised embeddings, then logistic regression on a labeled subset
+    drawn with the run seed."""
     require_labels(graph, train_fraction)
-    if rng is None:
-        rng = np.random.default_rng(train_config.rng_seed)
     result = train(graph, hmge_config, train_config, train_alpha=train_alpha)
+    rng = np.random.default_rng(train_config.rng_seed)
     return classification_metrics(result.embeddings, graph.labels, train_fraction, rng)
 
 
@@ -559,14 +549,10 @@ def run_ablations(
             config = hmge_config
             train_alpha = variant != "uniform_weights"
         link = evaluate_link_prediction(
-            graph, config, train_config, ratio,
-            train_alpha=train_alpha,
-            rng=np.random.default_rng(train_config.rng_seed),
+            graph, config, train_config, ratio, train_alpha=train_alpha
         )
         cls = evaluate_classification(
-            graph, config, train_config, train_fraction,
-            train_alpha=train_alpha,
-            rng=np.random.default_rng(train_config.rng_seed),
+            graph, config, train_config, train_fraction, train_alpha=train_alpha
         )
         rows.append(
             {

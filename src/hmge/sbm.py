@@ -8,7 +8,6 @@ per-dimension degrees normalized by each dimension's maximum degree.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -29,7 +28,6 @@ class SbmConfig:
     num_nodes: int
     num_dims: int
     num_classes: int = 2
-    class_probs: tuple[float, ...] | None = None
     p_in: float = 0.05
     p_out: float = 0.01
     rng_seed: int = 0
@@ -39,15 +37,6 @@ class SbmConfig:
             raise ConfigError("num_nodes and num_dims must be positive")
         if self.num_classes < 2:
             raise ConfigError("need at least two classes")
-        if self.class_probs is None:
-            probs = tuple([1.0 / self.num_classes] * self.num_classes)
-        else:
-            probs = tuple(float(p) for p in self.class_probs)
-        object.__setattr__(self, "class_probs", probs)
-        if len(probs) != self.num_classes or any(p < 0 for p in probs):
-            raise ConfigError(f"bad class probabilities {probs}")
-        if not math.isclose(sum(probs), 1.0, abs_tol=1e-9):
-            raise ConfigError(f"class probabilities must sum to 1, got {sum(probs)}")
         if not (0.0 <= self.p_out <= self.p_in <= 1.0):
             raise ConfigError(
                 f"need 0 <= p_out <= p_in <= 1, got p_in={self.p_in} p_out={self.p_out}"
@@ -73,8 +62,10 @@ def generate_dimension(
     gives. Since p_out <= p_in, only draws below p_in can be edges, and only
     those are mapped back to their (row, column) pair.
     """
-    n = config.num_nodes
-    labels = rng.choice(config.num_classes, size=n, p=np.asarray(config.class_probs))
+    n, k = config.num_nodes, config.num_classes
+    # Classes are equally likely. Passing p= keeps numpy on the stream that
+    # every seeded dataset was drawn from; without it the draws change.
+    labels = rng.choice(k, size=n, p=np.full(k, 1.0 / k))
     # Row i holds the pairs (i, i+1..n-1); row_start[i] is its first flat index.
     row_len = np.arange(n - 1, 0, -1, dtype=np.int64)
     row_start = np.cumsum(row_len) - row_len

@@ -24,13 +24,13 @@ import numpy as np
 
 from . import autodiff as ad
 from . import model as mdl
+from .autodiff import LOG_CLAMP
 from .errors import ConfigError, NumericError
 from .multiplex import MultiplexGraph
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-LOG_CLAMP = 1e-12
 # Adam updates each parameter in flat slices of this many elements so its
 # temporaries stay in L2. On a 2-core x86-64 Xeon (2 MB L2 per core), one
 # step over (41, 1000, 32), (41, 32, 32) and (41, 32) stacks took a median
@@ -117,12 +117,6 @@ def pin_malloc() -> None:
     mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD_BYTES)
 
 
-def corrupt(graph: MultiplexGraph, rng: np.random.Generator) -> MultiplexGraph:
-    """Negative-sample graph: same structure, feature rows uniformly permuted."""
-    perm = rng.permutation(graph.num_nodes)
-    return graph.with_features(graph.features[perm])
-
-
 def infomax_loss(z, z_hat, s, q) -> float:
     """Mean binary cross-entropy of the discriminator over both sample sets.
 
@@ -165,8 +159,8 @@ def build_loss_nodes(tape, plan, pnodes, features, perm):
     pos = ad.sigmoid(ad.bilinear_form(z, q, s))
     neg = ad.sigmoid(ad.bilinear_form(z_hat, q, s))
     ones = tape.constant(np.ones(n))
-    log_pos = ad.log_clamped(pos, LOG_CLAMP, 1.0 - LOG_CLAMP)
-    log_neg = ad.log_clamped(ad.add(ones, ad.scale(neg, -1.0)), LOG_CLAMP, 1.0 - LOG_CLAMP)
+    log_pos = ad.log_clamped(pos)
+    log_neg = ad.log_clamped(ad.add(ones, ad.scale(neg, -1.0)))
     loss = ad.scale(
         ad.add(ad.sum_all(log_pos), ad.sum_all(log_neg)), -1.0 / (2.0 * n)
     )

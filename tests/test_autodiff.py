@@ -7,8 +7,21 @@ from hmge.multiplex import SparseAdjacency, normalize_adjacency
 from oracles import elementwise_mul, position_map, tanh
 
 
-def fd_check(build, arrays, eps=1e-5):
-    return ad.grad_check(build, arrays, eps=eps)
+def forced_plan(monkeypatch, union, dense_mode):
+    """SpmmPlan on ``union`` in the given kernel mode.
+
+    The mode follows from the pattern through DENSE_DENSITY_THRESHOLD and
+    DENSE_MAX_NODES, so those are set to values that select it; the assert
+    keeps a test from running one kernel twice.
+    """
+    if dense_mode:
+        monkeypatch.setattr(ad, "DENSE_DENSITY_THRESHOLD", 0.0)
+        monkeypatch.setattr(ad, "DENSE_MAX_NODES", union.num_nodes)
+    else:
+        monkeypatch.setattr(ad, "DENSE_DENSITY_THRESHOLD", 2.0)
+    plan = ad.SpmmPlan(union.num_nodes, union.indptr, union.indices)
+    assert plan.dense_mode is dense_mode
+    return plan
 
 
 def symmetric_value_block(union, rng, columns):
@@ -137,7 +150,7 @@ class TestBackwardBasics:
         def build(tape, nodes):
             return ad.sum_all(tanh(ad.matmul(nodes[0], nodes[1])))
 
-        assert fd_check(build, arrays) < 1e-4
+        assert ad.grad_check(build, arrays) < 1e-4
 
     def test_linear_loss_exact(self):
         rng = np.random.default_rng(2)
@@ -147,7 +160,7 @@ class TestBackwardBasics:
         def build(tape, nodes):
             return ad.sum_all(elementwise_mul(nodes[0], tape.constant(x)))
 
-        assert fd_check(build, arrays) < 1e-10
+        assert ad.grad_check(build, arrays) < 1e-10
 
 
 def attention_arrays(rng, dims, n=5, m=4):
@@ -255,7 +268,7 @@ def op_cases():
 @pytest.mark.parametrize("case", op_cases(), ids=lambda c: c[0])
 def test_op_gradients_match_finite_differences(case):
     _, arrays, build = case
-    assert fd_check(build, arrays) < 1e-4
+    assert ad.grad_check(build, arrays) < 1e-4
 
 
 @pytest.mark.parametrize("width", [1, 2])
@@ -285,7 +298,7 @@ class TestSparseOps:
         def build(tape, nodes):
             return ad.sum_all(tanh(ad.spmm(norm, nodes[0])))
 
-        assert fd_check(build, arrays) < 1e-4
+        assert ad.grad_check(build, arrays) < 1e-4
 
     def test_spmm_value_matches_dense(self):
         adj = random_sym_adj(7, 0.4, 2)
@@ -313,7 +326,7 @@ class TestSparseOps:
             mixed = ad.csr_combine_stack(nodes[0], stacked)
             return ad.sum_all(elementwise_mul(mixed, tape.constant(coeff)))
 
-        assert fd_check(build, arrays) < 1e-4
+        assert ad.grad_check(build, arrays) < 1e-4
 
         # value equals the per-column dense weighted sum
         t = ad.Tape()
@@ -347,7 +360,7 @@ class TestSparseOps:
             normed = ad.csr_normalize(nodes[0], plan)
             return ad.sum_all(elementwise_mul(normed, tape.constant(coeff)))
 
-        assert fd_check(build, [vals]) < 1e-4
+        assert ad.grad_check(build, [vals]) < 1e-4
 
     def test_csr_normalize_block_columns_independent(self):
         adjs = [random_sym_adj(5, 0.6, 20)]
@@ -368,23 +381,23 @@ class TestSparseOps:
             normed = ad.csr_normalize(nodes[0], plan)
             return ad.sum_all(elementwise_mul(normed, tape.constant(coeff)))
 
-        assert fd_check(build, [block]) < 1e-4
+        assert ad.grad_check(build, [block]) < 1e-4
 
-    def test_spmm_var_gradients_both_modes(self):
+    def test_spmm_var_gradients_both_modes(self, monkeypatch):
         adjs = [random_sym_adj(6, 0.5, 30)]
         union = ad.UnionPattern(adjs)
         rng = np.random.default_rng(31)
         vals = symmetric_value_block(union, rng, 2)
         h = rng.uniform(-1, 1, (6, 3))
         for dense_mode in (True, False):
-            plan = ad.SpmmPlan(union.num_nodes, union.indptr, union.indices, dense_mode=dense_mode)
+            plan = forced_plan(monkeypatch, union, dense_mode)
 
             def build(tape, nodes):
                 return ad.sum_all(tanh(ad.spmm_var(nodes[0], plan, nodes[1])))
 
-            assert fd_check(build, [vals, h]) < 1e-4
+            assert ad.grad_check(build, [vals, h]) < 1e-4
 
-    def test_spmm_var_dense_sparse_agree(self):
+    def test_spmm_var_dense_sparse_agree(self, monkeypatch):
         adjs = [random_sym_adj(8, 0.4, 40)]
         union = ad.UnionPattern(adjs)
         rng = np.random.default_rng(41)
@@ -392,7 +405,7 @@ class TestSparseOps:
         h = rng.uniform(-1, 1, (8, 4))
         outs = []
         for dense_mode in (True, False):
-            plan = ad.SpmmPlan(union.num_nodes, union.indptr, union.indices, dense_mode=dense_mode)
+            plan = forced_plan(monkeypatch, union, dense_mode)
             t = ad.Tape()
             v = t.parameter(vals)
             hn = t.parameter(h)
@@ -434,12 +447,11 @@ def assert_sddmm_matches_oracle(plan, g, h):
 class TestBlockedSddmm:
     @pytest.mark.parametrize("width", [1, 4])
     @pytest.mark.parametrize("dense_mode", [True, False])
-    def test_mixed_blocks_match_oracle(self, width, dense_mode):
+    def test_mixed_blocks_match_oracle(self, monkeypatch, width, dense_mode):
         # 1024 nodes make 4 blocks of 256 rows: the band is one GEMM block,
         # the sparse rows (with 7 empty ones) run as gather blocks.
         union = banded_pattern(1024, 256, 0.003, 7, seed=50)
-        plan = ad.SpmmPlan(union.num_nodes, union.indptr, union.indices,
-                           dense_mode=dense_mode)
+        plan = forced_plan(monkeypatch, union, dense_mode)
         assert plan.rows_per_block == 256
         assert [blk[4] for blk in plan.blocks] == [True, False, False, False]
         rng = np.random.default_rng(51)
@@ -464,8 +476,7 @@ class TestBlockedSddmm:
         monkeypatch.setattr(ad, "SDDMM_BLOCK_ELEMS", 48)
         monkeypatch.setattr(ad, "SDDMM_GEMM_DENSITY", 0.2)
         union = banded_pattern(12, 4, 0.15, 1, seed=54)
-        plan = ad.SpmmPlan(union.num_nodes, union.indptr, union.indices,
-                           dense_mode=dense_mode)
+        plan = forced_plan(monkeypatch, union, dense_mode)
         assert {blk[4] for blk in plan.blocks} == {True, False}
         rng = np.random.default_rng(55)
         vals = symmetric_value_block(union, rng, 2)
@@ -474,13 +485,13 @@ class TestBlockedSddmm:
         def build(tape, nodes):
             return ad.sum_all(tanh(ad.spmm_var(nodes[0], plan, nodes[1])))
 
-        assert fd_check(build, [vals, h]) < 1e-4
+        assert ad.grad_check(build, [vals, h]) < 1e-4
 
-    def test_sparse_mode_builds_csr_once_per_values(self):
+    def test_sparse_mode_builds_csr_once_per_values(self, monkeypatch):
         import scipy.sparse as sp
 
         union = banded_pattern(30, 10, 0.1, 2, seed=56)
-        plan = ad.SpmmPlan(union.num_nodes, union.indptr, union.indices, dense_mode=False)
+        plan = forced_plan(monkeypatch, union, False)
         rng = np.random.default_rng(57)
         vals = symmetric_value_block(union, rng, 1)[:, 0]
         h = rng.standard_normal((30, 3))
@@ -496,12 +507,11 @@ class TestBlockedSddmm:
         assert all(cache[k] is built[k] for k in built)
 
     @pytest.mark.parametrize("dense_mode", [True, False])
-    def test_spmm_var_shares_column_kernels_across_products(self, dense_mode):
+    def test_spmm_var_shares_column_kernels_across_products(self, monkeypatch, dense_mode):
         import scipy.sparse as sp
 
         union = banded_pattern(30, 10, 0.1, 2, seed=58)
-        plan = ad.SpmmPlan(union.num_nodes, union.indptr, union.indices,
-                           dense_mode=dense_mode)
+        plan = forced_plan(monkeypatch, union, dense_mode)
         rng = np.random.default_rng(59)
         vals = rng.uniform(0.2, 1.5, (union.nnz, 2))
         t = ad.Tape()

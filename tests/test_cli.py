@@ -119,6 +119,54 @@ class TestTrain:
         assert "patience must lie in [1, epochs], got 5 vs 2" in capsys.readouterr().err
 
 
+class TestConfigFile:
+    def test_config_file_matches_flags(self, dataset_dir, tmp_path, monkeypatch):
+        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+            monkeypatch.setenv(var, "1")
+        values = {
+            "data": str(dataset_dir), "out": str(tmp_path / "by_config"),
+            "embed_size": 4, "layers": 1, "schedule": "3,1", "lr": 0.01,
+            "weight_decay": 0.001, "epochs": 3, "patience": 2, "identity_features": True,
+            "seed": 5, "threads": 1,
+            # Flags of other subcommands are ignored, whatever their values.
+            "task": "foo", "nodes": "ten",
+        }
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(values))
+        assert main(["train", "--config", str(cfg)]) == EXIT_OK
+        by_flags = tmp_path / "by_flags"
+        assert main(
+            ["train", "--data", str(dataset_dir), "--out", str(by_flags), "--embed-size", "4",
+             "--layers", "1", "--schedule", "3,1", "--lr", "0.01", "--weight-decay", "0.001",
+             "--epochs", "3", "--patience", "2", "--identity-features", "--seed", "5",
+             "--threads", "1"]
+        ) == EXIT_OK
+        by_config = tmp_path / "by_config"
+        for name in ("model.bin", "embeddings.csv"):
+            assert (by_config / name).read_bytes() == (by_flags / name).read_bytes()
+        assert json.loads(np.load(by_config / "model.bin")["meta"][()])["identity_features"]
+
+    @pytest.mark.parametrize("command,values,flag", [
+        (["train"], {"lr": "abc"}, "--lr"),
+        (["synth", "--dims", "2"], {"nodes": "ten"}, "--nodes"),
+        (["eval"], {"task": "foo"}, "--task"),
+        (["train"], {"identity_features": "false"}, "--identity-features"),
+    ], ids=["lr", "nodes", "task", "identity_features"])
+    def test_bad_config_value_is_usage_error(
+        self, dataset_dir, tmp_path, capsys, command, values, flag
+    ):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(values))
+        out = tmp_path / "out"
+        args = command + ["--config", str(cfg), "--out", str(out)]
+        if command[0] != "synth":
+            args += ["--data", str(dataset_dir), "--epochs", "2", "--seed", "1"]
+        assert main(args) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: config file") and flag in err
+        assert not out.exists()
+
+
 class TestEvalAblateSweep:
     def test_eval_link(self, dataset_dir, tmp_path):
         out = tmp_path / "eval"

@@ -26,8 +26,8 @@ def reference_dimension(config, rng):
     generate_dimension streams the same draws in chunks, so the two must
     agree bitwise; this one needs O(N^2) memory.
     """
-    n = config.num_nodes
-    labels = rng.choice(config.num_classes, size=n, p=np.asarray(config.class_probs))
+    n, k = config.num_nodes, config.num_classes
+    labels = rng.choice(k, size=n, p=np.full(k, 1.0 / k))
     iu, iv = np.triu_indices(n, k=1)
     same = labels[iu] == labels[iv]
     prob = np.where(same, config.p_in, config.p_out)
@@ -40,14 +40,11 @@ class TestConfig:
     def test_defaults_match_reference_settings(self):
         cfg = SbmConfig(num_nodes=10, num_dims=2)
         assert cfg.num_classes == 2
-        assert cfg.class_probs == (0.5, 0.5)
         assert cfg.p_in == 0.05 and cfg.p_out == 0.01
 
     def test_probability_validation(self):
         with pytest.raises(ConfigError):
             SbmConfig(num_nodes=10, num_dims=1, p_in=0.01, p_out=0.05)
-        with pytest.raises(ConfigError):
-            SbmConfig(num_nodes=10, num_dims=1, class_probs=(0.7, 0.7))
         with pytest.raises(ConfigError):
             SbmConfig(num_nodes=0, num_dims=1)
 
@@ -101,8 +98,7 @@ class TestGenerateDimension:
     def test_matches_direct_sampler(self, monkeypatch, chunk, n, p_in, p_out):
         # Chunks of 5 and 64 end mid-row for every n here but n = 2.
         monkeypatch.setattr(sbm, "SAMPLE_CHUNK", chunk)
-        cfg = SbmConfig(num_nodes=n, num_dims=1, num_classes=3,
-                        class_probs=(0.6, 0.3, 0.1), p_in=p_in, p_out=p_out)
+        cfg = SbmConfig(num_nodes=n, num_dims=1, num_classes=3, p_in=p_in, p_out=p_out)
         rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
         for _ in range(2):
             adj, labels = generate_dimension(cfg, rng)
