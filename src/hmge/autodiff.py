@@ -12,7 +12,10 @@ plain ``spmm`` treats its sparse operand as a constant.
 
 The attention step is two ops: ``attention_weights`` scores a (D, N, M)
 embedding stack and normalizes the scores per node, with one hand-written
-pullback; ``mix_stack`` forms the weighted sum over dimensions.
+pullback; ``mix_stack`` forms the weighted sum over dimensions. The
+training objective is one op too: ``infomax_bce`` maps the clean and the
+corrupted embeddings and the discriminator matrix to the scalar loss.
+Every op here is one that production calls.
 """
 
 from __future__ import annotations
@@ -43,7 +46,8 @@ DENSE_MAX_NODES = 2600
 SDDMM_BLOCK_ELEMS = 1 << 18
 SDDMM_GEMM_DENSITY = 0.015
 
-# log_clamped keeps the InfoMax loss finite when the discriminator saturates.
+# infomax_bce clamps its log arguments into [LOG_CLAMP, 1 - LOG_CLAMP], which
+# keeps the loss finite when the discriminator saturates.
 LOG_CLAMP = 1e-12
 
 
@@ -159,18 +163,6 @@ class Tape:
         self.parameters = []
 
 
-def _accum(node: Node, delta) -> None:
-    if not node.requires_grad:
-        return
-    if node.adjoint is None:
-        # Copy: delta may alias a child's adjoint that later mutates.
-        node.adjoint = np.array(delta, dtype=np.float64)
-        if node.adjoint.shape != node.value.shape:
-            node.adjoint = np.broadcast_to(delta, node.value.shape).astype(np.float64)
-    else:
-        node.adjoint += delta
-
-
 def _accum_owned(node: Node, delta: np.ndarray) -> None:
     """Accumulate a freshly allocated delta; takes ownership on first touch."""
     if not node.requires_grad:
@@ -215,34 +207,6 @@ def matmul(a: Node, b: Node) -> Node:
     return tape._add(av @ bv, (a, b), backward, name="matmul")
 
 
-def add(*nodes: Node) -> Node:
-    if len(nodes) < 2:
-        raise ValueError("add needs at least two operands")
-    tape = _same_tape(*nodes)
-    shape = nodes[0].value.shape
-    for n in nodes[1:]:
-        if n.value.shape != shape:
-            raise ValueError(f"add shape mismatch: {shape} vs {n.value.shape}")
-    value = nodes[0].value.copy()
-    for n in nodes[1:]:
-        value += n.value
-
-    def backward(g):
-        for n in nodes:
-            _accum(n, g)
-
-    return nodes[0].tape._add(value, nodes, backward, name="add")
-
-
-def scale(a: Node, factor: float) -> Node:
-    factor = float(factor)
-
-    def backward(g):
-        _accum_owned(a, g * factor)
-
-    return a.tape._add(a.value * factor, (a,), backward, name="scale")
-
-
 def relu(a: Node) -> Node:
     # Subgradient at exactly zero is taken as zero.
     mask = a.value > 0.0
@@ -253,15 +217,6 @@ def relu(a: Node) -> Node:
     # np.maximum passes NaN through (np.where would zero it), so a non-finite
     # pre-activation still reaches the non-finite-loss guard in Tape.backward.
     return a.tape._add(np.maximum(a.value, 0.0), (a,), backward, name="relu")
-
-
-def sigmoid(a: Node) -> Node:
-    s = sigmoid_value(a.value)
-
-    def backward(g):
-        _accum_owned(a, g * s * (1.0 - s))
-
-    return a.tape._add(s, (a,), backward, name="sigmoid")
 
 
 def sigmoid_value(x: np.ndarray) -> np.ndarray:
@@ -287,18 +242,6 @@ def softmax_cols(a: Node) -> Node:
         _accum_owned(a, s * (g - inner))
 
     return a.tape._add(s, (a,), backward, name="softmax_cols")
-
-
-def mean_rows(a: Node) -> Node:
-    """Column means: the readout that turns embeddings into a graph summary."""
-    if a.value.ndim != 2:
-        raise ValueError("mean_rows expects a matrix")
-    n = a.value.shape[0]
-
-    def backward(g):
-        _accum(a, np.broadcast_to(g / n, a.value.shape))
-
-    return a.tape._add(a.value.mean(axis=0), (a,), backward, name="mean_rows")
 
 
 def permute_rows(a: Node, perm: np.ndarray) -> Node:
@@ -422,49 +365,51 @@ def mix_stack(stack: Node, weights: Node) -> Node:
     return tape._add(np.einsum("dnm,nd->nm", sv, wv), (stack, weights), backward, name="mix_stack")
 
 
-def bilinear_form(z: Node, q: Node, s: Node) -> Node:
-    """Scores z_i^T Q s for every row z_i; returns a vector of length N."""
-    tape = _same_tape(z, q, s)
-    zv, qv, sv = z.value, q.value, s.value
-    if zv.ndim != 2 or qv.ndim != 2 or sv.ndim != 1:
-        raise ValueError("bilinear_form expects (matrix, matrix, vector)")
-    if qv.shape != (zv.shape[1], sv.shape[0]):
-        raise ValueError(
-            f"bilinear_form shape mismatch: {zv.shape}, {qv.shape}, {sv.shape}"
-        )
-    qs = qv @ sv
+def infomax_bce(z: Node, z_hat: Node, q: Node) -> Node:
+    """The InfoMax objective: mean BCE of the discriminator sigma(z_i^T Q s).
 
-    def backward(g):
-        if z.requires_grad:
-            _accum_owned(z, np.outer(g, qs))
-        if q.requires_grad:
-            _accum_owned(q, np.outer(zv.T @ g, sv))
-        if s.requires_grad:
-            _accum_owned(s, qv.T @ (zv.T @ g))
-
-    return tape._add(zv @ qs, (z, q, s), backward, name="bilinear_form")
-
-
-def log_clamped(a: Node) -> Node:
-    """log clamped into [LOG_CLAMP, 1 - LOG_CLAMP]; clamped entries pass no gradient."""
+    The summary s is the mean of the rows of z; the rows of z are the
+    positives and the rows of ``z_hat`` the negatives. sigma(z_i^T Q s) and
+    1 - sigma(z_hat_i^T Q s) are clamped into [LOG_CLAMP, 1 - LOG_CLAMP]
+    before the log, and clamped entries pass no gradient. The pullback
+    sends gradient into z through its scores and through s.
+    """
+    tape = _same_tape(z, z_hat, q)
+    zv, hv, qv = z.value, z_hat.value, q.value
+    if zv.ndim != 2 or hv.shape != zv.shape or qv.shape != (zv.shape[1],) * 2:
+        raise ValueError(f"infomax_bce shape mismatch: {zv.shape}, {hv.shape}, {qv.shape}")
+    n = zv.shape[0]
+    factor = -1.0 / (2.0 * n)
+    s = zv.mean(axis=0)
+    qs = qv @ s
+    pos = sigmoid_value(zv @ qs)
+    neg = sigmoid_value(hv @ qs)
     low, high = LOG_CLAMP, 1.0 - LOG_CLAMP
-    clipped = np.clip(a.value, low, high)
-    inside = (a.value >= low) & (a.value <= high)
-
-    def backward(g):
-        _accum_owned(a, g * inside / clipped)
-
-    return a.tape._add(np.log(clipped), (a,), backward, name="log")
-
-
-def sum_all(a: Node) -> Node:
+    clipped_pos, clipped_neg = np.clip(pos, low, high), np.clip(1.0 - neg, low, high)
+    inside_pos, inside_neg = clipped_pos == pos, clipped_neg == 1.0 - neg
     # fsum: exactly rounded and independent of traversal order.
-    total = math.fsum(a.value.ravel())
+    loss = (math.fsum(np.log(clipped_pos)) + math.fsum(np.log(clipped_neg))) * factor
 
     def backward(g):
-        _accum(a, np.broadcast_to(g, a.value.shape))
+        # d(loss)/d(score) on each side, through the log and the sigmoid.
+        g = g * factor
+        g_pos = g * inside_pos / clipped_pos * pos * (1.0 - pos)
+        g_neg = -(g * inside_neg / clipped_neg) * neg * (1.0 - neg)
+        zg, hg = zv.T @ g_pos, hv.T @ g_neg
+        if z_hat.requires_grad:
+            _accum_owned(z_hat, np.outer(g_neg, qs))
+        if q.requires_grad:
+            dq = np.outer(hg, s)
+            dq += np.outer(zg, s)
+            _accum_owned(q, dq)
+        if z.requires_grad:
+            ds = qv.T @ hg
+            ds += qv.T @ zg
+            dz = np.outer(g_pos, qs)
+            dz += ds / n
+            _accum_owned(z, dz)
 
-    return a.tape._add(np.asarray(total), (a,), backward, name="sum")
+    return tape._add(np.asarray(loss), (z, z_hat, q), backward, name="infomax_bce")
 
 
 # ---------------------------------------------------------------------------

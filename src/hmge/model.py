@@ -280,6 +280,7 @@ class EncodePlan:
         config.schedule_for(graph.num_dims)  # raises ConfigError on a mismatch
         self.num_dims = graph.num_dims
         self.num_nodes = graph.num_nodes
+        self.dimensions = graph.dimensions
         self.features = graph.features
         self.first_gcn = _block_diagonal([normalize_adjacency(d) for d in graph.dimensions])
         # With one-hot node features the first GCN collapses to A_d @ W_d
@@ -492,7 +493,8 @@ def encode(
 
     With zero layers this runs the linear-aggregation baseline (params must
     then be LinearParams, of any depth). A supplied ``plan`` must have been
-    built from this graph's features.
+    built from this graph's dimensions and features, and with hierarchical
+    layers when ``config`` has them.
     """
     if plan is None:
         plan = EncodePlan(graph, config)
@@ -500,6 +502,13 @@ def encode(
         plan.features, graph.features
     ):
         raise ConfigError("encode plan was built from another graph's features")
+    elif plan.dimensions is not graph.dimensions and not (
+        len(plan.dimensions) == len(graph.dimensions)
+        and all(a.equals(b) for a, b in zip(plan.dimensions, graph.dimensions))
+    ):
+        raise ConfigError("encode plan was built from another graph's dimensions")
+    elif config.num_layers > 0 and plan.norm_plan is None:
+        raise ConfigError("encode plan was built for zero layers")
     if config.num_layers == 0 and not isinstance(params, LinearParams):
         raise ConfigError("zero-layer encode needs LinearParams")
     if config.num_layers > 0 and not isinstance(params, HmgeParams):
@@ -583,44 +592,83 @@ def save_model(path, config: HmgeConfig, params, identity_features: bool = False
         np.savez(fh, meta=np.str_(json.dumps(meta)), **arrays)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def load_model(path):
-    """Load a model file; returns (config, params, identity_features)."""
+    """Load a model file; returns (config, params, identity_features).
+
+    Raises DataFormatError unless the file holds a format-2 model whose
+    every array has the shape, and only the names, that a fresh parameter
+    set of its config takes for its dimension count and feature width.
+    """
     try:
         archive = np.load(path, allow_pickle=False)
     except (OSError, ValueError) as exc:
         raise DataFormatError(f"cannot read model file {path}: {exc}") from exc
+    if not isinstance(archive, np.lib.npyio.NpzFile):
+        raise DataFormatError(f"{path} is not a model file (not an npz archive)")
     with archive:
         if "meta" not in archive:
             raise DataFormatError(f"{path} is not a model file (missing meta)")
-        meta = json.loads(str(archive["meta"]))
+        try:
+            meta = json.loads(str(archive["meta"]))
+        except ValueError as exc:
+            raise DataFormatError(f"{path}: model meta is not JSON: {exc}") from exc
+        if not isinstance(meta, dict):
+            raise DataFormatError(f"{path}: model meta is not a JSON object")
         if meta.get("format_version") != MODEL_FORMAT_VERSION:
             raise DataFormatError(
                 f"unsupported model format version {meta.get('format_version')}"
             )
-        cfg = meta["config"]
+        cfg = meta.get("config")
+        if not isinstance(cfg, dict):
+            raise DataFormatError(f"{path}: model meta has no config")
         if cfg.get("activation") != "relu":
             raise DataFormatError(f"unsupported activation {cfg.get('activation')!r}")
+        schedule = cfg.get("dims_schedule")
+        if not (
+            _is_int(cfg.get("embed_size"))
+            and _is_int(cfg.get("num_layers"))
+            and (schedule is None or isinstance(schedule, list) and all(map(_is_int, schedule)))
+        ):
+            raise DataFormatError(f"{path}: bad model config {json.dumps(cfg)}")
+        identity_features = meta.get("identity_features")
+        if not isinstance(identity_features, bool):
+            raise DataFormatError(f"{path}: identity_features must be true or false")
+        stored = {name: archive[name] for name in archive.files if name != "meta"}
+    first = stored.get("w_0")
+    if first is None or first.ndim != 3:
+        raise DataFormatError(f"{path}: model file needs a 3-d w_0")
+    num_dims, width = first.shape[:2]
+    rng = np.random.default_rng(0)
+    try:
         config = HmgeConfig(
-            embed_size=cfg["embed_size"],
-            num_layers=cfg["num_layers"],
-            dims_schedule=tuple(cfg["dims_schedule"]) if cfg["dims_schedule"] else None,
+            cfg["embed_size"], cfg["num_layers"], tuple(schedule) if schedule else None
         )
-        try:
-            if meta["kind"] == "hmge":
-                layers = [
-                    LayerParams(*(archive[f"{key}_{l}"] for key in ("alpha", "w", "v", "y")))
-                    for l in range(config.num_layers)
-                ]
-                params = HmgeParams(layers, archive["final_w"], archive["disc_q"])
-            elif meta["kind"] == "linear":
-                params = LinearParams(
-                    gcn_w=[archive[f"w_{k}"] for k in range(meta["depth"])],
-                    attn_v=archive["v"],
-                    attn_y=archive["y"],
-                    disc_q=archive["disc_q"],
-                )
-            else:
-                raise DataFormatError(f"unknown model kind {meta['kind']!r}")
-        except KeyError as exc:
-            raise DataFormatError(f"{path} lacks model entry {exc}") from exc
-    return config, params, meta["identity_features"]
+        if meta.get("kind") == "hmge" and config.num_layers > 0:
+            params = init_params(config, num_dims, width, rng)
+        elif meta.get("kind") == "linear" and config.num_layers == 0 and _is_int(meta.get("depth")):
+            params = init_linear_params(config.embed_size, num_dims, width, meta["depth"], rng)
+        else:
+            raise DataFormatError(
+                f"{path}: model kind {meta.get('kind')!r} does not match its config"
+            )
+    except ConfigError as exc:
+        raise DataFormatError(f"{path}: {exc}") from exc
+    # Fill the fresh parameter set in place, after checking each array.
+    leaves = {name: arr for name, arr, _, _ in param_leaves(params)}
+    if stored.keys() != leaves.keys():
+        missing, extra = sorted(leaves.keys() - stored.keys()), sorted(stored.keys() - leaves.keys())
+        raise DataFormatError(f"{path}: model entries missing {missing}, unexpected {extra}")
+    for name, arr in leaves.items():
+        value = stored[name]
+        if value.shape != arr.shape or value.dtype != np.float64:
+            raise DataFormatError(
+                f"{path}: {name} is {value.dtype} {value.shape}, expected float64 {arr.shape}"
+            )
+        if not np.all(np.isfinite(value)):
+            raise DataFormatError(f"{path}: {name} holds non-finite values")
+        arr[...] = value
+    return config, params, identity_features

@@ -111,21 +111,9 @@ class SparseAdjacency:
         mat.data[:] = 1.0
         return cls(num_nodes, mat.indptr, mat.indices, mat.data)
 
-    @classmethod
-    def from_dense(cls, mat) -> "SparseAdjacency":
-        arr = np.asarray(mat, dtype=np.float64)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise DataFormatError(f"dense adjacency must be square, got {arr.shape}")
-        s = sp.csr_matrix(arr)
-        s.sort_indices()
-        return cls(arr.shape[0], s.indptr, s.indices, s.data)
-
     def to_scipy(self) -> sp.csr_matrix:
         n = self.num_nodes
         return sp.csr_matrix((self.values, self.indices, self.indptr), shape=(n, n))
-
-    def to_dense(self) -> np.ndarray:
-        return self.to_scipy().toarray()
 
     def row_sums(self) -> np.ndarray:
         return np.asarray(self.to_scipy().sum(axis=1)).ravel()

@@ -132,18 +132,3 @@ def save_dataset(dataset: SynthDataset, path) -> None:
     rows = dataset.per_dim_labels.T
     lines = [",".join(str(int(c)) for c in row) for row in rows]
     (Path(path) / PER_DIM_LABELS_FILE).write_text("\n".join(lines) + "\n")
-
-
-def expected_edge_counts(labels: np.ndarray, config: SbmConfig) -> tuple[float, float, int, int]:
-    """(expected within, expected cross, within pairs, cross pairs) for a
-    realized class assignment: the oracle for density checks."""
-    sizes = np.bincount(labels, minlength=config.num_classes)
-    within_pairs = int(sum(s * (s - 1) // 2 for s in sizes))
-    total_pairs = config.num_nodes * (config.num_nodes - 1) // 2
-    cross_pairs = int(total_pairs - within_pairs)
-    return (
-        within_pairs * config.p_in,
-        cross_pairs * config.p_out,
-        within_pairs,
-        cross_pairs,
-    )

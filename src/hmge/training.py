@@ -141,43 +141,18 @@ def infomax_loss(z, z_hat, s, q) -> float:
     return (math.fsum(log_pos) + math.fsum(log_neg)) * (-1.0 / (2.0 * n))
 
 
-def build_loss_nodes(tape, plan, pnodes, features, perm):
-    """Tape version of the training objective; returns (loss, z, z_hat, s).
+def build_loss_nodes(plan, pnodes, perm):
+    """Tape version of the training objective; returns the loss node.
 
-    ``features`` are the clean features the plan was built from; the
-    corrupted pass shuffles their rows by ``perm``.
+    The clean pass encodes the plan's features, the corrupted pass the same
+    features with their rows shuffled by ``perm``.
     """
-    n = features.shape[0]
     perms = [None, perm]
     if "layers" in pnodes:
         _, chains = mdl.build_hmge_forward(plan, pnodes, perms)
     else:
         chains = mdl.build_linear_forward(plan, pnodes, perms)
-    z, z_hat = chains[0][0], chains[1][0]
-    s = ad.mean_rows(z)
-    q = pnodes["disc_q"]
-    pos = ad.sigmoid(ad.bilinear_form(z, q, s))
-    neg = ad.sigmoid(ad.bilinear_form(z_hat, q, s))
-    ones = tape.constant(np.ones(n))
-    log_pos = ad.log_clamped(pos)
-    log_neg = ad.log_clamped(ad.add(ones, ad.scale(neg, -1.0)))
-    loss = ad.scale(
-        ad.add(ad.sum_all(log_pos), ad.sum_all(log_neg)), -1.0 / (2.0 * n)
-    )
-    return loss, z, z_hat, s
-
-
-def full_loss_builder(graph: MultiplexGraph, config: mdl.HmgeConfig, params, perm: np.ndarray):
-    """(build_loss, flat parameter copies) for grad_check over the whole model."""
-    plan = mdl.EncodePlan(graph, config)
-    arrays = [arr.copy() for _, arr, _, _ in mdl.param_leaves(params)]
-
-    def build(tape, nodes):
-        pnodes = mdl.structure_from_leaves(params, nodes)
-        loss, *_ = build_loss_nodes(tape, plan, pnodes, graph.features, perm)
-        return loss
-
-    return build, arrays
+    return ad.infomax_bce(chains[0][0], chains[1][0], pnodes["disc_q"])
 
 
 @dataclass
@@ -237,7 +212,7 @@ def train(
         perm = corrupt_rng.permutation(graph.num_nodes)
         tape = ad.Tape()
         pnodes = mdl.lift_params(tape, params, train_alpha=train_alpha)
-        loss_node, *_ = build_loss_nodes(tape, plan, pnodes, graph.features, perm)
+        loss_node = build_loss_nodes(plan, pnodes, perm)
         loss = float(loss_node.value)
         if not math.isfinite(loss):
             raise NumericError(

@@ -1,9 +1,15 @@
-"""Eager references that the tests compare the tape against.
+"""Eager references that the tests compare the tape against, and helpers
+that only the tests use.
 
 Production runs every step below on the tape (``hmge.model``); these
 numpy versions compute the same quantities one matrix at a time, in the
 order the paper writes them, so the tests can check the tape's results.
-``elementwise_mul`` and ``tanh`` are tape ops that only the tests use.
+``elementwise_mul``, ``tanh``, ``add``, ``scale`` and ``sum_all`` are tape
+ops that only the tests use, to turn an op's output into a scalar loss;
+``full_loss_builder`` wraps the whole training objective for
+``autodiff.grad_check``. ``from_dense`` and ``to_dense`` convert between
+``SparseAdjacency`` and dense matrices; ``expected_edge_counts`` is the
+closed-form edge count of an SBM draw.
 ``union_pattern``, ``position_map`` and ``extended_pattern`` build the
 latent-path patterns with scipy additions and binary searches, one
 adjacency at a time, as references for ``autodiff.UnionPattern`` and
@@ -11,12 +17,18 @@ adjacency at a time, as references for ``autodiff.UnionPattern`` and
 at a time, as the reference for ``evaluation.auc_roc``.
 """
 
+import math
+
 import numpy as np
 import scipy.sparse as sp
 
 from hmge import autodiff as ad
+from hmge import model as mdl
 from hmge.autodiff import Node, _accum_owned, _same_tape
+from hmge.errors import DataFormatError
 from hmge.multiplex import SparseAdjacency
+from hmge.sbm import SbmConfig
+from hmge.training import build_loss_nodes
 
 
 def gcn_forward(h_prev: np.ndarray, a_norm, w: np.ndarray, activation="relu") -> np.ndarray:
@@ -189,3 +201,81 @@ def tanh(a: Node) -> Node:
         _accum_owned(a, g * (1.0 - t * t))
 
     return a.tape._add(t, (a,), backward, name="tanh")
+
+
+def add(*nodes: Node) -> Node:
+    if len(nodes) < 2:
+        raise ValueError("add needs at least two operands")
+    tape = _same_tape(*nodes)
+    shape = nodes[0].value.shape
+    for n in nodes[1:]:
+        if n.value.shape != shape:
+            raise ValueError(f"add shape mismatch: {shape} vs {n.value.shape}")
+    value = nodes[0].value.copy()
+    for n in nodes[1:]:
+        value += n.value
+
+    def backward(g):
+        for n in nodes:
+            _accum_owned(n, g.copy())
+
+    return tape._add(value, nodes, backward, name="add")
+
+
+def scale(a: Node, factor: float) -> Node:
+    factor = float(factor)
+
+    def backward(g):
+        _accum_owned(a, g * factor)
+
+    return a.tape._add(a.value * factor, (a,), backward, name="scale")
+
+
+def sum_all(a: Node) -> Node:
+    # fsum: exactly rounded and independent of traversal order.
+    total = math.fsum(a.value.ravel())
+
+    def backward(g):
+        _accum_owned(a, np.full(a.value.shape, g))
+
+    return a.tape._add(np.asarray(total), (a,), backward, name="sum")
+
+
+def full_loss_builder(graph, config, params, perm: np.ndarray):
+    """(build_loss, flat parameter copies) for grad_check over the whole model."""
+    plan = mdl.EncodePlan(graph, config)
+    arrays = [arr.copy() for _, arr, _, _ in mdl.param_leaves(params)]
+
+    def build(tape, nodes):
+        return build_loss_nodes(plan, mdl.structure_from_leaves(params, nodes), perm)
+
+    return build, arrays
+
+
+def from_dense(mat) -> SparseAdjacency:
+    """The nonzero entries of a square dense matrix as a SparseAdjacency."""
+    arr = np.asarray(mat, dtype=np.float64)
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        raise DataFormatError(f"dense adjacency must be square, got {arr.shape}")
+    s = sp.csr_matrix(arr)
+    s.sort_indices()
+    return SparseAdjacency(arr.shape[0], s.indptr, s.indices, s.data)
+
+
+def to_dense(adj: SparseAdjacency) -> np.ndarray:
+    return adj.to_scipy().toarray()
+
+
+def expected_edge_counts(labels: np.ndarray, config: SbmConfig) -> tuple[float, float, int, int]:
+    """(expected within, expected cross, within pairs, cross pairs) for a
+    realized class assignment: the oracle for density checks."""
+    sizes = np.bincount(labels, minlength=config.num_classes)
+    within_pairs = int(sum(s * (s - 1) // 2 for s in sizes))
+    total_pairs = config.num_nodes * (config.num_nodes - 1) // 2
+    cross_pairs = int(total_pairs - within_pairs)
+    return (
+        within_pairs * config.p_in,
+        cross_pairs * config.p_out,
+        within_pairs,
+        cross_pairs,
+    )

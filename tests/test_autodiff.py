@@ -4,7 +4,8 @@ import pytest
 from hmge import autodiff as ad
 from hmge.errors import HmgeError, NumericError
 from hmge.multiplex import SparseAdjacency, normalize_adjacency
-from oracles import elementwise_mul, position_map, tanh
+from hmge.training import infomax_loss
+from oracles import add, elementwise_mul, from_dense, position_map, scale, sum_all, tanh, to_dense
 
 
 def forced_plan(monkeypatch, union, dense_mode):
@@ -28,7 +29,7 @@ def symmetric_value_block(union, rng, columns):
     """(nnz, columns) value block; each column is a symmetric matrix on ``union``."""
     block = []
     for _ in range(columns):
-        sym = union.to_adjacency(rng.uniform(0.2, 1.5, union.nnz)).to_dense()
+        sym = to_dense(union.to_adjacency(rng.uniform(0.2, 1.5, union.nnz)))
         sym = 0.5 * (sym + sym.T)
         block.append(sym[union.rows, union.indices])
     return np.stack(block, axis=1)
@@ -38,19 +39,17 @@ def random_sym_adj(n, density, seed):
     rng = np.random.default_rng(seed)
     m = (rng.random((n, n)) < density).astype(float)
     m = np.triu(m, 1) + np.triu(m, 1).T
-    return SparseAdjacency.from_dense(m)
+    return from_dense(m)
 
 
 class TestForwardValues:
     def test_sigmoid_zero(self):
-        t = ad.Tape()
-        out = ad.sigmoid(t.constant(np.zeros(1)))
-        assert out.value[0] == 0.5
+        assert ad.sigmoid_value(np.zeros(1))[0] == 0.5
 
     def test_relu_negative_and_derivative(self):
         t = ad.Tape()
         x = t.parameter(np.array([-3.0]))
-        loss = ad.sum_all(ad.relu(x))
+        loss = sum_all(ad.relu(x))
         assert loss.value == 0.0
         t.backward(loss)
         assert x.adjoint[0] == 0.0
@@ -58,7 +57,7 @@ class TestForwardValues:
     def test_relu_at_zero_has_zero_derivative(self):
         t = ad.Tape()
         x = t.parameter(np.array([0.0]))
-        loss = ad.sum_all(ad.relu(x))
+        loss = sum_all(ad.relu(x))
         t.backward(loss)
         assert x.adjoint[0] == 0.0
 
@@ -69,7 +68,7 @@ class TestForwardValues:
         x = t.parameter(np.array([np.nan, -1.0, 2.0]))
         out = ad.relu(x)
         assert np.isnan(out.value[0]) and out.value[1] == 0.0 and out.value[2] == 2.0
-        loss = ad.sum_all(out)
+        loss = sum_all(out)
         assert np.isnan(loss.value)
         with pytest.raises(NumericError):
             t.backward(loss)
@@ -89,35 +88,28 @@ class TestForwardValues:
         with pytest.raises(ValueError):
             elementwise_mul(a, t.constant(np.ones((3, 2))))
         with pytest.raises(ValueError):
-            ad.bilinear_form(a, b, t.constant(np.ones(3)))
+            ad.infomax_bce(a, b, t.constant(np.ones((2, 2))))
 
 
 class TestBackwardBasics:
     def test_sum_of_matrix_gives_ones(self):
         t = ad.Tape()
         w = t.parameter(np.random.default_rng(0).standard_normal((2, 2)))
-        loss = ad.sum_all(w)
+        loss = sum_all(w)
         t.backward(loss)
         assert np.array_equal(w.adjoint, np.ones((2, 2)))
-
-    def test_sigmoid_gradient_at_zero(self):
-        t = ad.Tape()
-        w = t.parameter(np.zeros(1))
-        loss = ad.sum_all(ad.sigmoid(w))
-        t.backward(loss)
-        assert w.adjoint[0] == 0.25
 
     def test_fanout_accumulates_exactly(self):
         t = ad.Tape()
         x = t.parameter(np.array([1.5]))
-        loss = ad.sum_all(ad.add(x, x))
+        loss = sum_all(add(x, x))
         t.backward(loss)
         assert x.adjoint[0] == 2.0
 
     def test_backward_twice_raises(self):
         t = ad.Tape()
         x = t.parameter(np.ones(1))
-        loss = ad.sum_all(x)
+        loss = sum_all(x)
         t.backward(loss)
         with pytest.raises(HmgeError):
             t.backward(loss)
@@ -134,7 +126,7 @@ class TestBackwardBasics:
             rng = np.random.default_rng(42)
             a = t.parameter(rng.standard_normal((4, 3)))
             b = t.parameter(rng.standard_normal((3, 4)))
-            loss = ad.sum_all(tanh(ad.matmul(a, b)))
+            loss = sum_all(tanh(ad.matmul(a, b)))
             t.backward(loss)
             return float(loss.value), a.adjoint.copy(), b.adjoint.copy()
 
@@ -148,7 +140,7 @@ class TestBackwardBasics:
         arrays = [rng.uniform(-1, 1, (4, 3)), rng.uniform(-1, 1, (3, 4))]
 
         def build(tape, nodes):
-            return ad.sum_all(tanh(ad.matmul(nodes[0], nodes[1])))
+            return sum_all(tanh(ad.matmul(nodes[0], nodes[1])))
 
         assert ad.grad_check(build, arrays) < 1e-4
 
@@ -158,7 +150,7 @@ class TestBackwardBasics:
         arrays = [rng.uniform(-1, 1, 5)]
 
         def build(tape, nodes):
-            return ad.sum_all(elementwise_mul(nodes[0], tape.constant(x)))
+            return sum_all(elementwise_mul(nodes[0], tape.constant(x)))
 
         assert ad.grad_check(build, arrays) < 1e-10
 
@@ -177,6 +169,15 @@ def fallback_attention_arrays(rng):
     return [np.concatenate([h, h]), np.concatenate([v, v]), np.concatenate([y, -y])]
 
 
+def clamped_infomax_arrays(rng):
+    """(z, z_hat, Q) whose scores z_i^T Q s are at least 42 in magnitude on
+    z row 0 and z_hat rows 1 and 2, which the loss clamps, and at most 8.5
+    on every other row, where 1 - sigma keeps its precision."""
+    z, z_hat = rng.uniform(-0.5, 0.5, (6, 3)), rng.uniform(-0.5, 0.5, (6, 3))
+    z[0], z_hat[1], z_hat[2] = 6.0, 6.0, -6.0
+    return [z, z_hat, 4.0 * np.eye(3)]
+
+
 def op_cases():
     rng = np.random.default_rng(7)
 
@@ -189,77 +190,78 @@ def op_cases():
     cases = []
     cases.append(
         ("matmul", [rng.uniform(-1, 1, (4, 3)), rng.uniform(-1, 1, (3, 5))],
-         lambda t, n: ad.sum_all(ad.matmul(n[0], n[1])))
+         lambda t, n: sum_all(ad.matmul(n[0], n[1])))
     )
     cases.append(
         ("add3", [rng.uniform(-1, 1, (3, 3)) for _ in range(3)],
-         lambda t, n: ad.sum_all(tanh(ad.add(*n))))
+         lambda t, n: sum_all(tanh(add(*n))))
     )
     cases.append(
         ("scale", [rng.uniform(-1, 1, (3, 3))],
-         lambda t, n: ad.sum_all(ad.scale(n[0], -2.5)))
+         lambda t, n: sum_all(scale(n[0], -2.5)))
     )
     cases.append(
         ("mul", [rng.uniform(-1, 1, (3, 3)), rng.uniform(-1, 1, (3, 3))],
-         lambda t, n: ad.sum_all(elementwise_mul(n[0], n[1])))
+         lambda t, n: sum_all(elementwise_mul(n[0], n[1])))
     )
     cases.append(
         ("relu", [away_from_zero((4, 4))],
-         lambda t, n: ad.sum_all(ad.relu(n[0])))
+         lambda t, n: sum_all(ad.relu(n[0])))
     )
-    cases.append(("tanh", [rng.uniform(-1, 1, (4, 4))], lambda t, n: ad.sum_all(tanh(n[0]))))
-    cases.append(
-        ("sigmoid", [rng.uniform(-1, 1, (4, 4))], lambda t, n: ad.sum_all(ad.sigmoid(n[0])))
-    )
+    cases.append(("tanh", [rng.uniform(-1, 1, (4, 4))], lambda t, n: sum_all(tanh(n[0]))))
     c_sc = rng.uniform(-1, 1, (4, 5))
     cases.append(
         ("softmax_cols", [rng.uniform(-1, 1, (4, 5))],
-         lambda t, n: ad.sum_all(elementwise_mul(ad.softmax_cols(n[0]), t.constant(c_sc))))
-    )
-    cases.append(
-        ("mean_rows", [rng.uniform(-1, 1, (6, 3))],
-         lambda t, n: ad.sum_all(tanh(ad.mean_rows(n[0]))))
-    )
-    cases.append(
-        ("bilinear", [rng.uniform(-1, 1, (5, 3)), rng.uniform(-1, 1, (3, 3)), rng.uniform(-1, 1, 3)],
-         lambda t, n: ad.sum_all(ad.sigmoid(ad.bilinear_form(n[0], n[1], n[2]))))
-    )
-    cases.append(
-        ("log_clamped", [rng.uniform(0.05, 0.95, (4, 4))],
-         lambda t, n: ad.sum_all(ad.log_clamped(n[0])))
+         lambda t, n: sum_all(elementwise_mul(ad.softmax_cols(n[0]), t.constant(c_sc))))
     )
     cases.append(
         ("select_matrix", [rng.uniform(-1, 1, (3, 4, 2))],
-         lambda t, n: ad.sum_all(tanh(ad.select_matrix(n[0], 1))))
+         lambda t, n: sum_all(tanh(ad.select_matrix(n[0], 1))))
     )
     cases.append(
         ("batched_matmul", [rng.uniform(-1, 1, (2, 4, 3)), rng.uniform(-1, 1, (2, 3, 5))],
-         lambda t, n: ad.sum_all(tanh(ad.batched_matmul(n[0], n[1]))))
+         lambda t, n: sum_all(tanh(ad.batched_matmul(n[0], n[1]))))
     )
     cases.append(
         ("mix_stack", [rng.uniform(-1, 1, (3, 5, 2)), rng.uniform(-1, 1, (5, 3))],
-         lambda t, n: ad.sum_all(tanh(ad.mix_stack(n[0], n[1]))))
+         lambda t, n: sum_all(tanh(ad.mix_stack(n[0], n[1]))))
     )
     # Weights sum to 1 per row, so the loss weighs them by fixed coefficients.
     c_aw = rng.uniform(-1, 1, (5, 3))
     cases.append(
         ("attention_weights", attention_arrays(rng, 3),
-         lambda t, n: ad.sum_all(elementwise_mul(ad.attention_weights(*n), t.constant(c_aw))))
+         lambda t, n: sum_all(elementwise_mul(ad.attention_weights(*n), t.constant(c_aw))))
     )
     cases.append(
         ("attention_weights_d1", attention_arrays(rng, 1),
-         lambda t, n: ad.sum_all(tanh(ad.mix_stack(n[0], ad.attention_weights(*n)))))
+         lambda t, n: sum_all(tanh(ad.mix_stack(n[0], ad.attention_weights(*n)))))
     )
     c_fb = rng.uniform(-1, 1, (5, 2))
     cases.append(
         ("attention_weights_fallback", fallback_attention_arrays(rng),
-         lambda t, n: ad.sum_all(elementwise_mul(ad.attention_weights(*n), t.constant(c_fb))))
+         lambda t, n: sum_all(elementwise_mul(ad.attention_weights(*n), t.constant(c_fb))))
+    )
+    cases.append(
+        ("infomax_bce", [rng.uniform(-1, 1, (6, 3)) for _ in range(2)] + [rng.uniform(-2, 2, (3, 3))],
+         lambda t, n: ad.infomax_bce(*n))
+    )
+    cases.append(
+        ("infomax_bce_clamped", clamped_infomax_arrays(rng), lambda t, n: ad.infomax_bce(*n))
+    )
+    z_c, z_hat_c, q_c = (rng.uniform(-1, 1, shape) for shape in ((6, 3), (6, 3), (3, 3)))
+    cases.append(
+        ("infomax_bce_z_only", [z_c],
+         lambda t, n: ad.infomax_bce(n[0], t.constant(z_hat_c), t.constant(q_c)))
+    )
+    cases.append(
+        ("infomax_bce_q_only", [q_c],
+         lambda t, n: ad.infomax_bce(t.constant(z_c), t.constant(z_hat_c), n[0]))
     )
     perm = rng.permutation(5)
     c_pr = rng.uniform(-1, 1, (2, 5, 3))
     cases.append(
         ("permute_rows", [rng.uniform(-1, 1, (2, 5, 3))],
-         lambda t, n: ad.sum_all(tanh(ad.add(
+         lambda t, n: sum_all(tanh(add(
              ad.permute_rows(n[0], perm), elementwise_mul(n[0], t.constant(c_pr))))))
     )
     return cases
@@ -282,10 +284,35 @@ def test_attention_weights_degenerate_rows_pass_no_gradient(width):
     beta = ad.attention_weights(h, v, y)
     expected = np.tile(ad.uniform_weights(width), (5, 1))
     assert np.array_equal(beta.value, expected)
-    loss = ad.sum_all(elementwise_mul(beta, t.constant(rng.uniform(-1, 1, (5, width)))))
+    loss = sum_all(elementwise_mul(beta, t.constant(rng.uniform(-1, 1, (5, width)))))
     t.backward(loss)
     for node in (h, v, y):
         assert node.adjoint is not None and not np.any(node.adjoint)
+
+
+def test_infomax_bce_matches_eager_loss():
+    rng = np.random.default_rng(9)
+    for z, z_hat, q in (
+        [rng.uniform(-1, 1, (6, 3)), rng.uniform(-1, 1, (6, 3)), rng.uniform(-2, 2, (3, 3))],
+        clamped_infomax_arrays(rng),
+    ):
+        t = ad.Tape()
+        loss = ad.infomax_bce(t.constant(z), t.constant(z_hat), t.constant(q))
+        assert float(loss.value) == infomax_loss(z, z_hat, z.mean(axis=0), q)
+
+
+def test_infomax_bce_clamped_entries_pass_no_gradient():
+    z, z_hat, q = clamped_infomax_arrays(np.random.default_rng(10))
+    qs = q @ z.mean(axis=0)
+    pos, neg = ad.sigmoid_value(z @ qs), ad.sigmoid_value(z_hat @ qs)
+    assert pos[0] > 1.0 - ad.LOG_CLAMP and np.all(np.abs(z[1:] @ qs) <= 8.5)
+    assert neg[1] > 1.0 - ad.LOG_CLAMP and neg[2] < ad.LOG_CLAMP
+    t = ad.Tape()
+    zn, hn, qn = (t.parameter(a) for a in (z, z_hat, q))
+    t.backward(ad.infomax_bce(zn, hn, qn))
+    clamped = np.isin(np.arange(6), [1, 2])
+    assert not np.any(hn.adjoint[clamped])
+    assert np.all(np.any(hn.adjoint[~clamped] != 0.0, axis=1))
 
 
 class TestSparseOps:
@@ -296,7 +323,7 @@ class TestSparseOps:
         arrays = [rng.uniform(-1, 1, (1, 6, 3))]
 
         def build(tape, nodes):
-            return ad.sum_all(tanh(ad.spmm(norm, nodes[0])))
+            return sum_all(tanh(ad.spmm(norm, nodes[0])))
 
         assert ad.grad_check(build, arrays) < 1e-4
 
@@ -305,7 +332,7 @@ class TestSparseOps:
         h = np.random.default_rng(3).standard_normal((1, 7, 4))
         t = ad.Tape()
         out = ad.spmm(adj.to_scipy(), t.constant(h))
-        assert np.allclose(out.value[0], adj.to_dense() @ h[0], atol=1e-13)
+        assert np.allclose(out.value[0], to_dense(adj) @ h[0], atol=1e-13)
 
     def test_csr_combine_stack_gradients(self):
         adjs = [random_sym_adj(6, 0.4, s) for s in (6, 7, 8)]
@@ -324,7 +351,7 @@ class TestSparseOps:
 
         def build(tape, nodes):
             mixed = ad.csr_combine_stack(nodes[0], stacked)
-            return ad.sum_all(elementwise_mul(mixed, tape.constant(coeff)))
+            return sum_all(elementwise_mul(mixed, tape.constant(coeff)))
 
         assert ad.grad_check(build, arrays) < 1e-4
 
@@ -332,8 +359,8 @@ class TestSparseOps:
         t = ad.Tape()
         out = ad.csr_combine_stack(t.constant(arrays[0]), stacked)
         for j in range(2):
-            expected = sum(arrays[0][i, j] * a.to_dense() for i, a in enumerate(adjs))
-            got = union.to_adjacency(out.value[:, j]).to_dense()
+            expected = sum(arrays[0][i, j] * to_dense(a) for i, a in enumerate(adjs))
+            got = to_dense(union.to_adjacency(out.value[:, j]))
             assert np.allclose(got, expected, atol=1e-14)
 
     def test_csr_normalize_matches_dense_and_gradients(self):
@@ -342,7 +369,7 @@ class TestSparseOps:
         plan = ad.NormalizePlan(union)
         rng = np.random.default_rng(12)
         # symmetric values so they form a valid undirected matrix
-        sym_vals = union.to_adjacency(rng.uniform(0.2, 2.0, union.nnz)).to_dense()
+        sym_vals = to_dense(union.to_adjacency(rng.uniform(0.2, 2.0, union.nnz)))
         sym_vals = 0.5 * (sym_vals + sym_vals.T)
         vals = sym_vals[union.rows, union.indices][:, None]
 
@@ -351,14 +378,14 @@ class TestSparseOps:
         dense = sym_vals + np.eye(6)
         dinv = 1.0 / np.sqrt(dense.sum(axis=1))
         expected = dense * np.outer(dinv, dinv)
-        got = SparseAdjacency(6, plan.out_indptr, plan.out_indices, out.value[:, 0]).to_dense()
+        got = to_dense(SparseAdjacency(6, plan.out_indptr, plan.out_indices, out.value[:, 0]))
         assert np.abs(got - expected).max() < 1e-13
 
         coeff = rng.uniform(-1, 1, (plan.out_nnz, 1))
 
         def build(tape, nodes):
             normed = ad.csr_normalize(nodes[0], plan)
-            return ad.sum_all(elementwise_mul(normed, tape.constant(coeff)))
+            return sum_all(elementwise_mul(normed, tape.constant(coeff)))
 
         assert ad.grad_check(build, [vals]) < 1e-4
 
@@ -379,7 +406,7 @@ class TestSparseOps:
 
         def build(tape, nodes):
             normed = ad.csr_normalize(nodes[0], plan)
-            return ad.sum_all(elementwise_mul(normed, tape.constant(coeff)))
+            return sum_all(elementwise_mul(normed, tape.constant(coeff)))
 
         assert ad.grad_check(build, [block]) < 1e-4
 
@@ -393,7 +420,7 @@ class TestSparseOps:
             plan = forced_plan(monkeypatch, union, dense_mode)
 
             def build(tape, nodes):
-                return ad.sum_all(tanh(ad.spmm_var(nodes[0], plan, nodes[1])))
+                return sum_all(tanh(ad.spmm_var(nodes[0], plan, nodes[1])))
 
             assert ad.grad_check(build, [vals, h]) < 1e-4
 
@@ -410,7 +437,7 @@ class TestSparseOps:
             v = t.parameter(vals)
             hn = t.parameter(h)
             out = ad.spmm_var(v, plan, hn)
-            loss = ad.sum_all(tanh(out))
+            loss = sum_all(tanh(out))
             t.backward(loss)
             outs.append((out.value.copy(), v.adjoint.copy(), hn.adjoint.copy()))
         for a, b in zip(outs[0], outs[1]):
@@ -427,7 +454,7 @@ def banded_pattern(n, band, sparse_density, empty, seed):
     m = m | m.T
     m[n - empty:, :] = False
     m[:, n - empty:] = False
-    return ad.UnionPattern([SparseAdjacency.from_dense(m.astype(float))])
+    return ad.UnionPattern([from_dense(m.astype(float))])
 
 
 def assert_sddmm_matches_oracle(plan, g, h):
@@ -483,7 +510,7 @@ class TestBlockedSddmm:
         h = rng.uniform(-1, 1, (12, 2))
 
         def build(tape, nodes):
-            return ad.sum_all(tanh(ad.spmm_var(nodes[0], plan, nodes[1])))
+            return sum_all(tanh(ad.spmm_var(nodes[0], plan, nodes[1])))
 
         assert ad.grad_check(build, [vals, h]) < 1e-4
 
@@ -534,7 +561,7 @@ class TestGradCheckHelper:
 
         def build(tape, nodes):
             # 0 * inf produces a NaN loss
-            return ad.sum_all(ad.scale(nodes[0], float("inf")))
+            return sum_all(scale(nodes[0], float("inf")))
 
         with pytest.raises(NumericError):
             ad.grad_check(build, [np.zeros(2)])

@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -352,6 +353,40 @@ class TestEvalAblateSweep:
         assert code == EXIT_DATA
         assert "model takes 3 dimensions, dataset has 4" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("damage", [
+        "meta-not-json", "no-config", "no-identity-features", "null-embed-size",
+        "w_0-shape", "final_w-shape",
+    ])
+    def test_export_malformed_model_is_data_error(self, dataset_dir, tmp_path, damage, capsys):
+        run = tmp_path / "run"
+        assert main(
+            ["train", "--data", str(dataset_dir), "--out", str(run), "--embed-size", "4",
+             "--layers", "1", "--epochs", "2", "--patience", "2", "--seed", "1"]
+        ) == EXIT_OK
+        with np.load(run / "model.bin") as archive:
+            arrays = dict(archive)
+        meta = json.loads(str(arrays.pop("meta")))
+        if damage == "no-config":
+            del meta["config"]
+        elif damage == "no-identity-features":
+            del meta["identity_features"]
+        elif damage == "null-embed-size":
+            meta["config"]["embed_size"] = None
+        elif damage == "w_0-shape":
+            arrays["w_0"] = arrays["w_0"][:, :, :-1]
+        elif damage == "final_w-shape":
+            arrays["final_w"] = arrays["final_w"][:-1]
+        text = "{not json" if damage == "meta-not-json" else json.dumps(meta)
+        model = tmp_path / "model.bin"
+        with open(model, "wb") as fh:
+            np.savez(fh, meta=np.str_(text), **arrays)
+        code = main(
+            ["export", "--model", str(model), "--data", str(dataset_dir),
+             "--out", str(tmp_path / "exp")]
+        )
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err.startswith("data error: ")
+
     def test_seed_determinism(self, dataset_dir, tmp_path):
         outs = []
         for name in ("r1", "r2"):
@@ -367,12 +402,18 @@ class TestEvalAblateSweep:
 class TestThreads:
     def test_env_var_accepted(self, dataset_dir, tmp_path, monkeypatch):
         monkeypatch.setenv("HMGE_THREADS", "1")
+        blas_vars = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+        for var in blas_vars:
+            # Registered so that teardown restores the value, or its absence,
+            # that the command below overwrites.
+            monkeypatch.setenv(var, "0")
         out = tmp_path / "thr"
         code = main(
             ["train", "--data", str(dataset_dir), "--out", str(out), "--embed-size", "4",
              "--layers", "1", "--epochs", "2", "--patience", "2", "--seed", "1"]
         )
         assert code == EXIT_OK
+        assert all(os.environ[var] == "1" for var in blas_vars)
 
     def test_bad_threads_value(self, dataset_dir, tmp_path):
         code = main(

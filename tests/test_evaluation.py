@@ -20,7 +20,7 @@ from hmge.evaluation import (
 )
 from hmge.multiplex import MultiplexGraph, SparseAdjacency
 from hmge.sbm import SbmConfig, generate_multiplex
-from oracles import auc_roc_loop
+from oracles import auc_roc_loop, from_dense, to_dense
 
 
 def brute_force_auc(scores, labels):
@@ -206,7 +206,7 @@ def small_multiplex(seed=0, n=30, dims=2, density=0.3):
     for _ in range(dims):
         m = (rng.random((n, n)) < density).astype(float)
         m = np.triu(m, 1) + np.triu(m, 1).T
-        mats.append(SparseAdjacency.from_dense(m))
+        mats.append(from_dense(m))
     x = rng.standard_normal((n, 4))
     labels = tuple((int(c),) for c in rng.integers(0, 2, n))
     return MultiplexGraph(n, tuple(mats), x, labels)
@@ -230,7 +230,7 @@ class TestSplitLinks:
         graph = small_multiplex(seed=3)
         split = split_links(graph, 0.2, np.random.default_rng(1))
         for d, u, v in split.positives:
-            dense = split.training_graph.dimensions[d].to_dense()
+            dense = to_dense(split.training_graph.dimensions[d])
             assert dense[u, v] == 0.0 and dense[v, u] == 0.0
 
     def test_union_of_training_and_positives_is_original(self):
@@ -247,7 +247,7 @@ class TestSplitLinks:
         graph = small_multiplex(seed=5)
         split = split_links(graph, 0.2, np.random.default_rng(3))
         for d, u, v in split.negatives:
-            assert graph.dimensions[d].to_dense()[u, v] == 0.0
+            assert to_dense(graph.dimensions[d])[u, v] == 0.0
             assert u != v
 
     def test_sparse_dimension_skipped_with_warning(self):

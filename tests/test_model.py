@@ -28,8 +28,10 @@ from oracles import (
     combine_adjacencies,
     discriminate,
     extended_pattern,
+    from_dense,
     gcn_forward,
     position_map,
+    to_dense,
     union_pattern,
 )
 
@@ -55,7 +57,7 @@ def two_dim_graph(a1, a2, x):
     n = a1.shape[0]
     return MultiplexGraph(
         n,
-        (SparseAdjacency.from_dense(a1), SparseAdjacency.from_dense(a2)),
+        (from_dense(a1), from_dense(a2)),
         x,
     )
 
@@ -85,7 +87,7 @@ class TestConfig:
 
 class TestGcnForward:
     def test_edgeless_identity_passthrough(self):
-        adj = SparseAdjacency.from_dense(np.zeros((3, 3)))
+        adj = from_dense(np.zeros((3, 3)))
         norm = normalize_adjacency(adj)  # identity matrix
         h = np.abs(np.random.default_rng(0).standard_normal((3, 3)))
         out = gcn_forward(h, norm, np.eye(3))
@@ -102,7 +104,7 @@ class TestGcnForward:
         assert np.abs(out - np.array([[0.5], [0.5]])).max() < 1e-15
 
     def test_relu_applied(self):
-        adj = SparseAdjacency.from_dense(np.zeros((2, 2)))
+        adj = from_dense(np.zeros((2, 2)))
         out = gcn_forward(np.array([[1.0], [1.0]]), normalize_adjacency(adj), np.array([[-2.0]]))
         assert np.array_equal(out, np.zeros((2, 1)))
 
@@ -160,20 +162,20 @@ class TestCombineAdjacencies:
         adj = SparseAdjacency.from_undirected_edges(3, [0], [1])
         outs = combine_adjacencies([adj], np.zeros((1, 1)))
         assert len(outs) == 1
-        assert np.allclose(outs[0].to_dense(), adj.to_dense())
+        assert np.allclose(to_dense(outs[0]), to_dense(adj))
 
     def test_equal_logits_average(self):
         rng = np.random.default_rng(0)
         a1 = random_sym_dense(5, rng)
         a2 = random_sym_dense(5, rng)
-        g1, g2 = SparseAdjacency.from_dense(a1), SparseAdjacency.from_dense(a2)
+        g1, g2 = from_dense(a1), from_dense(a2)
         outs = combine_adjacencies([g1, g2], np.zeros((2, 1)))
-        assert np.allclose(outs[0].to_dense(), 0.5 * a1 + 0.5 * a2)
+        assert np.allclose(to_dense(outs[0]), 0.5 * a1 + 0.5 * a2)
 
     def test_disjoint_edges_both_present(self):
         g1 = SparseAdjacency.from_undirected_edges(3, [0], [1])
         g2 = SparseAdjacency.from_undirected_edges(3, [1], [2])
-        out = combine_adjacencies([g1, g2], np.zeros((2, 1)))[0].to_dense()
+        out = to_dense(combine_adjacencies([g1, g2], np.zeros((2, 1)))[0])
         assert out[0, 1] == 0.5 and out[1, 2] == 0.5
 
     def test_output_pattern_is_union(self):
@@ -184,10 +186,10 @@ class TestCombineAdjacencies:
 
     def test_symmetric_output(self):
         rng = np.random.default_rng(1)
-        adjs = [SparseAdjacency.from_dense(random_sym_dense(6, rng)) for _ in range(3)]
+        adjs = [from_dense(random_sym_dense(6, rng)) for _ in range(3)]
         outs = combine_adjacencies(adjs, rng.standard_normal((3, 2)))
         for o in outs:
-            dense = o.to_dense()
+            dense = to_dense(o)
             assert np.abs(dense - dense.T).max() == 0.0
 
     def test_softmax_columns_sum_to_one(self):
@@ -201,7 +203,7 @@ class TestCombineAdjacencies:
         cfg = HmgeConfig(embed_size=4, num_layers=2, dims_schedule=(4, 2, 1))
         for seed in range(5):
             rng = np.random.default_rng(300 + seed)
-            mats = [SparseAdjacency.from_dense(random_sym_dense(9, rng)) for _ in range(4)]
+            mats = [from_dense(random_sym_dense(9, rng)) for _ in range(4)]
             graph = MultiplexGraph(9, tuple(mats), rng.standard_normal((9, 3)))
             params = init_params(cfg, 4, 3, rng)
             for layer in params.layers:
@@ -212,7 +214,7 @@ class TestCombineAdjacencies:
                 expected = combine_adjacencies(inputs, layer.alpha, "relu")
                 assert len(latent) == len(expected)
                 for got, want in zip(latent, expected):
-                    assert np.abs(got.to_dense() - want.to_dense()).max() <= 1e-12
+                    assert np.abs(to_dense(got) - to_dense(want)).max() <= 1e-12
                 inputs = expected
 
 
@@ -348,7 +350,7 @@ class TestEncode:
     def make_graph(self, n=8, dims=2, seed=0, density=0.5):
         rng = np.random.default_rng(seed)
         mats = [
-            SparseAdjacency.from_dense(random_sym_dense(n, rng, density))
+            from_dense(random_sym_dense(n, rng, density))
             for _ in range(dims)
         ]
         x = rng.standard_normal((n, 3))
@@ -386,7 +388,7 @@ class TestEncode:
             assert np.abs(beta.sum(axis=1) - 1.0).max() < 1e-9
         for layer in trace.latent_adjacencies:
             for adj in layer:
-                dense = adj.to_dense()
+                dense = to_dense(adj)
                 assert np.abs(dense - dense.T).max() == 0.0
 
     def test_wrong_dimension_count_raises(self):
@@ -407,6 +409,31 @@ class TestEncode:
         with pytest.raises(ConfigError):
             encode(shuffled, params, cfg, plan=plan)
 
+    def test_plan_from_other_dimensions_rejected(self):
+        graph = self.make_graph()
+        cfg = HmgeConfig(embed_size=4, num_layers=1)
+        params = init_params(cfg, 2, 3, np.random.default_rng(8))
+        plan = EncodePlan(graph, cfg)
+        same = graph.with_dimensions(
+            [SparseAdjacency(8, d.indptr.copy(), d.indices.copy(), d.values.copy())
+             for d in graph.dimensions]
+        )
+        assert np.array_equal(encode(same, params, cfg, plan=plan).z,
+                              encode(graph, params, cfg).z)
+        other = self.make_graph(seed=1).with_features(graph.features)
+        with pytest.raises(ConfigError, match="dimensions"):
+            encode(other, params, cfg, plan=plan)
+        with pytest.raises(ConfigError, match="dimensions"):
+            encode(graph.with_dimensions(graph.dimensions[:1]), params, cfg, plan=plan)
+
+    def test_zero_layer_plan_rejected_by_hierarchical_encode(self):
+        graph = self.make_graph()
+        cfg = HmgeConfig(embed_size=4, num_layers=1)
+        params = init_params(cfg, 2, 3, np.random.default_rng(8))
+        plan = EncodePlan(graph, HmgeConfig(embed_size=4, num_layers=0))
+        with pytest.raises(ConfigError, match="zero layers"):
+            encode(graph, params, cfg, plan=plan)
+
     def test_permutation_equivariance(self):
         graph = self.make_graph(n=8, dims=2, seed=5)
         cfg = HmgeConfig(embed_size=4, num_layers=1)
@@ -417,8 +444,8 @@ class TestEncode:
         inv = np.argsort(perm)
         perm_dims = []
         for d in graph.dimensions:
-            dense = d.to_dense()[np.ix_(perm, perm)]
-            perm_dims.append(SparseAdjacency.from_dense(dense))
+            dense = to_dense(d)[np.ix_(perm, perm)]
+            perm_dims.append(from_dense(dense))
         perm_graph = MultiplexGraph(8, tuple(perm_dims), graph.features[perm])
         trace_p = encode(perm_graph, params, cfg)
         assert np.abs(trace_p.z[inv] - trace.z).max() < 1e-9
@@ -426,7 +453,7 @@ class TestEncode:
     def test_identity_features_match_dense_path(self):
         rng = np.random.default_rng(9)
         mats = [
-            SparseAdjacency.from_dense(random_sym_dense(10, rng, 0.5)) for _ in range(2)
+            from_dense(random_sym_dense(10, rng, 0.5)) for _ in range(2)
         ]
         eye_graph = MultiplexGraph(10, tuple(mats), np.eye(10))
         cfg = HmgeConfig(embed_size=3, num_layers=1)
@@ -458,7 +485,7 @@ def multiplex_graphs(draw):
             weights = draw(st.lists(st.sampled_from([0.5, 1.0, 2.25, 3.0]),
                                     min_size=rows.size, max_size=rows.size))
             upper[rows, cols] = np.where(flags, weights, 0.0)
-        dims.append(SparseAdjacency.from_dense(upper + upper.T))
+        dims.append(from_dense(upper + upper.T))
     return MultiplexGraph(n, tuple(dims), np.eye(n))
 
 
@@ -495,7 +522,7 @@ class TestEncodePlanPatterns:
         assert np.array_equal(norm.spmm.tperm, mirrors)
 
     def test_diagonal_entries_rejected(self):
-        looped = SparseAdjacency.from_dense(np.array([[1.0, 1.0], [1.0, 0.0]]))
+        looped = from_dense(np.array([[1.0, 1.0], [1.0, 0.0]]))
         with pytest.raises(ValueError, match="diagonal"):
             ad.UnionPattern([looped])
 
@@ -505,7 +532,7 @@ class TestLearnedAttention:
 
     def make_graph(self, seed, n=12, dims=4):
         rng = np.random.default_rng(seed)
-        mats = [SparseAdjacency.from_dense(random_sym_dense(n, rng)) for _ in range(dims)]
+        mats = [from_dense(random_sym_dense(n, rng)) for _ in range(dims)]
         return MultiplexGraph(n, tuple(mats), rng.standard_normal((n, 3)))
 
     def test_hierarchical_matches_eager_reference(self):
@@ -552,7 +579,7 @@ class TestLinearAggregation:
         a = random_sym_dense(6, rng)
         x = rng.standard_normal((6, 3))
         graph2 = two_dim_graph(a, a, x)
-        graph1 = MultiplexGraph(6, (SparseAdjacency.from_dense(a),), x)
+        graph1 = MultiplexGraph(6, (from_dense(a),), x)
         params2 = init_linear_params(4, 2, 3, 1, rng)
         # same stack and attention for both dims
         for w in params2.gcn_w:

@@ -12,15 +12,15 @@ import pytest
 import hmge
 from hmge.errors import ConfigError, NumericError
 from hmge.model import HmgeConfig, init_linear_params, init_params, param_leaves
-from hmge.multiplex import MultiplexGraph, SparseAdjacency
+from hmge.multiplex import MultiplexGraph
 from hmge.sbm import SbmConfig, generate_multiplex
 from hmge.training import (
     AdamState,
     TrainConfig,
-    full_loss_builder,
     infomax_loss,
     train,
 )
+from oracles import from_dense, full_loss_builder
 
 
 def er_multiplex(n, probs, fseed):
@@ -29,7 +29,7 @@ def er_multiplex(n, probs, fseed):
     for p in probs:
         m = (rng.random((n, n)) < p).astype(float)
         m = np.triu(m, 1)
-        dims.append(SparseAdjacency.from_dense(m + m.T))
+        dims.append(from_dense(m + m.T))
     x = rng.standard_normal((n, 3))
     return MultiplexGraph(n, tuple(dims), x)
 
@@ -193,7 +193,7 @@ class TestTrainLoop:
         plan = EncodePlan(g, cfg)
         tape = ad.Tape()
         pnodes = lift_params(tape, res.params)
-        loss_node, *_ = build_loss_nodes(tape, plan, pnodes, g.features, perm)
+        loss_node = build_loss_nodes(plan, pnodes, perm)
         assert float(loss_node.value) == res.best_loss
 
     @pytest.mark.parametrize("layers", [0, 2])
@@ -213,9 +213,7 @@ class TestTrainLoop:
         params.disc_q = 10.0 * np.random.default_rng(33).standard_normal((4, 4))
         perm = np.random.default_rng(34).permutation(12)
         tape = ad.Tape()
-        loss, *_ = build_loss_nodes(
-            tape, EncodePlan(g, cfg), lift_params(tape, params), g.features, perm
-        )
+        loss = build_loss_nodes(EncodePlan(g, cfg), lift_params(tape, params), perm)
         z = encode(g, params, cfg).z
         z_hat = encode(g.with_features(g.features[perm]), params, cfg).z
         s = readout(z)
