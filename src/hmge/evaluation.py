@@ -9,6 +9,8 @@ import csv
 import math
 import warnings
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +18,7 @@ import numpy as np
 from . import model as mdl
 from .autodiff import sigmoid_value
 from .errors import ConfigError, DataFormatError
-from .multiplex import MultiplexGraph, SparseAdjacency
+from .multiplex import MultiplexGraph
 from .sbm import SbmConfig, generate_multiplex
 from .training import TrainConfig, train
 
@@ -33,8 +35,9 @@ LOGISTIC_LEARNING_RATE = 0.1
 class LinkSplit:
     """Training graph with held-out positives and sampled negatives.
 
-    Pairs are (dimension, u, v) with u < v; negatives are non-edges of the
-    original graph, one per positive.
+    Pairs are (dimension, u, v) with u < v, as Python ints. The negatives of
+    dimension d are non-edges of dimension d in the original graph, one per
+    positive; they may be edges of another dimension.
     """
 
     training_graph: MultiplexGraph
@@ -47,7 +50,10 @@ def split_links(graph: MultiplexGraph, ratio: float, rng: np.random.Generator) -
 
     Each dimension loses ceil(ratio * E_d) edges (at least one); dimensions
     with fewer than two edges are skipped with a warning. An equal number
-    of distinct uniform non-edges per dimension is sampled as negatives.
+    of distinct uniform non-edges per dimension is sampled as negatives
+    (``_sample_non_edges``). Dimensions must be symmetric. A seeded split
+    is identical to the one earlier versions drew with a per-pair loop:
+    same positives and negatives in the same order, same training graph.
     """
     if not (0.0 < ratio < 1.0):
         raise ConfigError(f"removal ratio must be in (0, 1), got {ratio}")
@@ -66,38 +72,18 @@ def split_links(graph: MultiplexGraph, ratio: float, rng: np.random.Generator) -
             continue
         n_remove = min(num_edges, max(1, math.ceil(ratio * num_edges)))
         removed = rng.choice(num_edges, size=n_remove, replace=False)
-        keep_mask = np.ones(num_edges, dtype=bool)
-        keep_mask[removed] = False
-        kept = pairs[keep_mask]
-        new_dims.append(
-            SparseAdjacency.from_undirected_edges(n, kept[:, 0], kept[:, 1])
-        )
-        for u, v in pairs[~keep_mask]:
-            positives.append((d, int(u), int(v)))
+        keep = np.ones(num_edges, dtype=bool)
+        keep[removed] = False
+        new_dims.append(dim.keep_pairs(keep))
+        positives.extend(zip(repeat(d), *pairs[~keep].T.tolist()))
 
         max_non_edges = n * (n - 1) // 2 - num_edges
         if max_non_edges < n_remove:
             raise DataFormatError(
                 f"dimension {d} is too dense to sample {n_remove} negative pairs"
             )
-        edge_keys = set(pairs[:, 0] * n + pairs[:, 1])
-        chosen: set[int] = set()
-        while len(chosen) < n_remove:
-            batch = max(4 * (n_remove - len(chosen)), 16)
-            us = rng.integers(0, n, size=batch)
-            vs = rng.integers(0, n, size=batch)
-            lo = np.minimum(us, vs)
-            hi = np.maximum(us, vs)
-            for a, b in zip(lo, hi):
-                if a == b:
-                    continue
-                key = int(a) * n + int(b)
-                if key in edge_keys or key in chosen:
-                    continue
-                chosen.add(key)
-                negatives.append((d, int(a), int(b)))
-                if len(chosen) >= n_remove:
-                    break
+        keys = _sample_non_edges(n, pairs[:, 0] * n + pairs[:, 1], n_remove, rng)
+        negatives.extend(zip(repeat(d), (keys // n).tolist(), (keys % n).tolist()))
     return LinkSplit(
         training_graph=graph.with_dimensions(new_dims),
         positives=positives,
@@ -105,13 +91,44 @@ def split_links(graph: MultiplexGraph, ratio: float, rng: np.random.Generator) -
     )
 
 
+def _sample_non_edges(
+    n: int, edge_keys: np.ndarray, count: int, rng: np.random.Generator
+) -> np.ndarray:
+    """``count`` distinct uniform non-edges as keys u * n + v (u < v), in
+    the order drawn.
+
+    ``edge_keys`` holds the edges' keys, at least one, strictly increasing.
+    Each round draws max(4 * remaining, 16) endpoint pairs, all first
+    endpoints then all second ones, and accepts in draw order the first
+    ``remaining`` candidates that are off the diagonal, not an edge, not
+    accepted in an earlier round and not drawn earlier in the same round.
+    """
+    taken = edge_keys  # strictly increasing: edges, then accepted non-edges
+    rounds = []
+    remaining = count
+    while remaining:
+        batch = max(4 * remaining, 16)
+        us = rng.integers(0, n, size=batch)
+        vs = rng.integers(0, n, size=batch)
+        keys = np.minimum(us, vs) * n + np.maximum(us, vs)
+        distinct, first = np.unique(keys, return_index=True)
+        slot = np.minimum(np.searchsorted(taken, distinct), taken.size - 1)
+        fresh = (us != vs)[first] & (taken[slot] != distinct)
+        accepted = keys[np.sort(first[fresh])[:remaining]]
+        rounds.append(accepted)
+        remaining -= accepted.size
+        added = np.sort(accepted)
+        taken = np.insert(taken, np.searchsorted(taken, added), added)
+    return np.concatenate(rounds)
+
+
 def link_scores(z: np.ndarray, pairs) -> np.ndarray:
     """sigmoid(z_u . z_v) for each (dim, u, v) pair; dimension is ignored."""
     z = np.asarray(z, dtype=np.float64)
     if not pairs:
         return np.zeros(0)
-    us = np.array([p[1] for p in pairs], dtype=np.int64)
-    vs = np.array([p[2] for p in pairs], dtype=np.int64)
+    us = np.fromiter(map(itemgetter(1), pairs), dtype=np.int64, count=len(pairs))
+    vs = np.fromiter(map(itemgetter(2), pairs), dtype=np.int64, count=len(pairs))
     return sigmoid_value(np.einsum("ij,ij->i", z[us], z[vs]))
 
 

@@ -141,6 +141,37 @@ class SparseAdjacency:
         mask = rows < self.indices
         return np.stack([rows[mask], self.indices[mask]], axis=1)
 
+    def keep_pairs(self, keep: np.ndarray) -> "SparseAdjacency":
+        """The adjacency holding the undirected pairs where ``keep`` is True.
+
+        ``keep`` is a boolean mask aligned with ``undirected_pairs()``; both
+        stored orientations of a pair go or stay together, with their values.
+        The matrix must be symmetric; diagonal entries are dropped.
+        """
+        n = self.num_nodes
+        upper = self.row_indices() < self.indices
+        keep = np.asarray(keep, dtype=bool)
+        if keep.shape != (np.count_nonzero(upper),):
+            raise ValueError(f"keep has shape {keep.shape}, expected one flag per pair")
+        # The transpose in CSR order, holding each entry's position: a
+        # symmetric matrix keeps its pattern, and the values then map every
+        # entry to its mirror.
+        mirror = sp.csr_matrix(
+            (np.arange(self.nnz), self.indices, self.indptr), shape=(n, n)
+        ).tocsc()
+        if not (
+            np.array_equal(mirror.indptr, self.indptr)
+            and np.array_equal(mirror.indices, self.indices)
+        ):
+            raise DataFormatError("cannot keep pairs of a non-symmetric adjacency")
+        upper_keep = np.zeros(self.nnz, dtype=bool)
+        upper_keep[upper] = keep
+        entry_keep = upper_keep | upper_keep[mirror.data]
+        kept_before = np.concatenate([[0], np.cumsum(entry_keep)])
+        return _trusted_adjacency(
+            n, kept_before[self.indptr], self.indices[entry_keep], self.values[entry_keep]
+        )
+
     def equals(self, other: "SparseAdjacency") -> bool:
         return (
             self.num_nodes == other.num_nodes
@@ -148,6 +179,23 @@ class SparseAdjacency:
             and np.array_equal(self.indices, other.indices)
             and np.array_equal(self.values, other.values)
         )
+
+
+def _trusted_adjacency(num_nodes: int, indptr, indices, values) -> SparseAdjacency:
+    """A SparseAdjacency from arrays that this module built valid and that
+    no caller holds: they are converted and frozen but not checked or copied.
+    """
+    adj = object.__new__(SparseAdjacency)
+    object.__setattr__(adj, "num_nodes", num_nodes)
+    for name, a, dtype in (
+        ("indptr", indptr, np.int64),
+        ("indices", indices, np.int64),
+        ("values", values, np.float64),
+    ):
+        out = np.ascontiguousarray(a, dtype=dtype)
+        out.setflags(write=False)
+        object.__setattr__(adj, name, out)
+    return adj
 
 
 def normalize_adjacency(adj: SparseAdjacency) -> SparseAdjacency:
@@ -170,7 +218,7 @@ def normalize_adjacency(adj: SparseAdjacency) -> SparseAdjacency:
     rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(ahat.indptr))
     # dinv[r] * dinv[c] first: commutative, so the result is exactly symmetric.
     vals = ahat.data * (dinv[rows] * dinv[ahat.indices])
-    return SparseAdjacency(n, ahat.indptr, ahat.indices, vals)
+    return _trusted_adjacency(n, ahat.indptr, ahat.indices, vals)
 
 
 @dataclass(frozen=True)
@@ -208,7 +256,7 @@ class MultiplexGraph:
         if not np.all(np.isfinite(feats)):
             raise DataFormatError("features must be finite")
         if self.labels is not None:
-            labels = tuple(tuple(int(c) for c in row) for row in self.labels)
+            labels = tuple(tuple(map(int, row)) for row in self.labels)
             object.__setattr__(self, "labels", labels)
             if len(labels) != self.num_nodes:
                 raise DataFormatError("labels length does not match node count")

@@ -14,10 +14,14 @@ closed-form edge count of an SBM draw.
 latent-path patterns with scipy additions and binary searches, one
 adjacency at a time, as references for ``autodiff.UnionPattern`` and
 ``autodiff.NormalizePlan``. ``auc_roc_loop`` ranks tied scores one run
-at a time, as the reference for ``evaluation.auc_roc``.
+at a time, as the reference for ``evaluation.auc_roc``. ``split_links_loop``
+samples negatives one candidate at a time and rebuilds every training
+dimension from its kept edge list, as the reference for
+``evaluation.split_links``.
 """
 
 import math
+import warnings
 
 import numpy as np
 import scipy.sparse as sp
@@ -25,8 +29,9 @@ import scipy.sparse as sp
 from hmge import autodiff as ad
 from hmge import model as mdl
 from hmge.autodiff import Node, _accum_owned, _same_tape
-from hmge.errors import DataFormatError
-from hmge.multiplex import SparseAdjacency
+from hmge.errors import ConfigError, DataFormatError
+from hmge.evaluation import LinkSplit
+from hmge.multiplex import MultiplexGraph, SparseAdjacency
 from hmge.sbm import SbmConfig
 from hmge.training import build_loss_nodes
 
@@ -168,6 +173,69 @@ def auc_roc_loop(scores, labels) -> float:
     neg = labels.shape[0] - pos
     rank_sum = float(ranks[labels].sum())
     return (rank_sum - pos * (pos + 1) / 2.0) / (pos * neg)
+
+
+def split_links_loop(graph: MultiplexGraph, ratio: float, rng: np.random.Generator) -> LinkSplit:
+    """Remove ``ratio`` of each dimension's undirected edges, uniformly.
+
+    Each dimension loses ceil(ratio * E_d) edges (at least one); dimensions
+    with fewer than two edges are skipped with a warning. An equal number
+    of distinct uniform non-edges per dimension is sampled as negatives.
+    """
+    if not (0.0 < ratio < 1.0):
+        raise ConfigError(f"removal ratio must be in (0, 1), got {ratio}")
+    n = graph.num_nodes
+    positives: list[tuple[int, int, int]] = []
+    negatives: list[tuple[int, int, int]] = []
+    new_dims = []
+    for d, dim in enumerate(graph.dimensions):
+        pairs = dim.undirected_pairs()
+        num_edges = pairs.shape[0]
+        if num_edges < 2:
+            warnings.warn(
+                f"dimension {d} has {num_edges} edge(s); skipping link removal"
+            )
+            new_dims.append(dim)
+            continue
+        n_remove = min(num_edges, max(1, math.ceil(ratio * num_edges)))
+        removed = rng.choice(num_edges, size=n_remove, replace=False)
+        keep_mask = np.ones(num_edges, dtype=bool)
+        keep_mask[removed] = False
+        kept = pairs[keep_mask]
+        new_dims.append(
+            SparseAdjacency.from_undirected_edges(n, kept[:, 0], kept[:, 1])
+        )
+        for u, v in pairs[~keep_mask]:
+            positives.append((d, int(u), int(v)))
+
+        max_non_edges = n * (n - 1) // 2 - num_edges
+        if max_non_edges < n_remove:
+            raise DataFormatError(
+                f"dimension {d} is too dense to sample {n_remove} negative pairs"
+            )
+        edge_keys = set(pairs[:, 0] * n + pairs[:, 1])
+        chosen: set[int] = set()
+        while len(chosen) < n_remove:
+            batch = max(4 * (n_remove - len(chosen)), 16)
+            us = rng.integers(0, n, size=batch)
+            vs = rng.integers(0, n, size=batch)
+            lo = np.minimum(us, vs)
+            hi = np.maximum(us, vs)
+            for a, b in zip(lo, hi):
+                if a == b:
+                    continue
+                key = int(a) * n + int(b)
+                if key in edge_keys or key in chosen:
+                    continue
+                chosen.add(key)
+                negatives.append((d, int(a), int(b)))
+                if len(chosen) >= n_remove:
+                    break
+    return LinkSplit(
+        training_graph=graph.with_dimensions(new_dims),
+        positives=positives,
+        negatives=negatives,
+    )
 
 
 def discriminate(h: np.ndarray, s: np.ndarray, q: np.ndarray) -> float:

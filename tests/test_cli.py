@@ -184,6 +184,21 @@ class TestEvalAblateSweep:
         assert 0.0 <= report["metrics"]["auc"] <= 1.0
         assert 0.0 <= report["metrics"]["ap"] <= 1.0
 
+    def test_eval_link_complete_graph_is_data_error(self, tmp_path, capsys):
+        data = tmp_path / "complete"
+        assert main(
+            ["synth", "--nodes", "6", "--dims", "1", "--p-in", "1", "--p-out", "1",
+             "--out", str(data)]
+        ) == EXIT_OK
+        code = main(
+            ["eval", "--data", str(data), "--task", "link", "--epochs", "2",
+             "--out", str(tmp_path / "eval")]
+        )
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and "too dense" in err
+        assert "Traceback" not in err
+
     def test_eval_class(self, dataset_dir, tmp_path):
         out = tmp_path / "evalc"
         code = main(

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hmge.errors import ConfigError
+from hmge.errors import ConfigError, DataFormatError
 from hmge.evaluation import (
     accuracy,
     auc_roc,
@@ -20,7 +20,7 @@ from hmge.evaluation import (
 )
 from hmge.multiplex import MultiplexGraph, SparseAdjacency
 from hmge.sbm import SbmConfig, generate_multiplex
-from oracles import auc_roc_loop, from_dense, to_dense
+from oracles import auc_roc_loop, from_dense, split_links_loop, to_dense
 
 
 def brute_force_auc(scores, labels):
@@ -212,6 +212,22 @@ def small_multiplex(seed=0, n=30, dims=2, density=0.3):
     return MultiplexGraph(n, tuple(mats), x, labels)
 
 
+class RecordingRng:
+    """A seeded generator that keeps every ``integers`` draw."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self.draws = []
+
+    def choice(self, *args, **kwargs):
+        return self._rng.choice(*args, **kwargs)
+
+    def integers(self, *args, **kwargs):
+        out = self._rng.integers(*args, **kwargs)
+        self.draws.append(out.tolist())
+        return out
+
+
 class TestSplitLinks:
     def test_exact_counts(self):
         graph = small_multiplex(seed=1, n=40, density=0.3)
@@ -263,6 +279,44 @@ class TestSplitLinks:
     def test_bad_ratio(self):
         with pytest.raises(ConfigError):
             split_links(small_multiplex(), 1.5, np.random.default_rng(0))
+
+    def test_complete_dimension_too_dense(self):
+        n = 6
+        complete = from_dense(np.ones((n, n)) - np.eye(n))
+        graph = MultiplexGraph(n, (complete,), np.ones((n, 1)))
+        with pytest.raises(DataFormatError, match="too dense"):
+            split_links(graph, 0.1, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("case", ["sbm-1", "sbm-7", "sbm-31", "dense"])
+    def test_matches_loop_reference(self, case):
+        if case == "dense":
+            # 339 of 435 pairs are edges: 34 negatives come from 96
+            # non-edges, which takes several rounds with repeats.
+            graph = small_multiplex(seed=6, n=30, dims=1, density=0.8)
+            seed = 4
+        else:
+            seed = int(case.split("-")[1])
+            graph = generate_multiplex(
+                SbmConfig(num_nodes=120, num_dims=3, p_in=0.2, p_out=0.03, rng_seed=seed)
+            ).graph
+        rng = RecordingRng(seed)
+        split = split_links(graph, 0.1, rng)
+        expected = split_links_loop(graph, 0.1, np.random.default_rng(seed))
+        assert split.positives == expected.positives
+        assert split.negatives == expected.negatives
+        assert all(type(x) is int for pair in split.positives + split.negatives for x in pair)
+        for got, want in zip(split.training_graph.dimensions, expected.training_graph.dimensions):
+            assert got.equals(want)
+        if case == "dense":
+            rounds = list(zip(rng.draws[::2], rng.draws[1::2]))
+            assert len(rounds) >= 2
+            edge_keys = set(graph.dimensions[0].undirected_pairs() @ [graph.num_nodes, 1])
+            repeated = False
+            for us, vs in rounds:
+                keys = [min(u, v) * graph.num_nodes + max(u, v) for u, v in zip(us, vs) if u != v]
+                candidates = [k for k in keys if k not in edge_keys]
+                repeated |= len(set(candidates)) < len(candidates)
+            assert repeated
 
 
 class TestLinkScores:

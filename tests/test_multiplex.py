@@ -74,8 +74,43 @@ class TestSparseAdjacency:
         pairs = {tuple(p) for p in adj.undirected_pairs()}
         assert pairs == {(0, 1), (2, 3)}
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_keep_pairs_matches_rebuild_from_kept_edges(self, seed):
+        rng = np.random.default_rng(seed)
+        m = (rng.random((25, 25)) < 0.3).astype(float)
+        adj = from_dense(np.triu(m, 1) + np.triu(m, 1).T)
+        pairs = adj.undirected_pairs()
+        keep = rng.random(pairs.shape[0]) < 0.6
+        kept = adj.keep_pairs(keep)
+        assert kept.equals(
+            SparseAdjacency.from_undirected_edges(25, pairs[keep, 0], pairs[keep, 1])
+        )
+        assert not kept.indices.flags.writeable
+
+    def test_keep_pairs_keeps_values_and_drops_diagonal(self):
+        m = np.array([[2.0, 0.5, 0.0], [0.5, 0.0, 3.0], [0.0, 3.0, 0.0]])
+        adj = from_dense(m)
+        kept = adj.keep_pairs(np.array([False, True]))
+        assert np.array_equal(to_dense(kept), [[0, 0, 0], [0, 0, 3.0], [0, 3.0, 0]])
+
+    def test_keep_pairs_rejects_asymmetric_and_misaligned(self):
+        with pytest.raises(DataFormatError, match="symmetric"):
+            from_dense(np.array([[0.0, 1.0], [0.0, 0.0]])).keep_pairs(np.ones(1, bool))
+        adj = SparseAdjacency.from_undirected_edges(3, [0, 1], [1, 2])
+        with pytest.raises(ValueError):
+            adj.keep_pairs(np.ones(3, bool))
+
 
 class TestNormalize:
+    @pytest.mark.parametrize("n, density, seed", [(1, 0.0, 0), (7, 0.0, 1), (40, 0.2, 2)])
+    def test_output_passes_public_checks(self, n, density, seed):
+        rng = np.random.default_rng(seed)
+        m = (rng.random((n, n)) < density) * rng.random((n, n))
+        out = normalize_adjacency(from_dense(np.triu(m, 1) + np.triu(m, 1).T))
+        assert SparseAdjacency(n, out.indptr, out.indices, out.values).equals(out)
+        for a, dtype in ((out.indptr, np.int64), (out.indices, np.int64), (out.values, np.float64)):
+            assert a.dtype == dtype and a.flags.c_contiguous and not a.flags.writeable
+
     def test_single_node_no_edges(self):
         adj = from_dense(np.zeros((1, 1)))
         out = normalize_adjacency(adj)
