@@ -27,7 +27,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import HmgeError, NumericError
-from .multiplex import SparseAdjacency
+from .multiplex import SparseAdjacency, mirror_positions
 
 # Patterns at least this dense (and small enough) run S @ H and S^T @ H on
 # BLAS-backed dense kernels, the rest in CSR; the two agree to ~1e-12 and are
@@ -442,30 +442,18 @@ class UnionPattern:
         return SparseAdjacency(self.num_nodes, self.indptr, self.indices, values)
 
 
-def _transpose_permutation(n, indptr, indices) -> np.ndarray:
-    """For a structurally symmetric CSR pattern, data index of each entry's mirror."""
-    tagged = sp.csr_matrix(
-        (np.arange(indices.shape[0], dtype=np.float64), indices, indptr), shape=(n, n)
-    )
-    t = tagged.T.tocsr()
-    t.sort_indices()
-    if not (np.array_equal(t.indptr, indptr) and np.array_equal(t.indices, indices)):
-        raise ValueError("pattern is not structurally symmetric")
-    return t.data.astype(np.int64)
-
-
 class SpmmPlan:
     """Kernels for S @ H where S has fixed pattern and per-pass values.
 
-    The pattern must be structurally symmetric and the values exactly
-    symmetric (S == S^T), as ``NormalizePlan`` produces them, so S^T @ H
-    runs on the kernel of S. ``dense_mode`` picks the kernels of S @ H and
-    S^T @ H only: dense mode scatters the values into a dense matrix and
-    runs BLAS, sparse mode stays in CSR. The pattern alone picks it through
-    DENSE_DENSITY_THRESHOLD and DENSE_MAX_NODES; to force a mode, set those
-    constants before building the plan. Both modes share one row-blocked
-    SDDMM for the value gradient, planned here once per block from that
-    block's density.
+    The pattern must be structurally symmetric (DataFormatError otherwise)
+    and the values exactly symmetric (S == S^T), as ``NormalizePlan``
+    produces them, so S^T @ H runs on the kernel of S. ``dense_mode`` picks
+    the kernels of S @ H and S^T @ H only: dense mode scatters the values
+    into a dense matrix and runs BLAS, sparse mode stays in CSR. The pattern
+    alone picks it through DENSE_DENSITY_THRESHOLD and DENSE_MAX_NODES; to
+    force a mode, set those constants before building the plan. Both modes
+    share one row-blocked SDDMM for the value gradient, planned here once
+    per block from that block's density.
     """
 
     def __init__(self, num_nodes, indptr, indices):
@@ -474,7 +462,7 @@ class SpmmPlan:
         self.indices = indices
         self.nnz = int(indices.shape[0])
         # Data index of every entry's mirror, for NormalizePlan's backward.
-        self.tperm = _transpose_permutation(self.num_nodes, indptr, indices)
+        self.tperm = mirror_positions(self.num_nodes, indptr, indices)
         density = self.nnz / float(self.num_nodes) ** 2
         self.dense_mode = bool(
             density >= DENSE_DENSITY_THRESHOLD and self.num_nodes <= DENSE_MAX_NODES

@@ -244,12 +244,7 @@ def cmd_synth(options: _Options) -> int:
 
 
 def cmd_train(options: _Options) -> int:
-    from .model import (
-        HmgeParams,
-        export_combination_weights,
-        export_embeddings,
-        save_model,
-    )
+    from .model import export_combination_weights, export_embeddings, save_model
     from .training import train
 
     graph = _load_graph(options)
@@ -258,7 +253,7 @@ def cmd_train(options: _Options) -> int:
     hmge_config, train_config = _configs_from(options)
     result = train(graph, hmge_config, train_config, log_path=out / "train_log.csv")
     export_embeddings(result.embeddings, out / "embeddings.csv")
-    if isinstance(result.params, HmgeParams):
+    if hmge_config.num_layers:
         export_combination_weights(result.params, out)
     save_model(
         out / "model.bin", hmge_config, result.params,
@@ -350,9 +345,9 @@ def cmd_sweep(options: _Options) -> int:
 def _check_model_fits(params, graph) -> None:
     """Raise DataFormatError unless ``graph`` has the inputs ``params`` take."""
     from .errors import DataFormatError
-    from .model import HmgeParams
+    from .model import param_leaves
 
-    first = params.layers[0].gcn_w if isinstance(params, HmgeParams) else params.gcn_w[0]
+    first = next(arr for name, arr, _, _ in param_leaves(params) if name == "w_0")
     num_dims, width = first.shape[:2]
     if graph.num_dims != num_dims:
         raise DataFormatError(
@@ -368,7 +363,6 @@ def cmd_export(options: _Options) -> int:
     import numpy as np
 
     from .model import (
-        HmgeParams,
         encode,
         export_combination_weights,
         export_embeddings,
@@ -384,7 +378,7 @@ def cmd_export(options: _Options) -> int:
     out = Path(options.get("out", required=True))
     out.mkdir(parents=True, exist_ok=True)
     z = encode(graph, params, config).z
-    if isinstance(params, HmgeParams):
+    if config.num_layers:
         export_combination_weights(params, out)
     export_embeddings(z, out / "embeddings.csv")
     print(f"wrote embeddings for {graph.num_nodes} nodes to {out}")

@@ -93,6 +93,14 @@ class HmgeConfig:
         return tuple(schedule)
 
 
+class _Params:
+    """What the two parameter containers share."""
+
+    def copy(self):
+        """A copy holding a copy of every array."""
+        return structure_from_leaves(self, [arr.copy() for _, arr, _, _ in param_leaves(self)])
+
+
 @dataclass
 class LayerParams:
     """Trainables of one hierarchical layer, stacked over its input dimensions."""
@@ -102,28 +110,18 @@ class LayerParams:
     attn_v: np.ndarray   # D_in x M x M
     attn_y: np.ndarray   # D_in x M
 
-    def copy(self) -> "LayerParams":
-        return LayerParams(
-            self.alpha.copy(), self.gcn_w.copy(), self.attn_v.copy(), self.attn_y.copy()
-        )
-
 
 @dataclass
-class HmgeParams:
+class HmgeParams(_Params):
     """Full parameter set: per-layer trainables, final GCN weight, discriminator."""
 
     layers: list[LayerParams]
     final_w: np.ndarray
     disc_q: np.ndarray
 
-    def copy(self) -> "HmgeParams":
-        return HmgeParams(
-            [l.copy() for l in self.layers], self.final_w.copy(), self.disc_q.copy()
-        )
-
 
 @dataclass
-class LinearParams:
+class LinearParams(_Params):
     """Parameters of the linear-aggregation baseline.
 
     ``gcn_w[k]`` stacks the level-k GCN weights of every dimension
@@ -138,14 +136,6 @@ class LinearParams:
     @property
     def depth(self) -> int:
         return len(self.gcn_w)
-
-    def copy(self) -> "LinearParams":
-        return LinearParams(
-            [w.copy() for w in self.gcn_w],
-            self.attn_v.copy(),
-            self.attn_y.copy(),
-            self.disc_q.copy(),
-        )
 
 
 def _uniform_init(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
@@ -221,6 +211,40 @@ def init_linear_params(
         attn_y=attn_y,
         disc_q=_uniform_init(rng, (m, m), m),
     )
+
+
+def check_params(config: HmgeConfig, params, num_dims: int) -> None:
+    """Raise ConfigError unless ``params`` are of the encoder ``config`` describes.
+
+    Zero layers take LinearParams of any depth >= 1; L layers take
+    HmgeParams with L layers. Every array must have the shape a fresh
+    parameter set takes for ``num_dims`` input dimensions and any feature
+    width: alpha follows ``schedule_for``, the other arrays the embed size.
+    """
+    schedule, m = config.schedule_for(num_dims), config.embed_size
+    kind = HmgeParams if config.num_layers else LinearParams
+    layers = len(params.layers) if isinstance(params, HmgeParams) else 0
+    if not isinstance(params, kind) or layers != config.num_layers:
+        raise ConfigError(
+            f"a {config.num_layers}-layer config takes {kind.__name__}, "
+            f"got {layers}-layer {type(params).__name__}"
+        )
+    if kind is LinearParams:
+        shapes = {f"w_{k}": (num_dims, m, m) for k in range(params.depth)}
+        shapes |= {"v": (num_dims, m, m), "y": (num_dims, m)}
+    else:
+        shapes = {}
+        for l, (d_in, d_out) in enumerate(zip(schedule, schedule[1:])):
+            shapes |= {f"alpha_{l}": (d_in, d_out), f"w_{l}": (d_in, m, m),
+                       f"v_{l}": (d_in, m, m), f"y_{l}": (d_in, m)}
+        shapes["final_w"] = (m, m)
+    shapes["disc_q"] = (m, m)
+    leaves = {name: arr.shape for name, arr, _, _ in param_leaves(params)}
+    # The first GCN weight takes any feature width.
+    shapes["w_0"] = (num_dims, *leaves.get("w_0", ())[1:2], m)
+    for name, shape in shapes.items():
+        if leaves.get(name) != shape:
+            raise ConfigError(f"{name} is {leaves.get(name)}, the config takes {shape}")
 
 
 @dataclass
@@ -316,8 +340,7 @@ def param_leaves(params, train_alpha: bool = True):
     Decay applies to GCN weights, attention V matrices, and the
     discriminator; alpha logits and attention y vectors are exempt. The
     order here defines the tape-parameter order everywhere (trainer,
-    gradient checks, model files), so keep it in sync with
-    ``structure_from_leaves``.
+    gradient checks, model files); ``structure_from_leaves`` inverts it.
     """
     if isinstance(params, HmgeParams):
         for l, layer in enumerate(params.layers):
@@ -338,22 +361,14 @@ def param_leaves(params, train_alpha: bool = True):
 
 
 def structure_from_leaves(params, leaves):
-    """Rebuild the node structure the forward builders expect from flat leaves."""
+    """A container of the kind and shape of ``params`` holding ``leaves``
+    (arrays or tape nodes), given in ``param_leaves`` order."""
     it = iter(leaves)
     if isinstance(params, HmgeParams):
-        keys = ("alpha", "gcn_w", "attn_v", "attn_y")
-        out = {
-            "layers": [{k: next(it) for k in keys} for _ in params.layers],
-            "final_w": next(it),
-            "disc_q": next(it),
-        }
+        layers = [LayerParams(next(it), next(it), next(it), next(it)) for _ in params.layers]
+        out = HmgeParams(layers, next(it), next(it))
     else:
-        out = {
-            "gcn_w": [next(it) for _ in params.gcn_w],
-            "attn_v": next(it),
-            "attn_y": next(it),
-            "disc_q": next(it),
-        }
+        out = LinearParams([next(it) for _ in params.gcn_w], next(it), next(it), next(it))
     leftover = object()
     if next(it, leftover) is not leftover:
         raise ValueError("leaf count does not match the parameter template")
@@ -361,7 +376,7 @@ def structure_from_leaves(params, leaves):
 
 
 def lift_params(tape: ad.Tape, params, train_alpha: bool = True, constant: bool = False):
-    """Register all parameter arrays on a tape and return the node structure."""
+    """Register all parameter arrays on a tape; returns their container of nodes."""
     nodes = []
     for name, arr, _, trainable in param_leaves(params, train_alpha):
         if constant or not trainable:
@@ -401,8 +416,8 @@ def build_latent_structure(plan: EncodePlan, pnodes):
     """
     raw: list[ad.Node] = []
     gcn_ready: list[ad.Node] = []
-    for layer in pnodes["layers"]:
-        weights = ad.softmax_cols(layer["alpha"])
+    for layer in pnodes.layers:
+        weights = ad.softmax_cols(layer.alpha)
         if raw:
             block = ad.matmul(raw[-1], weights)
         else:
@@ -434,40 +449,42 @@ def build_embedding_chain(plan: EncodePlan, pnodes, perm, latent_gcn):
     for the clean one. ``latent_gcn[l]`` is the normalized value block of
     the latent adjacencies produced by layer l.
     """
-    layers = pnodes["layers"]
-    h_stack = _first_level(plan, layers[0]["gcn_w"], perm)
+    layers = pnodes.layers
+    h_stack = _first_level(plan, layers[0].gcn_w, perm)
     h_layers, betas = [], []
     for l, layer in enumerate(layers):
-        h, beta = _stack_attention(h_stack, layer["attn_v"], layer["attn_y"])
+        h, beta = _stack_attention(h_stack, layer.attn_v, layer.attn_y)
         h_layers.append(h)
         betas.append(beta)
         prop = ad.spmm_var(latent_gcn[l], plan.norm_plan.spmm, h)
         if l + 1 < len(layers):
-            h_stack = ad.relu(ad.batched_matmul(prop, layers[l + 1]["gcn_w"]))
+            h_stack = ad.relu(ad.batched_matmul(prop, layers[l + 1].gcn_w))
     # The embedding head is linear: clipping the output space measurably
     # discards class information, and the two-layer expansion of this
     # architecture is stated without a trailing non-linearity.
-    z = ad.matmul(ad.select_matrix(prop, 0), pnodes["final_w"])
+    z = ad.matmul(ad.select_matrix(prop, 0), pnodes.final_w)
     return z, h_layers, betas
 
 
-def build_hmge_forward(plan: EncodePlan, pnodes, perms):
-    """Latent adjacencies once, then one embedding chain per corruption permutation."""
-    raw, latent_gcn = build_latent_structure(plan, pnodes)
-    chains = [build_embedding_chain(plan, pnodes, perm, latent_gcn) for perm in perms]
-    return raw, chains
+def build_forward(plan: EncodePlan, pnodes, perms):
+    """The encoder of the lifted parameters' kind; returns (latent blocks, chains).
 
-
-def build_linear_forward(plan: EncodePlan, pnodes, perms):
-    """Per-dimension GCN stacks on the original graphs, one attention on top."""
+    One chain (z, h per layer, beta per layer) per feature-row shuffle in
+    ``perms`` (None for the clean pass). The hierarchical encoder shares
+    its latent blocks across chains; the linear baseline, per-dimension GCN
+    stacks with one attention on top, has none.
+    """
+    if isinstance(pnodes, HmgeParams):
+        raw, latent_gcn = build_latent_structure(plan, pnodes)
+        return raw, [build_embedding_chain(plan, pnodes, perm, latent_gcn) for perm in perms]
     chains = []
     for perm in perms:
-        h_stack = _first_level(plan, pnodes["gcn_w"][0], perm)
-        for w in pnodes["gcn_w"][1:]:
+        h_stack = _first_level(plan, pnodes.gcn_w[0], perm)
+        for w in pnodes.gcn_w[1:]:
             h_stack = ad.relu(ad.batched_matmul(ad.spmm(plan.first_gcn, h_stack), w))
-        h, beta = _stack_attention(h_stack, pnodes["attn_v"], pnodes["attn_y"])
+        h, beta = _stack_attention(h_stack, pnodes.attn_v, pnodes.attn_y)
         chains.append((h, [h], [beta]))
-    return chains
+    return [], chains
 
 
 def readout(z: np.ndarray) -> np.ndarray:
@@ -491,8 +508,8 @@ def encode(
 ) -> ForwardTrace:
     """Run the encoder and capture every intermediate product.
 
-    With zero layers this runs the linear-aggregation baseline (params must
-    then be LinearParams, of any depth). A supplied ``plan`` must have been
+    With zero layers this runs the linear-aggregation baseline; ``params``
+    must pass ``check_params``. A supplied ``plan`` must have been
     built from this graph's dimensions and features, and with hierarchical
     layers when ``config`` has them.
     """
@@ -509,16 +526,9 @@ def encode(
         raise ConfigError("encode plan was built from another graph's dimensions")
     elif config.num_layers > 0 and plan.norm_plan is None:
         raise ConfigError("encode plan was built for zero layers")
-    if config.num_layers == 0 and not isinstance(params, LinearParams):
-        raise ConfigError("zero-layer encode needs LinearParams")
-    if config.num_layers > 0 and not isinstance(params, HmgeParams):
-        raise ConfigError("hierarchical encode needs HmgeParams")
+    check_params(config, params, graph.num_dims)
     tape = ad.Tape()
-    pnodes = lift_params(tape, params, constant=True)
-    if config.num_layers == 0:
-        latent, chains = [], build_linear_forward(plan, pnodes, [None])
-    else:
-        latent, chains = build_hmge_forward(plan, pnodes, [None])
+    latent, chains = build_forward(plan, lift_params(tape, params, constant=True), [None])
     z_node, h_nodes, beta_nodes = chains[0]
     trace = ForwardTrace(
         latent_adjacencies=[
@@ -570,12 +580,15 @@ def save_model(path, config: HmgeConfig, params, identity_features: bool = False
     Format 2 stores every stacked parameter array under its ``param_leaves``
     name and records whether the model was trained on one-hot node features.
     The config keeps ``"activation": "relu"``, the encoder's one
-    non-linearity and the only value ``load_model`` accepts.
+    non-linearity and the only value ``load_model`` accepts. Parameters
+    that do not match ``config`` raise ConfigError and write nothing.
     """
     arrays = {name: arr for name, arr, _, _ in param_leaves(params)}
+    # The input dimension count is the one the first GCN weight stacks.
+    check_params(config, params, len(arrays.get("w_0", ())))
     meta = {
         "format_version": MODEL_FORMAT_VERSION,
-        "kind": "hmge" if isinstance(params, HmgeParams) else "linear",
+        "kind": "hmge" if config.num_layers else "linear",
         "config": {
             "embed_size": config.embed_size,
             "num_layers": config.num_layers,
@@ -586,7 +599,7 @@ def save_model(path, config: HmgeConfig, params, identity_features: bool = False
         },
         "identity_features": bool(identity_features),
     }
-    if isinstance(params, LinearParams):
+    if not config.num_layers:
         meta["depth"] = params.depth
     with open(path, "wb") as fh:
         np.savez(fh, meta=np.str_(json.dumps(meta)), **arrays)

@@ -148,28 +148,18 @@ class SparseAdjacency:
         stored orientations of a pair go or stay together, with their values.
         The matrix must be symmetric; diagonal entries are dropped.
         """
-        n = self.num_nodes
         upper = self.row_indices() < self.indices
         keep = np.asarray(keep, dtype=bool)
         if keep.shape != (np.count_nonzero(upper),):
             raise ValueError(f"keep has shape {keep.shape}, expected one flag per pair")
-        # The transpose in CSR order, holding each entry's position: a
-        # symmetric matrix keeps its pattern, and the values then map every
-        # entry to its mirror.
-        mirror = sp.csr_matrix(
-            (np.arange(self.nnz), self.indices, self.indptr), shape=(n, n)
-        ).tocsc()
-        if not (
-            np.array_equal(mirror.indptr, self.indptr)
-            and np.array_equal(mirror.indices, self.indices)
-        ):
-            raise DataFormatError("cannot keep pairs of a non-symmetric adjacency")
+        mirror = mirror_positions(self.num_nodes, self.indptr, self.indices)
         upper_keep = np.zeros(self.nnz, dtype=bool)
         upper_keep[upper] = keep
-        entry_keep = upper_keep | upper_keep[mirror.data]
+        entry_keep = upper_keep | upper_keep[mirror]
         kept_before = np.concatenate([[0], np.cumsum(entry_keep)])
         return _trusted_adjacency(
-            n, kept_before[self.indptr], self.indices[entry_keep], self.values[entry_keep]
+            self.num_nodes, kept_before[self.indptr], self.indices[entry_keep],
+            self.values[entry_keep],
         )
 
     def equals(self, other: "SparseAdjacency") -> bool:
@@ -179,6 +169,22 @@ class SparseAdjacency:
             and np.array_equal(self.indices, other.indices)
             and np.array_equal(self.values, other.values)
         )
+
+
+def mirror_positions(num_nodes: int, indptr, indices) -> np.ndarray:
+    """Data index of each entry's mirror in a structurally symmetric CSR pattern.
+
+    The transpose in CSR order holds each entry's position: a symmetric
+    pattern is its own transpose, so those positions map every entry to its
+    mirror. Raises DataFormatError on a pattern that is not symmetric.
+    """
+    mirror = sp.csr_matrix(
+        (np.arange(indices.shape[0], dtype=np.int64), indices, indptr),
+        shape=(num_nodes, num_nodes),
+    ).tocsc()
+    if not (np.array_equal(mirror.indptr, indptr) and np.array_equal(mirror.indices, indices)):
+        raise DataFormatError("CSR pattern is not structurally symmetric")
+    return mirror.data
 
 
 def _trusted_adjacency(num_nodes: int, indptr, indices, values) -> SparseAdjacency:

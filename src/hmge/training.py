@@ -147,12 +147,8 @@ def build_loss_nodes(plan, pnodes, perm):
     The clean pass encodes the plan's features, the corrupted pass the same
     features with their rows shuffled by ``perm``.
     """
-    perms = [None, perm]
-    if "layers" in pnodes:
-        _, chains = mdl.build_hmge_forward(plan, pnodes, perms)
-    else:
-        chains = mdl.build_linear_forward(plan, pnodes, perms)
-    return ad.infomax_bce(chains[0][0], chains[1][0], pnodes["disc_q"])
+    _, chains = mdl.build_forward(plan, pnodes, [None, perm])
+    return ad.infomax_bce(chains[0][0], chains[1][0], pnodes.disc_q)
 
 
 @dataclass
@@ -177,8 +173,9 @@ def train(
 
     ``train_alpha=False`` freezes the combination logits (used by the
     uniform-weights ablation). A fresh parameter set is drawn from the seed
-    unless ``params`` is supplied. On glibc the first call sets the
-    process-wide malloc policy of ``pin_malloc``.
+    unless ``params`` is supplied; supplied parameters that do not match
+    ``hmge_config`` raise ConfigError before the first epoch. On glibc the
+    first call sets the process-wide malloc policy of ``pin_malloc``.
     """
     pin_malloc()
     seed_init, seed_corrupt = np.random.SeedSequence(train_config.rng_seed).spawn(2)
@@ -188,6 +185,7 @@ def train(
             np.random.default_rng(seed_init),
         )
     else:
+        mdl.check_params(hmge_config, params, graph.num_dims)
         params = params.copy()
     plan = mdl.EncodePlan(graph, hmge_config)
     corrupt_rng = np.random.default_rng(seed_corrupt)

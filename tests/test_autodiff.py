@@ -316,6 +316,12 @@ def test_infomax_bce_clamped_entries_pass_no_gradient():
 
 
 class TestSparseOps:
+    def test_spmm_plan_rejects_asymmetric_pattern(self):
+        from hmge.errors import DataFormatError
+
+        with pytest.raises(DataFormatError, match="symmetric"):
+            ad.SpmmPlan(3, np.array([0, 1, 2, 2]), np.array([1, 2]))
+
     def test_spmm_constant_operand(self):
         adj = random_sym_adj(6, 0.5, 0)
         norm = normalize_adjacency(adj).to_scipy()

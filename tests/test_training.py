@@ -301,6 +301,85 @@ HEAP_SCRIPT = textwrap.dedent("""
 """)
 
 
+def mismatched_params():
+    """(id, config, params) whose params the config does not describe, on
+    the 3-dimension graph of ``sbm60``."""
+    def hmge(embed_size, layers):
+        return init_params(HmgeConfig(embed_size, layers), 3, 3, np.random.default_rng(0))
+
+    return [
+        ("linear-under-1-layer", HmgeConfig(4, 1),
+         init_linear_params(4, 3, 3, 1, np.random.default_rng(0))),
+        ("1-layer-under-0-layer", HmgeConfig(4, 0), hmge(4, 1)),
+        ("2-layer-under-1-layer", HmgeConfig(4, 1), hmge(4, 2)),
+        ("embed-4-under-8", HmgeConfig(8, 1), hmge(4, 1)),
+    ]
+
+
+class TestParamsMatchConfig:
+    @staticmethod
+    def sbm60():
+        graph = generate_multiplex(SbmConfig(60, 3, rng_seed=1)).graph
+        assert (graph.num_dims, graph.num_features) == (3, 3)
+        return graph
+
+    @staticmethod
+    def count_epochs(monkeypatch):
+        import hmge.training
+
+        calls = []
+        build = hmge.training.build_loss_nodes
+        monkeypatch.setattr(hmge.training, "build_loss_nodes",
+                            lambda *args: calls.append(1) or build(*args))
+        return calls
+
+    def test_epoch_counter_sees_matching_params_train(self, monkeypatch):
+        calls = self.count_epochs(monkeypatch)
+        cfg = HmgeConfig(4, 1)
+        train(self.sbm60(), cfg, TrainConfig(epochs=3, patience=3),
+              params=init_params(cfg, 3, 3, np.random.default_rng(0)))
+        assert len(calls) == 3
+
+    @pytest.mark.parametrize("case", mismatched_params(), ids=lambda c: c[0])
+    def test_train_refuses_before_first_epoch(self, case, monkeypatch):
+        _, cfg, params = case
+        calls = self.count_epochs(monkeypatch)
+        with pytest.raises(ConfigError):
+            train(self.sbm60(), cfg, TrainConfig(epochs=3, patience=3), params=params)
+        assert calls == []
+
+    @pytest.mark.parametrize("case", mismatched_params(), ids=lambda c: c[0])
+    def test_save_model_refuses(self, case, tmp_path):
+        from hmge.model import save_model
+
+        _, cfg, params = case
+        with pytest.raises(ConfigError):
+            save_model(tmp_path / "model.bin", cfg, params)
+        assert not (tmp_path / "model.bin").exists()
+
+    @pytest.mark.parametrize("case", mismatched_params(), ids=lambda c: c[0])
+    def test_encode_refuses(self, case):
+        from hmge.model import encode
+
+        _, cfg, params = case
+        with pytest.raises(ConfigError):
+            encode(self.sbm60(), params, cfg)
+
+    @pytest.mark.parametrize("depth", [None, 1, 2])
+    def test_copy_owns_every_array(self, depth):
+        if depth is None:
+            params = init_params(HmgeConfig(4, 2), 3, 3, np.random.default_rng(0))
+        else:
+            params = init_linear_params(4, 3, 3, depth, np.random.default_rng(0))
+        copy = params.copy()
+        assert type(copy) is type(params)
+        for (name, a, decay, _), (name2, b, decay2, _) in zip(
+            param_leaves(params), param_leaves(copy), strict=True
+        ):
+            assert (name, decay) == (name2, decay2)
+            assert np.array_equal(a, b) and not np.shares_memory(a, b)
+
+
 class TestHeap:
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc malloc policy")
     def test_steady_epochs_reuse_the_heap(self):
