@@ -14,8 +14,10 @@ The attention step is two ops: ``attention_weights`` scores a (D, N, M)
 embedding stack and normalizes the scores per node, with one hand-written
 pullback; ``mix_stack`` forms the weighted sum over dimensions. The
 training objective is one op too: ``infomax_bce`` maps the clean and the
-corrupted embeddings and the discriminator matrix to the scalar loss.
-Every op here is one that production calls.
+corrupted last-layer outputs, the output head (the last latent value
+column and ``final_w``) and the discriminator matrix to the scalar loss;
+the linear baseline, whose embeddings are its last-layer outputs, passes
+no head. Every op here is one that production calls.
 """
 
 from __future__ import annotations
@@ -258,20 +260,6 @@ def permute_rows(a: Node, perm: np.ndarray) -> Node:
     return a.tape._add(a.value[:, perm], (a,), backward, name="permute_rows")
 
 
-def select_matrix(stack: Node, index: int) -> Node:
-    """Slice (D, N, M) -> (N, M) at the given leading index."""
-    if stack.value.ndim != 3 or not (0 <= index < stack.value.shape[0]):
-        raise ValueError(f"bad slice {index} for shape {stack.value.shape}")
-
-    def backward(g):
-        if stack.requires_grad:
-            if stack.adjoint is None:
-                stack.adjoint = np.zeros_like(stack.value)
-            stack.adjoint[index] += g
-
-    return stack.tape._add(stack.value[index].copy(), (stack,), backward, name="select_matrix")
-
-
 def batched_matmul(a: Node, b: Node) -> Node:
     """Per-block matrix product: (D, N, K) @ (D, K, M) -> (D, N, M)."""
     tape = _same_tape(a, b)
@@ -365,25 +353,45 @@ def mix_stack(stack: Node, weights: Node) -> Node:
     return tape._add(np.einsum("dnm,nd->nm", sv, wv), (stack, weights), backward, name="mix_stack")
 
 
-def infomax_bce(z: Node, z_hat: Node, q: Node) -> Node:
+def infomax_bce(h: Node, h_hat: Node, q: Node, values: Node | None = None,
+                plan: SpmmPlan | None = None, w: Node | None = None) -> Node:
     """The InfoMax objective: mean BCE of the discriminator sigma(z_i^T Q s).
 
-    The summary s is the mean of the rows of z; the rows of z are the
-    positives and the rows of ``z_hat`` the negatives. sigma(z_i^T Q s) and
-    1 - sigma(z_hat_i^T Q s) are clamped into [LOG_CLAMP, 1 - LOG_CLAMP]
-    before the log, and clamped entries pass no gradient. The pullback
-    sends gradient into z through its scores and through s.
+    The rows of z = S h W are the positives and the rows of z_hat = S h_hat W
+    the negatives; the summary s is the mean of the rows of z. S is the one
+    value column of ``values`` on ``plan``, exactly symmetric as
+    ``NormalizePlan`` makes it, and W is ``w``; without them (the linear
+    baseline) z = h. z is never formed: the scores are S(h u) and
+    S(h_hat u) with u = W Q s, and s = (S^T 1)^T h W / N, so the head
+    multiplies S by two vectors where z would take N x M products.
+    sigma(z_i^T Q s) and 1 - sigma(z_hat_i^T Q s) are clamped into
+    [LOG_CLAMP, 1 - LOG_CLAMP] before the log, and clamped entries pass no
+    gradient.
     """
-    tape = _same_tape(z, z_hat, q)
-    zv, hv, qv = z.value, z_hat.value, q.value
-    if zv.ndim != 2 or hv.shape != zv.shape or qv.shape != (zv.shape[1],) * 2:
-        raise ValueError(f"infomax_bce shape mismatch: {zv.shape}, {hv.shape}, {qv.shape}")
-    n = zv.shape[0]
+    head = () if values is None else (values, w)
+    tape = _same_tape(h, h_hat, q, *head)
+    hv, hh, qv = h.value, h_hat.value, q.value
+    n = hv.shape[0]
+    if hv.ndim != 2 or hh.shape != hv.shape or qv.shape != (hv.shape[1],) * 2 or head and (
+        values.value.shape != (plan.nnz, 1) or plan.num_nodes != n or w.value.shape != qv.shape
+    ):
+        shapes = [a.value.shape for a in (h, h_hat, q, *head)]
+        raise ValueError(f"infomax_bce shape mismatch: {shapes}")
     factor = -1.0 / (2.0 * n)
-    s = zv.mean(axis=0)
-    qs = qv @ s
-    pos = sigmoid_value(zv @ qs)
-    neg = sigmoid_value(hv @ qs)
+    if head:
+        col, wv, cache = values.value[:, 0], w.value, values.cache().setdefault(0, {})
+        c = np.bincount(plan.indices, weights=col, minlength=n)  # S^T 1
+        p = (c @ hv) / n
+        s = p @ wv
+        qs = qv @ s
+        u = wv @ qs
+    else:
+        c = np.ones(n)
+        s = hv.mean(axis=0)
+        u = qs = qv @ s
+    ab = np.stack([hv @ u, hh @ u], axis=1)
+    scores = plan.matmul(col, ab, cache) if head else ab
+    pos, neg = sigmoid_value(scores[:, 0]), sigmoid_value(scores[:, 1])
     low, high = LOG_CLAMP, 1.0 - LOG_CLAMP
     clipped_pos, clipped_neg = np.clip(pos, low, high), np.clip(1.0 - neg, low, high)
     inside_pos, inside_neg = clipped_pos == pos, clipped_neg == 1.0 - neg
@@ -393,23 +401,33 @@ def infomax_bce(z: Node, z_hat: Node, q: Node) -> Node:
     def backward(g):
         # d(loss)/d(score) on each side, through the log and the sigmoid.
         g = g * factor
-        g_pos = g * inside_pos / clipped_pos * pos * (1.0 - pos)
-        g_neg = -(g * inside_neg / clipped_neg) * neg * (1.0 - neg)
-        zg, hg = zv.T @ g_pos, hv.T @ g_neg
-        if z_hat.requires_grad:
-            _accum_owned(z_hat, np.outer(g_neg, qs))
+        g_scores = np.stack([g * inside_pos / clipped_pos * pos * (1.0 - pos),
+                             -(g * inside_neg / clipped_neg) * neg * (1.0 - neg)], axis=1)
+        # d(loss)/d(h u) and d(loss)/d(h_hat u), then back through u and s.
+        g_ab = plan.matmul_transpose(col, g_scores, cache) if head else g_scores
+        du = hv.T @ g_ab[:, 0]
+        du += hh.T @ g_ab[:, 1]
+        dqs = wv.T @ du if head else du
+        ds = qv.T @ dqs
+        dp = (wv @ ds if head else ds) / n
+        if h_hat.requires_grad:
+            _accum_owned(h_hat, np.outer(g_ab[:, 1], u))
         if q.requires_grad:
-            dq = np.outer(hg, s)
-            dq += np.outer(zg, s)
-            _accum_owned(q, dq)
-        if z.requires_grad:
-            ds = qv.T @ hg
-            ds += qv.T @ zg
-            dz = np.outer(g_pos, qs)
-            dz += ds / n
-            _accum_owned(z, dz)
+            _accum_owned(q, np.outer(dqs, s))
+        if h.requires_grad:
+            dh = np.outer(g_ab[:, 0], u)
+            dh += np.outer(c, dp)
+            _accum_owned(h, dh)
+        if head and w.requires_grad:
+            dw = np.outer(du, qs)
+            dw += np.outer(p, ds)
+            _accum_owned(w, dw)
+        if head and values.requires_grad:
+            # The mean term lands on each entry's column: s reads 1^T S.
+            g_rows = np.column_stack([g_scores, np.ones(n)])
+            _accum_owned(values, plan.grad_values(g_rows, np.column_stack([ab, hv @ dp]))[:, None])
 
-    return tape._add(np.asarray(loss), (z, z_hat, q), backward, name="infomax_bce")
+    return tape._add(np.asarray(loss), (h, h_hat, q, *head), backward, name="infomax_bce")
 
 
 # ---------------------------------------------------------------------------

@@ -213,13 +213,15 @@ def init_linear_params(
     )
 
 
-def check_params(config: HmgeConfig, params, num_dims: int) -> None:
+def check_params(config: HmgeConfig, params, num_dims: int,
+                 num_features: int | None = None) -> None:
     """Raise ConfigError unless ``params`` are of the encoder ``config`` describes.
 
     Zero layers take LinearParams of any depth >= 1; L layers take
     HmgeParams with L layers. Every array must have the shape a fresh
-    parameter set takes for ``num_dims`` input dimensions and any feature
-    width: alpha follows ``schedule_for``, the other arrays the embed size.
+    parameter set takes for ``num_dims`` input dimensions and
+    ``num_features`` features per node (any width when None): alpha
+    follows ``schedule_for``, the other arrays the embed size.
     """
     schedule, m = config.schedule_for(num_dims), config.embed_size
     kind = HmgeParams if config.num_layers else LinearParams
@@ -240,8 +242,8 @@ def check_params(config: HmgeConfig, params, num_dims: int) -> None:
         shapes["final_w"] = (m, m)
     shapes["disc_q"] = (m, m)
     leaves = {name: arr.shape for name, arr, _, _ in param_leaves(params)}
-    # The first GCN weight takes any feature width.
-    shapes["w_0"] = (num_dims, *leaves.get("w_0", ())[1:2], m)
+    width = leaves.get("w_0", ())[1:2] if num_features is None else (num_features,)
+    shapes["w_0"] = (num_dims, *width, m)
     for name, shape in shapes.items():
         if leaves.get(name) != shape:
             raise ConfigError(f"{name} is {leaves.get(name)}, the config takes {shape}")
@@ -443,11 +445,13 @@ def _first_level(plan: EncodePlan, w: ad.Node, perm) -> ad.Node:
 
 
 def build_embedding_chain(plan: EncodePlan, pnodes, perm, latent_gcn):
-    """Phase-one chain for one feature input; returns (z, h per layer, beta per layer).
+    """Phase-one chain for one feature input; returns (h per layer, beta per layer).
 
     ``perm`` shuffles the feature rows for the corrupted pass and is None
     for the clean one. ``latent_gcn[l]`` is the normalized value block of
-    the latent adjacencies produced by layer l.
+    the latent adjacencies produced by layer l. The chain ends at the last
+    layer's attention output h_L; the output head on the last latent graph
+    (``build_forward``) reads it from there.
     """
     layers = pnodes.layers
     h_stack = _first_level(plan, layers[0].gcn_w, perm)
@@ -456,35 +460,37 @@ def build_embedding_chain(plan: EncodePlan, pnodes, perm, latent_gcn):
         h, beta = _stack_attention(h_stack, layer.attn_v, layer.attn_y)
         h_layers.append(h)
         betas.append(beta)
-        prop = ad.spmm_var(latent_gcn[l], plan.norm_plan.spmm, h)
         if l + 1 < len(layers):
+            prop = ad.spmm_var(latent_gcn[l], plan.norm_plan.spmm, h)
             h_stack = ad.relu(ad.batched_matmul(prop, layers[l + 1].gcn_w))
-    # The embedding head is linear: clipping the output space measurably
-    # discards class information, and the two-layer expansion of this
-    # architecture is stated without a trailing non-linearity.
-    z = ad.matmul(ad.select_matrix(prop, 0), pnodes.final_w)
-    return z, h_layers, betas
+    return h_layers, betas
 
 
 def build_forward(plan: EncodePlan, pnodes, perms):
-    """The encoder of the lifted parameters' kind; returns (latent blocks, chains).
+    """The encoder of the lifted parameters' kind; returns (latent blocks, head, chains).
 
-    One chain (z, h per layer, beta per layer) per feature-row shuffle in
-    ``perms`` (None for the clean pass). The hierarchical encoder shares
-    its latent blocks across chains; the linear baseline, per-dimension GCN
-    stacks with one attention on top, has none.
+    One chain (h per layer, beta per layer) per feature-row shuffle in
+    ``perms`` (None for the clean pass). The embeddings are z = S h W of
+    each chain's last h, with (S, its SpmmPlan, W) the ``head``: the last
+    normalized latent block and ``final_w``. The head is linear: clipping
+    the output space measurably discards class information, and the
+    two-layer expansion of this architecture is stated without a trailing
+    non-linearity. The hierarchical encoder shares its latent blocks across
+    chains; the linear baseline, per-dimension GCN stacks with one
+    attention on top, has none and an empty head (z = h).
     """
     if isinstance(pnodes, HmgeParams):
         raw, latent_gcn = build_latent_structure(plan, pnodes)
-        return raw, [build_embedding_chain(plan, pnodes, perm, latent_gcn) for perm in perms]
+        head = (latent_gcn[-1], plan.norm_plan.spmm, pnodes.final_w)
+        return raw, head, [build_embedding_chain(plan, pnodes, perm, latent_gcn) for perm in perms]
     chains = []
     for perm in perms:
         h_stack = _first_level(plan, pnodes.gcn_w[0], perm)
         for w in pnodes.gcn_w[1:]:
             h_stack = ad.relu(ad.batched_matmul(ad.spmm(plan.first_gcn, h_stack), w))
         h, beta = _stack_attention(h_stack, pnodes.attn_v, pnodes.attn_y)
-        chains.append((h, [h], [beta]))
-    return [], chains
+        chains.append(([h], [beta]))
+    return [], (), chains
 
 
 def readout(z: np.ndarray) -> np.ndarray:
@@ -526,18 +532,22 @@ def encode(
         raise ConfigError("encode plan was built from another graph's dimensions")
     elif config.num_layers > 0 and plan.norm_plan is None:
         raise ConfigError("encode plan was built for zero layers")
-    check_params(config, params, graph.num_dims)
+    check_params(config, params, graph.num_dims, graph.num_features)
     tape = ad.Tape()
-    latent, chains = build_forward(plan, lift_params(tape, params, constant=True), [None])
-    z_node, h_nodes, beta_nodes = chains[0]
+    latent, head, chains = build_forward(plan, lift_params(tape, params, constant=True), [None])
+    h_nodes, beta_nodes = chains[0]
+    z = h_nodes[-1].value
+    if head:  # z = (S h) W, off the tape
+        values, spmm, w = head
+        z = spmm.matmul(values.value[:, 0], z, {}) @ w.value
     trace = ForwardTrace(
         latent_adjacencies=[
             [plan.union.to_adjacency(col) for col in block.value.T] for block in latent
         ],
         embeddings=[h.value for h in h_nodes],
         attention=[b.value for b in beta_nodes],
-        z=z_node.value,
-        summary=readout(z_node.value),
+        z=z,
+        summary=readout(z),
     )
     tape.release()
     return trace
@@ -654,34 +664,30 @@ def load_model(path):
     first = stored.get("w_0")
     if first is None or first.ndim != 3:
         raise DataFormatError(f"{path}: model file needs a 3-d w_0")
-    num_dims, width = first.shape[:2]
-    rng = np.random.default_rng(0)
     try:
         config = HmgeConfig(
             cfg["embed_size"], cfg["num_layers"], tuple(schedule) if schedule else None
         )
-        if meta.get("kind") == "hmge" and config.num_layers > 0:
-            params = init_params(config, num_dims, width, rng)
-        elif meta.get("kind") == "linear" and config.num_layers == 0 and _is_int(meta.get("depth")):
-            params = init_linear_params(config.embed_size, num_dims, width, meta["depth"], rng)
+        kind, depth = meta.get("kind"), meta.get("depth")
+        # A container of the right kind and size, its arrays still missing.
+        if kind == "hmge" and config.num_layers > 0:
+            skeleton = HmgeParams([LayerParams(None, None, None, None)] * config.num_layers,
+                                  None, None)
+        elif kind == "linear" and config.num_layers == 0 and _is_int(depth) and depth > 0:
+            skeleton = LinearParams([None] * depth, None, None, None)
         else:
-            raise DataFormatError(
-                f"{path}: model kind {meta.get('kind')!r} does not match its config"
-            )
+            raise DataFormatError(f"{path}: model kind {kind!r} does not match its config")
+        names = [name for name, _, _, _ in param_leaves(skeleton)]
+        if stored.keys() != set(names):
+            missing, extra = sorted(set(names) - stored.keys()), sorted(stored.keys() - set(names))
+            raise DataFormatError(f"{path}: model entries missing {missing}, unexpected {extra}")
+        for name in names:
+            if stored[name].dtype != np.float64:
+                raise DataFormatError(f"{path}: {name} is {stored[name].dtype}, expected float64")
+            if not np.all(np.isfinite(stored[name])):
+                raise DataFormatError(f"{path}: {name} holds non-finite values")
+        params = structure_from_leaves(skeleton, [stored[name] for name in names])
+        check_params(config, params, first.shape[0])
     except ConfigError as exc:
         raise DataFormatError(f"{path}: {exc}") from exc
-    # Fill the fresh parameter set in place, after checking each array.
-    leaves = {name: arr for name, arr, _, _ in param_leaves(params)}
-    if stored.keys() != leaves.keys():
-        missing, extra = sorted(leaves.keys() - stored.keys()), sorted(stored.keys() - leaves.keys())
-        raise DataFormatError(f"{path}: model entries missing {missing}, unexpected {extra}")
-    for name, arr in leaves.items():
-        value = stored[name]
-        if value.shape != arr.shape or value.dtype != np.float64:
-            raise DataFormatError(
-                f"{path}: {name} is {value.dtype} {value.shape}, expected float64 {arr.shape}"
-            )
-        if not np.all(np.isfinite(value)):
-            raise DataFormatError(f"{path}: {name} holds non-finite values")
-        arr[...] = value
     return config, params, identity_features

@@ -147,8 +147,8 @@ def build_loss_nodes(plan, pnodes, perm):
     The clean pass encodes the plan's features, the corrupted pass the same
     features with their rows shuffled by ``perm``.
     """
-    _, chains = mdl.build_forward(plan, pnodes, [None, perm])
-    return ad.infomax_bce(chains[0][0], chains[1][0], pnodes.disc_q)
+    _, head, ((h, _), (h_hat, _)) = mdl.build_forward(plan, pnodes, [None, perm])
+    return ad.infomax_bce(h[-1], h_hat[-1], pnodes.disc_q, *head)
 
 
 @dataclass
@@ -185,7 +185,7 @@ def train(
             np.random.default_rng(seed_init),
         )
     else:
-        mdl.check_params(hmge_config, params, graph.num_dims)
+        mdl.check_params(hmge_config, params, graph.num_dims, graph.num_features)
         params = params.copy()
     plan = mdl.EncodePlan(graph, hmge_config)
     corrupt_rng = np.random.default_rng(seed_corrupt)

@@ -6,6 +6,9 @@ numpy versions compute the same quantities one matrix at a time, in the
 order the paper writes them, so the tests can check the tape's results.
 ``elementwise_mul``, ``tanh``, ``add``, ``scale`` and ``sum_all`` are tape
 ops that only the tests use, to turn an op's output into a scalar loss;
+``select_matrix`` slices one matrix out of a stack, for the unfused output
+head (``spmm_var``, then a slice, then ``matmul``) that the tests compare
+the fused ``infomax_bce`` head against;
 ``full_loss_builder`` wraps the whole training objective for
 ``autodiff.grad_check``. ``from_dense`` and ``to_dense`` convert between
 ``SparseAdjacency`` and dense matrices; ``expected_edge_counts`` is the
@@ -260,6 +263,20 @@ def elementwise_mul(a: Node, b: Node) -> Node:
             _accum_owned(b, g * a.value)
 
     return tape._add(a.value * b.value, (a, b), backward, name="mul")
+
+
+def select_matrix(stack: Node, index: int) -> Node:
+    """Slice (D, N, M) -> (N, M) at the given leading index."""
+    if stack.value.ndim != 3 or not (0 <= index < stack.value.shape[0]):
+        raise ValueError(f"bad slice {index} for shape {stack.value.shape}")
+
+    def backward(g):
+        if stack.requires_grad:
+            if stack.adjoint is None:
+                stack.adjoint = np.zeros_like(stack.value)
+            stack.adjoint[index] += g
+
+    return stack.tape._add(stack.value[index].copy(), (stack,), backward, name="select_matrix")
 
 
 def tanh(a: Node) -> Node:

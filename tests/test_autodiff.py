@@ -5,7 +5,17 @@ from hmge import autodiff as ad
 from hmge.errors import HmgeError, NumericError
 from hmge.multiplex import SparseAdjacency, normalize_adjacency
 from hmge.training import infomax_loss
-from oracles import add, elementwise_mul, from_dense, position_map, scale, sum_all, tanh, to_dense
+from oracles import (
+    add,
+    elementwise_mul,
+    from_dense,
+    position_map,
+    scale,
+    select_matrix,
+    sum_all,
+    tanh,
+    to_dense,
+)
 
 
 def forced_plan(monkeypatch, union, dense_mode):
@@ -35,11 +45,16 @@ def symmetric_value_block(union, rng, columns):
     return np.stack(block, axis=1)
 
 
-def random_sym_adj(n, density, seed):
-    rng = np.random.default_rng(seed)
+def random_sym_dense(n, rng, density, isolated=0):
+    """0/1 symmetric adjacency; the last ``isolated`` nodes have no edge."""
     m = (rng.random((n, n)) < density).astype(float)
-    m = np.triu(m, 1) + np.triu(m, 1).T
-    return from_dense(m)
+    m[n - isolated:] = m[:, n - isolated:] = 0.0
+    m = np.triu(m, 1)
+    return m + m.T
+
+
+def random_sym_adj(n, density, seed):
+    return from_dense(random_sym_dense(n, np.random.default_rng(seed), density))
 
 
 class TestForwardValues:
@@ -178,6 +193,26 @@ def clamped_infomax_arrays(rng):
     return [z, z_hat, 4.0 * np.eye(3)]
 
 
+def head_arrays(rng, clamped=False, n=6, m=3):
+    """(values, h, h_hat, W, Q) and the SpmmPlan for the fused output head.
+
+    S is the normalized adjacency of a random graph on ``n`` nodes whose
+    last node is isolated, so S holds a 1 at that node's diagonal and
+    nothing else in its row and column. With ``clamped`` the corrupted
+    row of that node scores 50, which the loss clamps.
+    """
+    adj = from_dense(random_sym_dense(n, rng, 0.6, isolated=1))
+    norm = ad.NormalizePlan(ad.UnionPattern([adj]))
+    values = norm.forward(adj.values[:, None])[0]
+    h, h_hat = rng.uniform(-1, 1, (2, n, m))
+    w, q = rng.uniform(-1.5, 1.5, (2, m, m))
+    if clamped:
+        c = np.bincount(norm.spmm.indices, weights=values[:, 0], minlength=n)
+        u = w @ q @ ((c @ h) @ w / n)
+        h_hat[-1] = 50.0 * u / (u @ u)
+    return [values, h, h_hat, w, q], norm.spmm
+
+
 def op_cases():
     rng = np.random.default_rng(7)
 
@@ -216,7 +251,7 @@ def op_cases():
     )
     cases.append(
         ("select_matrix", [rng.uniform(-1, 1, (3, 4, 2))],
-         lambda t, n: sum_all(tanh(ad.select_matrix(n[0], 1))))
+         lambda t, n: sum_all(tanh(select_matrix(n[0], 1))))
     )
     cases.append(
         ("batched_matmul", [rng.uniform(-1, 1, (2, 4, 3)), rng.uniform(-1, 1, (2, 3, 5))],
@@ -264,6 +299,12 @@ def op_cases():
          lambda t, n: sum_all(tanh(add(
              ad.permute_rows(n[0], perm), elementwise_mul(n[0], t.constant(c_pr))))))
     )
+    for name, clamped in (("infomax_bce_head", False), ("infomax_bce_head_clamped", True)):
+        arrays, plan = head_arrays(rng, clamped)
+        cases.append(
+            (name, arrays,
+             lambda t, n, plan=plan: ad.infomax_bce(n[1], n[2], n[4], n[0], plan, n[3]))
+        )
     return cases
 
 
@@ -313,6 +354,46 @@ def test_infomax_bce_clamped_entries_pass_no_gradient():
     clamped = np.isin(np.arange(6), [1, 2])
     assert not np.any(hn.adjoint[clamped])
     assert np.all(np.any(hn.adjoint[~clamped] != 0.0, axis=1))
+
+
+def test_infomax_bce_head_clamped_row_passes_no_gradient():
+    # The isolated node's corrupted score is S_rr (h_hat u)_r = 50: its
+    # adjoint d/d(h_hat u) is S^T of a gradient that is zero at that node.
+    arrays, plan = head_arrays(np.random.default_rng(10), clamped=True)
+    t = ad.Tape()
+    values, h, h_hat, w, q = (t.parameter(a) for a in arrays)
+    t.backward(ad.infomax_bce(h, h_hat, q, values, plan, w))
+    assert not np.any(h_hat.adjoint[-1])
+    assert np.all(np.any(h_hat.adjoint[:-1] != 0.0, axis=1))
+    assert np.all(np.any(h.adjoint != 0.0, axis=1))
+
+
+@pytest.mark.parametrize("dense_mode", [True, False])
+def test_infomax_bce_head_matches_unfused_chain(monkeypatch, dense_mode):
+    # z = S h W through spmm_var, a slice and matmul, then the head-free loss.
+    union = banded_pattern(40, 12, 0.1, 3, seed=60)
+    plan = forced_plan(monkeypatch, union, dense_mode)
+    rng = np.random.default_rng(61)
+    arrays = [symmetric_value_block(union, rng, 1) / 10.0,
+              *rng.uniform(-1, 1, (2, 40, 4)), *rng.uniform(-2, 2, (2, 4, 4))]
+
+    def run(fused):
+        t = ad.Tape()
+        nodes = [t.parameter(a) for a in arrays]
+        values, h, h_hat, w, q = nodes
+        if fused:
+            loss = ad.infomax_bce(h, h_hat, q, values, plan, w)
+        else:
+            z, z_hat = (ad.matmul(select_matrix(ad.spmm_var(values, plan, x), 0), w)
+                        for x in (h, h_hat))
+            loss = ad.infomax_bce(z, z_hat, q)
+        t.backward(loss)
+        return float(loss.value), [n.adjoint for n in nodes]
+
+    (loss, grads), (ref_loss, ref_grads) = run(True), run(False)
+    assert abs(loss - ref_loss) <= 1e-12 and abs(ref_loss - np.log(2)) > 1e-3
+    for got, ref in zip(grads, ref_grads):
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 class TestSparseOps:

@@ -625,6 +625,24 @@ class TestModelFile:
         for (_, a, _, _), (_, b, _, _) in zip(param_leaves(params), param_leaves(params2)):
             assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("layers", [0, 2])
+    def test_load_draws_no_parameters(self, layers, tmp_path, monkeypatch):
+        import hmge.model
+
+        cfg = HmgeConfig(embed_size=3, num_layers=layers)
+        params = init_params(cfg, 3, 5, np.random.default_rng(0))
+        save_model(tmp_path / "model.bin", cfg, params)
+
+        def refuse(*args):
+            raise AssertionError("load_model drew a parameter set")
+
+        monkeypatch.setattr(hmge.model, "init_params", refuse)
+        monkeypatch.setattr(hmge.model, "init_linear_params", refuse)
+        _, loaded, _ = load_model(tmp_path / "model.bin")
+        for (_, a, _, _), (_, b, _, _) in zip(param_leaves(params), param_leaves(loaded),
+                                              strict=True):
+            assert np.array_equal(a, b)
+
     def test_other_activation_rejected(self, tmp_path):
         from hmge.errors import DataFormatError
 

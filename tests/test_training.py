@@ -225,6 +225,25 @@ class TestTrainLoop:
         assert abs(float(loss.value) - expected) <= 1e-12
         assert abs(expected - math.log(2)) > 1e-4
 
+    @pytest.mark.parametrize("layers", [1, 2])
+    def test_tape_holds_no_output_head_ops(self, layers):
+        # The last layer's GCN lives inside infomax_bce: only the inner
+        # layers of each of the two chains run spmm_var.
+        from hmge import autodiff as ad
+        from hmge.model import EncodePlan, lift_params
+        from hmge.training import build_loss_nodes
+
+        g = self.graph16()
+        cfg = HmgeConfig(embed_size=3, num_layers=layers, dims_schedule=(2, 1, 1)[:layers + 1])
+        params = init_params(cfg, 2, g.num_features, np.random.default_rng(1))
+        tape = ad.Tape()
+        build_loss_nodes(EncodePlan(g, cfg), lift_params(tape, params),
+                         np.random.default_rng(2).permutation(g.num_nodes))
+        names = [node.name for node in tape.nodes]
+        assert names.count("spmm_var") == 2 * (layers - 1)
+        assert names.count("infomax_bce") == 1 and "select_matrix" not in names
+        assert names.count("matmul") == layers - 1  # the inner layers' latent mixes
+
     def test_wd_zero_allowed(self):
         g = self.graph16()
         cfg = HmgeConfig(embed_size=3, num_layers=1)
@@ -364,6 +383,22 @@ class TestParamsMatchConfig:
         _, cfg, params = case
         with pytest.raises(ConfigError):
             encode(self.sbm60(), params, cfg)
+
+    @pytest.mark.parametrize("layers", [0, 1])
+    def test_feature_width_checked_where_the_graph_is_known(self, layers, monkeypatch, tmp_path):
+        from hmge.model import encode, save_model
+
+        cfg = HmgeConfig(4, layers)
+        params = init_params(cfg, 3, 5, np.random.default_rng(0))
+        calls = self.count_epochs(monkeypatch)
+        with pytest.raises(ConfigError, match="w_0"):
+            train(self.sbm60(), cfg, TrainConfig(epochs=3, patience=3), params=params)
+        assert calls == []
+        with pytest.raises(ConfigError, match="w_0"):
+            encode(self.sbm60(), params, cfg)
+        # A model file does not know its graph: it keeps any width.
+        save_model(tmp_path / "model.bin", cfg, params)
+        assert (tmp_path / "model.bin").exists()
 
     @pytest.mark.parametrize("depth", [None, 1, 2])
     def test_copy_owns_every_array(self, depth):
