@@ -23,7 +23,7 @@ no head. Every op here is one that production calls.
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -631,11 +631,11 @@ def spmm(adj: sp.csr_matrix, h: Node) -> Node:
 
 
 def csr_combine_stack(weights: Node, stacked: sp.csr_matrix) -> Node:
-    """All softmax-weighted combinations of constant inputs in one product.
+    """All weighted combinations of constant inputs in one product.
 
     ``stacked`` holds the input adjacency values row-per-input on the union
-    pattern (D_in x nnz); column j of the (nnz, D_out) result is the j-th
-    combined value vector.
+    pattern (D_in x nnz); column j of the (nnz, D_out) result combines them
+    with column j of the (D_in, D_out) ``weights``.
     """
     if weights.value.ndim != 2 or weights.value.shape[0] != stacked.shape[0]:
         raise ValueError(
@@ -697,61 +697,3 @@ def spmm_var(values: Node, plan: SpmmPlan, h: Node) -> Node:
             _accum_owned(values, _stack([plan.grad_values(gd, h.value) for gd in g]).T)
 
     return tape._add(out, (values, h), backward, name="spmm_var")
-
-
-# ---------------------------------------------------------------------------
-# gradient checking
-
-
-def grad_check(
-    build_loss: Callable[[Tape, list[Node]], Node], params: Sequence[np.ndarray]
-) -> float:
-    """Max relative error between tape gradients and central differences.
-
-    ``build_loss`` must deterministically map (tape, parameter nodes) to a
-    scalar loss node. Relative error uses max(|analytic|, |numeric|, 1e-8)
-    as the denominator.
-    """
-    base = [np.array(p, dtype=np.float64) for p in params]
-
-    def run(values):
-        tape = Tape()
-        nodes = [tape.parameter(v) for v in values]
-        loss = build_loss(tape, nodes)
-        return tape, nodes, loss
-
-    tape, nodes, loss = run(base)
-    if loss.value.size != 1:
-        raise ValueError("grad_check needs a scalar loss")
-    if not np.all(np.isfinite(loss.value)):
-        raise NumericError("grad_check: loss is not finite")
-    tape.backward(loss)
-    analytic = [
-        n.adjoint if n.adjoint is not None else np.zeros_like(n.value) for n in nodes
-    ]
-    tape.release()
-
-    def loss_at(values) -> float:
-        t, _, node = run(values)
-        val = float(node.value)
-        t.release()
-        if not math.isfinite(val):
-            raise NumericError("grad_check: perturbed loss is not finite")
-        return val
-
-    eps = 1e-5
-    worst = 0.0
-    for k, p in enumerate(base):
-        flat = p.reshape(-1)
-        for i in range(flat.shape[0]):
-            orig = flat[i]
-            flat[i] = orig + eps
-            f_plus = loss_at(base)
-            flat[i] = orig - eps
-            f_minus = loss_at(base)
-            flat[i] = orig
-            numeric = (f_plus - f_minus) / (2.0 * eps)
-            a = float(analytic[k].reshape(-1)[i])
-            denom = max(abs(a), abs(numeric), 1e-8)
-            worst = max(worst, abs(a - numeric) / denom)
-    return worst

@@ -2,10 +2,13 @@
 
 Each layer runs two phases: (1) a GCN per current dimension followed by a
 trainable attention aggregation of the per-dimension embeddings; (2) a
-softmax-weighted non-linear combination of the current adjacency matrices
-into fewer latent adjacencies. After the last layer a plain GCN on the
-single remaining latent graph produces the embeddings Z. A bilinear
-discriminator against the mean-readout summary drives the InfoMax loss.
+softmax-weighted combination of the current adjacency matrices into fewer
+latent adjacencies. The combination is linear, so each level's latent
+graphs are convex combinations of the input graphs, built from the inputs
+and normalized per level; inputs and weights are non-negative, so no ReLU
+follows it. After the last layer a plain GCN on the single remaining
+latent graph produces the embeddings Z. A bilinear discriminator against
+the mean-readout summary drives the InfoMax loss.
 
 The linear-aggregation baseline (per-dimension GCN stacks plus one attention
 step, no adjacency combination) doubles as the zero-layer configuration.
@@ -408,9 +411,13 @@ def build_latent_structure(plan: EncodePlan, pnodes):
 
     Latent structure depends only on the combination logits, so it is built
     once and shared by the clean and corrupted embedding passes. Layer l
-    mixes the columns of the previous layer's block (at layer 0, the stacked
-    input values) with softmax_cols(alpha_l) and normalizes all resulting
-    columns as one block.
+    combines the previous level's graphs linearly with softmax_cols(alpha_l),
+    so level l is a convex combination of the input graphs with weights
+    P_l = softmax_cols(alpha_0) ... softmax_cols(alpha_l): one small
+    ``matmul`` per layer composes P_l, one ``csr_combine_stack`` of the
+    stacked inputs forms the level. Inputs and weights are non-negative
+    (``normalize_adjacency`` refuses negative values), so no ReLU follows.
+    Each level's columns are normalized as one block.
 
     Returns (raw, gcn_ready): raw[l] is the (nnz, D_{l+1}) block of latent
     adjacency values from layer l on the union pattern, gcn_ready[l] its
@@ -418,15 +425,12 @@ def build_latent_structure(plan: EncodePlan, pnodes):
     """
     raw: list[ad.Node] = []
     gcn_ready: list[ad.Node] = []
+    mixing = None
     for layer in pnodes.layers:
         weights = ad.softmax_cols(layer.alpha)
-        if raw:
-            block = ad.matmul(raw[-1], weights)
-        else:
-            block = ad.csr_combine_stack(weights, plan.stacked)
-        block = ad.relu(block)
-        raw.append(block)
-        gcn_ready.append(ad.csr_normalize(block, plan.norm_plan))
+        mixing = weights if mixing is None else ad.matmul(mixing, weights)
+        raw.append(ad.csr_combine_stack(mixing, plan.stacked))
+        gcn_ready.append(ad.csr_normalize(raw[-1], plan.norm_plan))
     return raw, gcn_ready
 
 

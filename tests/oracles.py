@@ -9,10 +9,13 @@ ops that only the tests use, to turn an op's output into a scalar loss;
 ``select_matrix`` slices one matrix out of a stack, for the unfused output
 head (``spmm_var``, then a slice, then ``matmul``) that the tests compare
 the fused ``infomax_bce`` head against;
-``full_loss_builder`` wraps the whole training objective for
-``autodiff.grad_check``. ``from_dense`` and ``to_dense`` convert between
-``SparseAdjacency`` and dense matrices; ``expected_edge_counts`` is the
-closed-form edge count of an SBM draw.
+``grad_check`` compares a tape's gradients with central differences, and
+``full_loss_builder`` wraps the whole training objective for it.
+``chained_latent_structure`` builds the latent blocks level by level, each
+from the one before with a ReLU after every level, as the reference for
+``model.build_latent_structure``. ``from_dense`` and ``to_dense`` convert
+between ``SparseAdjacency`` and dense matrices; ``expected_edge_counts``
+is the closed-form edge count of an SBM draw.
 ``union_pattern``, ``position_map`` and ``extended_pattern`` build the
 latent-path patterns with scipy additions and binary searches, one
 adjacency at a time, as references for ``autodiff.UnionPattern`` and
@@ -32,7 +35,7 @@ import scipy.sparse as sp
 from hmge import autodiff as ad
 from hmge import model as mdl
 from hmge.autodiff import Node, _accum_owned, _same_tape
-from hmge.errors import ConfigError, DataFormatError
+from hmge.errors import ConfigError, DataFormatError, NumericError
 from hmge.evaluation import LinkSplit
 from hmge.multiplex import MultiplexGraph, SparseAdjacency
 from hmge.sbm import SbmConfig
@@ -324,6 +327,77 @@ def sum_all(a: Node) -> Node:
         _accum_owned(a, np.full(a.value.shape, g))
 
     return a.tape._add(np.asarray(total), (a,), backward, name="sum")
+
+
+def grad_check(build_loss, params) -> float:
+    """Max relative error between tape gradients and central differences.
+
+    ``build_loss`` must deterministically map (tape, parameter nodes) to a
+    scalar loss node. Relative error uses max(|analytic|, |numeric|, 1e-8)
+    as the denominator.
+    """
+    base = [np.array(p, dtype=np.float64) for p in params]
+
+    def run(values):
+        tape = ad.Tape()
+        nodes = [tape.parameter(v) for v in values]
+        loss = build_loss(tape, nodes)
+        return tape, nodes, loss
+
+    tape, nodes, loss = run(base)
+    if loss.value.size != 1:
+        raise ValueError("grad_check needs a scalar loss")
+    if not np.all(np.isfinite(loss.value)):
+        raise NumericError("grad_check: loss is not finite")
+    tape.backward(loss)
+    analytic = [
+        n.adjoint if n.adjoint is not None else np.zeros_like(n.value) for n in nodes
+    ]
+    tape.release()
+
+    def loss_at(values) -> float:
+        t, _, node = run(values)
+        val = float(node.value)
+        t.release()
+        if not math.isfinite(val):
+            raise NumericError("grad_check: perturbed loss is not finite")
+        return val
+
+    eps = 1e-5
+    worst = 0.0
+    for k, p in enumerate(base):
+        flat = p.reshape(-1)
+        for i in range(flat.shape[0]):
+            orig = flat[i]
+            flat[i] = orig + eps
+            f_plus = loss_at(base)
+            flat[i] = orig - eps
+            f_minus = loss_at(base)
+            flat[i] = orig
+            numeric = (f_plus - f_minus) / (2.0 * eps)
+            a = float(analytic[k].reshape(-1)[i])
+            denom = max(abs(a), abs(numeric), 1e-8)
+            worst = max(worst, abs(a - numeric) / denom)
+    return worst
+
+
+def chained_latent_structure(plan, pnodes):
+    """``model.build_latent_structure`` by the chained form, on the tape.
+
+    Layer 0 combines the stacked inputs with ``csr_combine_stack``; each
+    later layer mixes the previous level's (nnz, D_l) block with ``matmul``;
+    a ReLU follows every level. Returns (raw, gcn_ready) as the model does.
+    """
+    raw, gcn_ready = [], []
+    for layer in pnodes.layers:
+        weights = ad.softmax_cols(layer.alpha)
+        if raw:
+            block = ad.matmul(raw[-1], weights)
+        else:
+            block = ad.csr_combine_stack(weights, plan.stacked)
+        raw.append(ad.relu(block))
+        gcn_ready.append(ad.csr_normalize(raw[-1], plan.norm_plan))
+    return raw, gcn_ready
 
 
 def full_loss_builder(graph, config, params, perm: np.ndarray):

@@ -9,6 +9,7 @@ from oracles import (
     add,
     elementwise_mul,
     from_dense,
+    grad_check,
     position_map,
     scale,
     select_matrix,
@@ -157,7 +158,7 @@ class TestBackwardBasics:
         def build(tape, nodes):
             return sum_all(tanh(ad.matmul(nodes[0], nodes[1])))
 
-        assert ad.grad_check(build, arrays) < 1e-4
+        assert grad_check(build, arrays) < 1e-4
 
     def test_linear_loss_exact(self):
         rng = np.random.default_rng(2)
@@ -167,7 +168,7 @@ class TestBackwardBasics:
         def build(tape, nodes):
             return sum_all(elementwise_mul(nodes[0], tape.constant(x)))
 
-        assert ad.grad_check(build, arrays) < 1e-10
+        assert grad_check(build, arrays) < 1e-10
 
 
 def attention_arrays(rng, dims, n=5, m=4):
@@ -311,7 +312,7 @@ def op_cases():
 @pytest.mark.parametrize("case", op_cases(), ids=lambda c: c[0])
 def test_op_gradients_match_finite_differences(case):
     _, arrays, build = case
-    assert ad.grad_check(build, arrays) < 1e-4
+    assert grad_check(build, arrays) < 1e-4
 
 
 @pytest.mark.parametrize("width", [1, 2])
@@ -412,7 +413,7 @@ class TestSparseOps:
         def build(tape, nodes):
             return sum_all(tanh(ad.spmm(norm, nodes[0])))
 
-        assert ad.grad_check(build, arrays) < 1e-4
+        assert grad_check(build, arrays) < 1e-4
 
     def test_spmm_value_matches_dense(self):
         adj = random_sym_adj(7, 0.4, 2)
@@ -440,7 +441,7 @@ class TestSparseOps:
             mixed = ad.csr_combine_stack(nodes[0], stacked)
             return sum_all(elementwise_mul(mixed, tape.constant(coeff)))
 
-        assert ad.grad_check(build, arrays) < 1e-4
+        assert grad_check(build, arrays) < 1e-4
 
         # value equals the per-column dense weighted sum
         t = ad.Tape()
@@ -474,7 +475,7 @@ class TestSparseOps:
             normed = ad.csr_normalize(nodes[0], plan)
             return sum_all(elementwise_mul(normed, tape.constant(coeff)))
 
-        assert ad.grad_check(build, [vals]) < 1e-4
+        assert grad_check(build, [vals]) < 1e-4
 
     def test_csr_normalize_block_columns_independent(self):
         adjs = [random_sym_adj(5, 0.6, 20)]
@@ -495,7 +496,7 @@ class TestSparseOps:
             normed = ad.csr_normalize(nodes[0], plan)
             return sum_all(elementwise_mul(normed, tape.constant(coeff)))
 
-        assert ad.grad_check(build, [block]) < 1e-4
+        assert grad_check(build, [block]) < 1e-4
 
     def test_spmm_var_gradients_both_modes(self, monkeypatch):
         adjs = [random_sym_adj(6, 0.5, 30)]
@@ -509,7 +510,7 @@ class TestSparseOps:
             def build(tape, nodes):
                 return sum_all(tanh(ad.spmm_var(nodes[0], plan, nodes[1])))
 
-            assert ad.grad_check(build, [vals, h]) < 1e-4
+            assert grad_check(build, [vals, h]) < 1e-4
 
     def test_spmm_var_dense_sparse_agree(self, monkeypatch):
         adjs = [random_sym_adj(8, 0.4, 40)]
@@ -599,7 +600,7 @@ class TestBlockedSddmm:
         def build(tape, nodes):
             return sum_all(tanh(ad.spmm_var(nodes[0], plan, nodes[1])))
 
-        assert ad.grad_check(build, [vals, h]) < 1e-4
+        assert grad_check(build, [vals, h]) < 1e-4
 
     def test_sparse_mode_builds_csr_once_per_values(self, monkeypatch):
         import scipy.sparse as sp
@@ -651,4 +652,4 @@ class TestGradCheckHelper:
             return sum_all(scale(nodes[0], float("inf")))
 
         with pytest.raises(NumericError):
-            ad.grad_check(build, [np.zeros(2)])
+            grad_check(build, [np.zeros(2)])

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hmge import autodiff as ad
+from hmge import model as mdl
 from hmge.errors import ConfigError
 from hmge.model import (
     EncodePlan,
@@ -21,10 +22,16 @@ from hmge.model import (
     save_model,
     softmax_alpha,
 )
-from hmge.multiplex import MultiplexGraph, SparseAdjacency, normalize_adjacency
+from hmge.multiplex import (
+    MultiplexGraph,
+    SparseAdjacency,
+    mirror_positions,
+    normalize_adjacency,
+)
 from hmge.model import param_leaves
 from oracles import (
     attention_aggregate,
+    chained_latent_structure,
     combine_adjacencies,
     discriminate,
     extended_pattern,
@@ -247,6 +254,56 @@ class TestReadoutDiscriminate:
         q = rng.standard_normal((5, 5))
         direct = 1.0 / (1.0 + math.exp(-float(h @ q @ s)))
         assert abs(discriminate(h, s, q) - direct) < 1e-12
+
+
+class TestChainedLatentStructure:
+    """Every level combined from the inputs against the chained form."""
+
+    @staticmethod
+    def weighted_graph(rng, n=9, dims=4):
+        mats = []
+        for d in range(dims):
+            weights = rng.uniform(0.5, 2.0, (n, n))
+            adj = from_dense(random_sym_dense(n, rng) * (weights + weights.T))
+            values = adj.values.copy()
+            if d == 0:
+                # An explicitly stored zero, on both sides.
+                values[[0, mirror_positions(n, adj.indptr, adj.indices)[0]]] = 0.0
+            mats.append(SparseAdjacency(n, adj.indptr, adj.indices, values))
+        return MultiplexGraph(n, tuple(mats), rng.standard_normal((n, 3)))
+
+    @staticmethod
+    def run(plan, params, perm):
+        """(raw blocks, alpha gradients) of one training loss on the tape."""
+        tape = ad.Tape()
+        pnodes = mdl.lift_params(tape, params)
+        raw, head, ((h, _), (h_hat, _)) = mdl.build_forward(plan, pnodes, [None, perm])
+        tape.backward(ad.infomax_bce(h[-1], h_hat[-1], pnodes.disc_q, *head))
+        out = [r.value for r in raw], [layer.alpha.adjoint for layer in pnodes.layers]
+        tape.release()
+        return out
+
+    @pytest.mark.parametrize("schedule", [(4, 2, 1), (4, 3, 2, 1)])
+    def test_matches_chained_form(self, schedule, monkeypatch):
+        cfg = HmgeConfig(embed_size=4, num_layers=len(schedule) - 1, dims_schedule=schedule)
+        rng = np.random.default_rng(41)
+        graph = self.weighted_graph(rng)
+        params = init_params(cfg, 4, 3, rng)
+        for layer in params.layers:
+            layer.alpha = rng.standard_normal(layer.alpha.shape)
+            # The other rows' softmax weights underflow to exactly 0.
+            layer.alpha[:2] += 1000.0
+        plan = EncodePlan(graph, cfg)
+        perm = rng.permutation(graph.num_nodes)
+        raw, grads = self.run(plan, params, perm)
+        monkeypatch.setattr(mdl, "build_latent_structure", chained_latent_structure)
+        chained_raw, chained_grads = self.run(plan, params, perm)
+        assert any(np.any(softmax_alpha(layer.alpha) == 0.0) for layer in params.layers)
+        assert any(np.any(block == 0.0) for block in raw)
+        for got, want in zip(raw, chained_raw, strict=True):
+            assert np.abs(got - want).max() <= 1e-12
+        for got, want in zip(grads, chained_grads, strict=True):
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def normalized_dense(a):

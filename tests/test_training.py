@@ -20,7 +20,7 @@ from hmge.training import (
     infomax_loss,
     train,
 )
-from oracles import from_dense, full_loss_builder
+from oracles import from_dense, full_loss_builder, grad_check
 
 
 def er_multiplex(n, probs, fseed):
@@ -286,6 +286,9 @@ GRAD_CHECK_CASES = {
            True),
     "l2-onehot": (HmgeConfig(embed_size=4, num_layers=2, dims_schedule=(3, 2, 1)), 3, True,
                   None, True),
+    # Two compositions of the combination weights: P_2 = P_1 softmax(alpha_2).
+    "l3": (HmgeConfig(embed_size=4, num_layers=3, dims_schedule=(3, 2, 1, 1)), 3, False, None,
+           True),
     "linear2": (HmgeConfig(embed_size=4, num_layers=0), 2, False, 2, False),
     "linear2-onehot": (HmgeConfig(embed_size=4, num_layers=0), 2, True, 2, False),
 }
@@ -365,6 +368,33 @@ class TestParamsMatchConfig:
         calls = self.count_epochs(monkeypatch)
         with pytest.raises(ConfigError):
             train(self.sbm60(), cfg, TrainConfig(epochs=3, patience=3), params=params)
+        assert calls == []
+
+    @pytest.mark.parametrize("layers", [0, 1, 2])
+    def test_negative_value_refused_before_first_epoch(self, layers, monkeypatch):
+        # Latent graphs are convex combinations of the inputs and take no
+        # ReLU, so no input may hold a negative value.
+        from hmge.errors import DataFormatError
+        from hmge.model import EncodePlan, encode
+
+        from hmge.multiplex import SparseAdjacency, mirror_positions
+
+        graph = self.sbm60()
+        bad = graph.dimensions[1]
+        values = bad.values.copy()
+        values[[0, mirror_positions(60, bad.indptr, bad.indices)[0]]] = -0.5
+        dims = list(graph.dimensions)
+        dims[1] = SparseAdjacency(60, bad.indptr, bad.indices, values)
+        graph = graph.with_dimensions(dims)
+        assert graph.dimensions[1].is_symmetric()
+        cfg = HmgeConfig(4, layers)
+        calls = self.count_epochs(monkeypatch)
+        with pytest.raises(DataFormatError, match="negative"):
+            EncodePlan(graph, cfg)
+        with pytest.raises(DataFormatError, match="negative"):
+            train(graph, cfg, TrainConfig(epochs=3, patience=3))
+        with pytest.raises(DataFormatError, match="negative"):
+            encode(graph, init_params(cfg, 3, 3, np.random.default_rng(0)), cfg)
         assert calls == []
 
     @pytest.mark.parametrize("case", mismatched_params(), ids=lambda c: c[0])
@@ -450,8 +480,6 @@ class TestFullGradients:
             else:
                 arr *= 1.5
         perm = np.random.default_rng(11).permutation(6)
-        from hmge.autodiff import grad_check
-
         build, arrays = full_loss_builder(graph, cfg, params, perm)
         assert grad_check(build, arrays) < 1e-4
 
