@@ -6,9 +6,11 @@ reverse, accumulating adjoints additively. All arithmetic is float64. Scalar
 reductions use compensated summation so results do not depend on chunking.
 
 Latent adjacency matrices live as blocks of value columns, one column per
-matrix, tied to a fixed sparsity pattern (UnionPattern). Both combination
-weights and the symmetric normalization are differentiable along that path;
-plain ``spmm`` treats its sparse operand as a constant.
+matrix, tied to a fixed sparsity pattern (UnionPattern). Each level's block,
+the inputs mixed by one weight matrix P and normalized, is a forward-only
+cache on P's node; its consumers, ``spmm_var`` and ``infomax_bce``'s head,
+pull their gradient straight back to P (``NormalizePlan``). Plain ``spmm``
+treats its sparse operand as a constant.
 
 The attention step is two ops: ``attention_weights`` scores a (D, N, M)
 embedding stack and normalizes the scores per node, with one hand-written
@@ -47,10 +49,6 @@ DENSE_MAX_NODES = 2600
 # even at 1-2 % density.
 SDDMM_BLOCK_ELEMS = 1 << 18
 SDDMM_GEMM_DENSITY = 0.015
-
-# infomax_bce clamps its log arguments into [LOG_CLAMP, 1 - LOG_CLAMP], which
-# keeps the loss finite when the discriminator saturates.
-LOG_CLAMP = 1e-12
 
 
 class Node:
@@ -353,34 +351,34 @@ def mix_stack(stack: Node, weights: Node) -> Node:
     return tape._add(np.einsum("dnm,nd->nm", sv, wv), (stack, weights), backward, name="mix_stack")
 
 
-def infomax_bce(h: Node, h_hat: Node, q: Node, values: Node | None = None,
-                plan: SpmmPlan | None = None, w: Node | None = None) -> Node:
+def infomax_bce(h: Node, h_hat: Node, q: Node, mixing: Node | None = None,
+                plan: NormalizePlan | None = None, w: Node | None = None) -> Node:
     """The InfoMax objective: mean BCE of the discriminator sigma(z_i^T Q s).
 
     The rows of z = S h W are the positives and the rows of z_hat = S h_hat W
     the negatives; the summary s is the mean of the rows of z. S is the one
-    value column of ``values`` on ``plan``, exactly symmetric as
-    ``NormalizePlan`` makes it, and W is ``w``; without them (the linear
-    baseline) z = h. z is never formed: the scores are S(h u) and
-    S(h_hat u) with u = W Q s, and s = (S^T 1)^T h W / N, so the head
-    multiplies S by two vectors where z would take N x M products.
-    sigma(z_i^T Q s) and 1 - sigma(z_hat_i^T Q s) are clamped into
-    [LOG_CLAMP, 1 - LOG_CLAMP] before the log, and clamped entries pass no
-    gradient.
+    latent graph of ``mixing`` (D_in x 1), normalized by ``plan`` and exactly
+    symmetric, and W is ``w``; without them (the linear baseline) z = h. z
+    is never formed: the scores are S(h u) and S(h_hat u) with u = W Q s,
+    and s = (S^T 1)^T h W / N, so the head multiplies S by two vectors where
+    z would take N x M products. The gradient reaches ``mixing`` through
+    ``plan.backward``, its entry term by one product of the stacked inputs
+    with three vectors. The logs are exact at any score x: log sigma(x) =
+    -logaddexp(0, -x) and log(1 - sigma(x)) = -logaddexp(0, x).
     """
-    head = () if values is None else (values, w)
+    head = () if mixing is None else (mixing, w)
     tape = _same_tape(h, h_hat, q, *head)
     hv, hh, qv = h.value, h_hat.value, q.value
     n = hv.shape[0]
     if hv.ndim != 2 or hh.shape != hv.shape or qv.shape != (hv.shape[1],) * 2 or head and (
-        values.value.shape != (plan.nnz, 1) or plan.num_nodes != n or w.value.shape != qv.shape
+        mixing.value.shape[1:] != (1,) or plan.spmm.num_nodes != n or w.value.shape != qv.shape
     ):
         shapes = [a.value.shape for a in (h, h_hat, q, *head)]
         raise ValueError(f"infomax_bce shape mismatch: {shapes}")
-    factor = -1.0 / (2.0 * n)
     if head:
-        col, wv, cache = values.value[:, 0], w.value, values.cache().setdefault(0, {})
-        c = np.bincount(plan.indices, weights=col, minlength=n)  # S^T 1
+        latent, spmm, wv = plan.graphs(mixing), plan.spmm, w.value
+        col, cache = latent["values"][:, 0], latent["kernels"][0]
+        c = np.bincount(spmm.indices, weights=col, minlength=n)  # S^T 1
         p = (c @ hv) / n
         s = p @ wv
         qs = qv @ s
@@ -390,21 +388,17 @@ def infomax_bce(h: Node, h_hat: Node, q: Node, values: Node | None = None,
         s = hv.mean(axis=0)
         u = qs = qv @ s
     ab = np.stack([hv @ u, hh @ u], axis=1)
-    scores = plan.matmul(col, ab, cache) if head else ab
-    pos, neg = sigmoid_value(scores[:, 0]), sigmoid_value(scores[:, 1])
-    low, high = LOG_CLAMP, 1.0 - LOG_CLAMP
-    clipped_pos, clipped_neg = np.clip(pos, low, high), np.clip(1.0 - neg, low, high)
-    inside_pos, inside_neg = clipped_pos == pos, clipped_neg == 1.0 - neg
+    scores = spmm.matmul(col, ab, cache) if head else ab
+    pos, neg = scores[:, 0], scores[:, 1]
     # fsum: exactly rounded and independent of traversal order.
-    loss = (math.fsum(np.log(clipped_pos)) + math.fsum(np.log(clipped_neg))) * factor
+    loss = (math.fsum(np.logaddexp(0.0, -pos)) + math.fsum(np.logaddexp(0.0, neg))) / (2.0 * n)
 
     def backward(g):
         # d(loss)/d(score) on each side, through the log and the sigmoid.
-        g = g * factor
-        g_scores = np.stack([g * inside_pos / clipped_pos * pos * (1.0 - pos),
-                             -(g * inside_neg / clipped_neg) * neg * (1.0 - neg)], axis=1)
+        g = g / (2.0 * n)
+        g_scores = np.stack([-g * sigmoid_value(-pos), g * sigmoid_value(neg)], axis=1)
         # d(loss)/d(h u) and d(loss)/d(h_hat u), then back through u and s.
-        g_ab = plan.matmul_transpose(col, g_scores, cache) if head else g_scores
+        g_ab = spmm.matmul_transpose(col, g_scores, cache) if head else g_scores
         du = hv.T @ g_ab[:, 0]
         du += hh.T @ g_ab[:, 1]
         dqs = wv.T @ du if head else du
@@ -422,10 +416,14 @@ def infomax_bce(h: Node, h_hat: Node, q: Node, values: Node | None = None,
             dw = np.outer(du, qs)
             dw += np.outer(p, ds)
             _accum_owned(w, dw)
-        if head and values.requires_grad:
-            # The mean term lands on each entry's column: s reads 1^T S.
-            g_rows = np.column_stack([g_scores, np.ones(n)])
-            _accum_owned(values, plan.grad_values(g_rows, np.column_stack([ab, hv @ dp]))[:, None])
+        if head and mixing.requires_grad:
+            # S is read by the scores, G = g_scores on H = ab, and by the
+            # mean, s reading 1^T S: G = 1 on H = h dp, where S G = c.
+            hdp = hv @ dp
+            g3, h3 = np.column_stack([g_scores, np.ones(n)]), np.column_stack([ab, hdp])
+            y3 = np.column_stack([scores, spmm.matmul(col, hdp, cache)])
+            dp_head = plan.backward(latent, 0, g3, h3, y3, np.column_stack([g_ab, c]))
+            _accum_owned(mixing, dp_head[:, None])
 
     return tape._add(np.asarray(loss), (h, h_hat, q, *head), backward, name="infomax_bce")
 
@@ -448,7 +446,9 @@ class UnionPattern:
         if any(adj.num_nodes != n for adj in adjacencies):
             raise ValueError("union over differently sized adjacencies")
         keys = np.concatenate([adj.row_indices() * n + adj.indices for adj in adjacencies])
-        keys, self.slots = np.unique(keys, return_inverse=True)
+        keys, slots = np.unique(keys, return_inverse=True)
+        # In the index type scipy picks, so a matrix built on the slots shares them.
+        self.slots = slots.astype(np.int32) if keys.shape[0] <= np.iinfo(np.int32).max else slots
         self.num_nodes = int(n)
         self.rows, self.indices = np.divmod(keys, n)
         if np.any(self.rows == self.indices):
@@ -479,8 +479,7 @@ class SpmmPlan:
         self.indptr = indptr
         self.indices = indices
         self.nnz = int(indices.shape[0])
-        # Data index of every entry's mirror, for NormalizePlan's backward.
-        self.tperm = mirror_positions(self.num_nodes, indptr, indices)
+        mirror_positions(self.num_nodes, indptr, indices)  # DataFormatError unless symmetric
         density = self.nnz / float(self.num_nodes) ** 2
         self.dense_mode = bool(
             density >= DENSE_DENSITY_THRESHOLD and self.num_nodes <= DENSE_MAX_NODES
@@ -552,15 +551,27 @@ class SpmmPlan:
 
 
 class NormalizePlan:
-    """Differentiable D^{-1/2}(A + I)D^{-1/2} over a fixed diagonal-free pattern.
+    """D^{-1/2}(A + I)D^{-1/2} of latent graphs mixed from fixed inputs.
 
-    Output values live on the pattern extended with the diagonal; ``spmm``
-    is the matching multiply plan for that extended pattern.
+    ``stacked`` holds the D_in ``adjacencies``' values one row per input on
+    their diagonal-free union ``pattern``, so mixing column p makes a graph
+    with values stacked^T p. Output values live on the pattern extended
+    with the diagonal; ``spmm`` is the multiply plan for that pattern.
+
+    The normalized graphs are forward-only (``graphs``). A consumer of
+    Y = S H with G = d(loss)/dY pulls the gradient straight back to p; with
+    dn = deg^{-1/2} and R the per-input row sums (``row_sums``), ``backward``
+    folds
+      dp[k] = sum_{(i,j) in A_k} A_k[ij] dn_i dn_j (G_i . H_j) + sum_i R[k, i] ddeg_i,
+      ddeg_i = -(G_i . Y_i + H_i . (S G)_i) / (2 deg_i).
     """
 
-    def __init__(self, pattern: UnionPattern):
-        self.pattern = pattern
-        n, rows, cols = pattern.num_nodes, pattern.rows, pattern.indices
+    def __init__(self, adjacencies: Sequence[SparseAdjacency]):
+        self.pattern = pattern = UnionPattern(adjacencies)
+        n, rows, cols, d_in = pattern.num_nodes, pattern.rows, pattern.indices, len(adjacencies)
+        offsets = np.cumsum([0] + [adj.nnz for adj in adjacencies])
+        data = np.concatenate([adj.values for adj in adjacencies])
+        self.stacked = sp.csr_matrix((data, pattern.slots, offsets), shape=(d_in, pattern.nnz))
         # Row r gains (r, r) after its entries left of the diagonal, so each
         # entry moves right by one slot per diagonal entry placed before it.
         self.in2out = np.arange(pattern.nnz) + rows + (cols > rows)
@@ -573,6 +584,26 @@ class NormalizePlan:
         self.out_rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(self.out_indptr))
         # Normalized values are exactly symmetric for symmetric inputs.
         self.spmm = SpmmPlan(n, self.out_indptr, self.out_indices)
+        # The inputs one under another as one (D_in N x N) operator, on
+        # ``stacked``'s values.
+        starts = [adj.indptr[:-1] + o for adj, o in zip(adjacencies, offsets)] + [offsets[-1:]]
+        self.inputs = sp.csr_matrix(
+            (data, np.concatenate([adj.indices for adj in adjacencies]), np.concatenate(starts)),
+            shape=(d_in * n, n))
+        self.row_sums = (self.inputs @ np.ones(n)).reshape(d_in, n)
+
+    def graphs(self, mixing: Node) -> dict:
+        """The normalized latent graphs of ``mixing`` (D_in x D), cached on its node.
+
+        Built once per node, off the tape: "values" (out_nnz, D), "deg" and
+        "dn" (N, D), and one multiply-kernel dict per column ("kernels").
+        """
+        cache = mixing.cache()
+        if "values" not in cache:
+            values, _, deg = self.forward(self.stacked.T @ mixing.value)
+            cache.update(values=values, deg=deg, dn=1.0 / np.sqrt(deg),
+                         kernels=[{} for _ in range(values.shape[1])])
+        return cache
 
     def forward(self, values: np.ndarray):
         """Normalize an (nnz, D) block; returns (values, prod, deg) blocks.
@@ -583,8 +614,20 @@ class NormalizePlan:
         """
         return tuple(_stack(p).T for p in zip(*map(self._forward, values.T)))
 
-    def backward(self, g, out_values, prod, deg):
-        return _stack(list(map(self._backward, g.T, out_values.T, prod.T, deg.T))).T
+    def backward(self, latent: dict, d: int, g, h, y, sg, entries=None) -> np.ndarray:
+        """dp for graph ``d`` of a ``graphs`` cache whose consumer holds Y = S H
+        (``y``), G (``g``) and S G (``sg``). The entry term folds ``entries``,
+        the SDDMM dn_i dn_j (G_i . H_j) on the extended pattern, or else takes
+        one product of ``inputs`` with dn H, E products per column of H.
+        """
+        deg, dn = latent["deg"][:, d], latent["dn"][:, d, None]
+        if entries is None:
+            prod = self.inputs @ (dn * h)
+            first = prod.reshape(self.stacked.shape[0], -1) @ (dn * g).reshape(-1)
+        else:
+            first = self.stacked @ entries[self.in2out]
+        ddeg = (np.einsum("nk,nk->n", g, y) + np.einsum("nk,nk->n", h, sg)) / (-2.0 * deg)
+        return first + self.row_sums @ ddeg
 
     def _forward(self, values):
         vhat = np.zeros(self.out_nnz)
@@ -595,13 +638,6 @@ class NormalizePlan:
         # dinv[r]*dinv[c] first keeps the output exactly symmetric.
         prod = dinv[self.out_rows] * dinv[self.out_indices]
         return vhat * prod, prod, deg
-
-    def _backward(self, g, out_values, prod, deg):
-        q = g * out_values
-        row_q = np.add.reduceat(q, self.out_indptr[:-1])
-        col_q = np.add.reduceat(q[self.spmm.tperm], self.out_indptr[:-1])
-        ddeg = -(row_q + col_q) / (2.0 * deg)
-        return g[self.in2out] * prod[self.in2out] + ddeg[self.pattern.rows]
 
 
 # ---------------------------------------------------------------------------
@@ -630,70 +666,34 @@ def spmm(adj: sp.csr_matrix, h: Node) -> Node:
     return h.tape._add(out.reshape(shape), (h,), backward, name="spmm")
 
 
-def csr_combine_stack(weights: Node, stacked: sp.csr_matrix) -> Node:
-    """All weighted combinations of constant inputs in one product.
+def spmm_var(mixing: Node, plan: NormalizePlan, h: Node) -> Node:
+    """S_d @ H for every latent graph d of ``mixing`` (D_in x D); returns (D, N, M).
 
-    ``stacked`` holds the input adjacency values row-per-input on the union
-    pattern (D_in x nnz); column j of the (nnz, D_out) result combines them
-    with column j of the (D_in, D_out) ``weights``.
+    S_d, the normalized latent graph of mixing column d, comes from the
+    forward-only cache of ``plan.graphs``: its multiply kernel is built once
+    per mixing node, so every product with the same graphs (the clean and
+    the corrupted pass) shares it. Gradients flow to H and, through
+    ``plan.backward`` with the SDDMM entry term, straight to ``mixing``.
     """
-    if weights.value.ndim != 2 or weights.value.shape[0] != stacked.shape[0]:
-        raise ValueError(
-            f"weights {weights.value.shape} do not match {stacked.shape[0]} stacked inputs"
-        )
+    tape = _same_tape(mixing, h)
+    spmm = plan.spmm
+    if h.value.ndim != 2 or h.value.shape[0] != spmm.num_nodes:
+        raise ValueError(f"spmm_var shape mismatch: {spmm.num_nodes} vs {h.value.shape}")
+    latent = plan.graphs(mixing)
+    columns, kernels, hv = latent["values"].T, latent["kernels"], h.value
+    out = _stack([spmm.matmul(v, hv, k) for v, k in zip(columns, kernels)])
 
     def backward(g):
-        if weights.requires_grad:
-            _accum_owned(weights, stacked @ g)
+        dh, dp = None, np.empty(mixing.value.shape) if mixing.requires_grad else None
+        for d, (v, gd, k) in enumerate(zip(columns, g, kernels)):
+            sg = spmm.matmul_transpose(v, gd, k)  # S_d G_d, S_d being symmetric
+            if dp is not None:
+                dn = latent["dn"][:, d, None]
+                entries = spmm.grad_values(dn * gd, dn * hv)
+                dp[:, d] = plan.backward(latent, d, gd, hv, out[d], sg, entries)
+            if h.requires_grad:
+                dh = sg if dh is None else np.add(dh, sg, out=dh)
+        _accum_owned(h, dh)
+        _accum_owned(mixing, dp)
 
-    return weights.tape._add(
-        stacked.T @ weights.value, (weights,), backward, name="csr_combine_stack"
-    )
-
-
-def csr_normalize(values: Node, plan: NormalizePlan) -> Node:
-    """Symmetric normalization with self-loops along the trainable sparse path.
-
-    Takes a block of value columns (nnz, D) and normalizes each column
-    independently.
-    """
-    if values.value.ndim != 2 or values.value.shape[0] != plan.pattern.nnz:
-        raise ValueError(
-            f"normalize expects {plan.pattern.nnz} values, got {values.value.shape}"
-        )
-    out, prod, deg = plan.forward(values.value)
-
-    def backward(g):
-        if values.requires_grad:
-            _accum_owned(values, plan.backward(g, out, prod, deg))
-
-    return values.tape._add(out, (values,), backward, name="csr_normalize")
-
-
-def spmm_var(values: Node, plan: SpmmPlan, h: Node) -> Node:
-    """S_d @ H for every column d of an (nnz, D) value block; returns (D, N, M).
-
-    Both the sparse values and H carry gradients. Each column's multiply
-    kernel is built once per values node, so every product with the same
-    block (the clean and the corrupted pass) shares it.
-    """
-    tape = _same_tape(values, h)
-    if values.value.ndim != 2 or values.value.shape[0] != plan.nnz:
-        raise ValueError(f"expected {plan.nnz} values per column, got {values.value.shape}")
-    if h.value.ndim != 2 or h.value.shape[0] != plan.num_nodes:
-        raise ValueError(f"spmm_var shape mismatch: {plan.num_nodes} vs {h.value.shape}")
-    cache = values.cache()
-    columns = values.value.T
-    kernels = [cache.setdefault(d, {}) for d in range(columns.shape[0])]
-    out = _stack([plan.matmul(v, h.value, k) for v, k in zip(columns, kernels)])
-
-    def backward(g):
-        if h.requires_grad:
-            dh = plan.matmul_transpose(columns[0], g[0], kernels[0])
-            for v, gd, k in zip(columns[1:], g[1:], kernels[1:]):
-                dh += plan.matmul_transpose(v, gd, k)
-            _accum_owned(h, dh)
-        if values.requires_grad:
-            _accum_owned(values, _stack([plan.grad_values(gd, h.value) for gd in g]).T)
-
-    return tape._add(out, (values, h), backward, name="spmm_var")
+    return tape._add(out, (mixing, h), backward, name="spmm_var")

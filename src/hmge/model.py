@@ -16,9 +16,10 @@ step, no adjacency combination) doubles as the zero-layer configuration.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -254,13 +255,20 @@ def check_params(config: HmgeConfig, params, num_dims: int,
 
 @dataclass
 class ForwardTrace:
-    """Everything one encode pass computed, layer by layer."""
+    """Everything one encode pass computed, layer by layer; the latent graphs
+    of level l are formed from ``mixing[l]`` (P_l) when first read."""
 
-    latent_adjacencies: list[list[SparseAdjacency]]
+    mixing: list[np.ndarray]
     embeddings: list[np.ndarray]
     attention: list[np.ndarray]
     z: np.ndarray
     summary: np.ndarray
+    plan: EncodePlan = field(repr=False)
+
+    @functools.cached_property
+    def latent_adjacencies(self) -> list[list[SparseAdjacency]]:
+        union, stacked = self.plan.union, self.plan.stacked
+        return [[union.to_adjacency(col) for col in (stacked.T @ p).T] for p in self.mixing]
 
 
 # ---------------------------------------------------------------------------
@@ -293,16 +301,12 @@ class EncodePlan:
     Holds the first-level GCN operator (the D input graphs, each normalized
     to D^{-1/2}(A + I)D^{-1/2}, as one block-diagonal scipy CSR matrix over
     D*N nodes, built once so no epoch converts it again), the first-level
-    propagation of the clean features, the union sparsity pattern hosting
-    all latent adjacencies, and the input values stacked one row per
-    dimension on that pattern.
-
-    The latent-path structures come from one sort of all E stored input
-    entries (``autodiff.UnionPattern``): it yields the union pattern and
-    the slot of every entry, hence the stacked (D, nnz) block; the
-    normalization's pattern with the diagonal follows from the union by
-    index arithmetic, and ``norm_plan.spmm`` multiplies by the normalized
-    latent adjacencies. That is O(E log E) time and O(E) memory.
+    propagation of the clean features and, with hierarchical layers, the
+    latent-path plan ``norm_plan`` (``autodiff.NormalizePlan``) with its
+    union pattern (``union``) and the input values stacked one row per
+    dimension on it (``stacked``). The union comes from one sort of all E
+    stored input entries (``autodiff.UnionPattern``): O(E log E) time and
+    O(E) memory.
     """
 
     def __init__(self, graph: MultiplexGraph, config: HmgeConfig):
@@ -316,20 +320,10 @@ class EncodePlan:
         # (and A_d @ W_d[perm] on the corrupted side): no propagation.
         self.identity_features = _is_identity(graph.features)
         self.feature_prop = None if self.identity_features else self.propagate(graph.features)
-        self.union = None
-        self.stacked = None
-        self.norm_plan = None
+        self.union = self.stacked = self.norm_plan = None
         if config.num_layers >= 1:
-            self.union = ad.UnionPattern(graph.dimensions)
-            self.stacked = sp.csr_matrix(
-                (
-                    np.concatenate([d.values for d in graph.dimensions]),
-                    self.union.slots,
-                    np.cumsum([0] + [d.nnz for d in graph.dimensions]),
-                ),
-                shape=(graph.num_dims, self.union.nnz),
-            )
-            self.norm_plan = ad.NormalizePlan(self.union)
+            self.norm_plan = ad.NormalizePlan(graph.dimensions)
+            self.union, self.stacked = self.norm_plan.pattern, self.norm_plan.stacked
 
     def propagate(self, features: np.ndarray) -> np.ndarray:
         """A_d @ X for every input dimension d, as a (D, N, F) stack."""
@@ -406,32 +400,28 @@ def _stack_attention(h_stack: ad.Node, v: ad.Node, y: ad.Node):
     return ad.mix_stack(h_stack, beta), beta
 
 
-def build_latent_structure(plan: EncodePlan, pnodes):
-    """Phase-two chain: every layer's latent adjacencies as one value block.
+def build_latent_structure(plan: EncodePlan, pnodes) -> list[ad.Node]:
+    """Phase-two chain: every layer's latent adjacencies; returns their mixing nodes.
 
     Latent structure depends only on the combination logits, so it is built
     once and shared by the clean and corrupted embedding passes. Layer l
     combines the previous level's graphs linearly with softmax_cols(alpha_l),
     so level l is a convex combination of the input graphs with weights
     P_l = softmax_cols(alpha_0) ... softmax_cols(alpha_l): one small
-    ``matmul`` per layer composes P_l, one ``csr_combine_stack`` of the
-    stacked inputs forms the level. Inputs and weights are non-negative
+    ``matmul`` per layer composes P_l. Inputs and weights are non-negative
     (``normalize_adjacency`` refuses negative values), so no ReLU follows.
-    Each level's columns are normalized as one block.
 
-    Returns (raw, gcn_ready): raw[l] is the (nnz, D_{l+1}) block of latent
-    adjacency values from layer l on the union pattern, gcn_ready[l] its
-    normalized counterpart fed to spmm_var.
+    P_l's node is the only tape parent of level l's graphs: their
+    normalized value block, built here by ``plan.norm_plan.graphs``, is a
+    forward-only cache on that node, and its consumers (``spmm_var``, the
+    head of ``infomax_bce``) pull their gradient straight back to P_l.
     """
-    raw: list[ad.Node] = []
-    gcn_ready: list[ad.Node] = []
-    mixing = None
+    levels: list[ad.Node] = []
     for layer in pnodes.layers:
         weights = ad.softmax_cols(layer.alpha)
-        mixing = weights if mixing is None else ad.matmul(mixing, weights)
-        raw.append(ad.csr_combine_stack(mixing, plan.stacked))
-        gcn_ready.append(ad.csr_normalize(raw[-1], plan.norm_plan))
-    return raw, gcn_ready
+        levels.append(weights if not levels else ad.matmul(levels[-1], weights))
+        plan.norm_plan.graphs(levels[-1])
+    return levels
 
 
 def _first_level(plan: EncodePlan, w: ad.Node, perm) -> ad.Node:
@@ -448,12 +438,12 @@ def _first_level(plan: EncodePlan, w: ad.Node, perm) -> ad.Node:
     return ad.relu(ad.batched_matmul(w.tape.constant(prop), w))
 
 
-def build_embedding_chain(plan: EncodePlan, pnodes, perm, latent_gcn):
+def build_embedding_chain(plan: EncodePlan, pnodes, perm, latent):
     """Phase-one chain for one feature input; returns (h per layer, beta per layer).
 
     ``perm`` shuffles the feature rows for the corrupted pass and is None
-    for the clean one. ``latent_gcn[l]`` is the normalized value block of
-    the latent adjacencies produced by layer l. The chain ends at the last
+    for the clean one. ``latent[l]`` is the mixing node of the latent
+    adjacencies produced by layer l. The chain ends at the last
     layer's attention output h_L; the output head on the last latent graph
     (``build_forward``) reads it from there.
     """
@@ -465,18 +455,19 @@ def build_embedding_chain(plan: EncodePlan, pnodes, perm, latent_gcn):
         h_layers.append(h)
         betas.append(beta)
         if l + 1 < len(layers):
-            prop = ad.spmm_var(latent_gcn[l], plan.norm_plan.spmm, h)
+            prop = ad.spmm_var(latent[l], plan.norm_plan, h)
             h_stack = ad.relu(ad.batched_matmul(prop, layers[l + 1].gcn_w))
     return h_layers, betas
 
 
 def build_forward(plan: EncodePlan, pnodes, perms):
-    """The encoder of the lifted parameters' kind; returns (latent blocks, head, chains).
+    """The encoder of the lifted parameters' kind; returns (latent, head, chains).
 
     One chain (h per layer, beta per layer) per feature-row shuffle in
     ``perms`` (None for the clean pass). The embeddings are z = S h W of
-    each chain's last h, with (S, its SpmmPlan, W) the ``head``: the last
-    normalized latent block and ``final_w``. The head is linear: clipping
+    each chain's last h, with (P, its NormalizePlan, W) the ``head``: the
+    last level's mixing node, whose one latent graph is S, and ``final_w``.
+    The head is linear: clipping
     the output space measurably discards class information, and the
     two-layer expansion of this architecture is stated without a trailing
     non-linearity. The hierarchical encoder shares its latent blocks across
@@ -484,9 +475,9 @@ def build_forward(plan: EncodePlan, pnodes, perms):
     attention on top, has none and an empty head (z = h).
     """
     if isinstance(pnodes, HmgeParams):
-        raw, latent_gcn = build_latent_structure(plan, pnodes)
-        head = (latent_gcn[-1], plan.norm_plan.spmm, pnodes.final_w)
-        return raw, head, [build_embedding_chain(plan, pnodes, perm, latent_gcn) for perm in perms]
+        latent = build_latent_structure(plan, pnodes)
+        head = (latent[-1], plan.norm_plan, pnodes.final_w)
+        return latent, head, [build_embedding_chain(plan, pnodes, perm, latent) for perm in perms]
     chains = []
     for perm in perms:
         h_stack = _first_level(plan, pnodes.gcn_w[0], perm)
@@ -542,16 +533,15 @@ def encode(
     h_nodes, beta_nodes = chains[0]
     z = h_nodes[-1].value
     if head:  # z = (S h) W, off the tape
-        values, spmm, w = head
-        z = spmm.matmul(values.value[:, 0], z, {}) @ w.value
+        mixing, norm, w = head
+        z = norm.spmm.matmul(norm.graphs(mixing)["values"][:, 0], z, {}) @ w.value
     trace = ForwardTrace(
-        latent_adjacencies=[
-            [plan.union.to_adjacency(col) for col in block.value.T] for block in latent
-        ],
+        mixing=[p.value for p in latent],
         embeddings=[h.value for h in h_nodes],
         attention=[b.value for b in beta_nodes],
         z=z,
         summary=readout(z),
+        plan=plan,
     )
     tape.release()
     return trace

@@ -24,7 +24,6 @@ import numpy as np
 
 from . import autodiff as ad
 from . import model as mdl
-from .autodiff import LOG_CLAMP
 from .errors import ConfigError, NumericError
 from .multiplex import MultiplexGraph
 
@@ -121,7 +120,8 @@ def infomax_loss(z, z_hat, s, q) -> float:
     """Mean binary cross-entropy of the discriminator over both sample sets.
 
     Positives are the clean embeddings (label 1), negatives the corrupted
-    ones (label 0); log arguments are clamped to [1e-12, 1 - 1e-12].
+    ones (label 0). The logs are exact at any score x:
+    log sigma(x) = -logaddexp(0, -x), log(1 - sigma(x)) = -logaddexp(0, x).
     """
     z = np.asarray(z, dtype=np.float64)
     z_hat = np.asarray(z_hat, dtype=np.float64)
@@ -133,12 +133,9 @@ def infomax_loss(z, z_hat, s, q) -> float:
         if not np.all(np.isfinite(arr)):
             raise NumericError("non-finite input to the InfoMax loss")
     qs = q @ s
-    pos = ad.sigmoid_value(z @ qs)
-    neg = ad.sigmoid_value(z_hat @ qs)
-    log_pos = np.log(np.clip(pos, LOG_CLAMP, 1.0 - LOG_CLAMP))
-    log_neg = np.log(np.clip(1.0 - neg, LOG_CLAMP, 1.0 - LOG_CLAMP))
+    pos, neg = z @ qs, z_hat @ qs
     n = z.shape[0]
-    return (math.fsum(log_pos) + math.fsum(log_neg)) * (-1.0 / (2.0 * n))
+    return (math.fsum(np.logaddexp(0.0, -pos)) + math.fsum(np.logaddexp(0.0, neg))) / (2.0 * n)
 
 
 def build_loss_nodes(plan, pnodes, perm):

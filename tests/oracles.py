@@ -9,11 +9,17 @@ ops that only the tests use, to turn an op's output into a scalar loss;
 ``select_matrix`` slices one matrix out of a stack, for the unfused output
 head (``spmm_var``, then a slice, then ``matmul``) that the tests compare
 the fused ``infomax_bce`` head against;
-``grad_check`` compares a tape's gradients with central differences, and
+``negative_gradients`` is the corrupted side's exact loss gradient, row by
+row; ``grad_check`` compares a tape's gradients with central differences, and
 ``full_loss_builder`` wraps the whole training objective for it.
-``chained_latent_structure`` builds the latent blocks level by level, each
-from the one before with a ReLU after every level, as the reference for
-``model.build_latent_structure``. ``from_dense`` and ``to_dense`` convert
+``csr_combine_stack``, ``csr_normalize`` and ``spmm_values`` put the latent
+graphs on the tape as (nnz, D) value blocks, with their own pullbacks:
+``value_block_loss`` runs the training loss through them, the reference
+for the closed-form pullback that ``autodiff.NormalizePlan`` folds
+straight into the combination weights. Its blocks come from
+``latent_structure_from_inputs`` (every level from the inputs, as the
+model builds them) or ``chained_latent_structure`` (level by level, each
+from the one before with a ReLU after every level). ``from_dense`` and ``to_dense`` convert
 between ``SparseAdjacency`` and dense matrices; ``expected_edge_counts``
 is the closed-form edge count of an SBM draw.
 ``union_pattern``, ``position_map`` and ``extended_pattern`` build the
@@ -37,7 +43,7 @@ from hmge import model as mdl
 from hmge.autodiff import Node, _accum_owned, _same_tape
 from hmge.errors import ConfigError, DataFormatError, NumericError
 from hmge.evaluation import LinkSplit
-from hmge.multiplex import MultiplexGraph, SparseAdjacency
+from hmge.multiplex import MultiplexGraph, SparseAdjacency, mirror_positions
 from hmge.sbm import SbmConfig
 from hmge.training import build_loss_nodes
 
@@ -254,6 +260,23 @@ def discriminate(h: np.ndarray, s: np.ndarray, q: np.ndarray) -> float:
     return float(ad.sigmoid_value(h @ q @ s))
 
 
+def negative_gradients(z, z_hat, q, s_mat=None, w=None) -> np.ndarray:
+    """d(loss)/d(h_hat) of the mean BCE over z_hat = S h_hat W, row by row.
+
+    Each corrupted row i contributes -log(1 - sigma(z_hat_i^T Q s)) / 2N,
+    with s = mean(z), so the gradient is S^T [sigma(z_hat_i^T Q s) / 2N]_i
+    (W Q s)^T; sigma comes from ``discriminate``. S and W default to the
+    identity (the loss without an output head).
+    """
+    z, z_hat = np.asarray(z, dtype=np.float64), np.asarray(z_hat, dtype=np.float64)
+    n, m = z.shape
+    s_mat = np.eye(n) if s_mat is None else s_mat
+    w = np.eye(m) if w is None else w
+    s = z.mean(axis=0)
+    sig = np.array([discriminate(row, s, q) for row in z_hat])
+    return s_mat.T @ np.outer(sig, w @ q @ s) / (2 * n)
+
+
 def elementwise_mul(a: Node, b: Node) -> Node:
     tape = _same_tape(a, b)
     if a.value.shape != b.value.shape:
@@ -381,12 +404,94 @@ def grad_check(build_loss, params) -> float:
     return worst
 
 
+def csr_combine_stack(weights: Node, stacked: sp.csr_matrix) -> Node:
+    """All weighted combinations of constant inputs in one product.
+
+    ``stacked`` holds the input adjacency values row-per-input on the union
+    pattern (D_in x nnz); column j of the (nnz, D_out) result combines them
+    with column j of the (D_in, D_out) ``weights``.
+    """
+    if weights.value.ndim != 2 or weights.value.shape[0] != stacked.shape[0]:
+        raise ValueError(
+            f"weights {weights.value.shape} do not match {stacked.shape[0]} stacked inputs"
+        )
+
+    def backward(g):
+        if weights.requires_grad:
+            _accum_owned(weights, stacked @ g)
+
+    return weights.tape._add(
+        stacked.T @ weights.value, (weights,), backward, name="csr_combine_stack"
+    )
+
+
+def csr_normalize(values: Node, plan) -> Node:
+    """Symmetric normalization with self-loops of an (nnz, D) value block.
+
+    The forward is ``NormalizePlan.forward``, column by column; the pullback
+    goes entry by entry: each entry's own term, plus the degree adjoint of
+    its row, which gathers every stored entry of the row and of its mirror.
+    """
+    if values.value.ndim != 2 or values.value.shape[0] != plan.pattern.nnz:
+        raise ValueError(
+            f"normalize expects {plan.pattern.nnz} values, got {values.value.shape}"
+        )
+    out, prod, deg = plan.forward(values.value)
+    starts = plan.out_indptr[:-1]
+    mirror = mirror_positions(plan.pattern.num_nodes, plan.out_indptr, plan.out_indices)
+
+    def backward(g):
+        if values.requires_grad:
+            q = g * out
+            ddeg = -(np.add.reduceat(q, starts) + np.add.reduceat(q[mirror], starts)) / (2.0 * deg)
+            _accum_owned(values, g[plan.in2out] * prod[plan.in2out] + ddeg[plan.pattern.rows])
+
+    return values.tape._add(out, (values,), backward, name="csr_normalize")
+
+
+def spmm_values(values: Node, plan, h: Node) -> Node:
+    """S_d @ H for every column d of an (nnz, D) value block on ``plan`` (an
+    ``SpmmPlan``); returns (D, N, M). Gradients flow to the values (the SDDMM)
+    and to H."""
+    tape = _same_tape(values, h)
+    if values.value.ndim != 2 or values.value.shape[0] != plan.nnz:
+        raise ValueError(f"expected {plan.nnz} values per column, got {values.value.shape}")
+    columns = values.value.T
+    kernels = [{} for _ in columns]
+    out = np.stack([plan.matmul(v, h.value, k) for v, k in zip(columns, kernels)])
+
+    def backward(g):
+        if h.requires_grad:
+            _accum_owned(h, sum(plan.matmul_transpose(v, gd, k)
+                                for v, gd, k in zip(columns, g, kernels)))
+        if values.requires_grad:
+            _accum_owned(values, np.stack([plan.grad_values(gd, h.value) for gd in g], axis=1))
+
+    return tape._add(out, (values, h), backward, name="spmm_values")
+
+
+def latent_structure_from_inputs(plan, pnodes):
+    """Every level's latent graphs as value blocks on the tape.
+
+    P_l composed by ``matmul`` as the model does, then ``csr_combine_stack``
+    of the stacked inputs and ``csr_normalize``. Returns (raw, gcn_ready):
+    the (nnz, D_{l+1}) raw and the normalized value block of every level.
+    """
+    raw, gcn_ready, mixing = [], [], None
+    for layer in pnodes.layers:
+        weights = ad.softmax_cols(layer.alpha)
+        mixing = weights if mixing is None else ad.matmul(mixing, weights)
+        raw.append(csr_combine_stack(mixing, plan.stacked))
+        gcn_ready.append(csr_normalize(raw[-1], plan.norm_plan))
+    return raw, gcn_ready
+
+
 def chained_latent_structure(plan, pnodes):
-    """``model.build_latent_structure`` by the chained form, on the tape.
+    """``latent_structure_from_inputs`` by the chained form.
 
     Layer 0 combines the stacked inputs with ``csr_combine_stack``; each
     later layer mixes the previous level's (nnz, D_l) block with ``matmul``;
-    a ReLU follows every level. Returns (raw, gcn_ready) as the model does.
+    a ReLU follows every level. Returns (raw, gcn_ready).
     """
     raw, gcn_ready = [], []
     for layer in pnodes.layers:
@@ -394,10 +499,31 @@ def chained_latent_structure(plan, pnodes):
         if raw:
             block = ad.matmul(raw[-1], weights)
         else:
-            block = ad.csr_combine_stack(weights, plan.stacked)
+            block = csr_combine_stack(weights, plan.stacked)
         raw.append(ad.relu(block))
-        gcn_ready.append(ad.csr_normalize(raw[-1], plan.norm_plan))
+        gcn_ready.append(csr_normalize(raw[-1], plan.norm_plan))
     return raw, gcn_ready
+
+
+def value_block_loss(plan, pnodes, perm, latent_structure=latent_structure_from_inputs):
+    """The hierarchical training loss with every latent graph a value block.
+
+    ``latent_structure`` builds the blocks; ``spmm_values`` consumes them,
+    and the output head runs unfused: z = S h W by ``spmm_values``,
+    ``select_matrix`` and ``matmul``, then the head-free ``infomax_bce``.
+    Returns (loss, raw, gcn_ready).
+    """
+    raw, gcn_ready = latent_structure(plan, pnodes)
+    spmm, layers, zs = plan.norm_plan.spmm, pnodes.layers, []
+    for p in (None, perm):
+        h_stack = mdl._first_level(plan, layers[0].gcn_w, p)
+        for l, layer in enumerate(layers):
+            h, _ = mdl._stack_attention(h_stack, layer.attn_v, layer.attn_y)
+            if l + 1 < len(layers):
+                prop = spmm_values(gcn_ready[l], spmm, h)
+                h_stack = ad.relu(ad.batched_matmul(prop, layers[l + 1].gcn_w))
+        zs.append(ad.matmul(select_matrix(spmm_values(gcn_ready[-1], spmm, h), 0), pnodes.final_w))
+    return ad.infomax_bce(*zs, pnodes.disc_q), raw, gcn_ready
 
 
 def full_loss_builder(graph, config, params, perm: np.ndarray):

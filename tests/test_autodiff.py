@@ -7,33 +7,62 @@ from hmge.multiplex import SparseAdjacency, normalize_adjacency
 from hmge.training import infomax_loss
 from oracles import (
     add,
+    csr_combine_stack,
+    csr_normalize,
     elementwise_mul,
     from_dense,
     grad_check,
+    negative_gradients,
     position_map,
     scale,
     select_matrix,
+    spmm_values,
     sum_all,
     tanh,
     to_dense,
 )
 
 
-def forced_plan(monkeypatch, union, dense_mode):
-    """SpmmPlan on ``union`` in the given kernel mode.
+def force_mode(monkeypatch, num_nodes, dense_mode):
+    """Make every plan built next on ``num_nodes`` nodes pick the given kernels.
 
     The mode follows from the pattern through DENSE_DENSITY_THRESHOLD and
-    DENSE_MAX_NODES, so those are set to values that select it; the assert
-    keeps a test from running one kernel twice.
+    DENSE_MAX_NODES, so those are set to values that select it.
     """
     if dense_mode:
         monkeypatch.setattr(ad, "DENSE_DENSITY_THRESHOLD", 0.0)
-        monkeypatch.setattr(ad, "DENSE_MAX_NODES", union.num_nodes)
+        monkeypatch.setattr(ad, "DENSE_MAX_NODES", num_nodes)
     else:
         monkeypatch.setattr(ad, "DENSE_DENSITY_THRESHOLD", 2.0)
+
+
+def forced_plan(monkeypatch, union, dense_mode):
+    """SpmmPlan on ``union`` in the given kernel mode; the assert keeps a
+    test from running one kernel twice."""
+    force_mode(monkeypatch, union.num_nodes, dense_mode)
     plan = ad.SpmmPlan(union.num_nodes, union.indptr, union.indices)
     assert plan.dense_mode is dense_mode
     return plan
+
+
+def forced_norm_plan(monkeypatch, adjacencies, dense_mode):
+    """NormalizePlan of ``adjacencies`` in the given kernel mode."""
+    force_mode(monkeypatch, adjacencies[0].num_nodes, dense_mode)
+    plan = ad.NormalizePlan(adjacencies)
+    assert plan.spmm.dense_mode is dense_mode
+    return plan
+
+
+def weighted_inputs(mask, rng, dims=2):
+    """``dims`` weighted symmetric adjacencies whose union pattern is ``mask``
+    (symmetric 0/1, zero diagonal): the first holds every entry, the others
+    about half of them, so many entries belong to several inputs."""
+    out = []
+    for d in range(dims):
+        keep = rng.random(mask.shape) < (1.0 if d == 0 else 0.5)
+        upper = np.triu(mask * keep * rng.uniform(0.5, 2.0, mask.shape), 1)
+        out.append(from_dense(upper + upper.T))
+    return out
 
 
 def symmetric_value_block(union, rng, columns):
@@ -185,33 +214,34 @@ def fallback_attention_arrays(rng):
     return [np.concatenate([h, h]), np.concatenate([v, v]), np.concatenate([y, -y])]
 
 
-def clamped_infomax_arrays(rng):
+def saturated_infomax_arrays(rng):
     """(z, z_hat, Q) whose scores z_i^T Q s are at least 42 in magnitude on
-    z row 0 and z_hat rows 1 and 2, which the loss clamps, and at most 8.5
-    on every other row, where 1 - sigma keeps its precision."""
+    z row 0 and z_hat rows 1 and 2, where the discriminator saturates, and
+    at most 8.5 on every other row."""
     z, z_hat = rng.uniform(-0.5, 0.5, (6, 3)), rng.uniform(-0.5, 0.5, (6, 3))
     z[0], z_hat[1], z_hat[2] = 6.0, 6.0, -6.0
     return [z, z_hat, 4.0 * np.eye(3)]
 
 
-def head_arrays(rng, clamped=False, n=6, m=3):
-    """(values, h, h_hat, W, Q) and the SpmmPlan for the fused output head.
+def head_arrays(rng, saturated=False, n=6, m=3):
+    """(P, h, h_hat, W, Q) and the NormalizePlan for the fused output head.
 
-    S is the normalized adjacency of a random graph on ``n`` nodes whose
-    last node is isolated, so S holds a 1 at that node's diagonal and
-    nothing else in its row and column. With ``clamped`` the corrupted
-    row of that node scores 50, which the loss clamps.
+    S is the normalized mix by P (2 x 1) of two weighted inputs on ``n``
+    nodes that share entries; the last node is isolated, so S holds a 1 at
+    that node's diagonal and nothing else in its row and column. With
+    ``saturated`` the corrupted row of that node scores 50, where the
+    discriminator saturates.
     """
-    adj = from_dense(random_sym_dense(n, rng, 0.6, isolated=1))
-    norm = ad.NormalizePlan(ad.UnionPattern([adj]))
-    values = norm.forward(adj.values[:, None])[0]
+    norm = ad.NormalizePlan(weighted_inputs(random_sym_dense(n, rng, 0.6, isolated=1), rng))
+    mixing = rng.uniform(0.2, 1.0, (2, 1))
     h, h_hat = rng.uniform(-1, 1, (2, n, m))
     w, q = rng.uniform(-1.5, 1.5, (2, m, m))
-    if clamped:
+    if saturated:
+        values = norm.forward(norm.stacked.T @ mixing)[0]
         c = np.bincount(norm.spmm.indices, weights=values[:, 0], minlength=n)
         u = w @ q @ ((c @ h) @ w / n)
         h_hat[-1] = 50.0 * u / (u @ u)
-    return [values, h, h_hat, w, q], norm.spmm
+    return [mixing, h, h_hat, w, q], norm
 
 
 def op_cases():
@@ -282,7 +312,7 @@ def op_cases():
          lambda t, n: ad.infomax_bce(*n))
     )
     cases.append(
-        ("infomax_bce_clamped", clamped_infomax_arrays(rng), lambda t, n: ad.infomax_bce(*n))
+        ("infomax_bce_clamped", saturated_infomax_arrays(rng), lambda t, n: ad.infomax_bce(*n))
     )
     z_c, z_hat_c, q_c = (rng.uniform(-1, 1, shape) for shape in ((6, 3), (6, 3), (3, 3)))
     cases.append(
@@ -300,12 +330,18 @@ def op_cases():
          lambda t, n: sum_all(tanh(add(
              ad.permute_rows(n[0], perm), elementwise_mul(n[0], t.constant(c_pr))))))
     )
-    for name, clamped in (("infomax_bce_head", False), ("infomax_bce_head_clamped", True)):
-        arrays, plan = head_arrays(rng, clamped)
+    for name, saturated in (("infomax_bce_head", False), ("infomax_bce_head_clamped", True)):
+        arrays, plan = head_arrays(rng, saturated)
         cases.append(
             (name, arrays,
              lambda t, n, plan=plan: ad.infomax_bce(n[1], n[2], n[4], n[0], plan, n[3]))
         )
+    # The closed-form pullback of the normalization into the mixing weights.
+    norm = ad.NormalizePlan(weighted_inputs(random_sym_dense(7, rng, 0.5), rng, 3))
+    cases.append(
+        ("spmm_var", [rng.uniform(0.2, 1.0, (3, 2)), rng.uniform(-1, 1, (7, 3))],
+         lambda t, n: sum_all(tanh(ad.spmm_var(n[0], norm, n[1]))))
+    )
     return cases
 
 
@@ -336,56 +372,66 @@ def test_infomax_bce_matches_eager_loss():
     rng = np.random.default_rng(9)
     for z, z_hat, q in (
         [rng.uniform(-1, 1, (6, 3)), rng.uniform(-1, 1, (6, 3)), rng.uniform(-2, 2, (3, 3))],
-        clamped_infomax_arrays(rng),
+        saturated_infomax_arrays(rng),
     ):
         t = ad.Tape()
         loss = ad.infomax_bce(t.constant(z), t.constant(z_hat), t.constant(q))
         assert float(loss.value) == infomax_loss(z, z_hat, z.mean(axis=0), q)
 
 
-def test_infomax_bce_clamped_entries_pass_no_gradient():
-    z, z_hat, q = clamped_infomax_arrays(np.random.default_rng(10))
+def test_infomax_bce_saturated_entries_pass_exact_gradient():
+    # z_hat row 1 scores >= 42, on the wrong side: its gradient is about
+    # Qs / 2N. Row 2 scores <= -42: its gradient is tiny but not zero.
+    z, z_hat, q = saturated_infomax_arrays(np.random.default_rng(10))
     qs = q @ z.mean(axis=0)
-    pos, neg = ad.sigmoid_value(z @ qs), ad.sigmoid_value(z_hat @ qs)
-    assert pos[0] > 1.0 - ad.LOG_CLAMP and np.all(np.abs(z[1:] @ qs) <= 8.5)
-    assert neg[1] > 1.0 - ad.LOG_CLAMP and neg[2] < ad.LOG_CLAMP
+    assert z[0] @ qs >= 42.0 and np.all(np.abs(z[1:] @ qs) <= 8.5)
+    assert z_hat[1] @ qs >= 42.0 and z_hat[2] @ qs <= -42.0
     t = ad.Tape()
     zn, hn, qn = (t.parameter(a) for a in (z, z_hat, q))
     t.backward(ad.infomax_bce(zn, hn, qn))
-    clamped = np.isin(np.arange(6), [1, 2])
-    assert not np.any(hn.adjoint[clamped])
-    assert np.all(np.any(hn.adjoint[~clamped] != 0.0, axis=1))
+    expected = negative_gradients(z, z_hat, q)
+    assert np.all(np.abs(hn.adjoint - expected) <= 1e-12 * np.abs(expected))
+    assert np.abs(hn.adjoint[1] - qs / 12.0).max() <= 1e-12 * np.abs(qs).max()
+    assert 0.0 < np.abs(hn.adjoint[2]).max() < 1e-15
 
 
-def test_infomax_bce_head_clamped_row_passes_no_gradient():
-    # The isolated node's corrupted score is S_rr (h_hat u)_r = 50: its
-    # adjoint d/d(h_hat u) is S^T of a gradient that is zero at that node.
-    arrays, plan = head_arrays(np.random.default_rng(10), clamped=True)
+def test_infomax_bce_head_saturated_row_passes_exact_gradient():
+    # The isolated node's corrupted score is S_rr (h_hat u)_r = 50, where
+    # sigma rounds to 1: its adjoint is u / 2N, as the eager oracle has it.
+    arrays, plan = head_arrays(np.random.default_rng(10), saturated=True)
     t = ad.Tape()
-    values, h, h_hat, w, q = (t.parameter(a) for a in arrays)
-    t.backward(ad.infomax_bce(h, h_hat, q, values, plan, w))
-    assert not np.any(h_hat.adjoint[-1])
-    assert np.all(np.any(h_hat.adjoint[:-1] != 0.0, axis=1))
+    mixing, h, h_hat, w, q = (t.parameter(a) for a in arrays)
+    t.backward(ad.infomax_bce(h, h_hat, q, mixing, plan, w))
+    values = plan.forward(plan.stacked.T @ arrays[0])[0][:, 0]
+    s_mat = to_dense(SparseAdjacency(6, plan.out_indptr, plan.out_indices, values))
+    expected = negative_gradients(s_mat @ arrays[1] @ arrays[3], s_mat @ arrays[2] @ arrays[3],
+                                  arrays[4], s_mat, arrays[3])
+    assert np.abs(h_hat.adjoint - expected).max() <= 1e-12 * np.abs(expected).max()
+    assert np.all(np.abs(h_hat.adjoint[-1] - expected[-1]) <= 1e-12 * np.abs(expected[-1]))
+    assert np.all(h_hat.adjoint[-1] != 0.0)
     assert np.all(np.any(h.adjoint != 0.0, axis=1))
 
 
 @pytest.mark.parametrize("dense_mode", [True, False])
 def test_infomax_bce_head_matches_unfused_chain(monkeypatch, dense_mode):
-    # z = S h W through spmm_var, a slice and matmul, then the head-free loss.
-    union = banded_pattern(40, 12, 0.1, 3, seed=60)
-    plan = forced_plan(monkeypatch, union, dense_mode)
+    # z = S h W through the value-block chain (csr_combine_stack,
+    # csr_normalize, spmm_values, a slice and matmul), then the head-free loss.
     rng = np.random.default_rng(61)
-    arrays = [symmetric_value_block(union, rng, 1) / 10.0,
+    plan = forced_norm_plan(
+        monkeypatch, weighted_inputs(banded_mask(40, 12, 0.1, 3, seed=60), rng, 3), dense_mode
+    )
+    arrays = [rng.uniform(0.2, 1.0, (3, 1)),
               *rng.uniform(-1, 1, (2, 40, 4)), *rng.uniform(-2, 2, (2, 4, 4))]
 
     def run(fused):
         t = ad.Tape()
         nodes = [t.parameter(a) for a in arrays]
-        values, h, h_hat, w, q = nodes
+        mixing, h, h_hat, w, q = nodes
         if fused:
-            loss = ad.infomax_bce(h, h_hat, q, values, plan, w)
+            loss = ad.infomax_bce(h, h_hat, q, mixing, plan, w)
         else:
-            z, z_hat = (ad.matmul(select_matrix(ad.spmm_var(values, plan, x), 0), w)
+            values = csr_normalize(csr_combine_stack(mixing, plan.stacked), plan)
+            z, z_hat = (ad.matmul(select_matrix(spmm_values(values, plan.spmm, x), 0), w)
                         for x in (h, h_hat))
             loss = ad.infomax_bce(z, z_hat, q)
         t.backward(loss)
@@ -438,23 +484,22 @@ class TestSparseOps:
         arrays = [rng.uniform(-1, 1, (3, 2))]
 
         def build(tape, nodes):
-            mixed = ad.csr_combine_stack(nodes[0], stacked)
+            mixed = csr_combine_stack(nodes[0], stacked)
             return sum_all(elementwise_mul(mixed, tape.constant(coeff)))
 
         assert grad_check(build, arrays) < 1e-4
 
         # value equals the per-column dense weighted sum
         t = ad.Tape()
-        out = ad.csr_combine_stack(t.constant(arrays[0]), stacked)
+        out = csr_combine_stack(t.constant(arrays[0]), stacked)
         for j in range(2):
             expected = sum(arrays[0][i, j] * to_dense(a) for i, a in enumerate(adjs))
             got = to_dense(union.to_adjacency(out.value[:, j]))
             assert np.allclose(got, expected, atol=1e-14)
 
     def test_csr_normalize_matches_dense_and_gradients(self):
-        adjs = [random_sym_adj(6, 0.5, 11)]
-        union = ad.UnionPattern(adjs)
-        plan = ad.NormalizePlan(union)
+        plan = ad.NormalizePlan([random_sym_adj(6, 0.5, 11)])
+        union = plan.pattern
         rng = np.random.default_rng(12)
         # symmetric values so they form a valid undirected matrix
         sym_vals = to_dense(union.to_adjacency(rng.uniform(0.2, 2.0, union.nnz)))
@@ -462,7 +507,7 @@ class TestSparseOps:
         vals = sym_vals[union.rows, union.indices][:, None]
 
         t = ad.Tape()
-        out = ad.csr_normalize(t.constant(vals), plan)
+        out = csr_normalize(t.constant(vals), plan)
         dense = sym_vals + np.eye(6)
         dinv = 1.0 / np.sqrt(dense.sum(axis=1))
         expected = dense * np.outer(dinv, dinv)
@@ -472,69 +517,64 @@ class TestSparseOps:
         coeff = rng.uniform(-1, 1, (plan.out_nnz, 1))
 
         def build(tape, nodes):
-            normed = ad.csr_normalize(nodes[0], plan)
+            normed = csr_normalize(nodes[0], plan)
             return sum_all(elementwise_mul(normed, tape.constant(coeff)))
 
         assert grad_check(build, [vals]) < 1e-4
 
     def test_csr_normalize_block_columns_independent(self):
-        adjs = [random_sym_adj(5, 0.6, 20)]
-        union = ad.UnionPattern(adjs)
-        plan = ad.NormalizePlan(union)
+        plan = ad.NormalizePlan([random_sym_adj(5, 0.6, 20)])
+        union = plan.pattern
         rng = np.random.default_rng(21)
         block = rng.uniform(0.2, 1.5, (union.nnz, 3))
         t = ad.Tape()
-        out_block = ad.csr_normalize(t.constant(block), plan)
+        out_block = csr_normalize(t.constant(block), plan)
         for j in range(3):
             t2 = ad.Tape()
-            out_col = ad.csr_normalize(t2.constant(block[:, j:j + 1].copy()), plan)
+            out_col = csr_normalize(t2.constant(block[:, j:j + 1].copy()), plan)
             assert np.array_equal(out_block.value[:, j], out_col.value[:, 0])
 
         coeff = rng.uniform(-1, 1, (plan.out_nnz, 3))
 
         def build(tape, nodes):
-            normed = ad.csr_normalize(nodes[0], plan)
+            normed = csr_normalize(nodes[0], plan)
             return sum_all(elementwise_mul(normed, tape.constant(coeff)))
 
         assert grad_check(build, [block]) < 1e-4
 
     def test_spmm_var_gradients_both_modes(self, monkeypatch):
-        adjs = [random_sym_adj(6, 0.5, 30)]
-        union = ad.UnionPattern(adjs)
         rng = np.random.default_rng(31)
-        vals = symmetric_value_block(union, rng, 2)
-        h = rng.uniform(-1, 1, (6, 3))
+        adjs = weighted_inputs(random_sym_dense(6, rng, 0.5), rng, 3)
+        arrays = [rng.uniform(0.2, 1.0, (3, 2)), rng.uniform(-1, 1, (6, 3))]
         for dense_mode in (True, False):
-            plan = forced_plan(monkeypatch, union, dense_mode)
+            plan = forced_norm_plan(monkeypatch, adjs, dense_mode)
 
             def build(tape, nodes):
                 return sum_all(tanh(ad.spmm_var(nodes[0], plan, nodes[1])))
 
-            assert grad_check(build, [vals, h]) < 1e-4
+            assert grad_check(build, arrays) < 1e-4
 
     def test_spmm_var_dense_sparse_agree(self, monkeypatch):
-        adjs = [random_sym_adj(8, 0.4, 40)]
-        union = ad.UnionPattern(adjs)
         rng = np.random.default_rng(41)
-        vals = symmetric_value_block(union, rng, 3)
-        h = rng.uniform(-1, 1, (8, 4))
+        adjs = weighted_inputs(random_sym_dense(8, rng, 0.4), rng, 3)
+        mixing, h = rng.uniform(0.2, 1.0, (3, 3)), rng.uniform(-1, 1, (8, 4))
         outs = []
         for dense_mode in (True, False):
-            plan = forced_plan(monkeypatch, union, dense_mode)
+            plan = forced_norm_plan(monkeypatch, adjs, dense_mode)
             t = ad.Tape()
-            v = t.parameter(vals)
+            p = t.parameter(mixing)
             hn = t.parameter(h)
-            out = ad.spmm_var(v, plan, hn)
+            out = ad.spmm_var(p, plan, hn)
             loss = sum_all(tanh(out))
             t.backward(loss)
-            outs.append((out.value.copy(), v.adjoint.copy(), hn.adjoint.copy()))
+            outs.append((out.value.copy(), p.adjoint.copy(), hn.adjoint.copy()))
         for a, b in zip(outs[0], outs[1]):
             assert np.abs(a - b).max() < 1e-12
 
 
-def banded_pattern(n, band, sparse_density, empty, seed):
-    """Symmetric pattern: nodes [0, band) ~30 % linked among themselves, the
-    others at ``sparse_density``, and the last ``empty`` nodes isolated."""
+def banded_mask(n, band, sparse_density, empty, seed):
+    """Symmetric 0/1 matrix: nodes [0, band) ~30 % linked among themselves,
+    the others at ``sparse_density``, and the last ``empty`` nodes isolated."""
     rng = np.random.default_rng(seed)
     m = rng.random((n, n)) < sparse_density
     m[:band, :band] = rng.random((band, band)) < 0.3
@@ -542,7 +582,12 @@ def banded_pattern(n, band, sparse_density, empty, seed):
     m = m | m.T
     m[n - empty:, :] = False
     m[:, n - empty:] = False
-    return ad.UnionPattern([from_dense(m.astype(float))])
+    return m.astype(float)
+
+
+def banded_pattern(n, band, sparse_density, empty, seed):
+    """The union pattern of ``banded_mask``."""
+    return ad.UnionPattern([from_dense(banded_mask(n, band, sparse_density, empty, seed))])
 
 
 def assert_sddmm_matches_oracle(plan, g, h):
@@ -590,17 +635,16 @@ class TestBlockedSddmm:
     def test_spmm_var_gradients_mixed_blocks(self, monkeypatch, dense_mode):
         monkeypatch.setattr(ad, "SDDMM_BLOCK_ELEMS", 48)
         monkeypatch.setattr(ad, "SDDMM_GEMM_DENSITY", 0.2)
-        union = banded_pattern(12, 4, 0.15, 1, seed=54)
-        plan = forced_plan(monkeypatch, union, dense_mode)
-        assert {blk[4] for blk in plan.blocks} == {True, False}
         rng = np.random.default_rng(55)
-        vals = symmetric_value_block(union, rng, 2)
-        h = rng.uniform(-1, 1, (12, 2))
+        adjs = weighted_inputs(banded_mask(12, 4, 0.15, 1, seed=54), rng)
+        plan = forced_norm_plan(monkeypatch, adjs, dense_mode)
+        assert {blk[4] for blk in plan.spmm.blocks} == {True, False}
+        arrays = [rng.uniform(0.2, 1.0, (2, 2)), rng.uniform(-1, 1, (12, 2))]
 
         def build(tape, nodes):
             return sum_all(tanh(ad.spmm_var(nodes[0], plan, nodes[1])))
 
-        assert grad_check(build, [vals, h]) < 1e-4
+        assert grad_check(build, arrays) < 1e-4
 
     def test_sparse_mode_builds_csr_once_per_values(self, monkeypatch):
         import scipy.sparse as sp
@@ -625,21 +669,22 @@ class TestBlockedSddmm:
     def test_spmm_var_shares_column_kernels_across_products(self, monkeypatch, dense_mode):
         import scipy.sparse as sp
 
-        union = banded_pattern(30, 10, 0.1, 2, seed=58)
-        plan = forced_plan(monkeypatch, union, dense_mode)
         rng = np.random.default_rng(59)
-        vals = rng.uniform(0.2, 1.5, (union.nnz, 2))
+        adjs = weighted_inputs(banded_mask(30, 10, 0.1, 2, seed=58), rng)
+        plan = forced_norm_plan(monkeypatch, adjs, dense_mode)
         t = ad.Tape()
-        v = t.constant(vals)
-        first = ad.spmm_var(v, plan, t.constant(rng.standard_normal((30, 3))))
-        built = {d: dict(kernels) for d, kernels in v.cache().items()}
+        p = t.constant(rng.uniform(0.2, 1.5, (2, 2)))
+        first = ad.spmm_var(p, plan, t.constant(rng.standard_normal((30, 3))))
+        latent = p.cache()
+        built = [dict(kernels) for kernels in latent["kernels"]]
         h = rng.standard_normal((30, 3))
-        second = ad.spmm_var(v, plan, t.constant(h))
+        second = ad.spmm_var(p, plan, t.constant(h))
         assert first.value.shape == second.value.shape == (2, 30, 3)
-        assert set(built) == {0, 1}
-        for d, kernels in built.items():
-            assert all(v.cache()[d][k] is kernels[k] for k in kernels)
-            eager = sp.csr_matrix((vals[:, d], union.indices, union.indptr), shape=(30, 30))
+        assert len(built) == 2 and all(built)
+        for d, kernels in enumerate(built):
+            assert all(latent["kernels"][d][k] is kernels[k] for k in kernels)
+            eager = sp.csr_matrix((latent["values"][:, d], plan.out_indices, plan.out_indptr),
+                                  shape=(30, 30))
             assert np.abs(second.value[d] - eager @ h).max() < 1e-12
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hmge.autodiff import sigmoid_value
 from hmge.errors import ConfigError, DataFormatError
 from hmge.evaluation import (
     accuracy,
@@ -338,6 +339,22 @@ class TestLinkScores:
         for score, (_, u, v) in zip(batch, pairs):
             expected = 1.0 / (1.0 + math.exp(-float(z[u] @ z[v])))
             assert abs(score - expected) < 1e-12
+
+    @pytest.mark.parametrize("chunk", [7, None])
+    def test_chunks_match_whole_gather(self, chunk, monkeypatch):
+        # Pair counts that are not a multiple of the chunk size, in one and
+        # in several chunks; scores equal the unchunked form bit for bit.
+        from hmge import evaluation
+
+        if chunk is not None:
+            monkeypatch.setattr(evaluation, "LINK_CHUNK", chunk)
+        rng = np.random.default_rng(3)
+        z = rng.standard_normal((300, 32))
+        for count in (1, 5, 50, 2 * evaluation.LINK_CHUNK + 3):
+            pairs = [(0, int(u), int(v)) for u, v in rng.integers(0, 300, (count, 2))]
+            us, vs = np.array([p[1] for p in pairs]), np.array([p[2] for p in pairs])
+            expected = sigmoid_value(np.einsum("ij,ij->i", z[us], z[vs]))
+            assert np.array_equal(link_scores(z, pairs), expected)
 
 
 class TestStratifiedSplit:

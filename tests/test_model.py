@@ -40,6 +40,7 @@ from oracles import (
     position_map,
     to_dense,
     union_pattern,
+    value_block_loss,
 )
 
 
@@ -273,18 +274,25 @@ class TestChainedLatentStructure:
         return MultiplexGraph(n, tuple(mats), rng.standard_normal((n, 3)))
 
     @staticmethod
-    def run(plan, params, perm):
-        """(raw blocks, alpha gradients) of one training loss on the tape."""
+    def run(plan, params, perm, reference=None):
+        """(raw blocks, alpha gradients) of one training loss on the tape:
+        the model's, or ``value_block_loss`` with ``reference`` blocks."""
         tape = ad.Tape()
         pnodes = mdl.lift_params(tape, params)
-        raw, head, ((h, _), (h_hat, _)) = mdl.build_forward(plan, pnodes, [None, perm])
-        tape.backward(ad.infomax_bce(h[-1], h_hat[-1], pnodes.disc_q, *head))
-        out = [r.value for r in raw], [layer.alpha.adjoint for layer in pnodes.layers]
+        if reference is None:
+            latent, head, ((h, _), (h_hat, _)) = mdl.build_forward(plan, pnodes, [None, perm])
+            tape.backward(ad.infomax_bce(h[-1], h_hat[-1], pnodes.disc_q, *head))
+            raw = [plan.stacked.T @ p.value for p in latent]
+        else:
+            loss, raw, _ = value_block_loss(plan, pnodes, perm, reference)
+            tape.backward(loss)
+            raw = [r.value for r in raw]
+        out = raw, [layer.alpha.adjoint for layer in pnodes.layers]
         tape.release()
         return out
 
     @pytest.mark.parametrize("schedule", [(4, 2, 1), (4, 3, 2, 1)])
-    def test_matches_chained_form(self, schedule, monkeypatch):
+    def test_matches_chained_form(self, schedule):
         cfg = HmgeConfig(embed_size=4, num_layers=len(schedule) - 1, dims_schedule=schedule)
         rng = np.random.default_rng(41)
         graph = self.weighted_graph(rng)
@@ -296,13 +304,64 @@ class TestChainedLatentStructure:
         plan = EncodePlan(graph, cfg)
         perm = rng.permutation(graph.num_nodes)
         raw, grads = self.run(plan, params, perm)
-        monkeypatch.setattr(mdl, "build_latent_structure", chained_latent_structure)
-        chained_raw, chained_grads = self.run(plan, params, perm)
+        chained_raw, chained_grads = self.run(plan, params, perm, chained_latent_structure)
         assert any(np.any(softmax_alpha(layer.alpha) == 0.0) for layer in params.layers)
         assert any(np.any(block == 0.0) for block in raw)
         for got, want in zip(raw, chained_raw, strict=True):
             assert np.abs(got - want).max() <= 1e-12
         for got, want in zip(grads, chained_grads, strict=True):
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+class TestLatentPullback:
+    """The pullback straight into the mixing weights against the value-block chain.
+
+    ``value_block_loss`` puts every latent graph on the tape as a value
+    block (``csr_combine_stack``, ``csr_normalize``, ``spmm_values``, the
+    unfused head), so its gradients reach the combination weights through
+    nnz-sized adjoints; the model's consumers pull them back in closed form.
+    """
+
+    @pytest.mark.parametrize("dense_mode", [True, False], ids=["dense", "sparse"])
+    @pytest.mark.parametrize("one_hot", [False, True], ids=["real", "onehot"])
+    @pytest.mark.parametrize("schedule", [(4, 1), (4, 2, 1), (4, 3, 2, 1)],
+                             ids=["l1", "l2", "l3"])
+    def test_gradients_match_value_block_chain(self, schedule, one_hot, dense_mode,
+                                               monkeypatch):
+        if dense_mode:
+            monkeypatch.setattr(ad, "DENSE_DENSITY_THRESHOLD", 0.0)
+        else:
+            monkeypatch.setattr(ad, "DENSE_DENSITY_THRESHOLD", 2.0)
+        rng = np.random.default_rng(71)
+        graph = TestChainedLatentStructure.weighted_graph(rng)
+        if one_hot:
+            graph = graph.with_features(np.eye(graph.num_nodes))
+        cfg = HmgeConfig(embed_size=4, num_layers=len(schedule) - 1, dims_schedule=schedule)
+        params = init_params(cfg, 4, graph.num_features, rng)
+        for name, arr, _, _ in param_leaves(params):
+            # Larger weights move the loss well away from ln 2.
+            arr[...] = rng.standard_normal(arr.shape) if name.startswith("alpha") else 3.0 * arr
+        plan = EncodePlan(graph, cfg)
+        assert plan.norm_plan.spmm.dense_mode is dense_mode
+        assert np.bincount(plan.union.slots).max() > 1  # entries shared by inputs
+        perm = rng.permutation(graph.num_nodes)
+
+        tape = ad.Tape()
+        pnodes = mdl.lift_params(tape, params)
+        latent, head, ((h, _), (h_hat, _)) = mdl.build_forward(plan, pnodes, [None, perm])
+        loss = ad.infomax_bce(h[-1], h_hat[-1], pnodes.disc_q, *head)
+        blocks = [(plan.stacked.T @ p.value, plan.norm_plan.graphs(p)["values"]) for p in latent]
+        tape.backward(loss)
+        ref_tape = ad.Tape()
+        ref_loss, raw, gcn_ready = value_block_loss(plan, mdl.lift_params(ref_tape, params), perm)
+        ref_tape.backward(ref_loss)
+
+        # The forward is the chain's, bit for bit, up to the fused head.
+        for (got_raw, got), want_raw, want in zip(blocks, raw, gcn_ready, strict=True):
+            assert np.array_equal(got_raw, want_raw.value) and np.array_equal(got, want.value)
+        assert abs(float(loss.value) - float(ref_loss.value)) <= 1e-12
+        assert abs(float(ref_loss.value) - math.log(2)) > 1e-4
+        for got, want in zip(tape.gradients(), ref_tape.gradients(), strict=True):
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
@@ -576,7 +635,14 @@ class TestEncodePlanPatterns:
         out_rows = np.repeat(np.arange(n), np.diff(out_indptr))
         out_keys = out_rows * n + out_indices
         mirrors = np.searchsorted(out_keys, out_indices * n + out_rows)
-        assert np.array_equal(norm.spmm.tperm, mirrors)
+        assert np.array_equal(mirror_positions(n, norm.out_indptr, norm.out_indices), mirrors)
+        # The inputs stacked one under another, on the stacked values.
+        dense = np.concatenate([to_dense(d) for d in graph.dimensions])
+        assert np.array_equal(norm.inputs.toarray(), dense)
+        assert np.abs(norm.row_sums - dense.sum(axis=1).reshape(-1, n)).max() <= 1e-12
+        if stacked.nnz:
+            assert np.shares_memory(norm.inputs.data, stacked.data)
+            assert np.shares_memory(stacked.indices, union.slots)
 
     def test_diagonal_entries_rejected(self):
         looped = from_dense(np.array([[1.0, 1.0], [1.0, 0.0]]))

@@ -205,7 +205,7 @@ class TestTrainLoop:
 
         from hmge import autodiff as ad
         from hmge.model import EncodePlan, encode, lift_params, readout
-        from hmge.training import LOG_CLAMP, build_loss_nodes
+        from hmge.training import build_loss_nodes
 
         g = er_multiplex(12, (0.5, 0.4, 0.6), 31)
         cfg = HmgeConfig(embed_size=4, num_layers=layers)
@@ -217,10 +217,9 @@ class TestTrainLoop:
         z = encode(g, params, cfg).z
         z_hat = encode(g.with_features(g.features[perm]), params, cfg).z
         s = readout(z)
-        terms = [math.log(np.clip(discriminate(row, s, params.disc_q),
-                                  LOG_CLAMP, 1.0 - LOG_CLAMP)) for row in z]
-        terms += [math.log(np.clip(1.0 - discriminate(row, s, params.disc_q),
-                                   LOG_CLAMP, 1.0 - LOG_CLAMP)) for row in z_hat]
+        # 1 - sigma(x) = sigma(-x): the corrupted rows score against -Q.
+        terms = [math.log(discriminate(row, s, params.disc_q)) for row in z]
+        terms += [math.log(discriminate(row, s, -params.disc_q)) for row in z_hat]
         expected = -math.fsum(terms) / (2 * 12)
         assert abs(float(loss.value) - expected) <= 1e-12
         assert abs(expected - math.log(2)) > 1e-4
