@@ -9,8 +9,11 @@ Latent adjacency matrices live as blocks of value columns, one column per
 matrix, tied to a fixed sparsity pattern (UnionPattern). Each level's block,
 the inputs mixed by one weight matrix P and normalized, is a forward-only
 cache on P's node; its consumers, ``spmm_var`` and ``infomax_bce``'s head,
-pull their gradient straight back to P (``NormalizePlan``). Plain ``spmm``
-treats its sparse operand as a constant.
+pull their gradient straight back to P (``NormalizePlan``). In sparse mode
+``spmm_var``'s pullback takes one CSR product of each input with the
+scaled upstream gradient and gets from those both the gradient to H and
+the entry term of P's; in dense mode it runs a BLAS product and an SDDMM.
+Plain ``spmm`` treats its sparse operand as a constant.
 
 The attention step is two ops: ``attention_weights`` scores a (D, N, M)
 embedding stack and normalizes the scores per node, with one hand-written
@@ -39,16 +42,15 @@ from .multiplex import SparseAdjacency, mirror_positions
 DENSE_DENSITY_THRESHOLD = 0.05
 DENSE_MAX_NODES = 2600
 
-# The value gradient (an SDDMM) runs over row blocks whose dense B x N
-# product holds at most SDDMM_BLOCK_ELEMS float64 (2 MB, cache-sized). A
-# block at least SDDMM_GEMM_DENSITY dense computes that product with one GEMM
-# and gathers its entries; a sparser block gathers the rows of both operands
-# entry by entry. On a 2-core x86-64 host with OpenBLAS (2 threads), N in
-# {1000, 2000, 8000} and K in {32, 64}, a gather cost 1.6-3.8 ns per
-# entry-column and a GEMM 0.025-0.051 ns per multiply-add, so the two break
-# even at 1-2 % density.
+# Dense mode takes the value gradient (an SDDMM) over row blocks whose dense
+# B x N product holds at most SDDMM_BLOCK_ELEMS float64 (2 MB, cache-sized):
+# one GEMM per block, whose entries are gathered. Sparse mode has no SDDMM;
+# its latent pullback takes one CSR product per input. On a 2-core x86-64
+# host with OpenBLAS (2 threads), N in {1000, 2000, 8000} and K in {32, 64},
+# a GEMM cost 0.026-0.040 ns per multiply-add and a CSR product 0.40-0.80 ns
+# per entry-column, so the two break even at 3-10 % density, about where
+# DENSE_DENSITY_THRESHOLD splits the modes.
 SDDMM_BLOCK_ELEMS = 1 << 18
-SDDMM_GEMM_DENSITY = 0.015
 
 
 class Node:
@@ -466,45 +468,42 @@ class SpmmPlan:
     The pattern must be structurally symmetric (DataFormatError otherwise)
     and the values exactly symmetric (S == S^T), as ``NormalizePlan``
     produces them, so S^T @ H runs on the kernel of S. ``dense_mode`` picks
-    the kernels of S @ H and S^T @ H only: dense mode scatters the values
-    into a dense matrix and runs BLAS, sparse mode stays in CSR. The pattern
-    alone picks it through DENSE_DENSITY_THRESHOLD and DENSE_MAX_NODES; to
-    force a mode, set those constants before building the plan. Both modes
-    share one row-blocked SDDMM for the value gradient, planned here once
-    per block from that block's density.
+    the kernels: dense mode scatters the values into a dense matrix and runs
+    BLAS, and takes the value gradient by a row-blocked SDDMM planned here;
+    sparse mode stays in CSR and has no value gradient (the latent pullback
+    runs through the inputs instead, see ``spmm_var``). The pattern alone
+    picks the mode through DENSE_DENSITY_THRESHOLD and DENSE_MAX_NODES; to
+    force a mode, set those constants before building the plan.
     """
 
     def __init__(self, num_nodes, indptr, indices):
-        self.num_nodes = int(num_nodes)
+        self.num_nodes = n = int(num_nodes)
         self.indptr = indptr
         self.indices = indices
         self.nnz = int(indices.shape[0])
-        mirror_positions(self.num_nodes, indptr, indices)  # DataFormatError unless symmetric
-        density = self.nnz / float(self.num_nodes) ** 2
-        self.dense_mode = bool(
-            density >= DENSE_DENSITY_THRESHOLD and self.num_nodes <= DENSE_MAX_NODES
-        )
-        n = self.num_nodes
-        self.row_counts = np.diff(indptr)
+        mirror_positions(n, indptr, indices)  # DataFormatError unless symmetric
+        density = self.nnz / float(n) ** 2
+        self.dense_mode = bool(density >= DENSE_DENSITY_THRESHOLD and n <= DENSE_MAX_NODES)
+        if not self.dense_mode:
+            return
         self.rows_per_block = max(1, SDDMM_BLOCK_ELEMS // n)
         # Offset of every entry in its row block's dense (B x N) matrix.
         self.block_flat = np.repeat(
-            np.arange(n, dtype=np.int64) % self.rows_per_block, self.row_counts
+            np.arange(n, dtype=np.int64) % self.rows_per_block, np.diff(indptr)
         )
         self.block_flat *= n
         self.block_flat += indices
-        self.blocks = []  # (first row, end row, first entry, end entry, gemm)
+        self.blocks = []  # (first row, end row, first entry, end entry)
         for lo in range(0, n, self.rows_per_block):
             hi = min(lo + self.rows_per_block, n)
             a, b = int(indptr[lo]), int(indptr[hi])
             if a < b:
-                gemm = b - a >= SDDMM_GEMM_DENSITY * (hi - lo) * n
-                self.blocks.append((lo, hi, a, b, gemm))
+                self.blocks.append((lo, hi, a, b))
 
     def _dense(self, values: np.ndarray, cache: dict) -> np.ndarray:
         if "dense" not in cache:
             mat = np.zeros((self.num_nodes, self.num_nodes))
-            for lo, hi, a, b, _ in self.blocks:
+            for lo, hi, a, b in self.blocks:
                 mat[lo:hi].reshape(-1)[self.block_flat[a:b]] = values[a:b]
             cache["dense"] = mat
         return cache["dense"]
@@ -527,26 +526,19 @@ class SpmmPlan:
         return self._csr(values, cache) @ dense
 
     def grad_values(self, g: np.ndarray, h: np.ndarray) -> np.ndarray:
-        """d(loss)/d(values) for out = S @ H given d(loss)/d(out) = g.
+        """d(loss)/d(values) for out = S @ H given d(loss)/d(out) = g; dense mode only.
 
-        The SDDMM out[e] = g[row_e] . h[col_e], block by block: a GEMM block
-        multiplies its rows of g by h^T into one reused buffer and gathers
-        its entries; a gather block takes the dot product of each entry's
-        two rows.
+        The SDDMM out[e] = g[row_e] . h[col_e], block by block: each block
+        multiplies its rows of g by h^T into one reused buffer (one GEMM)
+        and gathers its entries.
         """
         n = self.num_nodes
         out = np.empty(self.nnz)
-        buf = None
-        for lo, hi, a, b, gemm in self.blocks:
-            if gemm:
-                if buf is None:
-                    buf = np.empty(self.rows_per_block * n)
-                prod = buf[: (hi - lo) * n]
-                np.matmul(g[lo:hi], h.T, out=prod.reshape(hi - lo, n))
-                np.take(prod, self.block_flat[a:b], out=out[a:b])
-            else:
-                g_rows = np.repeat(g[lo:hi], self.row_counts[lo:hi], axis=0)
-                np.einsum("ek,ek->e", g_rows, h[self.indices[a:b]], out=out[a:b])
+        buf = np.empty(min(self.rows_per_block, n) * n)
+        for lo, hi, a, b in self.blocks:
+            prod = buf[: (hi - lo) * n]
+            np.matmul(g[lo:hi], h.T, out=prod.reshape(hi - lo, n))
+            np.take(prod, self.block_flat[a:b], out=out[a:b])
         return out
 
 
@@ -557,6 +549,9 @@ class NormalizePlan:
     their diagonal-free union ``pattern``, so mixing column p makes a graph
     with values stacked^T p. Output values live on the pattern extended
     with the diagonal; ``spmm`` is the multiply plan for that pattern.
+    ``inputs`` holds the adjacencies one under another as one
+    (D_in N x N) operator on ``stacked``'s values; ``_per_input`` is one
+    (N x N) view of it per input, on the same data and indices.
 
     The normalized graphs are forward-only (``graphs``). A consumer of
     Y = S H with G = d(loss)/dY pulls the gradient straight back to p; with
@@ -564,6 +559,8 @@ class NormalizePlan:
     folds
       dp[k] = sum_{(i,j) in A_k} A_k[ij] dn_i dn_j (G_i . H_j) + sum_i R[k, i] ddeg_i,
       ddeg_i = -(G_i . Y_i + H_i . (S G)_i) / (2 deg_i).
+    The inputs being symmetric, the entry term of input k is also
+    sum_i (dn H)_i . (A_k (dn G))_i, or the same with G and H swapped.
     """
 
     def __init__(self, adjacencies: Sequence[SparseAdjacency]):
@@ -584,13 +581,20 @@ class NormalizePlan:
         self.out_rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(self.out_indptr))
         # Normalized values are exactly symmetric for symmetric inputs.
         self.spmm = SpmmPlan(n, self.out_indptr, self.out_indices)
-        # The inputs one under another as one (D_in N x N) operator, on
-        # ``stacked``'s values.
         starts = [adj.indptr[:-1] + o for adj, o in zip(adjacencies, offsets)] + [offsets[-1:]]
-        self.inputs = sp.csr_matrix(
+        self.inputs = inputs = sp.csr_matrix(
             (data, np.concatenate([adj.indices for adj in adjacencies]), np.concatenate(starts)),
             shape=(d_in * n, n))
-        self.row_sums = (self.inputs @ np.ones(n)).reshape(d_in, n)
+        self.row_sums = (inputs @ np.ones(n)).reshape(d_in, n)
+        # scipy's constructor copies a slice of a much larger array, so the
+        # views are filled in after it.
+        self._per_input = []
+        bounds = inputs.indptr[::n]
+        for k, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
+            view = sp.csr_matrix((n, n))
+            view.data, view.indices = inputs.data[a:b], inputs.indices[a:b]
+            view.indptr = inputs.indptr[k * n:(k + 1) * n + 1] - a
+            self._per_input.append(view)
 
     def graphs(self, mixing: Node) -> dict:
         """The normalized latent graphs of ``mixing`` (D_in x D), cached on its node.
@@ -614,20 +618,39 @@ class NormalizePlan:
         """
         return tuple(_stack(p).T for p in zip(*map(self._forward, values.T)))
 
-    def backward(self, latent: dict, d: int, g, h, y, sg, entries=None) -> np.ndarray:
+    def backward(self, latent: dict, d: int, g, h, y, sg, first=None) -> np.ndarray:
         """dp for graph ``d`` of a ``graphs`` cache whose consumer holds Y = S H
-        (``y``), G (``g``) and S G (``sg``). The entry term folds ``entries``,
-        the SDDMM dn_i dn_j (G_i . H_j) on the extended pattern, or else takes
-        one product of ``inputs`` with dn H, E products per column of H.
+        (``y``), G (``g``) and S G (``sg``). ``first`` is the entry term, one
+        value per input, if the consumer has it; else one product of
+        ``inputs`` with dn H forms it, E multiply-adds per column of H.
         """
         deg, dn = latent["deg"][:, d], latent["dn"][:, d, None]
-        if entries is None:
+        if first is None:
             prod = self.inputs @ (dn * h)
             first = prod.reshape(self.stacked.shape[0], -1) @ (dn * g).reshape(-1)
-        else:
-            first = self.stacked @ entries[self.in2out]
         ddeg = (np.einsum("nk,nk->n", g, y) + np.einsum("nk,nk->n", h, sg)) / (-2.0 * deg)
         return first + self.row_sums @ ddeg
+
+    def _through_inputs(self, latent: dict, d: int, weights, g, h=None):
+        """(S G, entry term) of graph ``d``, mixed by ``weights``, from one
+        CSR product per input, P_k = A_k (dn G):
+          S G = dn (sum_k weights[k] P_k + dn G),  first[k] = sum(dn H * P_k).
+        Without ``h`` the entry term is None. The P_k are formed one at a
+        time, never as one (D_in N x M) block.
+        """
+        dn = latent["dn"][:, d, None]
+        dng = dn * g
+        sg = dng.copy()
+        first = None if h is None else np.empty(len(self._per_input))
+        dnh = None if h is None else dn * h
+        for k, (a_k, w) in enumerate(zip(self._per_input, weights)):
+            p_k = a_k @ dng
+            if dnh is not None:
+                first[k] = np.vdot(dnh, p_k)
+            p_k *= w
+            sg += p_k
+        sg *= dn
+        return sg, first
 
     def _forward(self, values):
         vhat = np.zeros(self.out_nnz)
@@ -673,7 +696,9 @@ def spmm_var(mixing: Node, plan: NormalizePlan, h: Node) -> Node:
     forward-only cache of ``plan.graphs``: its multiply kernel is built once
     per mixing node, so every product with the same graphs (the clean and
     the corrupted pass) shares it. Gradients flow to H and, through
-    ``plan.backward`` with the SDDMM entry term, straight to ``mixing``.
+    ``plan.backward``, straight to ``mixing``. In dense mode S_d G_d is one
+    BLAS product and the entry term a GEMM SDDMM folded onto the inputs; in
+    sparse mode one CSR product per input gives both (``_through_inputs``).
     """
     tape = _same_tape(mixing, h)
     spmm = plan.spmm
@@ -686,11 +711,16 @@ def spmm_var(mixing: Node, plan: NormalizePlan, h: Node) -> Node:
     def backward(g):
         dh, dp = None, np.empty(mixing.value.shape) if mixing.requires_grad else None
         for d, (v, gd, k) in enumerate(zip(columns, g, kernels)):
-            sg = spmm.matmul_transpose(v, gd, k)  # S_d G_d, S_d being symmetric
+            if spmm.dense_mode:
+                sg = spmm.matmul_transpose(v, gd, k)  # S_d G_d, S_d being symmetric
+                if dp is not None:
+                    dn = latent["dn"][:, d, None]
+                    first = plan.stacked @ spmm.grad_values(dn * gd, dn * hv)[plan.in2out]
+            else:
+                sg, first = plan._through_inputs(
+                    latent, d, mixing.value[:, d], gd, None if dp is None else hv)
             if dp is not None:
-                dn = latent["dn"][:, d, None]
-                entries = spmm.grad_values(dn * gd, dn * hv)
-                dp[:, d] = plan.backward(latent, d, gd, hv, out[d], sg, entries)
+                dp[:, d] = plan.backward(latent, d, gd, hv, out[d], sg, first)
             if h.requires_grad:
                 dh = sg if dh is None else np.add(dh, sg, out=dh)
         _accum_owned(h, dh)

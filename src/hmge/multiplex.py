@@ -227,6 +227,27 @@ def normalize_adjacency(adj: SparseAdjacency) -> SparseAdjacency:
     return _trusted_adjacency(n, ahat.indptr, ahat.indices, vals)
 
 
+def _checked_dimensions(num_nodes: int, dimensions) -> tuple[SparseAdjacency, ...]:
+    dims = tuple(dimensions)
+    if len(dims) < 1:
+        raise DataFormatError("graph needs at least one dimension")
+    for k, d in enumerate(dims):
+        if d.num_nodes != num_nodes:
+            raise DataFormatError(f"dimension {k} has {d.num_nodes} nodes, expected {num_nodes}")
+    return dims
+
+
+def _checked_features(num_nodes: int, features) -> np.ndarray:
+    feats = _frozen_array(np.atleast_2d(features), np.float64)
+    if feats.shape[0] != num_nodes or feats.shape[1] < 1:
+        raise DataFormatError(
+            f"feature matrix shape {feats.shape} does not match {num_nodes} nodes"
+        )
+    if not np.all(np.isfinite(feats)):
+        raise DataFormatError("features must be finite")
+    return feats
+
+
 @dataclass(frozen=True)
 class MultiplexGraph:
     """Node set shared across D adjacency dimensions plus one feature matrix.
@@ -244,23 +265,8 @@ class MultiplexGraph:
     def __post_init__(self):
         if self.num_nodes < 1:
             raise DataFormatError("graph needs at least one node")
-        dims = tuple(self.dimensions)
-        object.__setattr__(self, "dimensions", dims)
-        if len(dims) < 1:
-            raise DataFormatError("graph needs at least one dimension")
-        for k, d in enumerate(dims):
-            if d.num_nodes != self.num_nodes:
-                raise DataFormatError(
-                    f"dimension {k} has {d.num_nodes} nodes, expected {self.num_nodes}"
-                )
-        feats = _frozen_array(np.atleast_2d(self.features), np.float64)
-        object.__setattr__(self, "features", feats)
-        if feats.shape[0] != self.num_nodes or feats.shape[1] < 1:
-            raise DataFormatError(
-                f"feature matrix shape {feats.shape} does not match {self.num_nodes} nodes"
-            )
-        if not np.all(np.isfinite(feats)):
-            raise DataFormatError("features must be finite")
+        object.__setattr__(self, "dimensions", _checked_dimensions(self.num_nodes, self.dimensions))
+        object.__setattr__(self, "features", _checked_features(self.num_nodes, self.features))
         if self.labels is not None:
             labels = tuple(tuple(map(int, row)) for row in self.labels)
             object.__setattr__(self, "labels", labels)
@@ -276,11 +282,20 @@ class MultiplexGraph:
         return int(self.features.shape[1])
 
     def with_features(self, features: np.ndarray) -> "MultiplexGraph":
-        """New graph sharing all adjacency structure with replaced features."""
-        return MultiplexGraph(self.num_nodes, self.dimensions, features, self.labels)
+        """New graph sharing all adjacency structure with replaced features;
+        only those are checked, the rest is valid already."""
+        return self._replace(features=_checked_features(self.num_nodes, features))
 
     def with_dimensions(self, dimensions) -> "MultiplexGraph":
-        return MultiplexGraph(self.num_nodes, tuple(dimensions), self.features, self.labels)
+        """New graph sharing features and labels with replaced dimensions;
+        only those are checked, the rest is valid already."""
+        return self._replace(dimensions=_checked_dimensions(self.num_nodes, dimensions))
+
+    def _replace(self, **fields) -> "MultiplexGraph":
+        """This graph with ``fields`` replaced, bypassing ``__post_init__``."""
+        graph = object.__new__(MultiplexGraph)
+        graph.__dict__.update(self.__dict__, **fields)
+        return graph
 
     def validate_loaded(self) -> None:
         """Check the load-time invariants: binary, symmetric, zero diagonal."""

@@ -449,10 +449,17 @@ def csr_normalize(values: Node, plan) -> Node:
     return values.tape._add(out, (values,), backward, name="csr_normalize")
 
 
+def sddmm(plan, g: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """out[e] = g[row_e] . h[col_e] over the stored entries of ``plan``'s
+    pattern, entry by entry."""
+    rows = np.repeat(np.arange(plan.num_nodes), np.diff(plan.indptr))
+    return np.einsum("ek,ek->e", g[rows], h[plan.indices])
+
+
 def spmm_values(values: Node, plan, h: Node) -> Node:
     """S_d @ H for every column d of an (nnz, D) value block on ``plan`` (an
-    ``SpmmPlan``); returns (D, N, M). Gradients flow to the values (the SDDMM)
-    and to H."""
+    ``SpmmPlan``); returns (D, N, M). Gradients flow to H and to the values,
+    by an eager SDDMM (``sddmm``) in either kernel mode."""
     tape = _same_tape(values, h)
     if values.value.ndim != 2 or values.value.shape[0] != plan.nnz:
         raise ValueError(f"expected {plan.nnz} values per column, got {values.value.shape}")
@@ -465,7 +472,7 @@ def spmm_values(values: Node, plan, h: Node) -> Node:
             _accum_owned(h, sum(plan.matmul_transpose(v, gd, k)
                                 for v, gd, k in zip(columns, g, kernels)))
         if values.requires_grad:
-            _accum_owned(values, np.stack([plan.grad_values(gd, h.value) for gd in g], axis=1))
+            _accum_owned(values, np.stack([sddmm(plan, gd, h.value) for gd in g], axis=1))
 
     return tape._add(out, (values, h), backward, name="spmm_values")
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from hmge import autodiff as ad
 from hmge.errors import HmgeError, NumericError
@@ -16,6 +17,7 @@ from oracles import (
     position_map,
     scale,
     select_matrix,
+    sddmm,
     spmm_values,
     sum_all,
     tanh,
@@ -471,8 +473,6 @@ class TestSparseOps:
     def test_csr_combine_stack_gradients(self):
         adjs = [random_sym_adj(6, 0.4, s) for s in (6, 7, 8)]
         union = ad.UnionPattern(adjs)
-        import scipy.sparse as sp
-
         slots = np.concatenate(
             [position_map(union.indptr, union.indices, a) for a in adjs]
         )
@@ -591,41 +591,49 @@ def banded_pattern(n, band, sparse_density, empty, seed):
 
 
 def assert_sddmm_matches_oracle(plan, g, h):
-    """Gather blocks equal the eager einsum bitwise, GEMM blocks to 1e-12."""
+    """The GEMM blocks cover every entry and equal the eager einsum to 1e-12."""
     rows = np.repeat(np.arange(plan.num_nodes), np.diff(plan.indptr))
-    expected = np.einsum("ek,ek->e", g[rows], h[plan.indices])
     scale = np.einsum("ek,ek->e", np.abs(g[rows]), np.abs(h[plan.indices]))
     got = plan.grad_values(g, h)
-    assert sum(b - a for _, _, a, b, _ in plan.blocks) == plan.nnz
-    for _, _, a, b, gemm in plan.blocks:
-        if gemm:
-            assert np.all(np.abs(got[a:b] - expected[a:b]) <= 1e-12 * scale[a:b])
-        else:
-            assert np.array_equal(got[a:b], expected[a:b])
+    assert sum(b - a for _, _, a, b in plan.blocks) == plan.nnz
+    assert np.all(np.abs(got - sddmm(plan, g, h)) <= 1e-12 * scale)
 
 
 class TestBlockedSddmm:
     @pytest.mark.parametrize("width", [1, 4])
     @pytest.mark.parametrize("dense_mode", [True, False])
     def test_mixed_blocks_match_oracle(self, monkeypatch, width, dense_mode):
-        # 1024 nodes make 4 blocks of 256 rows: the band is one GEMM block,
-        # the sparse rows (with 7 empty ones) run as gather blocks.
-        union = banded_pattern(1024, 256, 0.003, 7, seed=50)
-        plan = forced_plan(monkeypatch, union, dense_mode)
-        assert plan.rows_per_block == 256
-        assert [blk[4] for blk in plan.blocks] == [True, False, False, False]
+        # 1024 nodes make 4 dense-mode blocks of 256 rows: a dense band,
+        # sparse rows and 7 rows that hold only the diagonal. Dense mode
+        # takes the entry term from the GEMM SDDMM, sparse mode from one
+        # product per input; both match the entry-by-entry oracle.
         rng = np.random.default_rng(51)
+        adjs = weighted_inputs(banded_mask(1024, 256, 0.003, 7, seed=50), rng, 3)
+        plan = forced_norm_plan(monkeypatch, adjs, dense_mode)
+        mixing = ad.Tape().constant(rng.uniform(0.2, 1.0, (3, 2)))
+        latent = plan.graphs(mixing)
         g = rng.standard_normal((1024, width))
         h = rng.standard_normal((1024, width))
-        assert_sddmm_matches_oracle(plan, g, h)
+        dn = latent["dn"][:, 1, None]
+        if dense_mode:
+            assert plan.spmm.rows_per_block == 256 and len(plan.spmm.blocks) == 4
+            assert_sddmm_matches_oracle(plan.spmm, dn * g, dn * h)
+        else:
+            assert not hasattr(plan.spmm, "blocks")
+            rows = np.repeat(np.arange(1024), np.diff(plan.out_indptr))
+            scale = np.einsum("ek,ek->e", np.abs(dn * g)[rows], np.abs(dn * h)[plan.out_indices])
+            want = plan.stacked @ sddmm(plan.spmm, dn * g, dn * h)[plan.in2out]
+            sg, first = plan._through_inputs(latent, 1, mixing.value[:, 1], g, h)
+            assert np.all(np.abs(first - want) <= 1e-12 * (plan.stacked @ scale[plan.in2out]))
+            s = sp.csr_matrix((latent["values"][:, 1], plan.out_indices, plan.out_indptr))
+            assert np.all(np.abs(sg - s @ g) <= 1e-12 * (abs(s) @ np.abs(g)))
 
     def test_one_row_blocks_above_budget(self, monkeypatch):
         monkeypatch.setattr(ad, "SDDMM_BLOCK_ELEMS", 64)
         union = banded_pattern(100, 20, 0.02, 5, seed=52)
-        plan = ad.SpmmPlan(union.num_nodes, union.indptr, union.indices)
+        plan = forced_plan(monkeypatch, union, True)
         assert plan.rows_per_block == 1
-        assert {blk[4] for blk in plan.blocks} == {True, False}
-        assert all(hi - lo == 1 for lo, hi, _, _, _ in plan.blocks)
+        assert all(hi - lo == 1 for lo, hi, _, _ in plan.blocks)
         rng = np.random.default_rng(53)
         assert_sddmm_matches_oracle(
             plan, rng.standard_normal((100, 3)), rng.standard_normal((100, 3))
@@ -634,11 +642,11 @@ class TestBlockedSddmm:
     @pytest.mark.parametrize("dense_mode", [True, False])
     def test_spmm_var_gradients_mixed_blocks(self, monkeypatch, dense_mode):
         monkeypatch.setattr(ad, "SDDMM_BLOCK_ELEMS", 48)
-        monkeypatch.setattr(ad, "SDDMM_GEMM_DENSITY", 0.2)
         rng = np.random.default_rng(55)
         adjs = weighted_inputs(banded_mask(12, 4, 0.15, 1, seed=54), rng)
         plan = forced_norm_plan(monkeypatch, adjs, dense_mode)
-        assert {blk[4] for blk in plan.spmm.blocks} == {True, False}
+        # Dense mode: three blocks of four rows; sparse mode has no SDDMM.
+        assert len(getattr(plan.spmm, "blocks", ())) == (3 if dense_mode else 0)
         arrays = [rng.uniform(0.2, 1.0, (2, 2)), rng.uniform(-1, 1, (12, 2))]
 
         def build(tape, nodes):
@@ -647,8 +655,6 @@ class TestBlockedSddmm:
         assert grad_check(build, arrays) < 1e-4
 
     def test_sparse_mode_builds_csr_once_per_values(self, monkeypatch):
-        import scipy.sparse as sp
-
         union = banded_pattern(30, 10, 0.1, 2, seed=56)
         plan = forced_plan(monkeypatch, union, False)
         rng = np.random.default_rng(57)
@@ -667,8 +673,6 @@ class TestBlockedSddmm:
 
     @pytest.mark.parametrize("dense_mode", [True, False])
     def test_spmm_var_shares_column_kernels_across_products(self, monkeypatch, dense_mode):
-        import scipy.sparse as sp
-
         rng = np.random.default_rng(59)
         adjs = weighted_inputs(banded_mask(30, 10, 0.1, 2, seed=58), rng)
         plan = forced_norm_plan(monkeypatch, adjs, dense_mode)

@@ -311,6 +311,25 @@ class TestEvalAblateSweep:
         assert code == EXIT_OK
         assert (exp / "embeddings.csv").read_text() == (run / "embeddings.csv").read_text()
 
+    def test_export_pins_malloc_before_encoding(self, dataset_dir, tmp_path, monkeypatch):
+        import hmge.model
+        import hmge.training
+
+        run = tmp_path / "run"
+        assert main(
+            ["train", "--data", str(dataset_dir), "--out", str(run), "--embed-size", "4",
+             "--layers", "1", "--epochs", "2", "--patience", "2", "--seed", "1"]
+        ) == EXIT_OK
+        calls, encode = [], hmge.model.encode
+        monkeypatch.setattr(hmge.training, "pin_malloc", lambda: calls.append("pin"))
+        monkeypatch.setattr(hmge.model, "encode",
+                            lambda *a, **k: calls.append("encode") or encode(*a, **k))
+        assert main(
+            ["export", "--model", str(run / "model.bin"), "--data", str(dataset_dir),
+             "--out", str(tmp_path / "exp")]
+        ) == EXIT_OK
+        assert calls == ["pin", "encode"]
+
     @pytest.mark.parametrize("layers", ["0", "1"])
     def test_export_identity_feature_round_trip(self, tmp_path, layers, capsys):
         data = tmp_path / "d60"

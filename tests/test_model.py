@@ -331,7 +331,9 @@ class TestLatentPullback:
         if dense_mode:
             monkeypatch.setattr(ad, "DENSE_DENSITY_THRESHOLD", 0.0)
         else:
+            # Sparse mode takes the entry term through the inputs, not the SDDMM.
             monkeypatch.setattr(ad, "DENSE_DENSITY_THRESHOLD", 2.0)
+            monkeypatch.setattr(ad.SpmmPlan, "grad_values", None)
         rng = np.random.default_rng(71)
         graph = TestChainedLatentStructure.weighted_graph(rng)
         if one_hot:
@@ -643,6 +645,13 @@ class TestEncodePlanPatterns:
         if stacked.nnz:
             assert np.shares_memory(norm.inputs.data, stacked.data)
             assert np.shares_memory(stacked.indices, union.slots)
+        # One view of ``inputs`` per input, on its data and indices.
+        assert len(norm._per_input) == graph.num_dims
+        for view, d in zip(norm._per_input, graph.dimensions):
+            assert np.array_equal(view.toarray(), to_dense(d))
+            if d.nnz:
+                assert np.shares_memory(view.data, norm.inputs.data)
+                assert np.shares_memory(view.indices, norm.inputs.indices)
 
     def test_diagonal_entries_rejected(self):
         looped = from_dense(np.array([[1.0, 1.0], [1.0, 0.0]]))

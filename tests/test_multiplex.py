@@ -208,6 +208,47 @@ class TestGraphModel:
         assert g2.dimensions[0] is g.dimensions[0]
         assert g2.num_features == 2
 
+    def test_with_dimensions_shares_features_and_labels(self):
+        g = graph_from_edges(3, [[(0, 1)], [(1, 2)]], labels=((0,), (1,), (0, 1)))
+        g2 = g.with_dimensions(g.dimensions[::-1])
+        assert g2.dimensions == g.dimensions[::-1] and isinstance(g2.dimensions, tuple)
+        assert g2.features is g.features and g2.labels is g.labels
+
+    def test_with_features_copies_and_freezes(self):
+        g = graph_from_edges(3, [[(0, 1)]], labels=((0,), (1,), (0,)))
+        feats = np.ones(3)[:, None]
+        g2 = g.with_features(feats)
+        assert g2.labels is g.labels and not np.shares_memory(g2.features, feats)
+        assert not g2.features.flags.writeable and g.num_features == 1
+
+    @pytest.mark.parametrize("features", [np.ones((4, 1)), np.ones((3, 0)),
+                                          np.array([[1.0], [np.nan], [0.0]])],
+                             ids=["rows", "empty", "nan"])
+    def test_with_features_refuses_bad_features(self, features):
+        g = graph_from_edges(3, [[(0, 1)]])
+        with pytest.raises(DataFormatError):
+            g.with_features(features)
+
+    def test_with_dimensions_refuses_bad_dimensions(self):
+        g = graph_from_edges(3, [[(0, 1)]])
+        with pytest.raises(DataFormatError, match="at least one dimension"):
+            g.with_dimensions([])
+        with pytest.raises(DataFormatError, match="dimension 1 has 4 nodes"):
+            g.with_dimensions([g.dimensions[0], SparseAdjacency.from_undirected_edges(4, [0], [1])])
+
+    def test_replacing_one_field_checks_only_that_field(self, monkeypatch):
+        import hmge.multiplex as mx
+
+        def refuse(*args):
+            raise AssertionError("a kept field was checked again")
+
+        g = graph_from_edges(3, [[(0, 1)]], labels=((0,), (1,), (0,)))
+        monkeypatch.setattr(mx, "_checked_dimensions", refuse)
+        assert g.with_features(np.zeros((3, 2))).num_features == 2
+        monkeypatch.undo()
+        monkeypatch.setattr(mx, "_checked_features", refuse)
+        assert g.with_dimensions(g.dimensions * 2).num_dims == 2
+
 
 class TestLoadSave:
     def test_round_trip(self, tmp_path):

@@ -152,6 +152,24 @@ class TestTrainLoop:
         )
         assert res.loss_history[50] < math.log(2)
 
+    def test_sparse_mode_step_skips_the_sddmm(self, monkeypatch):
+        # Sparse mode pulls the latent gradient through the inputs, so a
+        # whole training run at L = 2 never calls the SDDMM.
+        from hmge import autodiff as ad
+
+        def refuse(*args):
+            raise AssertionError("SpmmPlan.grad_values called in sparse mode")
+
+        monkeypatch.setattr(ad, "DENSE_DENSITY_THRESHOLD", 2.0)
+        monkeypatch.setattr(ad.SpmmPlan, "grad_values", refuse)
+        g = generate_multiplex(
+            SbmConfig(num_nodes=40, num_dims=3, p_in=0.3, p_out=0.05, rng_seed=4)
+        ).graph
+        cfg = HmgeConfig(embed_size=4, num_layers=2, dims_schedule=(3, 2, 1))
+        res = train(g, cfg, TrainConfig(epochs=2, patience=2, rng_seed=1))
+        assert len(res.loss_history) == 2 and np.all(np.isfinite(res.loss_history))
+        assert res.loss_history[1] != res.loss_history[0]
+
     def test_bit_identical_histories(self):
         g = self.graph16()
         cfg = HmgeConfig(embed_size=4, num_layers=1)
