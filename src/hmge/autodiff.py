@@ -5,24 +5,25 @@ A Tape records nodes in construction order; backward walks them strictly in
 reverse, accumulating adjoints additively. All arithmetic is float64. Scalar
 reductions use compensated summation so results do not depend on chunking.
 
-Latent adjacency matrices live as blocks of value columns, one column per
-matrix, tied to a fixed sparsity pattern (UnionPattern). Each level's block,
-the inputs mixed by one weight matrix P and normalized, is a forward-only
-cache on P's node; its consumers, ``spmm_var`` and ``infomax_bce``'s head,
-pull their gradient straight back to P (``NormalizePlan``). In sparse mode
-``spmm_var``'s pullback takes one CSR product of each input with the
-scaled upstream gradient and gets from those both the gradient to H and
-the entry term of P's; in dense mode it runs a BLAS product and an SDDMM.
-Plain ``spmm`` treats its sparse operand as a constant.
+A latent adjacency matrix is the inputs mixed by one column of a weight
+matrix P and normalized; its consumers read forward-only caches on P's node
+and pull their gradient straight back to P (``NormalizePlan``). The last
+level's graph is applied through the inputs, one CSR product per input
+(``NormalizePlan.through_inputs``), by ``infomax_bce``'s head and by
+``model.encode``. An inner level's graphs become a block of value columns
+on a fixed sparsity pattern (UnionPattern) when ``spmm_var`` first
+multiplies by them; its pullback goes through the inputs in sparse mode and
+runs a BLAS product and an SDDMM in dense mode. Plain ``spmm`` treats its
+sparse operand as a constant.
 
 The attention step is two ops: ``attention_weights`` scores a (D, N, M)
 embedding stack and normalizes the scores per node, with one hand-written
 pullback; ``mix_stack`` forms the weighted sum over dimensions. The
 training objective is one op too: ``infomax_bce`` maps the clean and the
-corrupted last-layer outputs, the output head (the last latent value
-column and ``final_w``) and the discriminator matrix to the scalar loss;
-the linear baseline, whose embeddings are its last-layer outputs, passes
-no head. Every op here is one that production calls.
+corrupted last-layer outputs, the output head (the last mixing node, its
+``NormalizePlan`` and ``final_w``) and the discriminator matrix to the
+scalar loss; the linear baseline, whose embeddings are its last-layer
+outputs, passes no head. Every op here is one that production calls.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ from typing import Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import HmgeError, NumericError
-from .multiplex import SparseAdjacency, mirror_positions
+from .errors import DataFormatError, HmgeError, NumericError
+from .multiplex import SparseAdjacency
 
 # Patterns at least this dense (and small enough) run S @ H and S^T @ H on
 # BLAS-backed dense kernels, the rest in CSR; the two agree to ~1e-12 and are
@@ -359,28 +360,29 @@ def infomax_bce(h: Node, h_hat: Node, q: Node, mixing: Node | None = None,
 
     The rows of z = S h W are the positives and the rows of z_hat = S h_hat W
     the negatives; the summary s is the mean of the rows of z. S is the one
-    latent graph of ``mixing`` (D_in x 1), normalized by ``plan`` and exactly
-    symmetric, and W is ``w``; without them (the linear baseline) z = h. z
-    is never formed: the scores are S(h u) and S(h_hat u) with u = W Q s,
-    and s = (S^T 1)^T h W / N, so the head multiplies S by two vectors where
-    z would take N x M products. The gradient reaches ``mixing`` through
-    ``plan.backward``, its entry term by one product of the stacked inputs
-    with three vectors. The logs are exact at any score x: log sigma(x) =
-    -logaddexp(0, -x) and log(1 - sigma(x)) = -logaddexp(0, x).
+    latent graph of ``mixing`` (D_in x 1), normalized by ``plan``, and W is
+    ``w``; without them (the linear baseline) z = h. z is never formed: the
+    scores are S(h u) and S(h_hat u) with u = W Q s, and s = (S 1)^T h W / N
+    (S being symmetric), so the head applies S to thin operands only, each
+    time through the inputs (``plan.through_inputs``): S 1, the scores,
+    S g_scores and S(h dp). The last two also give the entry term of the
+    pullback to ``mixing`` (``plan.backward``). The logs are exact at any
+    score x: log sigma(x) = -logaddexp(0, -x) and log(1 - sigma(x)) =
+    -logaddexp(0, x).
     """
     head = () if mixing is None else (mixing, w)
     tape = _same_tape(h, h_hat, q, *head)
     hv, hh, qv = h.value, h_hat.value, q.value
     n = hv.shape[0]
     if hv.ndim != 2 or hh.shape != hv.shape or qv.shape != (hv.shape[1],) * 2 or head and (
-        mixing.value.shape[1:] != (1,) or plan.spmm.num_nodes != n or w.value.shape != qv.shape
+        mixing.value.shape[1:] != (1,) or plan.pattern.num_nodes != n or w.value.shape != qv.shape
     ):
         shapes = [a.value.shape for a in (h, h_hat, q, *head)]
         raise ValueError(f"infomax_bce shape mismatch: {shapes}")
     if head:
-        latent, spmm, wv = plan.graphs(mixing), plan.spmm, w.value
-        col, cache = latent["values"][:, 0], latent["kernels"][0]
-        c = np.bincount(spmm.indices, weights=col, minlength=n)  # S^T 1
+        latent, weights, wv = plan.latent(mixing), mixing.value[:, 0], w.value
+        dn, ones = latent["dn"], np.ones((n, 1))
+        c = plan.through_inputs(dn, weights, ones)[0][:, 0]  # S 1
         p = (c @ hv) / n
         s = p @ wv
         qs = qv @ s
@@ -390,7 +392,7 @@ def infomax_bce(h: Node, h_hat: Node, q: Node, mixing: Node | None = None,
         s = hv.mean(axis=0)
         u = qs = qv @ s
     ab = np.stack([hv @ u, hh @ u], axis=1)
-    scores = spmm.matmul(col, ab, cache) if head else ab
+    scores = plan.through_inputs(dn, weights, ab)[0] if head else ab
     pos, neg = scores[:, 0], scores[:, 1]
     # fsum: exactly rounded and independent of traversal order.
     loss = (math.fsum(np.logaddexp(0.0, -pos)) + math.fsum(np.logaddexp(0.0, neg))) / (2.0 * n)
@@ -400,7 +402,9 @@ def infomax_bce(h: Node, h_hat: Node, q: Node, mixing: Node | None = None,
         g = g / (2.0 * n)
         g_scores = np.stack([-g * sigmoid_value(-pos), g * sigmoid_value(neg)], axis=1)
         # d(loss)/d(h u) and d(loss)/d(h_hat u), then back through u and s.
-        g_ab = spmm.matmul_transpose(col, g_scores, cache) if head else g_scores
+        g_ab, first = plan.through_inputs(
+            dn, weights, g_scores, ab if mixing.requires_grad else None
+        ) if head else (g_scores, None)
         du = hv.T @ g_ab[:, 0]
         du += hh.T @ g_ab[:, 1]
         dqs = wv.T @ du if head else du
@@ -420,11 +424,13 @@ def infomax_bce(h: Node, h_hat: Node, q: Node, mixing: Node | None = None,
             _accum_owned(w, dw)
         if head and mixing.requires_grad:
             # S is read by the scores, G = g_scores on H = ab, and by the
-            # mean, s reading 1^T S: G = 1 on H = h dp, where S G = c.
-            hdp = hv @ dp
-            g3, h3 = np.column_stack([g_scores, np.ones(n)]), np.column_stack([ab, hdp])
-            y3 = np.column_stack([scores, spmm.matmul(col, hdp, cache)])
-            dp_head = plan.backward(latent, 0, g3, h3, y3, np.column_stack([g_ab, c]))
+            # mean, s reading 1^T S: G = 1 on H = h dp, where S G = c. Its
+            # entry term pairs G = h dp with H = 1, the same by symmetry.
+            hdp = (hv @ dp)[:, None]
+            shdp, first_mean = plan.through_inputs(dn, weights, hdp, ones)
+            g2, h2 = np.column_stack([g_scores, ones]), np.column_stack([ab, hdp])
+            y2, sg2 = np.column_stack([scores, shdp]), np.column_stack([g_ab, c])
+            dp_head = plan.backward(latent, 0, g2, h2, y2, sg2, first + first_mean)
             _accum_owned(mixing, dp_head[:, None])
 
     return tape._add(np.asarray(loss), (h, h_hat, q, *head), backward, name="infomax_bce")
@@ -465,9 +471,9 @@ class UnionPattern:
 class SpmmPlan:
     """Kernels for S @ H where S has fixed pattern and per-pass values.
 
-    The pattern must be structurally symmetric (DataFormatError otherwise)
-    and the values exactly symmetric (S == S^T), as ``NormalizePlan``
-    produces them, so S^T @ H runs on the kernel of S. ``dense_mode`` picks
+    The pattern and the values must be symmetric (S == S^T), as
+    ``NormalizePlan`` produces them from the inputs it checks, so S^T @ H
+    runs on the kernel of S. ``dense_mode`` picks
     the kernels: dense mode scatters the values into a dense matrix and runs
     BLAS, and takes the value gradient by a row-blocked SDDMM planned here;
     sparse mode stays in CSR and has no value gradient (the latent pullback
@@ -481,7 +487,6 @@ class SpmmPlan:
         self.indptr = indptr
         self.indices = indices
         self.nnz = int(indices.shape[0])
-        mirror_positions(n, indptr, indices)  # DataFormatError unless symmetric
         density = self.nnz / float(n) ** 2
         self.dense_mode = bool(density >= DENSE_DENSITY_THRESHOLD and n <= DENSE_MAX_NODES)
         if not self.dense_mode:
@@ -549,14 +554,14 @@ class NormalizePlan:
     their diagonal-free union ``pattern``, so mixing column p makes a graph
     with values stacked^T p. Output values live on the pattern extended
     with the diagonal; ``spmm`` is the multiply plan for that pattern.
-    ``inputs`` holds the adjacencies one under another as one
-    (D_in N x N) operator on ``stacked``'s values; ``_per_input`` is one
-    (N x N) view of it per input, on the same data and indices.
+    ``per_input`` holds each input as an (N x N) CSR matrix and ``row_sums``
+    their row sums R (D_in x N), so a latent graph's degree is 1 + R^T p.
 
-    The normalized graphs are forward-only (``graphs``). A consumer of
-    Y = S H with G = d(loss)/dY pulls the gradient straight back to p; with
-    dn = deg^{-1/2} and R the per-input row sums (``row_sums``), ``backward``
-    folds
+    Every input must be symmetric, pattern and values: ``through_inputs``
+    reads A_k as A_k^T, so an input that is not raises DataFormatError.
+    The latent graphs are forward-only (``latent``, ``graphs``). A consumer
+    of Y = S H with G = d(loss)/dY pulls the gradient straight back to p;
+    with dn = deg^{-1/2}, ``backward`` folds
       dp[k] = sum_{(i,j) in A_k} A_k[ij] dn_i dn_j (G_i . H_j) + sum_i R[k, i] ddeg_i,
       ddeg_i = -(G_i . Y_i + H_i . (S G)_i) / (2 deg_i).
     The inputs being symmetric, the entry term of input k is also
@@ -566,6 +571,12 @@ class NormalizePlan:
     def __init__(self, adjacencies: Sequence[SparseAdjacency]):
         self.pattern = pattern = UnionPattern(adjacencies)
         n, rows, cols, d_in = pattern.num_nodes, pattern.rows, pattern.indices, len(adjacencies)
+        self.per_input = [adj.to_scipy() for adj in adjacencies]
+        for k, a in enumerate(self.per_input):
+            t = a.T.tocsr()  # sorted, explicit zeros kept: equal to a iff a is symmetric
+            if any(np.any(getattr(t, f) != getattr(a, f)) for f in ("indptr", "indices", "data")):
+                raise DataFormatError(f"dimension {k} is not symmetric")
+        self.row_sums = np.stack([a @ np.ones(n) for a in self.per_input])
         offsets = np.cumsum([0] + [adj.nnz for adj in adjacencies])
         data = np.concatenate([adj.values for adj in adjacencies])
         self.stacked = sp.csr_matrix((data, pattern.slots, offsets), shape=(d_in, pattern.nnz))
@@ -581,32 +592,24 @@ class NormalizePlan:
         self.out_rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(self.out_indptr))
         # Normalized values are exactly symmetric for symmetric inputs.
         self.spmm = SpmmPlan(n, self.out_indptr, self.out_indices)
-        starts = [adj.indptr[:-1] + o for adj, o in zip(adjacencies, offsets)] + [offsets[-1:]]
-        self.inputs = inputs = sp.csr_matrix(
-            (data, np.concatenate([adj.indices for adj in adjacencies]), np.concatenate(starts)),
-            shape=(d_in * n, n))
-        self.row_sums = (inputs @ np.ones(n)).reshape(d_in, n)
-        # scipy's constructor copies a slice of a much larger array, so the
-        # views are filled in after it.
-        self._per_input = []
-        bounds = inputs.indptr[::n]
-        for k, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
-            view = sp.csr_matrix((n, n))
-            view.data, view.indices = inputs.data[a:b], inputs.indices[a:b]
-            view.indptr = inputs.indptr[k * n:(k + 1) * n + 1] - a
-            self._per_input.append(view)
+
+    def latent(self, mixing: Node) -> dict:
+        """The degrees of the latent graphs of ``mixing`` (D_in x D), cached on
+        its node: "deg" = 1 + R^T P and "dn" = deg^{-1/2}, both (N, D)."""
+        cache = mixing.cache()
+        if "deg" not in cache:
+            deg = 1.0 + self.row_sums.T @ mixing.value
+            cache.update(deg=deg, dn=1.0 / np.sqrt(deg))
+        return cache
 
     def graphs(self, mixing: Node) -> dict:
-        """The normalized latent graphs of ``mixing`` (D_in x D), cached on its node.
-
-        Built once per node, off the tape: "values" (out_nnz, D), "deg" and
-        "dn" (N, D), and one multiply-kernel dict per column ("kernels").
-        """
-        cache = mixing.cache()
+        """``latent`` plus the normalized value block, built once per node:
+        "values" (out_nnz, D) and one multiply-kernel dict per column
+        ("kernels"). Only ``spmm_var``, for the inner levels, reads them."""
+        cache = self.latent(mixing)
         if "values" not in cache:
-            values, _, deg = self.forward(self.stacked.T @ mixing.value)
-            cache.update(values=values, deg=deg, dn=1.0 / np.sqrt(deg),
-                         kernels=[{} for _ in range(values.shape[1])])
+            values = self.forward(self.stacked.T @ mixing.value)[0]
+            cache.update(values=values, kernels=[{} for _ in range(values.shape[1])])
         return cache
 
     def forward(self, values: np.ndarray):
@@ -618,32 +621,26 @@ class NormalizePlan:
         """
         return tuple(_stack(p).T for p in zip(*map(self._forward, values.T)))
 
-    def backward(self, latent: dict, d: int, g, h, y, sg, first=None) -> np.ndarray:
-        """dp for graph ``d`` of a ``graphs`` cache whose consumer holds Y = S H
-        (``y``), G (``g``) and S G (``sg``). ``first`` is the entry term, one
-        value per input, if the consumer has it; else one product of
-        ``inputs`` with dn H forms it, E multiply-adds per column of H.
-        """
-        deg, dn = latent["deg"][:, d], latent["dn"][:, d, None]
-        if first is None:
-            prod = self.inputs @ (dn * h)
-            first = prod.reshape(self.stacked.shape[0], -1) @ (dn * g).reshape(-1)
-        ddeg = (np.einsum("nk,nk->n", g, y) + np.einsum("nk,nk->n", h, sg)) / (-2.0 * deg)
+    def backward(self, latent: dict, d: int, g, h, y, sg, first) -> np.ndarray:
+        """dp for graph ``d`` of a ``latent`` cache whose consumer holds
+        Y = S H (``y``), G (``g``), S G (``sg``) and the entry term, one
+        value per input (``first``)."""
+        ddeg = (np.einsum("nk,nk->n", g, y) + np.einsum("nk,nk->n", h, sg)) / (
+            -2.0 * latent["deg"][:, d])
         return first + self.row_sums @ ddeg
 
-    def _through_inputs(self, latent: dict, d: int, weights, g, h=None):
-        """(S G, entry term) of graph ``d``, mixed by ``weights``, from one
-        CSR product per input, P_k = A_k (dn G):
+    def through_inputs(self, dn, weights, g, h=None):
+        """(S G, entry term) of the graph mixed by ``weights``, whose dn is the
+        column ``dn`` (N, 1), from one CSR product per input, P_k = A_k (dn G):
           S G = dn (sum_k weights[k] P_k + dn G),  first[k] = sum(dn H * P_k).
         Without ``h`` the entry term is None. The P_k are formed one at a
         time, never as one (D_in N x M) block.
         """
-        dn = latent["dn"][:, d, None]
         dng = dn * g
         sg = dng.copy()
-        first = None if h is None else np.empty(len(self._per_input))
+        first = None if h is None else np.empty(len(self.per_input))
         dnh = None if h is None else dn * h
-        for k, (a_k, w) in enumerate(zip(self._per_input, weights)):
+        for k, (a_k, w) in enumerate(zip(self.per_input, weights)):
             p_k = a_k @ dng
             if dnh is not None:
                 first[k] = np.vdot(dnh, p_k)
@@ -693,12 +690,13 @@ def spmm_var(mixing: Node, plan: NormalizePlan, h: Node) -> Node:
     """S_d @ H for every latent graph d of ``mixing`` (D_in x D); returns (D, N, M).
 
     S_d, the normalized latent graph of mixing column d, comes from the
-    forward-only cache of ``plan.graphs``: its multiply kernel is built once
-    per mixing node, so every product with the same graphs (the clean and
-    the corrupted pass) shares it. Gradients flow to H and, through
-    ``plan.backward``, straight to ``mixing``. In dense mode S_d G_d is one
-    BLAS product and the entry term a GEMM SDDMM folded onto the inputs; in
-    sparse mode one CSR product per input gives both (``_through_inputs``).
+    forward-only cache of ``plan.graphs``: the first product builds its
+    value block and multiply kernel, once per mixing node, so every product
+    with the same graphs (the clean and the corrupted pass) shares them.
+    Gradients flow to H and, through ``plan.backward``, straight to
+    ``mixing``. In dense mode S_d G_d is one BLAS product and the entry term
+    a GEMM SDDMM folded onto the inputs; in sparse mode one CSR product per
+    input gives both (``through_inputs``).
     """
     tape = _same_tape(mixing, h)
     spmm = plan.spmm
@@ -711,14 +709,14 @@ def spmm_var(mixing: Node, plan: NormalizePlan, h: Node) -> Node:
     def backward(g):
         dh, dp = None, np.empty(mixing.value.shape) if mixing.requires_grad else None
         for d, (v, gd, k) in enumerate(zip(columns, g, kernels)):
+            dn = latent["dn"][:, d, None]
             if spmm.dense_mode:
                 sg = spmm.matmul_transpose(v, gd, k)  # S_d G_d, S_d being symmetric
                 if dp is not None:
-                    dn = latent["dn"][:, d, None]
                     first = plan.stacked @ spmm.grad_values(dn * gd, dn * hv)[plan.in2out]
             else:
-                sg, first = plan._through_inputs(
-                    latent, d, mixing.value[:, d], gd, None if dp is None else hv)
+                sg, first = plan.through_inputs(
+                    dn, mixing.value[:, d], gd, None if dp is None else hv)
             if dp is not None:
                 dp[:, d] = plan.backward(latent, d, gd, hv, out[d], sg, first)
             if h.requires_grad:

@@ -18,6 +18,8 @@ import os
 import sys
 from pathlib import Path
 
+from .errors import ConfigError, DataFormatError, NumericError
+
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
@@ -219,8 +221,17 @@ def _load_graph(options: _Options):
     return graph
 
 
+def _out_dir(options: _Options) -> Path:
+    """The ``--out`` directory, made if missing; a data error if it cannot be."""
+    out = Path(options.get("out", required=True))
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise DataFormatError(f"cannot write {out}: {exc}") from exc
+    return out
+
+
 def _write_report(out_dir: Path, payload) -> Path:
-    out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "report.json"
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return path
@@ -248,9 +259,8 @@ def cmd_train(options: _Options) -> int:
     from .training import train
 
     graph = _load_graph(options)
-    out = Path(options.get("out", required=True))
-    out.mkdir(parents=True, exist_ok=True)
     hmge_config, train_config = _configs_from(options)
+    out = _out_dir(options)
     result = train(graph, hmge_config, train_config, log_path=out / "train_log.csv")
     export_embeddings(result.embeddings, out / "embeddings.csv")
     if hmge_config.num_layers:
@@ -275,8 +285,8 @@ def cmd_eval(options: _Options) -> int:
 
     graph = _load_graph(options)
     task = options.get("task", required=True)
-    out = Path(options.get("out", required=True))
     hmge_config, train_config = _configs_from(options)
+    out = _out_dir(options)
     if task == "link":
         metrics = evaluate_link_prediction(
             graph, hmge_config, train_config, **options.given(ratio="ratio")
@@ -301,8 +311,8 @@ def cmd_ablate(options: _Options) -> int:
     from .evaluation import run_ablations
 
     graph = _load_graph(options)
-    out = Path(options.get("out", required=True))
     hmge_config, train_config = _configs_from(options)
+    out = _out_dir(options)
     rows = run_ablations(
         graph, hmge_config, train_config,
         **options.given(ratio="ratio", train_fraction="train_fraction"),
@@ -323,9 +333,9 @@ def cmd_sweep(options: _Options) -> int:
     from .evaluation import evaluate_classification
 
     graph = _load_graph(options)
-    out = Path(options.get("out", required=True))
     sizes = options.get("embed_sizes", required=True)
     base, train_config = _configs_from(options)
+    out = _out_dir(options)
     rows = []
     for m in sizes:
         config = dataclasses.replace(base, embed_size=m)
@@ -344,7 +354,6 @@ def cmd_sweep(options: _Options) -> int:
 
 def _check_model_fits(params, graph) -> None:
     """Raise DataFormatError unless ``graph`` has the inputs ``params`` take."""
-    from .errors import DataFormatError
     from .model import param_leaves
 
     first = next(arr for name, arr, _, _ in param_leaves(params) if name == "w_0")
@@ -376,8 +385,7 @@ def cmd_export(options: _Options) -> int:
     if identity_features:
         graph = graph.with_features(np.eye(graph.num_nodes))
     _check_model_fits(params, graph)
-    out = Path(options.get("out", required=True))
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(options)
     # The malloc policy train() runs under, so encode runs as fast as there.
     pin_malloc()
     z = encode(graph, params, config).z
@@ -412,8 +420,6 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # mapped via the package hierarchy below
-        from .errors import ConfigError, DataFormatError, NumericError
-
         if isinstance(exc, ConfigError):
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE

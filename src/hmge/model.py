@@ -411,16 +411,15 @@ def build_latent_structure(plan: EncodePlan, pnodes) -> list[ad.Node]:
     ``matmul`` per layer composes P_l. Inputs and weights are non-negative
     (``normalize_adjacency`` refuses negative values), so no ReLU follows.
 
-    P_l's node is the only tape parent of level l's graphs: their
-    normalized value block, built here by ``plan.norm_plan.graphs``, is a
-    forward-only cache on that node, and its consumers (``spmm_var``, the
-    head of ``infomax_bce``) pull their gradient straight back to P_l.
+    P_l's node is the only tape parent of level l's graphs. Their consumers
+    cache what they read on that node and pull their gradient straight back
+    to P_l: ``spmm_var`` builds an inner level's value block, while the head
+    of ``infomax_bce`` and ``encode`` apply the last graph through the inputs.
     """
     levels: list[ad.Node] = []
     for layer in pnodes.layers:
         weights = ad.softmax_cols(layer.alpha)
         levels.append(weights if not levels else ad.matmul(levels[-1], weights))
-        plan.norm_plan.graphs(levels[-1])
     return levels
 
 
@@ -466,11 +465,12 @@ def build_forward(plan: EncodePlan, pnodes, perms):
     One chain (h per layer, beta per layer) per feature-row shuffle in
     ``perms`` (None for the clean pass). The embeddings are z = S h W of
     each chain's last h, with (P, its NormalizePlan, W) the ``head``: the
-    last level's mixing node, whose one latent graph is S, and ``final_w``.
-    The head is linear: clipping
-    the output space measurably discards class information, and the
-    two-layer expansion of this architecture is stated without a trailing
-    non-linearity. The hierarchical encoder shares its latent blocks across
+    last level's mixing node, whose one latent graph is S, and ``final_w``;
+    S is applied through the inputs (``NormalizePlan.through_inputs``), so
+    the last level builds no value block. The head is linear: clipping the
+    output space measurably discards class information, and the two-layer
+    expansion of this architecture is stated without a trailing
+    non-linearity. The hierarchical encoder shares its latent caches across
     chains; the linear baseline, per-dimension GCN stacks with one
     attention on top, has none and an empty head (z = h).
     """
@@ -509,8 +509,10 @@ def encode(
 ) -> ForwardTrace:
     """Run the encoder and capture every intermediate product.
 
-    With zero layers this runs the linear-aggregation baseline; ``params``
-    must pass ``check_params``. A supplied ``plan`` must have been
+    With zero layers this runs the linear-aggregation baseline; otherwise
+    z = (S h) W, with S the last latent graph applied through the inputs as
+    in training (``NormalizePlan.through_inputs``), in either kernel mode.
+    ``params`` must pass ``check_params``. A supplied ``plan`` must have been
     built from this graph's dimensions and features, and with hierarchical
     layers when ``config`` has them.
     """
@@ -532,9 +534,9 @@ def encode(
     latent, head, chains = build_forward(plan, lift_params(tape, params, constant=True), [None])
     h_nodes, beta_nodes = chains[0]
     z = h_nodes[-1].value
-    if head:  # z = (S h) W, off the tape
+    if head:  # z = (S h) W, off the tape, S applied through the inputs
         mixing, norm, w = head
-        z = norm.spmm.matmul(norm.graphs(mixing)["values"][:, 0], z, {}) @ w.value
+        z = norm.through_inputs(norm.latent(mixing)["dn"], mixing.value[:, 0], z)[0] @ w.value
     trace = ForwardTrace(
         mixing=[p.value for p in latent],
         embeddings=[h.value for h in h_nodes],

@@ -339,6 +339,13 @@ def save_multiplex(graph: MultiplexGraph, path) -> None:
         raise DataFormatError(f"cannot write dataset to {root}: {exc}") from exc
 
 
+def _read_text(path: Path) -> str:
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:  # a binary file, say
+        raise DataFormatError(f"{path.name} is not UTF-8 text: {exc}") from exc
+
+
 def load_multiplex(path) -> MultiplexGraph:
     """Load a dataset directory.
 
@@ -346,14 +353,14 @@ def load_multiplex(path) -> MultiplexGraph:
     ``dim_<k>.tsv`` (k = 0..D-1) with one ``u<TAB>v`` edge per line (0-based
     indices, symmetrized on load); ``features.csv`` with N rows of F
     comma-separated values; optional ``labels.csv`` with semicolon-separated
-    class ids per node.
+    class ids per node. Every file is UTF-8 text (DataFormatError otherwise).
     """
     root = Path(path)
     meta_path = root / META_FILE
     if not meta_path.is_file():
         raise DataFormatError(f"missing {META_FILE} in {root}")
     try:
-        meta = json.loads(meta_path.read_text())
+        meta = json.loads(_read_text(meta_path))
         n = int(meta["num_nodes"])
         num_dims = int(meta["num_dims"])
         num_features = int(meta["num_features"])
@@ -370,7 +377,7 @@ def load_multiplex(path) -> MultiplexGraph:
                 f"missing dim_{k}.tsv: header declares {num_dims} dimensions"
             )
         us, vs = [], []
-        for ln, line in enumerate(dim_path.read_text().splitlines(), start=1):
+        for ln, line in enumerate(_read_text(dim_path).splitlines(), start=1):
             line = line.strip()
             if not line:
                 continue
@@ -401,7 +408,7 @@ def load_multiplex(path) -> MultiplexGraph:
     if not feat_path.is_file():
         raise DataFormatError(f"missing {FEATURES_FILE} in {root}")
     rows = []
-    for ln, line in enumerate(feat_path.read_text().splitlines(), start=1):
+    for ln, line in enumerate(_read_text(feat_path).splitlines(), start=1):
         if not line.strip():
             continue
         try:
@@ -423,7 +430,7 @@ def load_multiplex(path) -> MultiplexGraph:
     label_path = root / LABELS_FILE
     if label_path.is_file():
         label_rows = []
-        for ln, line in enumerate(label_path.read_text().splitlines(), start=1):
+        for ln, line in enumerate(_read_text(label_path).splitlines(), start=1):
             line = line.strip()
             if not line:
                 raise DataFormatError(f"{LABELS_FILE}:{ln}: empty label row")

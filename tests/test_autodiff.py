@@ -446,11 +446,21 @@ def test_infomax_bce_head_matches_unfused_chain(monkeypatch, dense_mode):
 
 
 class TestSparseOps:
-    def test_spmm_plan_rejects_asymmetric_pattern(self):
+    @pytest.mark.parametrize("case", ["values", "pattern"])
+    def test_normalize_plan_rejects_asymmetric_inputs(self, case):
+        # through_inputs reads every input as its own transpose. An input
+        # with asymmetric values on a symmetric pattern, or a one-directional
+        # input whose union with the others is symmetric, is refused.
         from hmge.errors import DataFormatError
 
-        with pytest.raises(DataFormatError, match="symmetric"):
-            ad.SpmmPlan(3, np.array([0, 1, 2, 2]), np.array([1, 2]))
+        upper = np.triu(random_sym_dense(5, np.random.default_rng(13), 0.6), 1)
+        if case == "values":
+            inputs = [from_dense(upper + 2.0 * upper.T)]
+        else:
+            inputs = [from_dense(upper), from_dense(upper.T)]
+        assert ad.UnionPattern(inputs).nnz == 2 * np.count_nonzero(upper)
+        with pytest.raises(DataFormatError, match="dimension 1 is not symmetric"):
+            ad.NormalizePlan([from_dense(upper + upper.T), *inputs])
 
     def test_spmm_constant_operand(self):
         adj = random_sym_adj(6, 0.5, 0)
@@ -623,7 +633,7 @@ class TestBlockedSddmm:
             rows = np.repeat(np.arange(1024), np.diff(plan.out_indptr))
             scale = np.einsum("ek,ek->e", np.abs(dn * g)[rows], np.abs(dn * h)[plan.out_indices])
             want = plan.stacked @ sddmm(plan.spmm, dn * g, dn * h)[plan.in2out]
-            sg, first = plan._through_inputs(latent, 1, mixing.value[:, 1], g, h)
+            sg, first = plan.through_inputs(dn, mixing.value[:, 1], g, h)
             assert np.all(np.abs(first - want) <= 1e-12 * (plan.stacked @ scale[plan.in2out]))
             s = sp.csr_matrix((latent["values"][:, 1], plan.out_indices, plan.out_indptr))
             assert np.all(np.abs(sg - s @ g) <= 1e-12 * (abs(s) @ np.abs(g)))

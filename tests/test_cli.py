@@ -433,6 +433,39 @@ class TestEvalAblateSweep:
         assert outs[0] == outs[1]
 
 
+class TestOutPaths:
+    @pytest.mark.parametrize("command", ["train", "eval", "ablate", "sweep", "export"])
+    def test_out_naming_a_file_is_data_error(self, dataset_dir, tmp_path, command, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("occupied")
+        data = ["--data", str(dataset_dir), "--epochs", "2", "--seed", "1"]
+        args = {
+            "train": ["train", *data],
+            "eval": ["eval", *data, "--task", "class"],
+            "ablate": ["ablate", *data],
+            "sweep": ["sweep", *data, "--embed-sizes", "4"],
+            "export": ["export", "--data", str(dataset_dir),
+                       "--model", str(tmp_path / "run" / "model.bin")],
+        }[command]
+        if command == "export":
+            assert main(["train", *data, "--out", str(tmp_path / "run")]) == EXIT_OK
+            capsys.readouterr()
+        assert main(args + ["--out", str(taken)]) == EXIT_DATA
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"data error: cannot write {taken}")
+        assert taken.read_text() == "occupied"
+
+
+class TestDataFiles:
+    def test_non_utf8_dimension_file_is_data_error(self, dataset_dir, capsys, tmp_path):
+        (dataset_dir / "dim_0.tsv").write_bytes(b"\xff\xfe\x00\x01")
+        code = main(["train", "--data", str(dataset_dir), "--out", str(tmp_path / "o"),
+                     "--epochs", "2"])
+        assert code == EXIT_DATA
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("data error: dim_0.tsv is not UTF-8")
+
+
 class TestThreads:
     def test_env_var_accepted(self, dataset_dir, tmp_path, monkeypatch):
         monkeypatch.setenv("HMGE_THREADS", "1")

@@ -638,20 +638,16 @@ class TestEncodePlanPatterns:
         out_keys = out_rows * n + out_indices
         mirrors = np.searchsorted(out_keys, out_indices * n + out_rows)
         assert np.array_equal(mirror_positions(n, norm.out_indptr, norm.out_indices), mirrors)
-        # The inputs stacked one under another, on the stacked values.
-        dense = np.concatenate([to_dense(d) for d in graph.dimensions])
-        assert np.array_equal(norm.inputs.toarray(), dense)
-        assert np.abs(norm.row_sums - dense.sum(axis=1).reshape(-1, n)).max() <= 1e-12
         if stacked.nnz:
-            assert np.shares_memory(norm.inputs.data, stacked.data)
             assert np.shares_memory(stacked.indices, union.slots)
-        # One view of ``inputs`` per input, on its data and indices.
-        assert len(norm._per_input) == graph.num_dims
-        for view, d in zip(norm._per_input, graph.dimensions):
-            assert np.array_equal(view.toarray(), to_dense(d))
-            if d.nnz:
-                assert np.shares_memory(view.data, norm.inputs.data)
-                assert np.shares_memory(view.indices, norm.inputs.indices)
+        # One CSR matrix per input, in CSR order, and their row sums.
+        assert len(norm.per_input) == graph.num_dims
+        for a, d in zip(norm.per_input, graph.dimensions):
+            assert np.array_equal(a.indptr, d.indptr) and np.array_equal(a.indices, d.indices)
+            assert np.array_equal(a.data, d.values)
+        dense = np.stack([to_dense(d) for d in graph.dimensions])
+        assert norm.row_sums.shape == (graph.num_dims, n)
+        assert np.abs(norm.row_sums - dense.sum(axis=2)).max() <= 1e-12
 
     def test_diagonal_entries_rejected(self):
         looped = from_dense(np.array([[1.0, 1.0], [1.0, 0.0]]))

@@ -317,6 +317,14 @@ class TestLoadSave:
         with pytest.raises(DataFormatError, match="self-loop"):
             load_multiplex(root)
 
+    @pytest.mark.parametrize("name", ["dim_0.tsv", "features.csv"])
+    def test_non_utf8_file_rejected(self, tmp_path, name):
+        root = tmp_path / "ds"
+        save_multiplex(graph_from_edges(2, [[(0, 1)]]), root)
+        (root / name).write_bytes(b"0\t1\n\xff\xfe\x00binary\n")
+        with pytest.raises(DataFormatError, match=f"{name} is not UTF-8"):
+            load_multiplex(root)
+
     def test_unwritable_path(self, tmp_path):
         g = graph_from_edges(2, [[(0, 1)]])
         target = tmp_path / "file"

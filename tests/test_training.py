@@ -170,6 +170,55 @@ class TestTrainLoop:
         assert len(res.loss_history) == 2 and np.all(np.isfinite(res.loss_history))
         assert res.loss_history[1] != res.loss_history[0]
 
+    @staticmethod
+    def sbm40():
+        return generate_multiplex(
+            SbmConfig(num_nodes=40, num_dims=3, p_in=0.3, p_out=0.05, rng_seed=4)
+        ).graph
+
+    @pytest.mark.parametrize("dense_mode", [True, False], ids=["dense", "sparse"])
+    def test_last_level_runs_through_the_inputs(self, monkeypatch, dense_mode):
+        # At L = 1 the one latent graph is the last: the training head and
+        # encode apply it through the inputs, in either kernel mode, and
+        # never normalize its value block or multiply by it.
+        from hmge import autodiff as ad
+        from hmge.model import EncodePlan, encode
+
+        def refuse(*args):
+            raise AssertionError("the last latent graph went through its value block")
+
+        monkeypatch.setattr(ad, "DENSE_DENSITY_THRESHOLD", 0.0 if dense_mode else 2.0)
+        g, cfg = self.sbm40(), HmgeConfig(embed_size=4, num_layers=1)
+        assert EncodePlan(g, cfg).norm_plan.spmm.dense_mode is dense_mode
+        monkeypatch.setattr(ad.NormalizePlan, "forward", refuse)
+        monkeypatch.setattr(ad.SpmmPlan, "matmul", refuse)
+        monkeypatch.setattr(ad.SpmmPlan, "matmul_transpose", refuse)
+        res = train(g, cfg, TrainConfig(epochs=2, patience=2, rng_seed=1))
+        assert len(res.loss_history) == 2 and res.loss_history[1] != res.loss_history[0]
+        assert np.array_equal(encode(g, res.params, cfg).z, res.embeddings)
+
+    @pytest.mark.parametrize("dense_mode", [True, False], ids=["dense", "sparse"])
+    def test_inner_value_block_built_once_per_epoch(self, monkeypatch, dense_mode):
+        # At L = 2 the inner level's value block is normalized once per
+        # epoch, when the clean chain first multiplies by it, and the
+        # corrupted chain reuses it; the last level never builds one.
+        from hmge import autodiff as ad
+
+        monkeypatch.setattr(ad, "DENSE_DENSITY_THRESHOLD", 0.0 if dense_mode else 2.0)
+        built, products = [], []
+        forward, spmm_var = ad.NormalizePlan.forward, ad.spmm_var
+        monkeypatch.setattr(ad.NormalizePlan, "forward",
+                            lambda plan, values: built.append(values.shape) or forward(plan, values))
+        monkeypatch.setattr(ad, "spmm_var", lambda mixing, plan, h: products.append(
+            (mixing, "values" in mixing.cache())) or spmm_var(mixing, plan, h))
+        cfg = HmgeConfig(embed_size=4, num_layers=2, dims_schedule=(3, 2, 1))
+        train(self.sbm40(), cfg, TrainConfig(epochs=2, patience=2, rng_seed=1))
+        # Two epochs, then the final encode: one build and one product each,
+        # plus the corrupted chain's product in each epoch.
+        assert len(built) == 3 and all(shape[1] == 2 for shape in built)
+        assert [cached for _, cached in products] == [False, True, False, True, False]
+        assert products[0][0] is products[1][0] and products[2][0] is products[3][0]
+
     def test_bit_identical_histories(self):
         g = self.graph16()
         cfg = HmgeConfig(embed_size=4, num_layers=1)
@@ -411,6 +460,41 @@ class TestParamsMatchConfig:
         with pytest.raises(DataFormatError, match="negative"):
             train(graph, cfg, TrainConfig(epochs=3, patience=3))
         with pytest.raises(DataFormatError, match="negative"):
+            encode(graph, init_params(cfg, 3, 3, np.random.default_rng(0)), cfg)
+        assert calls == []
+
+    @pytest.mark.parametrize("layers", [1, 2])
+    @pytest.mark.parametrize("case", ["values", "pattern"])
+    def test_asymmetric_input_refused_before_first_epoch(self, case, layers, monkeypatch):
+        # The latent path reads every input as its own transpose. Refused:
+        # asymmetric values on a symmetric pattern, and two one-directional
+        # inputs whose union is symmetric.
+        import scipy.sparse as sp
+
+        from hmge.errors import DataFormatError
+        from hmge.model import EncodePlan, encode
+        from hmge.multiplex import SparseAdjacency
+
+        graph = self.sbm60()
+        dims = list(graph.dimensions)
+        if case == "values":
+            values = dims[1].values.copy()
+            values[0] = 2.0
+            dims[1] = SparseAdjacency(60, dims[1].indptr, dims[1].indices, values)
+        else:
+            upper = sp.triu(dims[1].to_scipy(), 1, format="csr")
+            upper.sort_indices()
+            dims[1:] = [SparseAdjacency(60, m.indptr, m.indices, m.data)
+                        for m in (upper, upper.T.tocsr())]
+        graph = graph.with_dimensions(dims)
+        assert not graph.dimensions[1].is_symmetric()
+        cfg = HmgeConfig(4, layers)
+        calls = self.count_epochs(monkeypatch)
+        with pytest.raises(DataFormatError, match="dimension 1 is not symmetric"):
+            EncodePlan(graph, cfg)
+        with pytest.raises(DataFormatError, match="dimension 1 is not symmetric"):
+            train(graph, cfg, TrainConfig(epochs=3, patience=3))
+        with pytest.raises(DataFormatError, match="dimension 1 is not symmetric"):
             encode(graph, init_params(cfg, 3, 3, np.random.default_rng(0)), cfg)
         assert calls == []
 
