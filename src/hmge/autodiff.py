@@ -6,15 +6,17 @@ reverse, accumulating adjoints additively. All arithmetic is float64. Scalar
 reductions use compensated summation so results do not depend on chunking.
 
 A latent adjacency matrix is the inputs mixed by one column of a weight
-matrix P and normalized; its consumers read forward-only caches on P's node
-and pull their gradient straight back to P (``NormalizePlan``). The last
-level's graph is applied through the inputs, one CSR product per input
+matrix P; its normalized form S = D^{-1/2}(A + I)D^{-1/2} is never stored.
+Every consumer scales its thin operand instead, S X = dn (A (dn X) + dn X)
+with dn = D^{-1/2}, reads forward-only caches on P's node and pulls its
+gradient straight back to P (``NormalizePlan``). The last level's graph is
+applied through the inputs, one CSR product per input
 (``NormalizePlan.through_inputs``), by ``infomax_bce``'s head and by
-``model.encode``. An inner level's graphs become a block of value columns
-on a fixed sparsity pattern (UnionPattern) when ``spmm_var`` first
-multiplies by them; its pullback goes through the inputs in sparse mode and
-runs a BLAS product and an SDDMM in dense mode. Plain ``spmm`` treats its
-sparse operand as a constant.
+``model.encode``. An inner level's graphs become a block of mixed value
+columns on the inputs' union pattern (UnionPattern) when ``spmm_var``
+first multiplies by them; its pullback goes through the inputs in sparse
+mode and runs a BLAS product and an SDDMM in dense mode. Plain ``spmm``
+treats its sparse operand as a constant.
 
 The attention step is two ops: ``attention_weights`` scores a (D, N, M)
 embedding stack and normalizes the scores per node, with one hand-written
@@ -37,9 +39,10 @@ import scipy.sparse as sp
 from .errors import DataFormatError, HmgeError, NumericError
 from .multiplex import SparseAdjacency
 
-# Patterns at least this dense (and small enough) run S @ H and S^T @ H on
-# BLAS-backed dense kernels, the rest in CSR; the two agree to ~1e-12 and are
-# regression-tested. The value gradient does not depend on this choice.
+# Latent graphs whose normalized form is at least this dense (and small
+# enough) multiply on BLAS-backed dense kernels, the rest in CSR; the two
+# agree to ~1e-12 and are regression-tested. The value gradient does not
+# depend on this choice.
 DENSE_DENSITY_THRESHOLD = 0.05
 DENSE_MAX_NODES = 2600
 
@@ -469,17 +472,19 @@ class UnionPattern:
 
 
 class SpmmPlan:
-    """Kernels for S @ H where S has fixed pattern and per-pass values.
+    """Kernels for A @ H where A has a fixed pattern and per-pass values.
 
-    The pattern and the values must be symmetric (S == S^T), as
-    ``NormalizePlan`` produces them from the inputs it checks, so S^T @ H
-    runs on the kernel of S. ``dense_mode`` picks
-    the kernels: dense mode scatters the values into a dense matrix and runs
-    BLAS, and takes the value gradient by a row-blocked SDDMM planned here;
-    sparse mode stays in CSR and has no value gradient (the latent pullback
-    runs through the inputs instead, see ``spmm_var``). The pattern alone
-    picks the mode through DENSE_DENSITY_THRESHOLD and DENSE_MAX_NODES; to
-    force a mode, set those constants before building the plan.
+    The pattern and the values must be symmetric (A == A^T), as
+    ``NormalizePlan`` produces them from the inputs it checks, so A^T @ H
+    runs on the kernel of A. ``dense_mode`` picks the kernels: dense mode
+    scatters the values into a dense matrix and runs BLAS, and takes the
+    value gradient by a row-blocked SDDMM; sparse mode stays in CSR and has
+    no value gradient (the latent pullback runs through the inputs instead,
+    see ``spmm_var``). The density of the pattern plus the diagonal, which
+    the normalization adds, picks the mode through DENSE_DENSITY_THRESHOLD
+    and DENSE_MAX_NODES; to force a mode, set those constants before
+    building the plan. Dense mode plans its row blocks on its first product
+    or SDDMM (``_row_blocks``).
     """
 
     def __init__(self, num_nodes, indptr, indices):
@@ -487,34 +492,38 @@ class SpmmPlan:
         self.indptr = indptr
         self.indices = indices
         self.nnz = int(indices.shape[0])
-        density = self.nnz / float(n) ** 2
+        density = (self.nnz + n) / float(n) ** 2
         self.dense_mode = bool(density >= DENSE_DENSITY_THRESHOLD and n <= DENSE_MAX_NODES)
-        if not self.dense_mode:
-            return
-        self.rows_per_block = max(1, SDDMM_BLOCK_ELEMS // n)
-        # Offset of every entry in its row block's dense (B x N) matrix.
-        self.block_flat = np.repeat(
-            np.arange(n, dtype=np.int64) % self.rows_per_block, np.diff(indptr)
-        )
-        self.block_flat *= n
-        self.block_flat += indices
-        self.blocks = []  # (first row, end row, first entry, end entry)
-        for lo in range(0, n, self.rows_per_block):
-            hi = min(lo + self.rows_per_block, n)
-            a, b = int(indptr[lo]), int(indptr[hi])
-            if a < b:
-                self.blocks.append((lo, hi, a, b))
+        self.blocks = None
+
+    def _row_blocks(self) -> list:
+        """(first row, end row, first entry, end entry, offsets) of every row
+        block that holds entries, where ``offsets`` places each of its
+        entries in the block's dense (B x N) matrix; built on first use."""
+        if self.blocks is None:
+            n, indptr = self.num_nodes, self.indptr
+            rows = max(1, SDDMM_BLOCK_ELEMS // n)
+            flat = np.repeat(np.arange(n, dtype=np.int64) % rows, np.diff(indptr))
+            flat *= n
+            flat += self.indices
+            self.blocks = []
+            for lo in range(0, n, rows):
+                hi = min(lo + rows, n)
+                a, b = int(indptr[lo]), int(indptr[hi])
+                if a < b:
+                    self.blocks.append((lo, hi, a, b, flat[a:b]))
+        return self.blocks
 
     def _dense(self, values: np.ndarray, cache: dict) -> np.ndarray:
         if "dense" not in cache:
             mat = np.zeros((self.num_nodes, self.num_nodes))
-            for lo, hi, a, b in self.blocks:
-                mat[lo:hi].reshape(-1)[self.block_flat[a:b]] = values[a:b]
+            for lo, hi, a, b, flat in self._row_blocks():
+                mat[lo:hi].reshape(-1)[flat] = values[a:b]
             cache["dense"] = mat
         return cache["dense"]
 
     def _csr(self, values: np.ndarray, cache: dict) -> sp.csr_matrix:
-        """S in CSR, built once per ``cache``."""
+        """A in CSR, built once per ``cache``."""
         if "csr" not in cache:
             n = self.num_nodes
             cache["csr"] = sp.csr_matrix((values, self.indices, self.indptr), shape=(n, n))
@@ -531,19 +540,19 @@ class SpmmPlan:
         return self._csr(values, cache) @ dense
 
     def grad_values(self, g: np.ndarray, h: np.ndarray) -> np.ndarray:
-        """d(loss)/d(values) for out = S @ H given d(loss)/d(out) = g; dense mode only.
+        """d(loss)/d(values) for out = A @ H given d(loss)/d(out) = g; dense mode only.
 
         The SDDMM out[e] = g[row_e] . h[col_e], block by block: each block
         multiplies its rows of g by h^T into one reused buffer (one GEMM)
         and gathers its entries.
         """
-        n = self.num_nodes
+        n, blocks = self.num_nodes, self._row_blocks()
         out = np.empty(self.nnz)
-        buf = np.empty(min(self.rows_per_block, n) * n)
-        for lo, hi, a, b in self.blocks:
+        buf = np.empty(max((hi - lo for lo, hi, *_ in blocks), default=0) * n)
+        for lo, hi, a, b, flat in blocks:
             prod = buf[: (hi - lo) * n]
             np.matmul(g[lo:hi], h.T, out=prod.reshape(hi - lo, n))
-            np.take(prod, self.block_flat[a:b], out=out[a:b])
+            np.take(prod, flat, out=out[a:b])
         return out
 
 
@@ -552,16 +561,19 @@ class NormalizePlan:
 
     ``stacked`` holds the D_in ``adjacencies``' values one row per input on
     their diagonal-free union ``pattern``, so mixing column p makes a graph
-    with values stacked^T p. Output values live on the pattern extended
-    with the diagonal; ``spmm`` is the multiply plan for that pattern.
+    A = stacked^T p on it, and ``spmm`` multiplies by such a graph.
     ``per_input`` holds each input as an (N x N) CSR matrix and ``row_sums``
     their row sums R (D_in x N), so a latent graph's degree is 1 + R^T p.
+    Every consumer applies the normalized graph S by scaling the thin
+    operand with dn = deg^{-1/2}: S X = dn (A (dn X) + dn X), A being the
+    mixed graph (``forward``) or the sum of the weighted inputs
+    (``through_inputs``).
 
     Every input must be symmetric, pattern and values: ``through_inputs``
     reads A_k as A_k^T, so an input that is not raises DataFormatError.
     The latent graphs are forward-only (``latent``, ``graphs``). A consumer
     of Y = S H with G = d(loss)/dY pulls the gradient straight back to p;
-    with dn = deg^{-1/2}, ``backward`` folds
+    ``backward`` folds
       dp[k] = sum_{(i,j) in A_k} A_k[ij] dn_i dn_j (G_i . H_j) + sum_i R[k, i] ddeg_i,
       ddeg_i = -(G_i . Y_i + H_i . (S G)_i) / (2 deg_i).
     The inputs being symmetric, the entry term of input k is also
@@ -570,7 +582,7 @@ class NormalizePlan:
 
     def __init__(self, adjacencies: Sequence[SparseAdjacency]):
         self.pattern = pattern = UnionPattern(adjacencies)
-        n, rows, cols, d_in = pattern.num_nodes, pattern.rows, pattern.indices, len(adjacencies)
+        n, d_in = pattern.num_nodes, len(adjacencies)
         self.per_input = [adj.to_scipy() for adj in adjacencies]
         for k, a in enumerate(self.per_input):
             t = a.T.tocsr()  # sorted, explicit zeros kept: equal to a iff a is symmetric
@@ -580,18 +592,7 @@ class NormalizePlan:
         offsets = np.cumsum([0] + [adj.nnz for adj in adjacencies])
         data = np.concatenate([adj.values for adj in adjacencies])
         self.stacked = sp.csr_matrix((data, pattern.slots, offsets), shape=(d_in, pattern.nnz))
-        # Row r gains (r, r) after its entries left of the diagonal, so each
-        # entry moves right by one slot per diagonal entry placed before it.
-        self.in2out = np.arange(pattern.nnz) + rows + (cols > rows)
-        self.out_indptr = pattern.indptr + np.arange(n + 1)
-        self.diag_positions = self.out_indptr[:-1] + np.bincount(rows[cols < rows], minlength=n)
-        self.out_nnz = pattern.nnz + n
-        self.out_indices = np.empty(self.out_nnz, dtype=np.int64)
-        self.out_indices[self.in2out] = cols
-        self.out_indices[self.diag_positions] = np.arange(n)
-        self.out_rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(self.out_indptr))
-        # Normalized values are exactly symmetric for symmetric inputs.
-        self.spmm = SpmmPlan(n, self.out_indptr, self.out_indices)
+        self.spmm = SpmmPlan(n, pattern.indptr, pattern.indices)
 
     def latent(self, mixing: Node) -> dict:
         """The degrees of the latent graphs of ``mixing`` (D_in x D), cached on
@@ -603,23 +604,24 @@ class NormalizePlan:
         return cache
 
     def graphs(self, mixing: Node) -> dict:
-        """``latent`` plus the normalized value block, built once per node:
-        "values" (out_nnz, D) and one multiply-kernel dict per column
-        ("kernels"). Only ``spmm_var``, for the inner levels, reads them."""
+        """``latent`` plus the mixed graphs, built once per node: "values"
+        (nnz, D) = stacked^T P, column-major, and one multiply-kernel dict
+        per column ("kernels"). Only ``forward``, for the inner levels,
+        reads them."""
         cache = self.latent(mixing)
         if "values" not in cache:
-            values = self.forward(self.stacked.T @ mixing.value)[0]
+            values = np.asfortranarray(self.stacked.T @ mixing.value)
             cache.update(values=values, kernels=[{} for _ in range(values.shape[1])])
         return cache
 
-    def forward(self, values: np.ndarray):
-        """Normalize an (nnz, D) block; returns (values, prod, deg) blocks.
-
-        The block is normalized column by column into a column-major result:
-        the 1-D gathers and segment sums run two to three times faster than
-        their 2-D forms, and spmm_var reads the columns contiguously.
-        """
-        return tuple(_stack(p).T for p in zip(*map(self._forward, values.T)))
+    def forward(self, latent: dict, d: int, x: np.ndarray) -> np.ndarray:
+        """S X for graph ``d`` of a ``graphs`` cache: dn (A (dn X) + dn X)."""
+        dn = latent["dn"][:, d, None]
+        dnx = dn * x
+        sx = self.spmm.matmul(latent["values"][:, d], dnx, latent["kernels"][d])
+        sx += dnx
+        sx *= dn
+        return sx
 
     def backward(self, latent: dict, d: int, g, h, y, sg, first) -> np.ndarray:
         """dp for graph ``d`` of a ``latent`` cache whose consumer holds
@@ -648,16 +650,6 @@ class NormalizePlan:
             sg += p_k
         sg *= dn
         return sg, first
-
-    def _forward(self, values):
-        vhat = np.zeros(self.out_nnz)
-        vhat[self.in2out] = values
-        vhat[self.diag_positions] = 1.0
-        deg = np.add.reduceat(vhat, self.out_indptr[:-1])
-        dinv = 1.0 / np.sqrt(deg)
-        # dinv[r]*dinv[c] first keeps the output exactly symmetric.
-        prod = dinv[self.out_rows] * dinv[self.out_indices]
-        return vhat * prod, prod, deg
 
 
 # ---------------------------------------------------------------------------
@@ -689,31 +681,31 @@ def spmm(adj: sp.csr_matrix, h: Node) -> Node:
 def spmm_var(mixing: Node, plan: NormalizePlan, h: Node) -> Node:
     """S_d @ H for every latent graph d of ``mixing`` (D_in x D); returns (D, N, M).
 
-    S_d, the normalized latent graph of mixing column d, comes from the
-    forward-only cache of ``plan.graphs``: the first product builds its
-    value block and multiply kernel, once per mixing node, so every product
-    with the same graphs (the clean and the corrupted pass) shares them.
-    Gradients flow to H and, through ``plan.backward``, straight to
-    ``mixing``. In dense mode S_d G_d is one BLAS product and the entry term
-    a GEMM SDDMM folded onto the inputs; in sparse mode one CSR product per
-    input gives both (``through_inputs``).
+    S_d, the normalized latent graph of mixing column d, is applied by
+    ``plan.forward`` to the mixed graph of the forward-only cache of
+    ``plan.graphs``: the first product builds the mixed values and the
+    multiply kernel, once per mixing node, so every product with the same
+    graphs (the clean and the corrupted pass) shares them. Gradients flow
+    to H and, through ``plan.backward``, straight to ``mixing``. In dense
+    mode S_d G_d is ``plan.forward`` again and the entry term a GEMM SDDMM
+    folded onto the inputs; in sparse mode one CSR product per input gives
+    both (``through_inputs``).
     """
     tape = _same_tape(mixing, h)
     spmm = plan.spmm
     if h.value.ndim != 2 or h.value.shape[0] != spmm.num_nodes:
         raise ValueError(f"spmm_var shape mismatch: {spmm.num_nodes} vs {h.value.shape}")
-    latent = plan.graphs(mixing)
-    columns, kernels, hv = latent["values"].T, latent["kernels"], h.value
-    out = _stack([spmm.matmul(v, hv, k) for v, k in zip(columns, kernels)])
+    latent, hv = plan.graphs(mixing), h.value
+    out = _stack([plan.forward(latent, d, hv) for d in range(mixing.value.shape[1])])
 
     def backward(g):
         dh, dp = None, np.empty(mixing.value.shape) if mixing.requires_grad else None
-        for d, (v, gd, k) in enumerate(zip(columns, g, kernels)):
+        for d, gd in enumerate(g):
             dn = latent["dn"][:, d, None]
             if spmm.dense_mode:
-                sg = spmm.matmul_transpose(v, gd, k)  # S_d G_d, S_d being symmetric
+                sg = plan.forward(latent, d, gd)  # S_d G_d, S_d being symmetric
                 if dp is not None:
-                    first = plan.stacked @ spmm.grad_values(dn * gd, dn * hv)[plan.in2out]
+                    first = plan.stacked @ spmm.grad_values(dn * gd, dn * hv)
             else:
                 sg, first = plan.through_inputs(
                     dn, mixing.value[:, d], gd, None if dp is None else hv)

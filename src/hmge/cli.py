@@ -6,8 +6,8 @@ config classes and functions. A config value is checked as its flag would
 check it; keys that name no flag of the subcommand are ignored.
 ``--threads``/``HMGE_THREADS`` is validated and copied into the BLAS thread
 variables, but ``import hmge`` has loaded numpy by then, so it does not
-cap the pool yet. Exit codes: 0 success, 1 usage error, 2 data error,
-3 numeric failure.
+cap the pool yet. Exit codes: 0 success, 1 usage error, 2 data error (an
+output file that cannot be written included), 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -419,6 +419,10 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except OSError as exc:  # an output file that is a directory, say
+        where = f"{exc.filename}: " if exc.filename else ""
+        print(f"data error: {where}{exc.strerror or exc}", file=sys.stderr)
+        return EXIT_DATA
     except Exception as exc:  # mapped via the package hierarchy below
         if isinstance(exc, ConfigError):
             print(f"error: {exc}", file=sys.stderr)

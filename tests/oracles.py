@@ -13,7 +13,8 @@ the fused ``infomax_bce`` head against;
 row; ``grad_check`` compares a tape's gradients with central differences, and
 ``full_loss_builder`` wraps the whole training objective for it.
 ``csr_combine_stack``, ``csr_normalize`` and ``spmm_values`` put the latent
-graphs on the tape as (nnz, D) value blocks, with their own pullbacks:
+graphs on the tape as (nnz, D) value blocks, normalized on their own
+diagonal-extended pattern (``extended_plan``), with their own pullbacks:
 ``value_block_loss`` runs the training loss through them, the reference
 for the closed-form pullback that ``autodiff.NormalizePlan`` folds
 straight into the combination weights. Its blocks come from
@@ -22,14 +23,15 @@ model builds them) or ``chained_latent_structure`` (level by level, each
 from the one before with a ReLU after every level). ``from_dense`` and ``to_dense`` convert
 between ``SparseAdjacency`` and dense matrices; ``expected_edge_counts``
 is the closed-form edge count of an SBM draw.
-``union_pattern``, ``position_map`` and ``extended_pattern`` build the
-latent-path patterns with scipy additions and binary searches, one
-adjacency at a time, as references for ``autodiff.UnionPattern`` and
-``autodiff.NormalizePlan``. ``auc_roc_loop`` ranks tied scores one run
-at a time, as the reference for ``evaluation.auc_roc``. ``split_links_loop``
-samples negatives one candidate at a time and rebuilds every training
-dimension from its kept edge list, as the reference for
-``evaluation.split_links``.
+``union_pattern`` and ``position_map`` build the latent-path patterns with
+scipy additions and binary searches, one adjacency at a time, as
+references for ``autodiff.UnionPattern`` and ``autodiff.NormalizePlan``;
+``extended_pattern`` adds the diagonal the same way. ``normalized_dense``
+and ``latent_dense`` form a normalized graph as a dense matrix.
+``auc_roc_loop`` ranks tied scores one run at a time, as the reference for
+``evaluation.auc_roc``. ``split_links_loop`` samples negatives one
+candidate at a time and rebuilds every training dimension from its kept
+edge list, as the reference for ``evaluation.split_links``.
 """
 
 import math
@@ -140,6 +142,19 @@ def extended_pattern(n, indptr, indices):
     in2out = np.searchsorted(out_keys, _keys(n, indptr, indices))
     diag_positions = np.searchsorted(out_keys, np.arange(n, dtype=np.int64) * (n + 1))
     return out_indptr, out_indices, in2out, diag_positions
+
+
+def normalized_dense(a):
+    """D^{-1/2}(A + I)D^{-1/2} of a dense symmetric adjacency."""
+    ahat = a + np.eye(a.shape[0])
+    dinv = 1.0 / np.sqrt(ahat.sum(axis=1))
+    return ahat * np.outer(dinv, dinv)
+
+
+def latent_dense(adjacencies, weights) -> np.ndarray:
+    """The latent graph mixed from ``adjacencies`` by ``weights``, one per
+    input, normalized, as a dense matrix."""
+    return normalized_dense(sum(w * to_dense(a) for w, a in zip(weights, adjacencies)))
 
 
 def combine_adjacencies(
@@ -425,26 +440,49 @@ def csr_combine_stack(weights: Node, stacked: sp.csr_matrix) -> Node:
     )
 
 
-def csr_normalize(values: Node, plan) -> Node:
+def extended_plan(pattern) -> ad.SpmmPlan:
+    """Multiply plan for ``pattern`` (a UnionPattern) extended with the
+    diagonal, the pattern of ``csr_normalize``'s output."""
+    n = pattern.num_nodes
+    return ad.SpmmPlan(n, *extended_pattern(n, pattern.indptr, pattern.indices)[:2])
+
+
+def _normalize_column(values, n, out_indptr, out_indices, in2out, diag_positions):
+    """(normalized values, dinv_r * dinv_c, degrees) of one column."""
+    vhat = np.zeros(out_indptr[-1])
+    vhat[in2out] = values
+    vhat[diag_positions] = 1.0
+    deg = np.add.reduceat(vhat, out_indptr[:-1])
+    dinv = 1.0 / np.sqrt(deg)
+    prod = dinv[np.repeat(np.arange(n), np.diff(out_indptr))] * dinv[out_indices]
+    return vhat * prod, prod, deg
+
+
+def csr_normalize(values: Node, pattern) -> Node:
     """Symmetric normalization with self-loops of an (nnz, D) value block.
 
-    The forward is ``NormalizePlan.forward``, column by column; the pullback
-    goes entry by entry: each entry's own term, plus the degree adjoint of
-    its row, which gathers every stored entry of the row and of its mirror.
+    The values live on ``pattern`` (a UnionPattern), the result on that
+    pattern extended with the diagonal (``extended_pattern``, multiplied by
+    ``extended_plan``). The forward normalizes column by column, each
+    degree a segment sum of its row; the pullback goes entry by entry:
+    each entry's own term, plus the degree adjoint of its row, which
+    gathers every stored entry of the row and of its mirror.
     """
-    if values.value.ndim != 2 or values.value.shape[0] != plan.pattern.nnz:
-        raise ValueError(
-            f"normalize expects {plan.pattern.nnz} values, got {values.value.shape}"
-        )
-    out, prod, deg = plan.forward(values.value)
-    starts = plan.out_indptr[:-1]
-    mirror = mirror_positions(plan.pattern.num_nodes, plan.out_indptr, plan.out_indices)
+    if values.value.ndim != 2 or values.value.shape[0] != pattern.nnz:
+        raise ValueError(f"normalize expects {pattern.nnz} values, got {values.value.shape}")
+    n = pattern.num_nodes
+    ext = extended_pattern(n, pattern.indptr, pattern.indices)
+    out, prod, deg = (np.stack(p, axis=1) for p in zip(
+        *(_normalize_column(v, n, *ext) for v in values.value.T)))
+    out_indptr, out_indices, in2out, _ = ext
+    starts = out_indptr[:-1]
+    mirror = mirror_positions(n, out_indptr, out_indices)
 
     def backward(g):
         if values.requires_grad:
             q = g * out
             ddeg = -(np.add.reduceat(q, starts) + np.add.reduceat(q[mirror], starts)) / (2.0 * deg)
-            _accum_owned(values, g[plan.in2out] * prod[plan.in2out] + ddeg[plan.pattern.rows])
+            _accum_owned(values, g[in2out] * prod[in2out] + ddeg[pattern.rows])
 
     return values.tape._add(out, (values,), backward, name="csr_normalize")
 
@@ -489,7 +527,7 @@ def latent_structure_from_inputs(plan, pnodes):
         weights = ad.softmax_cols(layer.alpha)
         mixing = weights if mixing is None else ad.matmul(mixing, weights)
         raw.append(csr_combine_stack(mixing, plan.stacked))
-        gcn_ready.append(csr_normalize(raw[-1], plan.norm_plan))
+        gcn_ready.append(csr_normalize(raw[-1], plan.union))
     return raw, gcn_ready
 
 
@@ -508,20 +546,21 @@ def chained_latent_structure(plan, pnodes):
         else:
             block = csr_combine_stack(weights, plan.stacked)
         raw.append(ad.relu(block))
-        gcn_ready.append(csr_normalize(raw[-1], plan.norm_plan))
+        gcn_ready.append(csr_normalize(raw[-1], plan.union))
     return raw, gcn_ready
 
 
 def value_block_loss(plan, pnodes, perm, latent_structure=latent_structure_from_inputs):
     """The hierarchical training loss with every latent graph a value block.
 
-    ``latent_structure`` builds the blocks; ``spmm_values`` consumes them,
-    and the output head runs unfused: z = S h W by ``spmm_values``,
-    ``select_matrix`` and ``matmul``, then the head-free ``infomax_bce``.
+    ``latent_structure`` builds the blocks; ``spmm_values`` consumes them
+    on their own ``extended_plan``, and the output head runs unfused:
+    z = S h W by ``spmm_values``, ``select_matrix`` and ``matmul``, then the
+    head-free ``infomax_bce``.
     Returns (loss, raw, gcn_ready).
     """
     raw, gcn_ready = latent_structure(plan, pnodes)
-    spmm, layers, zs = plan.norm_plan.spmm, pnodes.layers, []
+    spmm, layers, zs = extended_plan(plan.union), pnodes.layers, []
     for p in (None, perm):
         h_stack = mdl._first_level(plan, layers[0].gcn_w, p)
         for l, layer in enumerate(layers):

@@ -11,9 +11,13 @@ from oracles import (
     csr_combine_stack,
     csr_normalize,
     elementwise_mul,
+    extended_pattern,
+    extended_plan,
     from_dense,
     grad_check,
+    latent_dense,
     negative_gradients,
+    normalized_dense,
     position_map,
     scale,
     select_matrix,
@@ -234,16 +238,15 @@ def head_arrays(rng, saturated=False, n=6, m=3):
     ``saturated`` the corrupted row of that node scores 50, where the
     discriminator saturates.
     """
-    norm = ad.NormalizePlan(weighted_inputs(random_sym_dense(n, rng, 0.6, isolated=1), rng))
+    adjs = weighted_inputs(random_sym_dense(n, rng, 0.6, isolated=1), rng)
     mixing = rng.uniform(0.2, 1.0, (2, 1))
     h, h_hat = rng.uniform(-1, 1, (2, n, m))
     w, q = rng.uniform(-1.5, 1.5, (2, m, m))
     if saturated:
-        values = norm.forward(norm.stacked.T @ mixing)[0]
-        c = np.bincount(norm.spmm.indices, weights=values[:, 0], minlength=n)
+        c = latent_dense(adjs, mixing[:, 0]).sum(axis=0)
         u = w @ q @ ((c @ h) @ w / n)
         h_hat[-1] = 50.0 * u / (u @ u)
-    return [mixing, h, h_hat, w, q], norm
+    return [mixing, h, h_hat, w, q], ad.NormalizePlan(adjs)
 
 
 def op_cases():
@@ -404,8 +407,7 @@ def test_infomax_bce_head_saturated_row_passes_exact_gradient():
     t = ad.Tape()
     mixing, h, h_hat, w, q = (t.parameter(a) for a in arrays)
     t.backward(ad.infomax_bce(h, h_hat, q, mixing, plan, w))
-    values = plan.forward(plan.stacked.T @ arrays[0])[0][:, 0]
-    s_mat = to_dense(SparseAdjacency(6, plan.out_indptr, plan.out_indices, values))
+    s_mat = normalized_dense(sum(w * a.toarray() for w, a in zip(arrays[0][:, 0], plan.per_input)))
     expected = negative_gradients(s_mat @ arrays[1] @ arrays[3], s_mat @ arrays[2] @ arrays[3],
                                   arrays[4], s_mat, arrays[3])
     assert np.abs(h_hat.adjoint - expected).max() <= 1e-12 * np.abs(expected).max()
@@ -417,7 +419,8 @@ def test_infomax_bce_head_saturated_row_passes_exact_gradient():
 @pytest.mark.parametrize("dense_mode", [True, False])
 def test_infomax_bce_head_matches_unfused_chain(monkeypatch, dense_mode):
     # z = S h W through the value-block chain (csr_combine_stack,
-    # csr_normalize, spmm_values, a slice and matmul), then the head-free loss.
+    # csr_normalize, spmm_values on the diagonal-extended pattern, a slice
+    # and matmul), then the head-free loss.
     rng = np.random.default_rng(61)
     plan = forced_norm_plan(
         monkeypatch, weighted_inputs(banded_mask(40, 12, 0.1, 3, seed=60), rng, 3), dense_mode
@@ -432,8 +435,9 @@ def test_infomax_bce_head_matches_unfused_chain(monkeypatch, dense_mode):
         if fused:
             loss = ad.infomax_bce(h, h_hat, q, mixing, plan, w)
         else:
-            values = csr_normalize(csr_combine_stack(mixing, plan.stacked), plan)
-            z, z_hat = (ad.matmul(select_matrix(spmm_values(values, plan.spmm, x), 0), w)
+            values = csr_normalize(csr_combine_stack(mixing, plan.stacked), plan.pattern)
+            ext = extended_plan(plan.pattern)
+            z, z_hat = (ad.matmul(select_matrix(spmm_values(values, ext, x), 0), w)
                         for x in (h, h_hat))
             loss = ad.infomax_bce(z, z_hat, q)
         t.backward(loss)
@@ -443,6 +447,25 @@ def test_infomax_bce_head_matches_unfused_chain(monkeypatch, dense_mode):
     assert abs(loss - ref_loss) <= 1e-12 and abs(ref_loss - np.log(2)) > 1e-3
     for got, ref in zip(grads, ref_grads):
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_infomax_bce_head_invariant_under_output_basis_change():
+    # W -> W A and Q -> A^{-1} Q A^{-T} map z to z A and s to A^T s, so every
+    # score z_i^T Q s, and with it the loss, keeps its value.
+    rng = np.random.default_rng(62)
+    (mixing, h, h_hat, w, q), plan = head_arrays(rng)
+    a = np.eye(3) + rng.uniform(-0.3, 0.3, (3, 3))
+    assert np.linalg.cond(a) < 4.0
+    a_inv = np.linalg.inv(a)
+
+    def loss(w, q):
+        t = ad.Tape()
+        h_n, h_hat_n, q_n, mixing_n, w_n = (t.constant(x) for x in (h, h_hat, q, mixing, w))
+        return float(ad.infomax_bce(h_n, h_hat_n, q_n, mixing_n, plan, w_n).value)
+
+    base = loss(w, q)
+    assert abs(base - np.log(2)) > 1e-3
+    assert abs(loss(w @ a, a_inv @ q @ a_inv.T) - base) <= 1e-12 * base
 
 
 class TestSparseOps:
@@ -461,6 +484,23 @@ class TestSparseOps:
         assert ad.UnionPattern(inputs).nnz == 2 * np.count_nonzero(upper)
         with pytest.raises(DataFormatError, match="dimension 1 is not symmetric"):
             ad.NormalizePlan([from_dense(upper + upper.T), *inputs])
+
+    @pytest.mark.parametrize("dense_mode", [True, False], ids=["dense", "sparse"])
+    def test_normalize_plan_forward_matches_dense(self, monkeypatch, dense_mode):
+        # S X = dn (A (dn X) + dn X) against the dense normalized mix of the
+        # inputs. The last node is isolated: S holds a 1 at its diagonal, so
+        # its row of S X is its row of X, exactly.
+        rng = np.random.default_rng(63)
+        adjs = weighted_inputs(random_sym_dense(9, rng, 0.5, isolated=1), rng, 3)
+        plan = forced_norm_plan(monkeypatch, adjs, dense_mode)
+        mixing = ad.Tape().constant(rng.uniform(0.2, 1.0, (3, 2)))
+        latent = plan.graphs(mixing)
+        x = rng.standard_normal((9, 4))
+        for d in range(2):
+            s_mat = latent_dense(adjs, mixing.value[:, d])
+            got = plan.forward(latent, d, x)
+            assert np.all(np.abs(got - s_mat @ x) <= 1e-12 * (np.abs(s_mat) @ np.abs(x)))
+            assert np.array_equal(got[-1], x[-1])
 
     def test_spmm_constant_operand(self):
         adj = random_sym_adj(6, 0.5, 0)
@@ -508,8 +548,8 @@ class TestSparseOps:
             assert np.allclose(got, expected, atol=1e-14)
 
     def test_csr_normalize_matches_dense_and_gradients(self):
-        plan = ad.NormalizePlan([random_sym_adj(6, 0.5, 11)])
-        union = plan.pattern
+        union = ad.UnionPattern([random_sym_adj(6, 0.5, 11)])
+        ext_indptr, ext_indices = extended_pattern(6, union.indptr, union.indices)[:2]
         rng = np.random.default_rng(12)
         # symmetric values so they form a valid undirected matrix
         sym_vals = to_dense(union.to_adjacency(rng.uniform(0.2, 2.0, union.nnz)))
@@ -517,37 +557,36 @@ class TestSparseOps:
         vals = sym_vals[union.rows, union.indices][:, None]
 
         t = ad.Tape()
-        out = csr_normalize(t.constant(vals), plan)
+        out = csr_normalize(t.constant(vals), union)
         dense = sym_vals + np.eye(6)
         dinv = 1.0 / np.sqrt(dense.sum(axis=1))
         expected = dense * np.outer(dinv, dinv)
-        got = to_dense(SparseAdjacency(6, plan.out_indptr, plan.out_indices, out.value[:, 0]))
+        got = to_dense(SparseAdjacency(6, ext_indptr, ext_indices, out.value[:, 0]))
         assert np.abs(got - expected).max() < 1e-13
 
-        coeff = rng.uniform(-1, 1, (plan.out_nnz, 1))
+        coeff = rng.uniform(-1, 1, (union.nnz + 6, 1))
 
         def build(tape, nodes):
-            normed = csr_normalize(nodes[0], plan)
+            normed = csr_normalize(nodes[0], union)
             return sum_all(elementwise_mul(normed, tape.constant(coeff)))
 
         assert grad_check(build, [vals]) < 1e-4
 
     def test_csr_normalize_block_columns_independent(self):
-        plan = ad.NormalizePlan([random_sym_adj(5, 0.6, 20)])
-        union = plan.pattern
+        union = ad.UnionPattern([random_sym_adj(5, 0.6, 20)])
         rng = np.random.default_rng(21)
         block = rng.uniform(0.2, 1.5, (union.nnz, 3))
         t = ad.Tape()
-        out_block = csr_normalize(t.constant(block), plan)
+        out_block = csr_normalize(t.constant(block), union)
         for j in range(3):
             t2 = ad.Tape()
-            out_col = csr_normalize(t2.constant(block[:, j:j + 1].copy()), plan)
+            out_col = csr_normalize(t2.constant(block[:, j:j + 1].copy()), union)
             assert np.array_equal(out_block.value[:, j], out_col.value[:, 0])
 
-        coeff = rng.uniform(-1, 1, (plan.out_nnz, 3))
+        coeff = rng.uniform(-1, 1, (union.nnz + 5, 3))
 
         def build(tape, nodes):
-            normed = csr_normalize(nodes[0], plan)
+            normed = csr_normalize(nodes[0], union)
             return sum_all(elementwise_mul(normed, tape.constant(coeff)))
 
         assert grad_check(build, [block]) < 1e-4
@@ -600,13 +639,18 @@ def banded_pattern(n, band, sparse_density, empty, seed):
     return ad.UnionPattern([from_dense(banded_mask(n, band, sparse_density, empty, seed))])
 
 
+def sddmm_scale(plan, g, h):
+    """sum_k |g[row_e, k]| |h[col_e, k]| over the entries of ``plan``'s
+    pattern: the size of the rounding of the SDDMM's entry e."""
+    rows = np.repeat(np.arange(plan.num_nodes), np.diff(plan.indptr))
+    return np.einsum("ek,ek->e", np.abs(g[rows]), np.abs(h[plan.indices]))
+
+
 def assert_sddmm_matches_oracle(plan, g, h):
     """The GEMM blocks cover every entry and equal the eager einsum to 1e-12."""
-    rows = np.repeat(np.arange(plan.num_nodes), np.diff(plan.indptr))
-    scale = np.einsum("ek,ek->e", np.abs(g[rows]), np.abs(h[plan.indices]))
     got = plan.grad_values(g, h)
-    assert sum(b - a for _, _, a, b in plan.blocks) == plan.nnz
-    assert np.all(np.abs(got - sddmm(plan, g, h)) <= 1e-12 * scale)
+    assert sum(b - a for _, _, a, b, _ in plan.blocks) == plan.nnz
+    assert np.all(np.abs(got - sddmm(plan, g, h)) <= 1e-12 * sddmm_scale(plan, g, h))
 
 
 class TestBlockedSddmm:
@@ -614,9 +658,9 @@ class TestBlockedSddmm:
     @pytest.mark.parametrize("dense_mode", [True, False])
     def test_mixed_blocks_match_oracle(self, monkeypatch, width, dense_mode):
         # 1024 nodes make 4 dense-mode blocks of 256 rows: a dense band,
-        # sparse rows and 7 rows that hold only the diagonal. Dense mode
-        # takes the entry term from the GEMM SDDMM, sparse mode from one
-        # product per input; both match the entry-by-entry oracle.
+        # sparse rows and 7 isolated rows. Dense mode takes the entry term
+        # from the GEMM SDDMM and S G from ``forward``, sparse mode both from
+        # one product per input; each matches its entry-by-entry oracle.
         rng = np.random.default_rng(51)
         adjs = weighted_inputs(banded_mask(1024, 256, 0.003, 7, seed=50), rng, 3)
         plan = forced_norm_plan(monkeypatch, adjs, dense_mode)
@@ -625,29 +669,29 @@ class TestBlockedSddmm:
         g = rng.standard_normal((1024, width))
         h = rng.standard_normal((1024, width))
         dn = latent["dn"][:, 1, None]
+        want = plan.stacked @ sddmm(plan.spmm, dn * g, dn * h)
+        scale = plan.stacked @ sddmm_scale(plan.spmm, dn * g, dn * h)
         if dense_mode:
-            assert plan.spmm.rows_per_block == 256 and len(plan.spmm.blocks) == 4
             assert_sddmm_matches_oracle(plan.spmm, dn * g, dn * h)
+            assert [hi - lo for lo, hi, *_ in plan.spmm.blocks] == [256] * 4
+            first = plan.stacked @ plan.spmm.grad_values(dn * g, dn * h)
+            sg = plan.forward(latent, 1, g)
         else:
-            assert not hasattr(plan.spmm, "blocks")
-            rows = np.repeat(np.arange(1024), np.diff(plan.out_indptr))
-            scale = np.einsum("ek,ek->e", np.abs(dn * g)[rows], np.abs(dn * h)[plan.out_indices])
-            want = plan.stacked @ sddmm(plan.spmm, dn * g, dn * h)[plan.in2out]
             sg, first = plan.through_inputs(dn, mixing.value[:, 1], g, h)
-            assert np.all(np.abs(first - want) <= 1e-12 * (plan.stacked @ scale[plan.in2out]))
-            s = sp.csr_matrix((latent["values"][:, 1], plan.out_indices, plan.out_indptr))
-            assert np.all(np.abs(sg - s @ g) <= 1e-12 * (abs(s) @ np.abs(g)))
+            assert plan.spmm.blocks is None
+        assert np.all(np.abs(first - want) <= 1e-12 * scale)
+        s = latent_dense(adjs, mixing.value[:, 1])
+        assert np.all(np.abs(sg - s @ g) <= 1e-12 * (abs(s) @ np.abs(g)))
 
     def test_one_row_blocks_above_budget(self, monkeypatch):
         monkeypatch.setattr(ad, "SDDMM_BLOCK_ELEMS", 64)
         union = banded_pattern(100, 20, 0.02, 5, seed=52)
         plan = forced_plan(monkeypatch, union, True)
-        assert plan.rows_per_block == 1
-        assert all(hi - lo == 1 for lo, hi, _, _ in plan.blocks)
         rng = np.random.default_rng(53)
         assert_sddmm_matches_oracle(
             plan, rng.standard_normal((100, 3)), rng.standard_normal((100, 3))
         )
+        assert all(hi - lo == 1 for lo, hi, *_ in plan.blocks)
 
     @pytest.mark.parametrize("dense_mode", [True, False])
     def test_spmm_var_gradients_mixed_blocks(self, monkeypatch, dense_mode):
@@ -655,14 +699,15 @@ class TestBlockedSddmm:
         rng = np.random.default_rng(55)
         adjs = weighted_inputs(banded_mask(12, 4, 0.15, 1, seed=54), rng)
         plan = forced_norm_plan(monkeypatch, adjs, dense_mode)
-        # Dense mode: three blocks of four rows; sparse mode has no SDDMM.
-        assert len(getattr(plan.spmm, "blocks", ())) == (3 if dense_mode else 0)
         arrays = [rng.uniform(0.2, 1.0, (2, 2)), rng.uniform(-1, 1, (12, 2))]
 
         def build(tape, nodes):
             return sum_all(tanh(ad.spmm_var(nodes[0], plan, nodes[1])))
 
         assert grad_check(build, arrays) < 1e-4
+        # Dense mode: three blocks of four rows; sparse mode has no SDDMM.
+        blocks = plan.spmm.blocks
+        assert ([hi - lo for lo, hi, *_ in blocks] == [4] * 3) if dense_mode else blocks is None
 
     def test_sparse_mode_builds_csr_once_per_values(self, monkeypatch):
         union = banded_pattern(30, 10, 0.1, 2, seed=56)
@@ -697,8 +742,7 @@ class TestBlockedSddmm:
         assert len(built) == 2 and all(built)
         for d, kernels in enumerate(built):
             assert all(latent["kernels"][d][k] is kernels[k] for k in kernels)
-            eager = sp.csr_matrix((latent["values"][:, d], plan.out_indices, plan.out_indptr),
-                                  shape=(30, 30))
+            eager = latent_dense(adjs, p.value[:, d])
             assert np.abs(second.value[d] - eager @ h).max() < 1e-12
 
 

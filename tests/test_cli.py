@@ -456,6 +456,26 @@ class TestOutPaths:
         assert taken.read_text() == "occupied"
 
 
+    @pytest.mark.parametrize("command,blocked", [
+        ("train", "embeddings.csv"), ("train", "train_log.csv"), ("export", "embeddings.csv")])
+    def test_unwritable_output_file_is_data_error(self, dataset_dir, tmp_path, command,
+                                                  blocked, capsys):
+        data = ["--data", str(dataset_dir), "--epochs", "2", "--seed", "1"]
+        out = tmp_path / "out"
+        (out / blocked).mkdir(parents=True)
+        if command == "export":
+            assert main(["train", *data, "--out", str(tmp_path / "run")]) == EXIT_OK
+            capsys.readouterr()
+            args = ["export", "--data", str(dataset_dir),
+                    "--model", str(tmp_path / "run" / "model.bin")]
+        else:
+            args = ["train", *data]
+        assert main(args + ["--out", str(out)]) == EXIT_DATA
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"data error: {out / blocked}: ")
+        assert (out / blocked).is_dir()
+
+
 class TestDataFiles:
     def test_non_utf8_dimension_file_is_data_error(self, dataset_dir, capsys, tmp_path):
         (dataset_dir / "dim_0.tsv").write_bytes(b"\xff\xfe\x00\x01")

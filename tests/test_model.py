@@ -34,9 +34,9 @@ from oracles import (
     chained_latent_structure,
     combine_adjacencies,
     discriminate,
-    extended_pattern,
     from_dense,
     gcn_forward,
+    normalized_dense,
     position_map,
     to_dense,
     union_pattern,
@@ -319,7 +319,8 @@ class TestLatentPullback:
     ``value_block_loss`` puts every latent graph on the tape as a value
     block (``csr_combine_stack``, ``csr_normalize``, ``spmm_values``, the
     unfused head), so its gradients reach the combination weights through
-    nnz-sized adjoints; the model's consumers pull them back in closed form.
+    nnz-sized adjoints and normalizes them on its own pattern; the model's
+    consumers scale their thin operands and pull back in closed form.
     """
 
     @pytest.mark.parametrize("dense_mode", [True, False], ids=["dense", "sparse"])
@@ -352,26 +353,19 @@ class TestLatentPullback:
         pnodes = mdl.lift_params(tape, params)
         latent, head, ((h, _), (h_hat, _)) = mdl.build_forward(plan, pnodes, [None, perm])
         loss = ad.infomax_bce(h[-1], h_hat[-1], pnodes.disc_q, *head)
-        blocks = [(plan.stacked.T @ p.value, plan.norm_plan.graphs(p)["values"]) for p in latent]
+        blocks = [plan.norm_plan.graphs(p)["values"] for p in latent]
         tape.backward(loss)
         ref_tape = ad.Tape()
-        ref_loss, raw, gcn_ready = value_block_loss(plan, mdl.lift_params(ref_tape, params), perm)
+        ref_loss, raw, _ = value_block_loss(plan, mdl.lift_params(ref_tape, params), perm)
         ref_tape.backward(ref_loss)
 
-        # The forward is the chain's, bit for bit, up to the fused head.
-        for (got_raw, got), want_raw, want in zip(blocks, raw, gcn_ready, strict=True):
-            assert np.array_equal(got_raw, want_raw.value) and np.array_equal(got, want.value)
+        # The mixed graphs are the chain's raw blocks, bit for bit.
+        for got, want in zip(blocks, raw, strict=True):
+            assert np.array_equal(got, want.value)
         assert abs(float(loss.value) - float(ref_loss.value)) <= 1e-12
         assert abs(float(ref_loss.value) - math.log(2)) > 1e-4
         for got, want in zip(tape.gradients(), ref_tape.gradients(), strict=True):
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
-
-
-def normalized_dense(a):
-    """D^{-1/2}(A + I)D^{-1/2} of a dense symmetric adjacency."""
-    ahat = a + np.eye(a.shape[0])
-    dinv = 1.0 / np.sqrt(ahat.sum(axis=1))
-    return ahat * np.outer(dinv, dinv)
 
 
 @pytest.fixture
@@ -629,15 +623,15 @@ class TestEncodePlanPatterns:
         assert np.array_equal(stacked.data, np.concatenate([d.values for d in graph.dimensions]))
 
         norm = plan.norm_plan
-        out_indptr, out_indices, in2out, diag_positions = extended_pattern(n, indptr, indices)
-        assert np.array_equal(norm.out_indptr, out_indptr)
-        assert np.array_equal(norm.out_indices, out_indices)
-        assert np.array_equal(norm.in2out, in2out)
-        assert np.array_equal(norm.diag_positions, diag_positions)
-        out_rows = np.repeat(np.arange(n), np.diff(out_indptr))
-        out_keys = out_rows * n + out_indices
-        mirrors = np.searchsorted(out_keys, out_indices * n + out_rows)
-        assert np.array_equal(mirror_positions(n, norm.out_indptr, norm.out_indices), mirrors)
+        rows = np.repeat(np.arange(n), np.diff(indptr))
+        mirrors = np.searchsorted(rows * n + indices, indices * n + rows)
+        assert np.array_equal(mirror_positions(n, union.indptr, union.indices), mirrors)
+        # One multiply plan, on the union pattern; its mode counts the diagonal.
+        spmm = norm.spmm
+        assert spmm.indptr is union.indptr and spmm.indices is union.indices
+        density = (union.nnz + n) / n**2
+        dense_mode = density >= ad.DENSE_DENSITY_THRESHOLD and n <= ad.DENSE_MAX_NODES
+        assert spmm.dense_mode is dense_mode and spmm.blocks is None
         if stacked.nnz:
             assert np.shares_memory(stacked.indices, union.slots)
         # One CSR matrix per input, in CSR order, and their row sums.

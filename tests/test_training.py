@@ -199,25 +199,55 @@ class TestTrainLoop:
 
     @pytest.mark.parametrize("dense_mode", [True, False], ids=["dense", "sparse"])
     def test_inner_value_block_built_once_per_epoch(self, monkeypatch, dense_mode):
-        # At L = 2 the inner level's value block is normalized once per
+        # At L = 2 the inner level's mixed value block is built once per
         # epoch, when the clean chain first multiplies by it, and the
         # corrupted chain reuses it; the last level never builds one.
         from hmge import autodiff as ad
 
         monkeypatch.setattr(ad, "DENSE_DENSITY_THRESHOLD", 0.0 if dense_mode else 2.0)
         built, products = [], []
-        forward, spmm_var = ad.NormalizePlan.forward, ad.spmm_var
-        monkeypatch.setattr(ad.NormalizePlan, "forward",
-                            lambda plan, values: built.append(values.shape) or forward(plan, values))
+        graphs, spmm_var = ad.NormalizePlan.graphs, ad.spmm_var
+
+        def counting_graphs(plan, mixing):
+            if "values" not in mixing.cache():
+                built.append(mixing.value.shape)
+            return graphs(plan, mixing)
+
+        monkeypatch.setattr(ad.NormalizePlan, "graphs", counting_graphs)
         monkeypatch.setattr(ad, "spmm_var", lambda mixing, plan, h: products.append(
             (mixing, "values" in mixing.cache())) or spmm_var(mixing, plan, h))
         cfg = HmgeConfig(embed_size=4, num_layers=2, dims_schedule=(3, 2, 1))
         train(self.sbm40(), cfg, TrainConfig(epochs=2, patience=2, rng_seed=1))
         # Two epochs, then the final encode: one build and one product each,
         # plus the corrupted chain's product in each epoch.
-        assert len(built) == 3 and all(shape[1] == 2 for shape in built)
+        assert built == [(3, 2)] * 3
         assert [cached for _, cached in products] == [False, True, False, True, False]
         assert products[0][0] is products[1][0] and products[2][0] is products[3][0]
+
+    @pytest.mark.parametrize("layers", [1, 2])
+    def test_dense_row_blocks_built_on_first_use(self, monkeypatch, layers):
+        # Dense mode plans its SDDMM row blocks when it first multiplies by
+        # a mixed graph: never at L = 1, whose one latent graph runs through
+        # the inputs, and once per plan at L = 2.
+        from hmge import autodiff as ad
+        from hmge.model import EncodePlan, encode
+
+        built, row_blocks = [], ad.SpmmPlan._row_blocks
+
+        def counting_row_blocks(plan):
+            if plan.blocks is None:
+                built.append(plan)
+            return row_blocks(plan)
+
+        monkeypatch.setattr(ad.SpmmPlan, "_row_blocks", counting_row_blocks)
+        g = self.sbm40()
+        schedule = (3, 1) if layers == 1 else (3, 2, 1)
+        cfg = HmgeConfig(embed_size=4, num_layers=layers, dims_schedule=schedule)
+        assert EncodePlan(g, cfg).norm_plan.spmm.dense_mode
+        res = train(g, cfg, TrainConfig(epochs=2, patience=2, rng_seed=1))
+        assert len(built) == layers - 1
+        encode(g, res.params, cfg)
+        assert len(built) == 2 * (layers - 1)
 
     def test_bit_identical_histories(self):
         g = self.graph16()
