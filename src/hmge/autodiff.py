@@ -18,14 +18,14 @@ first multiplies by them; its pullback goes through the inputs in sparse
 mode and runs a BLAS product and an SDDMM in dense mode. Plain ``spmm``
 treats its sparse operand as a constant.
 
-The attention step is two ops: ``attention_weights`` scores a (D, N, M)
-embedding stack and normalizes the scores per node, with one hand-written
-pullback; ``mix_stack`` forms the weighted sum over dimensions. The
-training objective is one op too: ``infomax_bce`` maps the clean and the
-corrupted last-layer outputs, the output head (the last mixing node, its
-``NormalizePlan`` and ``final_w``) and the discriminator matrix to the
-scalar loss; the linear baseline, whose embeddings are its last-layer
-outputs, passes no head. Every op here is one that production calls.
+The attention step is one op: ``attend`` rectifies a (D, N, M)
+pre-activation stack, scores it, normalizes the scores per node and forms
+the weighted sum over dimensions, with one hand-written pullback into the
+stack, V and y. The training objective is one op too: ``infomax_bce``
+maps the clean and the corrupted last-layer outputs, the output head (the
+last mixing node, its ``NormalizePlan`` and ``final_w``) and the
+discriminator matrix to the scalar loss; the linear baseline, whose
+embeddings are its last-layer outputs, passes no head. Every op here is one that production calls.
 """
 
 from __future__ import annotations
@@ -213,16 +213,25 @@ def matmul(a: Node, b: Node) -> Node:
     return tape._add(av @ bv, (a, b), backward, name="matmul")
 
 
+def _relu(x: np.ndarray, inplace: bool = False):
+    """(max(x, 0), its slope 1[x > 0]), into x itself with ``inplace``: the
+    encoder's one non-linearity, which ``relu`` and ``attend`` both apply.
+
+    The slope at exactly zero is taken as zero. np.maximum passes NaN
+    through (np.where would zero it), so a non-finite pre-activation still
+    reaches the non-finite-loss guard in Tape.backward.
+    """
+    slope = x > 0.0
+    return np.maximum(x, 0.0, out=x if inplace else None), slope
+
+
 def relu(a: Node) -> Node:
-    # Subgradient at exactly zero is taken as zero.
-    mask = a.value > 0.0
+    value, slope = _relu(a.value)
 
     def backward(g):
-        _accum_owned(a, g * mask)
+        _accum_owned(a, g * slope)
 
-    # np.maximum passes NaN through (np.where would zero it), so a non-finite
-    # pre-activation still reaches the non-finite-loss guard in Tape.backward.
-    return a.tape._add(np.maximum(a.value, 0.0), (a,), backward, name="relu")
+    return a.tape._add(value, (a,), backward, name="relu")
 
 
 def sigmoid_value(x: np.ndarray) -> np.ndarray:
@@ -298,23 +307,31 @@ def uniform_weights(width: int) -> np.ndarray:
     return row
 
 
-def attention_weights(h: Node, v: Node, y: Node) -> Node:
-    """Attention weights (N, D) of a (D, N, M) embedding stack.
+def attend(pre: Node, v: Node, y: Node) -> Node:
+    """The attention step of a (D, N, M) pre-activation stack: the fused
+    rows sum_d beta_nd h_dn (N, M), with the weights beta (N, D) kept
+    forward-only in the node's cache ("beta").
 
-    Scores s_nd = tanh(h_nd V_d^T y_d) are evaluated as h_nd u_d with
-    u_d = V_d^T y_d, one (D, M) block instead of a projected stack. Each row
-    is divided by its signed sum, so its weights sum to 1 and stay bounded
-    by AMPLIFICATION_BOUND; ill-conditioned rows fall back to uniform
-    weights 1/D and pass no gradient. With one dimension every weight is
-    exactly 1 and the gradient exactly 0.
+    h = relu(pre) is taken in place, so no second (D, N, M) array is kept:
+    ``pre`` must be an op's fresh output that nothing else reads and whose
+    own pullback does not read it, as ``spmm``'s and ``batched_matmul``'s;
+    a leaf is refused. Scores s_nd = tanh(h_nd V_d^T y_d) are evaluated as
+    h_nd u_d with u_d = V_d^T y_d, one (D, M) block instead of a projected
+    stack. Each row is divided by its signed sum, so its weights sum to 1
+    and stay bounded by AMPLIFICATION_BOUND; ill-conditioned rows fall
+    back to uniform weights 1/D and pass no gradient through the weights.
+    With one dimension every weight is exactly 1. The pullback writes the
+    stack gradient once, (beta_.d g + c_d u_d^T) 1[h_d > 0], with
+    c = d(loss)/d(h_nd . u_d).
     """
-    tape = _same_tape(h, v, y)
-    hv, vv, yv = h.value, v.value, y.value
+    tape = _same_tape(pre, v, y)
+    hv, vv, yv = pre.value, v.value, y.value
     d, m = hv.shape[0], hv.shape[-1]
     if hv.ndim != 3 or vv.shape != (d, m, m) or yv.shape != (d, m):
-        raise ValueError(
-            f"attention_weights shape mismatch: {hv.shape}, {vv.shape}, {yv.shape}"
-        )
+        raise ValueError(f"attend shape mismatch: {hv.shape}, {vv.shape}, {yv.shape}")
+    if pre._backward is None:
+        raise ValueError("attend rectifies its input in place: pass an op's output, not a leaf")
+    hv, slope = _relu(hv, inplace=True)
     u = np.einsum("dnm,dn->dm", vv, yv)
     scores = np.ascontiguousarray(np.tanh(np.einsum("dnm,dm->dn", hv, u)).T)
     sums = scores.sum(axis=1, keepdims=True)
@@ -326,11 +343,21 @@ def attention_weights(h: Node, v: Node, y: Node) -> Node:
     beta = np.where(safe, scores / denom, uniform_weights(d))
 
     def backward(g):
-        inner = (g * beta).sum(axis=1, keepdims=True)
+        g_beta = np.einsum("dnm,nm->nd", hv, g)
+        inner = (g_beta * beta).sum(axis=1, keepdims=True)
         # d(loss)/d(h_nd . u_d), through the normalization and the tanh.
-        c = (np.where(safe, (g - inner) / denom, 0.0) * (1.0 - scores * scores)).T
-        if h.requires_grad:
-            _accum_owned(h, c[:, :, None] * u[:, None, :])
+        c = (np.where(safe, (g_beta - inner) / denom, 0.0) * (1.0 - scores * scores)).T
+        if pre.requires_grad:
+            # One (N, M) slice at a time, so each stays in cache. At M = 32
+            # einsum forms these broadcast products ~1.5x faster than
+            # np.multiply (2-core x86-64, numpy 2.4), to the same bits.
+            g_pre, cu = np.empty_like(hv), np.empty_like(g)
+            for k in range(d):
+                np.einsum("n,nm->nm", beta[:, k], g, out=g_pre[k])
+                np.einsum("n,m->nm", c[k], u[k], out=cu)
+                g_pre[k] += cu
+                g_pre[k] *= slope[k]
+            _accum_owned(pre, g_pre)
         if v.requires_grad or y.requires_grad:
             du = np.einsum("dnm,dn->dm", hv, c)
             if v.requires_grad:
@@ -338,23 +365,9 @@ def attention_weights(h: Node, v: Node, y: Node) -> Node:
             if y.requires_grad:
                 _accum_owned(y, np.einsum("dnm,dm->dn", vv, du))
 
-    return tape._add(beta, (h, v, y), backward, name="attention_weights")
-
-
-def mix_stack(stack: Node, weights: Node) -> Node:
-    """Attention mix: sum_d weights[n, d] * stack[d, n, :] -> (N, M)."""
-    tape = _same_tape(stack, weights)
-    sv, wv = stack.value, weights.value
-    if sv.ndim != 3 or wv.ndim != 2 or wv.shape != (sv.shape[1], sv.shape[0]):
-        raise ValueError(f"mix_stack shape mismatch: {sv.shape} vs {wv.shape}")
-
-    def backward(g):
-        if stack.requires_grad:
-            _accum_owned(stack, wv.T[:, :, None] * g[None, :, :])
-        if weights.requires_grad:
-            _accum_owned(weights, np.einsum("dnm,nm->nd", sv, g))
-
-    return tape._add(np.einsum("dnm,nd->nm", sv, wv), (stack, weights), backward, name="mix_stack")
+    node = tape._add(np.einsum("dnm,nd->nm", hv, beta), (pre, v, y), backward, name="attend")
+    node.cache()["beta"] = beta
+    return node
 
 
 def infomax_bce(h: Node, h_hat: Node, q: Node, mixing: Node | None = None,

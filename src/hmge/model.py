@@ -394,10 +394,12 @@ def _is_identity(features: np.ndarray) -> bool:
     return bool(np.all(np.diagonal(features) == 1.0))
 
 
-def _stack_attention(h_stack: ad.Node, v: ad.Node, y: ad.Node):
-    """Aggregate a (D, N, M) embedding stack; returns (H (N, M), beta (N, D))."""
-    beta = ad.attention_weights(h_stack, v, y)
-    return ad.mix_stack(h_stack, beta), beta
+def _stack_attention(pre: ad.Node, v: ad.Node, y: ad.Node):
+    """Rectify a (D, N, M) pre-activation stack in place and aggregate it by
+    attention, one op (``autodiff.attend``); returns (H (N, M) node,
+    beta (N, D) array)."""
+    h = ad.attend(pre, v, y)
+    return h, h.cache()["beta"]
 
 
 def build_latent_structure(plan: EncodePlan, pnodes) -> list[ad.Node]:
@@ -424,7 +426,8 @@ def build_latent_structure(plan: EncodePlan, pnodes) -> list[ad.Node]:
 
 
 def _first_level(plan: EncodePlan, w: ad.Node, perm) -> ad.Node:
-    """relu(A_d @ X @ W_d) for every input dimension d, as a (D, N, M) stack.
+    """A_d @ X @ W_d for every input dimension d, as a (D, N, M) stack of
+    pre-activations; its consumer applies the ReLU.
 
     X is the feature matrix, its rows shuffled by ``perm`` unless that is
     None (the clean pass).
@@ -432,9 +435,9 @@ def _first_level(plan: EncodePlan, w: ad.Node, perm) -> ad.Node:
     if plan.identity_features:
         if perm is not None:
             w = ad.permute_rows(w, perm)
-        return ad.relu(ad.spmm(plan.first_gcn, w))
+        return ad.spmm(plan.first_gcn, w)
     prop = plan.feature_prop if perm is None else plan.propagate(plan.features[perm])
-    return ad.relu(ad.batched_matmul(w.tape.constant(prop), w))
+    return ad.batched_matmul(w.tape.constant(prop), w)
 
 
 def build_embedding_chain(plan: EncodePlan, pnodes, perm, latent):
@@ -442,20 +445,22 @@ def build_embedding_chain(plan: EncodePlan, pnodes, perm, latent):
 
     ``perm`` shuffles the feature rows for the corrupted pass and is None
     for the clean one. ``latent[l]`` is the mixing node of the latent
-    adjacencies produced by layer l. The chain ends at the last
+    adjacencies produced by layer l. Every layer's GCN product is a
+    pre-activation stack that ``_stack_attention`` rectifies and aggregates
+    in one op; beta comes back as an array. The chain ends at the last
     layer's attention output h_L; the output head on the last latent graph
     (``build_forward``) reads it from there.
     """
     layers = pnodes.layers
-    h_stack = _first_level(plan, layers[0].gcn_w, perm)
+    pre = _first_level(plan, layers[0].gcn_w, perm)
     h_layers, betas = [], []
     for l, layer in enumerate(layers):
-        h, beta = _stack_attention(h_stack, layer.attn_v, layer.attn_y)
+        h, beta = _stack_attention(pre, layer.attn_v, layer.attn_y)
         h_layers.append(h)
         betas.append(beta)
         if l + 1 < len(layers):
             prop = ad.spmm_var(latent[l], plan.norm_plan, h)
-            h_stack = ad.relu(ad.batched_matmul(prop, layers[l + 1].gcn_w))
+            pre = ad.batched_matmul(prop, layers[l + 1].gcn_w)
     return h_layers, betas
 
 
@@ -480,10 +485,10 @@ def build_forward(plan: EncodePlan, pnodes, perms):
         return latent, head, [build_embedding_chain(plan, pnodes, perm, latent) for perm in perms]
     chains = []
     for perm in perms:
-        h_stack = _first_level(plan, pnodes.gcn_w[0], perm)
+        pre = _first_level(plan, pnodes.gcn_w[0], perm)
         for w in pnodes.gcn_w[1:]:
-            h_stack = ad.relu(ad.batched_matmul(ad.spmm(plan.first_gcn, h_stack), w))
-        h, beta = _stack_attention(h_stack, pnodes.attn_v, pnodes.attn_y)
+            pre = ad.batched_matmul(ad.spmm(plan.first_gcn, ad.relu(pre)), w)
+        h, beta = _stack_attention(pre, pnodes.attn_v, pnodes.attn_y)
         chains.append(([h], [beta]))
     return [], (), chains
 
@@ -532,7 +537,7 @@ def encode(
     check_params(config, params, graph.num_dims, graph.num_features)
     tape = ad.Tape()
     latent, head, chains = build_forward(plan, lift_params(tape, params, constant=True), [None])
-    h_nodes, beta_nodes = chains[0]
+    h_nodes, betas = chains[0]
     z = h_nodes[-1].value
     if head:  # z = (S h) W, off the tape, S applied through the inputs
         mixing, norm, w = head
@@ -540,7 +545,7 @@ def encode(
     trace = ForwardTrace(
         mixing=[p.value for p in latent],
         embeddings=[h.value for h in h_nodes],
-        attention=[b.value for b in beta_nodes],
+        attention=betas,
         z=z,
         summary=readout(z),
         plan=plan,

@@ -6,6 +6,9 @@ numpy versions compute the same quantities one matrix at a time, in the
 order the paper writes them, so the tests can check the tape's results.
 ``elementwise_mul``, ``tanh``, ``add``, ``scale`` and ``sum_all`` are tape
 ops that only the tests use, to turn an op's output into a scalar loss;
+``attention_weights`` and ``mix_stack`` are the attention step unfused, two
+tape ops after ``autodiff.relu``, the reference for ``autodiff.attend``;
+``linearize_relu`` makes every ReLU of the encoder the identity;
 ``select_matrix`` slices one matrix out of a stack, for the unfused output
 head (``spmm_var``, then a slice, then ``matmul``) that the tests compare
 the fused ``infomax_bce`` head against;
@@ -320,6 +323,79 @@ def select_matrix(stack: Node, index: int) -> Node:
     return stack.tape._add(stack.value[index].copy(), (stack,), backward, name="select_matrix")
 
 
+def attention_weights(h: Node, v: Node, y: Node) -> Node:
+    """Attention weights (N, D) of a rectified (D, N, M) embedding stack.
+
+    The weights half of ``autodiff.attend``, as its own op: scores
+    s_nd = tanh(h_nd V_d^T y_d), each row divided by its signed sum, and
+    ill-conditioned rows at uniform weights with no gradient.
+    """
+    tape = _same_tape(h, v, y)
+    hv, vv, yv = h.value, v.value, y.value
+    d, m = hv.shape[0], hv.shape[-1]
+    if hv.ndim != 3 or vv.shape != (d, m, m) or yv.shape != (d, m):
+        raise ValueError(
+            f"attention_weights shape mismatch: {hv.shape}, {vv.shape}, {yv.shape}"
+        )
+    u = np.einsum("dnm,dn->dm", vv, yv)
+    scores = np.ascontiguousarray(np.tanh(np.einsum("dnm,dm->dn", hv, u)).T)
+    sums = scores.sum(axis=1, keepdims=True)
+    floor = np.maximum(
+        ad.ATTENTION_GUARD, np.abs(scores).max(axis=1, keepdims=True) / ad.AMPLIFICATION_BOUND
+    )
+    safe = np.abs(sums) >= floor
+    denom = np.where(safe, sums, 1.0)
+    beta = np.where(safe, scores / denom, ad.uniform_weights(d))
+
+    def backward(g):
+        inner = (g * beta).sum(axis=1, keepdims=True)
+        c = (np.where(safe, (g - inner) / denom, 0.0) * (1.0 - scores * scores)).T
+        if h.requires_grad:
+            _accum_owned(h, c[:, :, None] * u[:, None, :])
+        if v.requires_grad or y.requires_grad:
+            du = np.einsum("dnm,dn->dm", hv, c)
+            if v.requires_grad:
+                _accum_owned(v, yv[:, :, None] * du[:, None, :])
+            if y.requires_grad:
+                _accum_owned(y, np.einsum("dnm,dm->dn", vv, du))
+
+    return tape._add(beta, (h, v, y), backward, name="attention_weights")
+
+
+def mix_stack(stack: Node, weights: Node) -> Node:
+    """Attention mix: sum_d weights[n, d] * stack[d, n, :] -> (N, M)."""
+    tape = _same_tape(stack, weights)
+    sv, wv = stack.value, weights.value
+    if sv.ndim != 3 or wv.ndim != 2 or wv.shape != (sv.shape[1], sv.shape[0]):
+        raise ValueError(f"mix_stack shape mismatch: {sv.shape} vs {wv.shape}")
+
+    def backward(g):
+        if stack.requires_grad:
+            _accum_owned(stack, wv.T[:, :, None] * g[None, :, :])
+        if weights.requires_grad:
+            _accum_owned(weights, np.einsum("dnm,nm->nd", sv, g))
+
+    return tape._add(np.einsum("dnm,nd->nm", sv, wv), (stack, weights), backward, name="mix_stack")
+
+
+def unfused_attention(pre: Node, v: Node, y: Node) -> tuple[Node, Node]:
+    """``autodiff.attend`` as three ops: relu, attention_weights, mix_stack.
+    Returns (fused rows, weights); ``pre`` is left as it was."""
+    h = ad.relu(pre)
+    beta = attention_weights(h, v, y)
+    return mix_stack(h, beta), beta
+
+
+def linearize_relu(monkeypatch) -> None:
+    """Make every ReLU of the encoder the identity, derivative included.
+
+    ``autodiff._relu`` is the one activation that ``autodiff.relu`` and
+    ``autodiff.attend`` apply; its identity returns the input itself and a
+    slope of ones.
+    """
+    monkeypatch.setattr(ad, "_relu", lambda x, inplace=False: (x, np.ones(x.shape, dtype=bool)))
+
+
 def tanh(a: Node) -> Node:
     t = np.tanh(a.value)
 
@@ -562,12 +638,12 @@ def value_block_loss(plan, pnodes, perm, latent_structure=latent_structure_from_
     raw, gcn_ready = latent_structure(plan, pnodes)
     spmm, layers, zs = extended_plan(plan.union), pnodes.layers, []
     for p in (None, perm):
-        h_stack = mdl._first_level(plan, layers[0].gcn_w, p)
+        pre = mdl._first_level(plan, layers[0].gcn_w, p)
         for l, layer in enumerate(layers):
-            h, _ = mdl._stack_attention(h_stack, layer.attn_v, layer.attn_y)
+            h, _ = mdl._stack_attention(pre, layer.attn_v, layer.attn_y)
             if l + 1 < len(layers):
                 prop = spmm_values(gcn_ready[l], spmm, h)
-                h_stack = ad.relu(ad.batched_matmul(prop, layers[l + 1].gcn_w))
+                pre = ad.batched_matmul(prop, layers[l + 1].gcn_w)
         zs.append(ad.matmul(select_matrix(spmm_values(gcn_ready[-1], spmm, h), 0), pnodes.final_w))
     return ad.infomax_bce(*zs, pnodes.disc_q), raw, gcn_ready
 

@@ -8,6 +8,7 @@ from hmge.multiplex import SparseAdjacency, normalize_adjacency
 from hmge.training import infomax_loss
 from oracles import (
     add,
+    attention_weights,
     csr_combine_stack,
     csr_normalize,
     elementwise_mul,
@@ -16,6 +17,7 @@ from oracles import (
     from_dense,
     grad_check,
     latent_dense,
+    mix_stack,
     negative_gradients,
     normalized_dense,
     position_map,
@@ -26,6 +28,7 @@ from oracles import (
     sum_all,
     tanh,
     to_dense,
+    unfused_attention,
 )
 
 
@@ -214,6 +217,14 @@ def attention_arrays(rng, dims, n=5, m=4):
     return [h, v, y]
 
 
+def pre_arrays(rng, dims, n=5, m=4):
+    """(pre, V, y) for ``attend``: ``attention_arrays`` with about a third of
+    the pre-activations negative, every entry at least 0.1 from the kink."""
+    pre, v, y = attention_arrays(rng, dims, n, m)
+    pre[rng.random(pre.shape) < 0.35] *= -1.0
+    return [pre, v, y]
+
+
 def fallback_attention_arrays(rng):
     """Two dimensions whose scores cancel exactly: y_1 = -y_0, the rest equal."""
     h, v, y = attention_arrays(rng, 1)
@@ -295,22 +306,22 @@ def op_cases():
     )
     cases.append(
         ("mix_stack", [rng.uniform(-1, 1, (3, 5, 2)), rng.uniform(-1, 1, (5, 3))],
-         lambda t, n: sum_all(tanh(ad.mix_stack(n[0], n[1]))))
+         lambda t, n: sum_all(tanh(mix_stack(n[0], n[1]))))
     )
     # Weights sum to 1 per row, so the loss weighs them by fixed coefficients.
     c_aw = rng.uniform(-1, 1, (5, 3))
     cases.append(
         ("attention_weights", attention_arrays(rng, 3),
-         lambda t, n: sum_all(elementwise_mul(ad.attention_weights(*n), t.constant(c_aw))))
+         lambda t, n: sum_all(elementwise_mul(attention_weights(*n), t.constant(c_aw))))
     )
     cases.append(
         ("attention_weights_d1", attention_arrays(rng, 1),
-         lambda t, n: sum_all(tanh(ad.mix_stack(n[0], ad.attention_weights(*n)))))
+         lambda t, n: sum_all(tanh(mix_stack(n[0], attention_weights(*n)))))
     )
     c_fb = rng.uniform(-1, 1, (5, 2))
     cases.append(
         ("attention_weights_fallback", fallback_attention_arrays(rng),
-         lambda t, n: sum_all(elementwise_mul(ad.attention_weights(*n), t.constant(c_fb))))
+         lambda t, n: sum_all(elementwise_mul(attention_weights(*n), t.constant(c_fb))))
     )
     cases.append(
         ("infomax_bce", [rng.uniform(-1, 1, (6, 3)) for _ in range(2)] + [rng.uniform(-2, 2, (3, 3))],
@@ -347,6 +358,16 @@ def op_cases():
         ("spmm_var", [rng.uniform(0.2, 1.0, (3, 2)), rng.uniform(-1, 1, (7, 3))],
          lambda t, n: sum_all(tanh(ad.spmm_var(n[0], norm, n[1]))))
     )
+    # The fused attention step. ``scale`` by 1 hands ``attend`` an op's
+    # output, which it rectifies in place; pre_arrays keep the kink clear.
+    for name, arrays in (("attend", pre_arrays(rng, 3)), ("attend_d1", pre_arrays(rng, 1)),
+                         ("attend_fallback", fallback_attention_arrays(rng))):
+        c_at = rng.uniform(-1, 1, arrays[0].shape[1:])
+        cases.append(
+            (name, arrays,
+             lambda t, n, c=c_at: sum_all(tanh(elementwise_mul(
+                 ad.attend(scale(n[0], 1.0), n[1], n[2]), t.constant(c)))))
+        )
     return cases
 
 
@@ -364,13 +385,88 @@ def test_attention_weights_degenerate_rows_pass_no_gradient(width):
     arrays = attention_arrays(rng, 1) if width == 1 else fallback_attention_arrays(rng)
     t = ad.Tape()
     h, v, y = (t.parameter(a) for a in arrays)
-    beta = ad.attention_weights(h, v, y)
+    beta = attention_weights(h, v, y)
     expected = np.tile(ad.uniform_weights(width), (5, 1))
     assert np.array_equal(beta.value, expected)
     loss = sum_all(elementwise_mul(beta, t.constant(rng.uniform(-1, 1, (5, width)))))
     t.backward(loss)
     for node in (h, v, y):
         assert node.adjoint is not None and not np.any(node.adjoint)
+
+
+def attend_pair(arrays, coeffs, fused: bool):
+    """(tape, (pre, V, y) parameters, output, beta) after backward of
+    sum(out * coeffs), through ``attend`` or the unfused reference."""
+    t = ad.Tape()
+    pre, v, y = (t.parameter(a) for a in arrays)
+    if fused:
+        out = ad.attend(scale(pre, 1.0), v, y)
+        beta = out.cache()["beta"]
+    else:
+        out, beta_node = unfused_attention(scale(pre, 1.0), v, y)
+        beta = beta_node.value
+    t.backward(sum_all(elementwise_mul(out, t.constant(coeffs))))
+    return t, (pre, v, y), out.value, beta
+
+
+@pytest.mark.parametrize("dims", [1, 3, 24])
+def test_attend_matches_unfused_chain(dims):
+    # relu -> attention_weights -> mix_stack, three ops, against the one.
+    rng = np.random.default_rng(20 + dims)
+    arrays = pre_arrays(rng, dims, n=9, m=6)
+    arrays[0][rng.random(arrays[0].shape) < 0.05] = 0.0
+    coeffs = rng.uniform(-1, 1, (9, 6))
+    _, fused, out, beta = attend_pair(arrays, coeffs, fused=True)
+    _, unfused, ref_out, ref_beta = attend_pair(arrays, coeffs, fused=False)
+    assert np.array_equal(out, ref_out) and np.array_equal(beta, ref_beta)
+    for got, want in zip(fused, unfused):
+        assert np.abs(got.adjoint - want.adjoint).max() <= 1e-12 * np.abs(want.adjoint).max()
+    # Exactly-zero and negative pre-activations get exactly zero gradient.
+    assert np.all(fused[0].adjoint[arrays[0] <= 0.0] == 0.0)
+
+
+def test_attend_rectifies_its_input_in_place():
+    rng = np.random.default_rng(30)
+    pre, v, y = pre_arrays(rng, 3)
+    t = ad.Tape()
+    x = t.parameter(pre)
+    prod = scale(x, 1.0)
+    out = ad.attend(prod, t.constant(v), t.constant(y))
+    assert np.array_equal(prod.value, np.maximum(pre, 0.0))
+    assert out.value.shape == pre.shape[1:] and not np.shares_memory(out.value, prod.value)
+    with pytest.raises(ValueError, match="leaf"):
+        ad.attend(x, t.constant(v), t.constant(y))
+
+
+@pytest.mark.parametrize("width", [1, 2])
+def test_attend_degenerate_rows_pass_no_weight_gradient(width):
+    # One dimension gives weight exactly 1; two dimensions whose scores
+    # cancel exactly fall back to uniform weights. Neither passes a gradient
+    # through the weights: V and y get none, the stack only beta_.d g.
+    rng = np.random.default_rng(8)
+    arrays = pre_arrays(rng, 1) if width == 1 else fallback_attention_arrays(rng)
+    coeffs = rng.uniform(-1, 1, (5, 4))
+    _, (pre, v, y), _, beta = attend_pair(arrays, coeffs, fused=True)
+    weights = ad.uniform_weights(width)
+    assert np.array_equal(beta, np.tile(weights, (5, 1)))
+    expected = weights[:, None, None] * coeffs * (arrays[0] > 0.0)
+    assert np.array_equal(pre.adjoint, expected)
+    for node in (v, y):
+        assert node.adjoint is not None and not np.any(node.adjoint)
+
+
+def test_attend_nan_pre_activation_reaches_the_guard():
+    rng = np.random.default_rng(31)
+    pre, v, y = pre_arrays(rng, 3)
+    pre[1, 2, 0] = np.nan
+    t = ad.Tape()
+    out = ad.attend(scale(t.parameter(pre), 1.0), t.parameter(v), t.parameter(y))
+    # Its row falls back to uniform weights; the NaN column reaches the loss.
+    assert np.isnan(out.value[2, 0]) and np.isfinite(np.delete(out.value, 2, 0)).all()
+    loss = sum_all(out)
+    assert np.isnan(loss.value)
+    with pytest.raises(NumericError):
+        t.backward(loss)
 
 
 def test_infomax_bce_matches_eager_loss():

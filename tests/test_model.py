@@ -36,6 +36,7 @@ from oracles import (
     discriminate,
     from_dense,
     gcn_forward,
+    linearize_relu,
     normalized_dense,
     position_map,
     to_dense,
@@ -371,7 +372,7 @@ class TestLatentPullback:
 @pytest.fixture
 def linear_relu(monkeypatch):
     """Every ReLU of the encoder becomes the identity."""
-    monkeypatch.setattr(ad, "relu", lambda a: a)
+    linearize_relu(monkeypatch)
 
 
 def oracle_instance(rng, commuting: bool, m=4, n=5):

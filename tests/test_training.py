@@ -4,23 +4,33 @@ import platform
 import subprocess
 import sys
 import textwrap
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import hmge
+from hmge import autodiff as ad
 from hmge.errors import ConfigError, NumericError
-from hmge.model import HmgeConfig, init_linear_params, init_params, param_leaves
+from hmge.model import (
+    EncodePlan,
+    HmgeConfig,
+    init_linear_params,
+    init_params,
+    lift_params,
+    param_leaves,
+)
 from hmge.multiplex import MultiplexGraph
 from hmge.sbm import SbmConfig, generate_multiplex
 from hmge.training import (
     AdamState,
     TrainConfig,
+    build_loss_nodes,
     infomax_loss,
     train,
 )
-from oracles import from_dense, full_loss_builder, grad_check
+from oracles import from_dense, full_loss_builder, grad_check, linearize_relu
 
 
 def er_multiplex(n, probs, fseed):
@@ -594,7 +604,7 @@ class TestFullGradients:
     def test_full_loss_grad_check(self, case, monkeypatch):
         cfg, num_dims, one_hot, depth, linear_relu = GRAD_CHECK_CASES[case]
         if linear_relu:
-            monkeypatch.setattr(hmge.autodiff, "relu", lambda a: a)
+            linearize_relu(monkeypatch)
         graph = er_multiplex(6, (0.6, 0.4, 0.5)[:num_dims], 3)
         if one_hot:
             graph = graph.with_features(np.eye(6))
@@ -613,6 +623,34 @@ class TestFullGradients:
         perm = np.random.default_rng(11).permutation(6)
         build, arrays = full_loss_builder(graph, cfg, params, perm)
         assert grad_check(build, arrays) < 1e-4
+
+
+@pytest.mark.parametrize("one_hot", [False, True])
+def test_tape_keeps_one_stack_per_chain_and_layer(one_hot):
+    # The attention step rectifies its (D_l, N, M) pre-activation stack in
+    # place, so no ReLU copy is kept. Every other (D_l, N, M) value is named:
+    # at l = 1 the latent GCN's operand (spmm_var's product); with one-hot
+    # features the first GCN weight w_0 and its row shuffle for the
+    # corrupted chain.
+    n, m = 9, 5
+    cfg = HmgeConfig(embed_size=m, num_layers=2, dims_schedule=(4, 2, 1))
+    graph = er_multiplex(n, (0.6, 0.4, 0.5, 0.5), 3)
+    if one_hot:
+        graph = graph.with_features(np.eye(n))
+    params = init_params(cfg, 4, graph.num_features, np.random.default_rng(0))
+    tape = ad.Tape()
+    build_loss_nodes(EncodePlan(graph, cfg), lift_params(tape, params),
+                     np.random.default_rng(1).permutation(n))
+    stacks = [node for node in tape.nodes
+              if node.value.ndim == 3 and node.value.shape[1:] == (n, m)]
+    first = "spmm" if one_hot else "batched_matmul"
+    expected = {(first, 4): 2, ("batched_matmul", 2): 2, ("spmm_var", 2): 2}
+    if one_hot:
+        expected |= {("w_0", 4): 1, ("permute_rows", 4): 1}
+    assert Counter((node.name, node.value.shape[0]) for node in stacks) == expected
+    for node in stacks:
+        if node.name in ("spmm", "batched_matmul"):
+            assert node.value.min() >= 0.0 and node.value.max() > 0.0
 
 
 # Loss history and embeddings after 3 epochs, recorded from the per-dimension
