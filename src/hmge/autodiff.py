@@ -25,7 +25,11 @@ stack, V and y. The training objective is one op too: ``infomax_bce``
 maps the clean and the corrupted last-layer outputs, the output head (the
 last mixing node, its ``NormalizePlan`` and ``final_w``) and the
 discriminator matrix to the scalar loss; the linear baseline, whose
-embeddings are its last-layer outputs, passes no head. Every op here is one that production calls.
+embeddings are its last-layer outputs, passes no head. Every op here is
+one that production calls. Every op on a (D, N, M) stack returns and pulls
+back C-contiguous arrays, so reshapes downstream (``spmm``'s operand,
+Adam's flat views) are views; ``permute_rows`` gathers with np.take, as
+the fancy index ``a[:, perm]`` would return a strided stack.
 """
 
 from __future__ import annotations
@@ -266,11 +270,9 @@ def permute_rows(a: Node, perm: np.ndarray) -> Node:
 
     def backward(g):
         if a.requires_grad:
-            inverse = np.empty_like(perm)
-            inverse[perm] = np.arange(perm.shape[0])
-            _accum_owned(a, g[:, inverse])
+            _accum_owned(a, np.take(g, np.argsort(perm), axis=1))
 
-    return a.tape._add(a.value[:, perm], (a,), backward, name="permute_rows")
+    return a.tape._add(np.take(a.value, perm, axis=1), (a,), backward, name="permute_rows")
 
 
 def batched_matmul(a: Node, b: Node) -> Node:

@@ -371,6 +371,25 @@ class TestTrainLoop:
         res = train(g, cfg, TrainConfig(epochs=5, patience=5, rng_seed=1))
         assert res.embeddings.shape == (16, 4)
 
+    @pytest.mark.parametrize("train_alpha", [True, False])
+    def test_returned_params_share_no_memory_with_adam(self, monkeypatch, train_alpha):
+        # The best-loss snapshot is taken from the tape's parameter copies;
+        # later Adam steps must not reach it.
+        updated = []
+        step = AdamState.step
+
+        def recording_step(adam, params, *args):
+            updated.extend(params)
+            step(adam, params, *args)
+
+        monkeypatch.setattr(AdamState, "step", recording_step)
+        res = train(self.graph16(), HmgeConfig(embed_size=4, num_layers=1),
+                    TrainConfig(epochs=6, patience=6, rng_seed=3, learning_rate=0.05),
+                    train_alpha=train_alpha)
+        assert updated
+        for _, arr, _, _ in param_leaves(res.params):
+            assert not any(np.shares_memory(arr, p) for p in updated)
+
     def test_frozen_alpha_stays_uniform(self):
         g = self.graph16()
         cfg = HmgeConfig(embed_size=4, num_layers=1)
@@ -651,6 +670,25 @@ def test_tape_keeps_one_stack_per_chain_and_layer(one_hot):
     for node in stacks:
         if node.name in ("spmm", "batched_matmul"):
             assert node.value.min() >= 0.0 and node.value.max() > 0.0
+
+
+@pytest.mark.parametrize("layers, one_hot", [(1, True), (0, True), (2, False)])
+def test_parameter_gradients_are_contiguous(layers, one_hot):
+    # Adam steps through flat views of each gradient, which copy a strided
+    # one whole. With one-hot features w_0's adjoint starts in permute_rows'
+    # pullback, and the clean chain adds into it.
+    n = 9
+    graph = er_multiplex(n, (0.6, 0.4, 0.5, 0.5), 3)
+    if one_hot:
+        graph = graph.with_features(np.eye(n))
+    cfg = HmgeConfig(embed_size=5, num_layers=layers)
+    params = init_params(cfg, 4, graph.num_features, np.random.default_rng(0))
+    tape = ad.Tape()
+    tape.backward(build_loss_nodes(EncodePlan(graph, cfg), lift_params(tape, params),
+                                   np.random.default_rng(1).permutation(n)))
+    grads = tape.gradients()
+    assert len(grads) == len(list(param_leaves(params)))
+    assert all(g.flags.c_contiguous for g in grads)
 
 
 # Loss history and embeddings after 3 epochs, recorded from the per-dimension
