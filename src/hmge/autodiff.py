@@ -14,9 +14,10 @@ applied through the inputs, one CSR product per input
 (``NormalizePlan.through_inputs``), by ``infomax_bce``'s head and by
 ``model.encode``. An inner level's graphs become a block of mixed value
 columns on the inputs' union pattern (UnionPattern) when ``spmm_var``
-first multiplies by them; its pullback goes through the inputs in sparse
-mode and runs a BLAS product and an SDDMM in dense mode. Plain ``spmm``
-treats its sparse operand as a constant.
+first multiplies by them, and the plan builds that pattern on its first
+such product, so a one-level plan never builds it. The pullback goes
+through the inputs in sparse mode and runs a BLAS product and an SDDMM in
+dense mode. Plain ``spmm`` treats its sparse operand as a constant.
 
 The attention step is one op: ``attend`` rectifies a (D, N, M)
 pre-activation stack, scores it, normalizes the scores per node and forms
@@ -34,6 +35,7 @@ the fancy index ``a[:, perm]`` would return a strided stack.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Sequence
 
@@ -393,7 +395,7 @@ def infomax_bce(h: Node, h_hat: Node, q: Node, mixing: Node | None = None,
     hv, hh, qv = h.value, h_hat.value, q.value
     n = hv.shape[0]
     if hv.ndim != 2 or hh.shape != hv.shape or qv.shape != (hv.shape[1],) * 2 or head and (
-        mixing.value.shape[1:] != (1,) or plan.pattern.num_nodes != n or w.value.shape != qv.shape
+        mixing.value.shape[1:] != (1,) or plan.num_nodes != n or w.value.shape != qv.shape
     ):
         shapes = [a.value.shape for a in (h, h_hat, q, *head)]
         raise ValueError(f"infomax_bce shape mismatch: {shapes}")
@@ -497,9 +499,10 @@ class SpmmPlan:
     no value gradient (the latent pullback runs through the inputs instead,
     see ``spmm_var``). The density of the pattern plus the diagonal, which
     the normalization adds, picks the mode through DENSE_DENSITY_THRESHOLD
-    and DENSE_MAX_NODES; to force a mode, set those constants before
-    building the plan. Dense mode plans its row blocks on its first product
-    or SDDMM (``_row_blocks``).
+    and DENSE_MAX_NODES; to force a mode, set those constants before the
+    plan is built, which ``NormalizePlan`` does on its first inner-level
+    product. Dense mode plans its row blocks on its first product or SDDMM
+    (``_row_blocks``).
     """
 
     def __init__(self, num_nodes, indptr, indices):
@@ -574,11 +577,14 @@ class SpmmPlan:
 class NormalizePlan:
     """D^{-1/2}(A + I)D^{-1/2} of latent graphs mixed from fixed inputs.
 
-    ``stacked`` holds the D_in ``adjacencies``' values one row per input on
-    their diagonal-free union ``pattern``, so mixing column p makes a graph
-    A = stacked^T p on it, and ``spmm`` multiplies by such a graph.
     ``per_input`` holds each input as an (N x N) CSR matrix and ``row_sums``
     their row sums R (D_in x N), so a latent graph's degree is 1 + R^T p.
+    Only an inner level (``spmm_var``) reads the rest, built on first access:
+    the inputs' diagonal-free union ``pattern``, ``stacked``, their values
+    one row per input on it, so mixing column p makes a graph
+    A = stacked^T p on it, and ``spmm``, which multiplies by such a graph.
+    The inputs are checked here (no diagonal entry, symmetry), so building
+    those later raises nothing new.
     Every consumer applies the normalized graph S by scaling the thin
     operand with dn = deg^{-1/2}: S X = dn (A (dn X) + dn X), A being the
     mixed graph (``forward``) or the sum of the weighted inputs
@@ -596,18 +602,31 @@ class NormalizePlan:
     """
 
     def __init__(self, adjacencies: Sequence[SparseAdjacency]):
-        self.pattern = pattern = UnionPattern(adjacencies)
-        n, d_in = pattern.num_nodes, len(adjacencies)
+        self.adjacencies = tuple(adjacencies)
+        self.num_nodes = n = adjacencies[0].num_nodes
+        if any(np.any(adj.row_indices() == adj.indices) for adj in adjacencies):
+            raise ValueError("an input adjacency holds diagonal entries")
         self.per_input = [adj.to_scipy() for adj in adjacencies]
         for k, a in enumerate(self.per_input):
             t = a.T.tocsr()  # sorted, explicit zeros kept: equal to a iff a is symmetric
             if any(np.any(getattr(t, f) != getattr(a, f)) for f in ("indptr", "indices", "data")):
                 raise DataFormatError(f"dimension {k} is not symmetric")
         self.row_sums = np.stack([a @ np.ones(n) for a in self.per_input])
-        offsets = np.cumsum([0] + [adj.nnz for adj in adjacencies])
-        data = np.concatenate([adj.values for adj in adjacencies])
-        self.stacked = sp.csr_matrix((data, pattern.slots, offsets), shape=(d_in, pattern.nnz))
-        self.spmm = SpmmPlan(n, pattern.indptr, pattern.indices)
+
+    @functools.cached_property
+    def pattern(self) -> UnionPattern:
+        return UnionPattern(self.adjacencies)
+
+    @functools.cached_property
+    def stacked(self) -> sp.csr_matrix:
+        offsets = np.cumsum([0] + [adj.nnz for adj in self.adjacencies])
+        data = np.concatenate([adj.values for adj in self.adjacencies])
+        shape = (len(self.adjacencies), self.pattern.nnz)
+        return sp.csr_matrix((data, self.pattern.slots, offsets), shape=shape)
+
+    @functools.cached_property
+    def spmm(self) -> SpmmPlan:
+        return SpmmPlan(self.num_nodes, self.pattern.indptr, self.pattern.indices)
 
     def latent(self, mixing: Node) -> dict:
         """The degrees of the latent graphs of ``mixing`` (D_in x D), cached on

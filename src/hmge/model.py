@@ -302,9 +302,10 @@ class EncodePlan:
     to D^{-1/2}(A + I)D^{-1/2}, as one block-diagonal scipy CSR matrix over
     D*N nodes, built once so no epoch converts it again), the first-level
     propagation of the clean features and, with hierarchical layers, the
-    latent-path plan ``norm_plan`` (``autodiff.NormalizePlan``) with its
-    union pattern (``union``) and the input values stacked one row per
-    dimension on it (``stacked``). The union comes from one sort of all E
+    latent-path plan ``norm_plan`` (``autodiff.NormalizePlan``). Its union
+    pattern (``union``) and the input values stacked one row per dimension
+    on it (``stacked``) are built on first access, which at L = 1 neither
+    ``train`` nor ``encode`` makes. The union comes from one sort of all E
     stored input entries (``autodiff.UnionPattern``): O(E log E) time and
     O(E) memory.
     """
@@ -320,10 +321,15 @@ class EncodePlan:
         # (and A_d @ W_d[perm] on the corrupted side): no propagation.
         self.identity_features = _is_identity(graph.features)
         self.feature_prop = None if self.identity_features else self.propagate(graph.features)
-        self.union = self.stacked = self.norm_plan = None
-        if config.num_layers >= 1:
-            self.norm_plan = ad.NormalizePlan(graph.dimensions)
-            self.union, self.stacked = self.norm_plan.pattern, self.norm_plan.stacked
+        self.norm_plan = ad.NormalizePlan(graph.dimensions) if config.num_layers >= 1 else None
+
+    @property
+    def union(self) -> ad.UnionPattern | None:
+        return None if self.norm_plan is None else self.norm_plan.pattern
+
+    @property
+    def stacked(self) -> sp.csr_matrix | None:
+        return None if self.norm_plan is None else self.norm_plan.stacked
 
     def propagate(self, features: np.ndarray) -> np.ndarray:
         """A_d @ X for every input dimension d, as a (D, N, F) stack."""

@@ -129,6 +129,5 @@ def generate_multiplex(config: SbmConfig) -> SynthDataset:
 def save_dataset(dataset: SynthDataset, path) -> None:
     """Dataset directory plus a per-dimension label audit file."""
     save_multiplex(dataset.graph, path)
-    rows = dataset.per_dim_labels.T
-    lines = [",".join(str(int(c)) for c in row) for row in rows]
+    lines = [",".join(map(str, row)) for row in dataset.per_dim_labels.T.tolist()]
     (Path(path) / PER_DIM_LABELS_FILE).write_text("\n".join(lines) + "\n")

@@ -613,6 +613,27 @@ class TestSparseOps:
             assert np.all(np.abs(got - s_mat @ x) <= 1e-12 * (np.abs(s_mat) @ np.abs(x)))
             assert np.array_equal(got[-1], x[-1])
 
+    @pytest.mark.parametrize("dense_mode", [True, False], ids=["dense", "sparse"])
+    def test_kernel_mode_fixed_at_first_inner_product(self, monkeypatch, dense_mode):
+        # The multiply plan is built on the first inner-level product, so the
+        # DENSE_* constants in force then pick its mode, not those at
+        # construction; once built, the mode stays. forced_norm_plan reads
+        # ``spmm`` while its constants are set, so it still forces the mode.
+        rng = np.random.default_rng(64)
+        adjs = weighted_inputs(random_sym_dense(9, rng, 0.5), rng, 3)
+        force_mode(monkeypatch, 9, not dense_mode)
+        plan = ad.NormalizePlan(adjs)
+        assert "spmm" not in vars(plan)
+        force_mode(monkeypatch, 9, dense_mode)
+        tape = ad.Tape()
+        mixing = tape.constant(rng.uniform(0.2, 1.0, (3, 2)))
+        ad.spmm_var(mixing, plan, tape.constant(rng.standard_normal((9, 4))))
+        assert vars(plan)["spmm"].dense_mode is dense_mode
+        force_mode(monkeypatch, 9, not dense_mode)
+        assert plan.spmm.dense_mode is dense_mode
+        for mode in (dense_mode, not dense_mode):
+            assert forced_norm_plan(monkeypatch, adjs, mode).spmm.dense_mode is mode
+
     def test_spmm_constant_operand(self):
         adj = random_sym_adj(6, 0.5, 0)
         norm = normalize_adjacency(adj).to_scipy()

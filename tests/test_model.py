@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -648,6 +649,33 @@ class TestEncodePlanPatterns:
         looped = from_dense(np.array([[1.0, 1.0], [1.0, 0.0]]))
         with pytest.raises(ValueError, match="diagonal"):
             ad.UnionPattern([looped])
+
+    def test_lazy_union_matches_fresh_build(self):
+        # At L = 2 the plan builds its union, stacked block and multiply plan
+        # on the first inner-level product, equal to a fresh build bitwise,
+        # index dtypes included.
+        rng = np.random.default_rng(31)
+        dims = tuple(from_dense(random_sym_dense(12, rng, 0.3)) for _ in range(3))
+        graph = MultiplexGraph(12, dims, rng.standard_normal((12, 2)))
+        cfg = HmgeConfig(embed_size=3, num_layers=2, dims_schedule=(3, 2, 1))
+        plan = EncodePlan(graph, cfg)
+        assert {"pattern", "stacked", "spmm"}.isdisjoint(vars(plan.norm_plan))
+        encode(graph, init_params(cfg, 3, 2, np.random.default_rng(32)), cfg, plan=plan)
+        assert {"pattern", "stacked", "spmm"} <= vars(plan.norm_plan).keys()
+        union, fresh = plan.union, ad.UnionPattern(dims)
+        for name in ("slots", "rows", "indices", "indptr"):
+            got, want = getattr(union, name), getattr(fresh, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert (union.num_nodes, union.nnz) == (fresh.num_nodes, fresh.nnz)
+        offsets = np.cumsum([0] + [d.nnz for d in dims])
+        data = np.concatenate([d.values for d in dims])
+        want = sp.csr_matrix((data, fresh.slots, offsets), shape=(3, fresh.nnz))
+        got = plan.stacked
+        assert got.shape == want.shape
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert plan.norm_plan.spmm.indptr is union.indptr
 
 
 class TestLearnedAttention:

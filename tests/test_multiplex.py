@@ -372,3 +372,14 @@ class TestLoadSave:
         assert (tmp_path / "small" / "features.csv").read_bytes() == (
             b"0.3333333333333333\n-0.0\n1e-300\n"
         )
+
+    def test_edge_list_spans_format_chunks(self, tmp_path):
+        # The edge list is formatted 2^16 edges at a time; a dimension with
+        # more edges than that is written line for line as one would be.
+        u, v = np.triu_indices(400, 1)
+        assert u.size > 1 << 16
+        graph = graph_from_edges(400, [list(zip(u.tolist(), v.tolist()))])
+        save_multiplex(graph, tmp_path / "big")
+        want = "".join(f"{a}\t{b}\n" for a, b in zip(u.tolist(), v.tolist()))
+        assert (tmp_path / "big" / "dim_0.tsv").read_text() == want
+        assert load_multiplex(tmp_path / "big").dimensions[0].equals(graph.dimensions[0])

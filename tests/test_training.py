@@ -30,7 +30,7 @@ from hmge.training import (
     infomax_loss,
     train,
 )
-from oracles import from_dense, full_loss_builder, grad_check, linearize_relu
+from oracles import from_dense, full_loss_builder, grad_check, linearize_relu, to_dense
 
 
 def er_multiplex(n, probs, fseed):
@@ -258,6 +258,25 @@ class TestTrainLoop:
         assert len(built) == layers - 1
         encode(g, res.params, cfg)
         assert len(built) == 2 * (layers - 1)
+
+    @pytest.mark.parametrize("one_hot", [True, False], ids=["one-hot", "features"])
+    def test_one_layer_plans_build_no_union(self, monkeypatch, one_hot):
+        # At L = 1 nothing reads the union pattern, the stacked block or the
+        # multiply plan: train() and encode() leave all three unbuilt.
+        from hmge.model import encode
+
+        plans, init = [], ad.NormalizePlan.__init__
+        monkeypatch.setattr(ad.NormalizePlan, "__init__",
+                            lambda plan, adjs: init(plan, adjs) or plans.append(plan))
+        g = self.sbm40()
+        if one_hot:
+            g = g.with_features(np.eye(g.num_nodes))
+        cfg = HmgeConfig(embed_size=4, num_layers=1)
+        res = train(g, cfg, TrainConfig(epochs=1, patience=1, rng_seed=1))
+        assert np.array_equal(encode(g, res.params, cfg).z, res.embeddings)
+        assert len(plans) == 2
+        for plan in plans:
+            assert {"pattern", "stacked", "spmm"}.isdisjoint(vars(plan))
 
     def test_bit_identical_histories(self):
         g = self.graph16()
@@ -554,6 +573,30 @@ class TestParamsMatchConfig:
         with pytest.raises(DataFormatError, match="dimension 1 is not symmetric"):
             train(graph, cfg, TrainConfig(epochs=3, patience=3))
         with pytest.raises(DataFormatError, match="dimension 1 is not symmetric"):
+            encode(graph, init_params(cfg, 3, 3, np.random.default_rng(0)), cfg)
+        assert calls == []
+
+    @pytest.mark.parametrize("layers", [1, 2])
+    def test_diagonal_input_refused_before_first_epoch(self, layers, monkeypatch):
+        # The union pattern is built lazily, but its diagonal-free contract
+        # is checked when the plan is constructed.
+        from hmge.model import EncodePlan, encode
+
+        graph = self.sbm60()
+        dense = to_dense(graph.dimensions[1])
+        dense[5, 5] = 1.0
+        dims = list(graph.dimensions)
+        dims[1] = from_dense(dense)
+        graph = graph.with_dimensions(dims)
+        cfg = HmgeConfig(4, layers)
+        calls = self.count_epochs(monkeypatch)
+        with pytest.raises(ValueError, match="diagonal"):
+            ad.NormalizePlan(graph.dimensions)
+        with pytest.raises(ValueError, match="diagonal"):
+            EncodePlan(graph, cfg)
+        with pytest.raises(ValueError, match="diagonal"):
+            train(graph, cfg, TrainConfig(epochs=3, patience=3))
+        with pytest.raises(ValueError, match="diagonal"):
             encode(graph, init_params(cfg, 3, 3, np.random.default_rng(0)), cfg)
         assert calls == []
 
