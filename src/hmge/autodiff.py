@@ -475,13 +475,16 @@ class UnionPattern:
             raise ValueError("union over differently sized adjacencies")
         keys = np.concatenate([adj.row_indices() * n + adj.indices for adj in adjacencies])
         keys, slots = np.unique(keys, return_inverse=True)
-        # In the index type scipy picks, so a matrix built on the slots shares them.
-        self.slots = slots.astype(np.int32) if keys.shape[0] <= np.iinfo(np.int32).max else slots
+        # int32 where it holds every index: the type scipy keeps, so the
+        # matrices built on these arrays share them instead of copying them.
+        index = np.int32 if max(keys.shape[0], n) <= np.iinfo(np.int32).max else np.int64
+        self.slots = slots.astype(index, copy=False)
         self.num_nodes = int(n)
-        self.rows, self.indices = np.divmod(keys, n)
-        if np.any(self.rows == self.indices):
+        rows, indices = np.divmod(keys, n)
+        if np.any(rows == indices):
             raise ValueError("union pattern unexpectedly contains diagonal entries")
-        self.indptr = np.searchsorted(self.rows, np.arange(n + 1))
+        self.rows, self.indices = rows.astype(index), indices.astype(index)
+        self.indptr = np.searchsorted(rows, np.arange(n + 1)).astype(index)
         self.nnz = int(keys.shape[0])
 
     def to_adjacency(self, values: np.ndarray) -> SparseAdjacency:

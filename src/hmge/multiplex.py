@@ -10,7 +10,9 @@ combinations hold arbitrary non-negative reals in the same CSR container.
 
 from __future__ import annotations
 
+import io
 import json
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -22,6 +24,9 @@ from .errors import DataFormatError
 META_FILE = "meta.json"
 FEATURES_FILE = "features.csv"
 LABELS_FILE = "labels.csv"
+# Edge lists are parsed this many bytes at a time, cut after a newline, so
+# the parse holds O(chunk) temporaries beside the O(E) endpoints.
+PARSE_CHUNK = 1 << 18
 
 
 def _frozen_array(a: np.ndarray, dtype) -> np.ndarray:
@@ -342,11 +347,192 @@ def save_multiplex(graph: MultiplexGraph, path) -> None:
         raise DataFormatError(f"cannot write dataset to {root}: {exc}") from exc
 
 
-def _read_text(path: Path) -> str:
+def _decode(data: bytes, name: str) -> str:
     try:
-        return path.read_text(encoding="utf-8")
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:  # a binary file, say
-        raise DataFormatError(f"{path.name} is not UTF-8 text: {exc}") from exc
+        raise DataFormatError(f"{name} is not UTF-8 text: {exc}") from exc
+
+
+def _read_text(path: Path) -> str:
+    return _decode(path.read_bytes(), path.name)
+
+
+# One-character ASCII stand-ins for non-ASCII text, so that a file parses
+# as bytes with its lines and fields where str.splitlines(), str.strip(),
+# int() and float() put them: the non-ASCII line breaks become \x1e (a
+# break too), the non-ASCII whitespace a space. Every other non-ASCII
+# character becomes "?", which no number holds.
+_ASCII_STAND_INS = str.maketrans({
+    **dict.fromkeys("\x85\u2028\u2029", "\x1e"),
+    **dict.fromkeys("\xa0\u1680\u2000\u2001\u2002\u2003\u2004\u2005\u2006\u2007"
+                    "\u2008\u2009\u200a\u202f\u205f\u3000", " "),
+})
+
+
+def _read_ascii(path: Path) -> bytes:
+    """A UTF-8 text file as ASCII bytes, through the stand-ins above."""
+    data = path.read_bytes()
+    if data.isascii():
+        return data
+    return _decode(data, path.name).translate(_ASCII_STAND_INS).encode("ascii", "replace")
+
+
+# Byte classes of the edge-list grammar (README, "Dataset directory
+# format"). _UNIT_SEP is \x1f: str.strip() drops it from a line's ends but
+# int() refuses it, so it may not stand between the ids.
+_DIGIT, _SIGN, _TAB, _SPACE, _UNIT_SEP, _BREAK, _OTHER = range(7)
+_BYTE_CLASS = np.full(256, _OTHER, dtype=np.uint8)
+_BYTE_CLASS[ord("0"):ord("9") + 1] = _DIGIT
+_BYTE_CLASS[[ord("+"), ord("-")]] = _SIGN
+_BYTE_CLASS[ord("\t")] = _TAB
+_BYTE_CLASS[ord(" ")] = _SPACE
+_BYTE_CLASS[0x1F] = _UNIT_SEP
+_BYTE_CLASS[[0x0A, 0x0B, 0x0C, 0x0D, 0x1C, 0x1D, 0x1E]] = _BREAK  # str.splitlines()
+# Between the ids of a line: a tab counts 1, \x1f 2 and a break 4, so the
+# sum is 1 exactly where one tab and no \x1f or break stands there.
+_GAP_WEIGHT = np.array([0, 0, 1, 0, 2, 4, 0], dtype=np.int32)
+_POW10 = 10 ** np.arange(19, dtype=np.int64)
+_NODE_ID = re.compile(r" *[+-]?[0-9]+ *")
+
+
+def _edge_chunk(chunk: bytes, num_nodes: int) -> np.ndarray | None:
+    """(E, 2) endpoints of the whole lines in ``chunk``, or None if one of
+    them breaks the grammar, leaves [0, num_nodes) or is a self-loop."""
+    b = np.frombuffer(b" " + chunk + b" ", dtype=np.uint8)  # no id touches an end
+    cls = _BYTE_CLASS.take(b)
+    if cls.max() == _OTHER:
+        return None
+    # An id is a run of digits and signs: one sign at most, at its start.
+    step = np.diff((cls <= _SIGN).view(np.int8))
+    starts = np.flatnonzero(step == 1) + 1
+    ends = np.flatnonzero(step == -1) + 1
+    signs = np.flatnonzero(cls == _SIGN)
+    if starts.size % 2 or np.any(cls[signs - 1] <= _SIGN) or np.any(cls[signs + 1] != _DIGIT):
+        return None
+    if not starts.size:
+        return np.empty((0, 2), dtype=np.int64)
+    # Ids 2k and 2k + 1 share a line with one tab and any spaces between
+    # them; a line break stands between ids 2k + 1 and 2k + 2.
+    index = np.int32 if b.size < 1 << 29 else np.int64  # sums of weights <= 4
+    breaks = np.cumsum(cls == _BREAK, dtype=index)
+    gaps = np.cumsum(_GAP_WEIGHT.take(cls), dtype=index)
+    if (np.any(gaps[starts[1::2]] - gaps[ends[0::2] - 1] != 1)
+            or np.any(breaks[starts[2::2]] == breaks[ends[1:-1:2] - 1])):
+        return None
+    digits = np.flatnonzero(cls == _DIGIT)
+    count = ends - starts - (cls[starts] == _SIGN)
+    first_digit = np.cumsum(count) - count
+    place = np.repeat(ends, count) - 1 - digits
+    value = b[digits] - ord("0")
+    if np.any(value[place > 17]):  # 10^18 or more: no node has that index
+        return None
+    ids = np.add.reduceat(value * _POW10[np.minimum(place, 18)], first_digit)
+    ids[b[starts] == ord("-")] *= -1
+    pairs = ids.reshape(-1, 2)
+    if ids.min() < 0 or ids.max() >= num_nodes or np.any(pairs[:, 0] == pairs[:, 1]):
+        return None
+    return pairs
+
+
+def _edge_pairs(data: bytes, num_nodes: int) -> np.ndarray | None:
+    """(E, 2) endpoints of an ASCII edge list, PARSE_CHUNK bytes at a time,
+    or None if a line is malformed (see _edge_error)."""
+    pieces = [np.empty((0, 2), dtype=np.int64)]
+    lo = 0
+    while lo < len(data):
+        hi = len(data)
+        if hi - lo > PARSE_CHUNK:
+            hi = (data.rfind(b"\n", lo, lo + PARSE_CHUNK) + 1
+                  or data.find(b"\n", lo + PARSE_CHUNK) + 1 or hi)
+        pairs = _edge_chunk(data[lo:hi], num_nodes)
+        if pairs is None:
+            return None
+        pieces.append(pairs)
+        lo = hi
+    return np.concatenate(pieces)
+
+
+def _edge_error(text: str, name: str, num_nodes: int) -> DataFormatError:
+    """The error naming the first bad line of an edge list that
+    _edge_pairs refused, found by walking its lines."""
+    for ln, line in enumerate(text.splitlines(), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2:
+            return DataFormatError(f"{name}:{ln}: expected 'u<TAB>v'")
+        if not all(map(_NODE_ID.fullmatch, parts)):
+            return DataFormatError(f"{name}:{ln}: non-integer node id")
+        u, v = int(parts[0]), int(parts[1])
+        if not (0 <= u < num_nodes and 0 <= v < num_nodes):
+            return DataFormatError(f"{name}:{ln}: node index out of range [0, {num_nodes})")
+        if u == v:
+            return DataFormatError(f"{name}:{ln}: self-loop not allowed")
+    return DataFormatError(f"{name}: malformed edge list")
+
+
+_LINE_BREAKS = bytes.maketrans(b"\r\x0b\x0c\x1c\x1d\x1e", b"\n" * 6)
+_BLANK_LINE = re.compile(rb"^[ \t\x1f]+$", re.MULTILINE)
+
+
+def _feature_rows(data: bytes) -> np.ndarray | None:
+    """The rows of an ASCII features.csv read by numpy, or None where the
+    reader fails or could accept what float() refuses (\x1f beside a value)."""
+    text = _BLANK_LINE.sub(b"", data.translate(_LINE_BREAKS))
+    if not text.strip() or b"\x1f" in text:
+        return None
+    try:
+        return np.loadtxt(io.StringIO(text.decode("ascii")), delimiter=",",
+                          comments=None, ndmin=2, dtype=np.float64)
+    except ValueError:
+        return None
+
+
+def _is_float(field: str) -> bool:
+    try:
+        float(field)
+    except ValueError:
+        return False
+    return "_" not in field
+
+
+def _feature_error(text: str, num_nodes: int, num_features: int) -> DataFormatError:
+    """The error naming the first bad line of a features.csv that
+    _feature_rows refused or whose shape is wrong, found by walking its lines."""
+    rows = 0
+    for ln, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        fields = line.split(",")
+        if not all(map(_is_float, fields)):
+            return DataFormatError(f"{FEATURES_FILE}:{ln}: bad float")
+        if len(fields) != num_features:
+            return DataFormatError(
+                f"{FEATURES_FILE}:{ln}: expected {num_features} values, got {len(fields)}"
+            )
+        rows += 1
+    if rows != num_nodes:
+        return DataFormatError(f"{FEATURES_FILE}: expected {num_nodes} rows, got {rows}")
+    return DataFormatError(f"{FEATURES_FILE}: malformed")
+
+
+def _read_labels(path: Path, num_nodes: int) -> tuple[tuple[int, ...], ...]:
+    label_rows = []
+    for ln, line in enumerate(_read_text(path).splitlines(), start=1):
+        line = line.strip()
+        if not line:
+            raise DataFormatError(f"{LABELS_FILE}:{ln}: empty label row")
+        try:
+            label_rows.append(tuple(map(int, line.split(";"))))
+        except ValueError as exc:
+            raise DataFormatError(f"{LABELS_FILE}:{ln}: bad class id") from exc
+    if len(label_rows) != num_nodes:
+        raise DataFormatError(
+            f"{LABELS_FILE}: expected {num_nodes} rows, got {len(label_rows)}"
+        )
+    return tuple(label_rows)
 
 
 def load_multiplex(path) -> MultiplexGraph:
@@ -356,7 +542,14 @@ def load_multiplex(path) -> MultiplexGraph:
     ``dim_<k>.tsv`` (k = 0..D-1) with one ``u<TAB>v`` edge per line (0-based
     indices, symmetrized on load); ``features.csv`` with N rows of F
     comma-separated values; optional ``labels.csv`` with semicolon-separated
-    class ids per node. Every file is UTF-8 text (DataFormatError otherwise).
+    class ids per node. Every file is UTF-8 text (DataFormatError otherwise);
+    the README gives the line grammar.
+
+    Each edge list and the feature file are parsed in one array pass; only
+    a file that pass refuses has its lines walked, to name the first bad
+    one. The feature and label rows are counted before any dimension is
+    built, so a num_nodes that the files do not hold fails before O(N)
+    memory per dimension is spent on it.
     """
     root = Path(path)
     meta_path = root / META_FILE
@@ -372,35 +565,12 @@ def load_multiplex(path) -> MultiplexGraph:
     if n < 1 or num_dims < 1 or num_features < 1:
         raise DataFormatError(f"non-positive sizes in {META_FILE}")
 
-    dims = []
-    for k in range(num_dims):
-        dim_path = root / f"dim_{k}.tsv"
+    dim_paths = [root / f"dim_{k}.tsv" for k in range(num_dims)]
+    for k, dim_path in enumerate(dim_paths):
         if not dim_path.is_file():
             raise DataFormatError(
                 f"missing dim_{k}.tsv: header declares {num_dims} dimensions"
             )
-        us, vs = [], []
-        for ln, line in enumerate(_read_text(dim_path).splitlines(), start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise DataFormatError(f"{dim_path.name}:{ln}: expected 'u<TAB>v'")
-            try:
-                u, v = int(parts[0]), int(parts[1])
-            except ValueError as exc:
-                raise DataFormatError(f"{dim_path.name}:{ln}: non-integer node id") from exc
-            if not (0 <= u < n and 0 <= v < n):
-                raise DataFormatError(
-                    f"{dim_path.name}:{ln}: node index out of range [0, {n})"
-                )
-            if u == v:
-                raise DataFormatError(f"{dim_path.name}:{ln}: self-loop not allowed")
-            us.append(u)
-            vs.append(v)
-        dims.append(SparseAdjacency.from_undirected_edges(n, us, vs))
-
     extra = root / f"dim_{num_dims}.tsv"
     if extra.is_file():
         raise DataFormatError(
@@ -410,42 +580,21 @@ def load_multiplex(path) -> MultiplexGraph:
     feat_path = root / FEATURES_FILE
     if not feat_path.is_file():
         raise DataFormatError(f"missing {FEATURES_FILE} in {root}")
-    rows = []
-    for ln, line in enumerate(_read_text(feat_path).splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            row = [float(x) for x in line.split(",")]
-        except ValueError as exc:
-            raise DataFormatError(f"{FEATURES_FILE}:{ln}: bad float") from exc
-        if len(row) != num_features:
-            raise DataFormatError(
-                f"{FEATURES_FILE}:{ln}: expected {num_features} values, got {len(row)}"
-            )
-        rows.append(row)
-    if len(rows) != n:
-        raise DataFormatError(
-            f"{FEATURES_FILE}: expected {n} rows, got {len(rows)}"
-        )
-    features = np.asarray(rows, dtype=np.float64)
+    data = _read_ascii(feat_path)
+    features = _feature_rows(data)
+    if features is None or features.shape != (n, num_features):
+        raise _feature_error(data.decode("ascii"), n, num_features)
 
-    labels = None
     label_path = root / LABELS_FILE
-    if label_path.is_file():
-        label_rows = []
-        for ln, line in enumerate(_read_text(label_path).splitlines(), start=1):
-            line = line.strip()
-            if not line:
-                raise DataFormatError(f"{LABELS_FILE}:{ln}: empty label row")
-            try:
-                label_rows.append(tuple(int(c) for c in line.split(";")))
-            except ValueError as exc:
-                raise DataFormatError(f"{LABELS_FILE}:{ln}: bad class id") from exc
-        if len(label_rows) != n:
-            raise DataFormatError(
-                f"{LABELS_FILE}: expected {n} rows, got {len(label_rows)}"
-            )
-        labels = tuple(label_rows)
+    labels = _read_labels(label_path, n) if label_path.is_file() else None
+
+    dims = []
+    for dim_path in dim_paths:
+        data = _read_ascii(dim_path)
+        pairs = _edge_pairs(data, n)
+        if pairs is None:
+            raise _edge_error(data.decode("ascii"), dim_path.name, n)
+        dims.append(SparseAdjacency.from_undirected_edges(n, pairs[:, 0], pairs[:, 1]))
 
     graph = MultiplexGraph(n, tuple(dims), features, labels)
     graph.validate_loaded()

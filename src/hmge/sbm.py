@@ -8,6 +8,11 @@ per-dimension degrees normalized by each dimension's maximum degree.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import os
+import platform
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -50,6 +55,39 @@ class SynthDataset:
     global_labels: np.ndarray    # N
 
 
+# glibc's mallopt parameter for the number of malloc arenas (malloc.h).
+M_ARENA_MAX = -8
+
+
+@functools.cache
+def _share_malloc_arena() -> None:
+    """Cap glibc at one malloc arena, once per process.
+
+    glibc gives each thread that allocates an arena of its own and keeps
+    there what the thread freed, beyond the reach of other threads: after
+    generate_multiplex's pool on an 8000-node, 4-dimension graph, a run
+    that went on to train peaked 13 MB higher (157 against 144 MB on a
+    2-core x86-64 host). With one arena the workers' freed memory goes
+    back to the heap the rest of the process allocates from. glibc fixes
+    the cap when a second thread first allocates, so where one already has,
+    this changes nothing. Elsewhere than on glibc it does nothing.
+    """
+    if platform.libc_ver()[0] != "glibc":
+        return
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+    mallopt.restype = ctypes.c_int
+    mallopt(M_ARENA_MAX, 1)
+
+
+def _usable_cores() -> int:
+    """Cores this process may run on: its affinity mask where the OS keeps one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # macOS and Windows have no affinity call
+        return os.cpu_count() or 1
+
+
 def generate_dimension(
     config: SbmConfig, rng: np.random.Generator
 ) -> tuple[SparseAdjacency, np.ndarray]:
@@ -90,16 +128,21 @@ def generate_dimension(
 def generate_multiplex(config: SbmConfig) -> SynthDataset:
     """D independent SBM dimensions fused by label voting.
 
-    Dimension d is drawn from the d-th child of the seed sequence, so the
-    dataset is reproducible and dimensions could be generated in parallel.
+    Dimension d is drawn by generate_dimension from the d-th child of the
+    seed sequence, on a pool of min(D, usable cores) threads: numpy
+    releases the interpreter lock while it draws and compares the
+    uniforms. Each dimension's stream depends on its seed child alone, so
+    the dataset is the same at any pool size.
     """
     children = np.random.SeedSequence(config.rng_seed).spawn(config.num_dims + 1)
-    dims = []
-    per_dim = np.empty((config.num_dims, config.num_nodes), dtype=np.int64)
-    for d in range(config.num_dims):
-        adjacency, labels = generate_dimension(config, np.random.default_rng(children[d]))
-        dims.append(adjacency)
-        per_dim[d] = labels
+
+    def draw(d: int) -> tuple[SparseAdjacency, np.ndarray]:
+        return generate_dimension(config, np.random.default_rng(children[d]))
+
+    _share_malloc_arena()
+    with ThreadPoolExecutor(min(config.num_dims, _usable_cores())) as pool:
+        dims, labels = zip(*pool.map(draw, range(config.num_dims)))
+    per_dim = np.stack(labels)
 
     vote_rng = np.random.default_rng(children[config.num_dims])
     counts = np.zeros((config.num_nodes, config.num_classes))

@@ -31,6 +31,9 @@ scipy additions and binary searches, one adjacency at a time, as
 references for ``autodiff.UnionPattern`` and ``autodiff.NormalizePlan``;
 ``extended_pattern`` adds the diagonal the same way. ``normalized_dense``
 and ``latent_dense`` form a normalized graph as a dense matrix.
+``edge_list_loop`` and ``feature_rows_loop`` parse an edge list and a
+feature file line by line with ``int()`` and ``float()``, as the references
+for the array parses in ``multiplex.load_multiplex``.
 ``auc_roc_loop`` ranks tied scores one run at a time, as the reference for
 ``evaluation.auc_roc``. ``split_links_loop`` samples negatives one
 candidate at a time and rebuilds every training dimension from its kept
@@ -183,6 +186,59 @@ def combine_adjacencies(
             vals = np.maximum(vals, 0.0)
         outs.append(SparseAdjacency(adjacencies[0].num_nodes, indptr, indices, vals))
     return outs
+
+
+def edge_list_loop(text: str, name: str, num_nodes: int) -> SparseAdjacency:
+    """An edge list's adjacency, one stripped ``u<TAB>v`` line at a time.
+
+    Blank lines are skipped; the first bad line raises DataFormatError
+    naming it as ``name:line``. ``int()`` also takes ``_`` between digits
+    and non-ASCII digits, which the loader refuses.
+    """
+    us, vs = [], []
+    for ln, line in enumerate(text.splitlines(), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise DataFormatError(f"{name}:{ln}: expected 'u<TAB>v'")
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError as exc:
+            raise DataFormatError(f"{name}:{ln}: non-integer node id") from exc
+        if not (0 <= u < num_nodes and 0 <= v < num_nodes):
+            raise DataFormatError(f"{name}:{ln}: node index out of range [0, {num_nodes})")
+        if u == v:
+            raise DataFormatError(f"{name}:{ln}: self-loop not allowed")
+        us.append(u)
+        vs.append(v)
+    return SparseAdjacency.from_undirected_edges(num_nodes, us, vs)
+
+
+def feature_rows_loop(text: str, num_nodes: int, num_features: int) -> np.ndarray:
+    """A feature file's (N, F) matrix, one comma-separated line at a time.
+
+    Blank lines are skipped; the first bad line raises DataFormatError
+    naming it. ``float()`` also takes ``_`` between digits and non-ASCII
+    digits, which the loader refuses.
+    """
+    rows = []
+    for ln, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            row = [float(x) for x in line.split(",")]
+        except ValueError as exc:
+            raise DataFormatError(f"features.csv:{ln}: bad float") from exc
+        if len(row) != num_features:
+            raise DataFormatError(
+                f"features.csv:{ln}: expected {num_features} values, got {len(row)}"
+            )
+        rows.append(row)
+    if len(rows) != num_nodes:
+        raise DataFormatError(f"features.csv: expected {num_nodes} rows, got {len(rows)}")
+    return np.asarray(rows, dtype=np.float64)
 
 
 def auc_roc_loop(scores, labels) -> float:

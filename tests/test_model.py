@@ -636,6 +636,12 @@ class TestEncodePlanPatterns:
         assert spmm.dense_mode is dense_mode and spmm.blocks is None
         if stacked.nnz:
             assert np.shares_memory(stacked.indices, union.slots)
+        # The union's index arrays are the ones scipy keeps: a product's CSR
+        # matrix shares them instead of copying them every epoch.
+        csr = spmm._csr(np.ones(union.nnz), {})
+        assert np.shares_memory(csr.indptr, union.indptr)
+        if union.nnz:
+            assert np.shares_memory(csr.indices, union.indices)
         # One CSR matrix per input, in CSR order, and their row sums.
         assert len(norm.per_input) == graph.num_dims
         for a, d in zip(norm.per_input, graph.dimensions):

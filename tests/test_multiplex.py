@@ -1,8 +1,19 @@
+import json
+import os
+import subprocess
+import sys
+import tempfile
+import textwrap
+import warnings
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hmge import multiplex
 from hmge.errors import DataFormatError
 from hmge.multiplex import (
     MultiplexGraph,
@@ -11,7 +22,7 @@ from hmge.multiplex import (
     normalize_adjacency,
     save_multiplex,
 )
-from oracles import from_dense, to_dense
+from oracles import edge_list_loop, feature_rows_loop, from_dense, to_dense
 
 
 def graph_from_edges(n, edge_lists, features=None, labels=None):
@@ -383,3 +394,145 @@ class TestLoadSave:
         want = "".join(f"{a}\t{b}\n" for a, b in zip(u.tolist(), v.tolist()))
         assert (tmp_path / "big" / "dim_0.tsv").read_text() == want
         assert load_multiplex(tmp_path / "big").dimensions[0].equals(graph.dimensions[0])
+
+
+def write_dataset(root: Path, num_nodes: int, dims, features: str, labels=None,
+                  num_features: int = 1) -> Path:
+    """A dataset directory from raw file texts, written as UTF-8 bytes."""
+    root.mkdir()
+    meta = {"num_nodes": num_nodes, "num_dims": len(dims), "num_features": num_features}
+    (root / "meta.json").write_text(json.dumps(meta))
+    for k, text in enumerate(dims):
+        (root / f"dim_{k}.tsv").write_bytes(text.encode("utf-8"))
+    (root / "features.csv").write_bytes(features.encode("utf-8"))
+    if labels is not None:
+        (root / "labels.csv").write_bytes(labels.encode("utf-8"))
+    return root
+
+
+def load_outcome(load):
+    """What a load returns, or the message of the DataFormatError it raises."""
+    try:
+        return "ok", load()
+    except DataFormatError as exc:
+        return "error", str(exc)
+
+
+# Characters that stand around, between and inside ids and values: ASCII and
+# non-ASCII whitespace and line breaks, signs, and what no number holds.
+MESSY = st.sampled_from(list("0123456789+-.e,\t \n\r\x0b\x0c\x1c\x1e\x1fxn"
+                             "\x00\x85\xa0\u2028\u3000\ufeff")
+                        + ["\r\n", "inf", "0\t1", "2\t1", " 3 \t 0", "1.5,", "-2e-3"])
+
+
+class TestTextGrammar:
+    """The array parses of load_multiplex against the line-by-line references."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(2, 40), data=st.data(),
+           newline=st.sampled_from(["\n", "\r\n"]),
+           chunk=st.sampled_from([multiplex.PARSE_CHUNK, 1, 13]))
+    def test_edge_layouts_load_as_the_reference(self, n, data, newline, chunk):
+        pairs = data.draw(st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1]),
+            max_size=60))
+        lines = []
+        for u, v in pairs:
+            pad = data.draw(st.sampled_from(["", " ", "  "]))
+            sign = data.draw(st.sampled_from(["", "+"]))
+            lines.append(f"{pad}{sign}{u}{pad}\t{pad}{v}{pad}")
+            if data.draw(st.booleans()):
+                lines.append(data.draw(st.sampled_from(["", " ", "\t"])))
+        text = newline.join(lines) + data.draw(st.sampled_from(["", newline]))
+        want = SparseAdjacency.from_undirected_edges(n, [u for u, _ in pairs],
+                                                     [v for _, v in pairs])
+        assert edge_list_loop(text, "dim_0.tsv", n).equals(want)
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.object(multiplex, "PARSE_CHUNK", chunk):
+            root = write_dataset(Path(tmp) / "ds", n, [text], "1\n" * n)
+            assert load_multiplex(root).dimensions[0].equals(want)
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=st.lists(MESSY, max_size=30).map("".join), n=st.integers(1, 12),
+           chunk=st.sampled_from([multiplex.PARSE_CHUNK, 1, 5]))
+    def test_any_edge_text_loads_or_fails_as_the_reference(self, text, n, chunk):
+        want = load_outcome(lambda: edge_list_loop(text, "dim_0.tsv", n))
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.object(multiplex, "PARSE_CHUNK", chunk):
+            root = write_dataset(Path(tmp) / "ds", n, [text], "1\n" * n)
+            got = load_outcome(lambda: load_multiplex(root).dimensions[0])
+        assert got[0] == want[0]
+        assert got[1] == want[1] if got[0] == "error" else got[1].equals(want[1])
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=st.lists(MESSY, max_size=30).map("".join), n=st.integers(1, 3),
+           num_features=st.integers(1, 3))
+    def test_any_feature_text_loads_or_fails_as_the_reference(self, text, n, num_features):
+        want = load_outcome(lambda: feature_rows_loop(text, n, num_features))
+        if want[0] == "ok" and not np.all(np.isfinite(want[1])):
+            want = ("error", "features must be finite")
+        with tempfile.TemporaryDirectory() as tmp:
+            root = write_dataset(Path(tmp) / "ds", n, [""], text, num_features=num_features)
+            got = load_outcome(lambda: load_multiplex(root).features)
+        assert got[0] == want[0]
+        assert got[1] == want[1] if got[0] == "error" else np.array_equal(got[1], want[1])
+
+    @pytest.mark.parametrize("file, text, message", [
+        ("dim", "0\t1\n\n1\t2\t0\n", "dim_0.tsv:3: expected 'u<TAB>v'"),
+        ("dim", "\n \n0\tx\n", "dim_0.tsv:3: non-integer node id"),
+        ("dim", "0\t1\r\n\r\n0\t3\r\n", "dim_0.tsv:3: node index out of range [0, 3)"),
+        ("dim", "0\t1\n\t\n-1\t2\n", "dim_0.tsv:3: node index out of range [0, 3)"),
+        ("dim", "0\t1\n\n2\t+2\n", "dim_0.tsv:3: self-loop not allowed"),
+        # int() takes these two; the loader does not.
+        ("dim", "\n0\t1_0\n", "dim_0.tsv:2: non-integer node id"),
+        ("dim", "\n0\t\u0661\n", "dim_0.tsv:2: non-integer node id"),
+        ("features", "1.0\n\n2.0\nabc\n", "features.csv:4: bad float"),
+        ("features", "1.0\n\n2.0,3.0\n3.0\n", "features.csv:3: expected 1 values, got 2"),
+        ("features", "1.0\n \n2.0\n", "features.csv: expected 3 rows, got 2"),
+        ("features", "1.0\n2.0\n3.0\n4.0\n", "features.csv: expected 3 rows, got 4"),
+        ("features", "1.0\n\n1_0\n3.0\n", "features.csv:3: bad float"),
+        ("labels", "0\n\n1\n", "labels.csv:2: empty label row"),
+        ("labels", "0\n1;x\n1\n", "labels.csv:2: bad class id"),
+        ("labels", "0\n1\n", "labels.csv: expected 3 rows, got 2"),
+    ])
+    def test_malformed_file_names_its_line(self, tmp_path, file, text, message):
+        files = {"dim": "0\t1\n", "features": "1.0\n2.0\n3.0\n", "labels": "0\n1\n0\n"}
+        files[file] = text
+        root = write_dataset(tmp_path / "ds", 3, [files["dim"]], files["features"],
+                             files["labels"])
+        with pytest.raises(DataFormatError) as info:
+            load_multiplex(root)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("text", ["", "\n\n", " \r\n"])
+    def test_empty_edge_list_loads_without_a_warning(self, tmp_path, text):
+        root = write_dataset(tmp_path / "ds", 2, [text, "0\t1\n"], "1\n2\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            graph = load_multiplex(root)
+        assert graph.dimensions[0].nnz == 0 and graph.dimensions[1].num_edges == 1
+
+    def test_overstated_node_count_fails_before_building_dimensions(self, tmp_path):
+        # A meta.json that claims 5M nodes over 3 feature rows: the parent
+        # build of every dimension first took O(N) memory per dimension.
+        root = write_dataset(tmp_path / "ds", 5_000_000, ["0\t1\n"] * 3, "1\n2\n3\n")
+        script = textwrap.dedent(f"""
+            import resource, sys
+            from hmge.errors import DataFormatError
+            from hmge.multiplex import load_multiplex
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+            try:
+                load_multiplex({str(root)!r})
+            except DataFormatError as exc:
+                print(exc)
+            after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+            scale = 1 if sys.platform == "darwin" else 1024
+            print((after - before) * scale / 2**20)
+        """)
+        src = str(Path(multiplex.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            timeout=120, check=True, env={**os.environ, "PYTHONPATH": src},
+        ).stdout.splitlines()
+        assert out[0] == "features.csv: expected 5000000 rows, got 3"
+        assert float(out[1]) < 50

@@ -1,4 +1,5 @@
 import os
+import platform
 import subprocess
 import sys
 import textwrap
@@ -165,6 +166,42 @@ class TestGenerateMultiplex:
         assert np.array_equal(a.per_dim_labels, b.per_dim_labels)
         for da, db in zip(a.graph.dimensions, b.graph.dimensions):
             assert da.equals(db)
+
+    def test_dataset_is_the_same_at_every_pool_size(self, monkeypatch):
+        # Three workers on fewer cores draw dimensions 0, 3 / 1, 4 / 2 each.
+        cfg = SbmConfig(num_nodes=90, num_dims=5, num_classes=3, p_in=0.2, p_out=0.05,
+                        rng_seed=8)
+        datasets = []
+        for cores in (1, 3):
+            monkeypatch.setattr(sbm, "_usable_cores", lambda: cores)
+            datasets.append(generate_multiplex(cfg))
+        a, b = datasets
+        assert np.array_equal(a.per_dim_labels, b.per_dim_labels)
+        assert np.array_equal(a.global_labels, b.global_labels)
+        assert np.array_equal(a.graph.features, b.graph.features)
+        assert all(da.equals(db) for da, db in zip(a.graph.dimensions, b.graph.dimensions))
+        rng = np.random.default_rng(np.random.SeedSequence(8).spawn(6)[4])
+        adjacency, labels = generate_dimension(cfg, rng)
+        assert adjacency.equals(a.graph.dimensions[4]) and np.array_equal(labels, a.per_dim_labels[4])
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                        reason="malloc arenas are glibc's")
+    def test_pool_allocates_from_one_malloc_arena(self):
+        # An arena per worker kept what the workers freed out of the heap's
+        # reach for the rest of the process.
+        script = textwrap.dedent("""
+            import ctypes
+            from hmge import sbm
+            sbm._usable_cores = lambda: 3
+            sbm.generate_multiplex(sbm.SbmConfig(num_nodes=400, num_dims=6, rng_seed=1))
+            ctypes.CDLL(None).malloc_stats()
+        """)
+        src = str(Path(sbm.__file__).resolve().parents[1])
+        stats = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            timeout=120, check=True, env={**os.environ, "PYTHONPATH": src},
+        ).stderr
+        assert stats.count("Arena ") == 1
 
     def test_different_seeds_differ(self):
         a = generate_multiplex(SbmConfig(num_nodes=80, num_dims=2, p_in=0.2, p_out=0.02, rng_seed=1))
