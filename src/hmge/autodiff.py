@@ -29,8 +29,8 @@ discriminator matrix to the scalar loss; the linear baseline, whose
 embeddings are its last-layer outputs, passes no head. Every op here is
 one that production calls. Every op on a (D, N, M) stack returns and pulls
 back C-contiguous arrays, so reshapes downstream (``spmm``'s operand,
-Adam's flat views) are views; ``permute_rows`` gathers with np.take, as
-the fancy index ``a[:, perm]`` would return a strided stack.
+Adam's flat views) are views. The corrupted pass shuffles no stack: with
+one-hot features ``model`` shuffles the columns of ``spmm``'s operator.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DataFormatError, HmgeError, NumericError
-from .multiplex import SparseAdjacency
+from .multiplex import SparseAdjacency, index_dtype
 
 # Latent graphs whose normalized form is at least this dense (and small
 # enough) multiply on BLAS-backed dense kernels, the rest in CSR; the two
@@ -265,18 +265,6 @@ def softmax_cols(a: Node) -> Node:
     return a.tape._add(s, (a,), backward, name="softmax_cols")
 
 
-def permute_rows(a: Node, perm: np.ndarray) -> Node:
-    """Reorder the rows of every matrix in a (D, N, M) stack by one fixed permutation."""
-    if a.value.ndim != 3 or perm.shape != (a.value.shape[1],):
-        raise ValueError(f"bad permutation for shape {a.value.shape}")
-
-    def backward(g):
-        if a.requires_grad:
-            _accum_owned(a, np.take(g, np.argsort(perm), axis=1))
-
-    return a.tape._add(np.take(a.value, perm, axis=1), (a,), backward, name="permute_rows")
-
-
 def batched_matmul(a: Node, b: Node) -> Node:
     """Per-block matrix product: (D, N, K) @ (D, K, M) -> (D, N, M)."""
     tape = _same_tape(a, b)
@@ -316,17 +304,20 @@ def attend(pre: Node, v: Node, y: Node) -> Node:
     rows sum_d beta_nd h_dn (N, M), with the weights beta (N, D) kept
     forward-only in the node's cache ("beta").
 
-    h = relu(pre) is taken in place, so no second (D, N, M) array is kept:
-    ``pre`` must be an op's fresh output that nothing else reads and whose
-    own pullback does not read it, as ``spmm``'s and ``batched_matmul``'s;
-    a leaf is refused. Scores s_nd = tanh(h_nd V_d^T y_d) are evaluated as
-    h_nd u_d with u_d = V_d^T y_d, one (D, M) block instead of a projected
-    stack. Each row is divided by its signed sum, so its weights sum to 1
-    and stay bounded by AMPLIFICATION_BOUND; ill-conditioned rows fall
-    back to uniform weights 1/D and pass no gradient through the weights.
-    With one dimension every weight is exactly 1. The pullback writes the
-    stack gradient once, (beta_.d g + c_d u_d^T) 1[h_d > 0], with
-    c = d(loss)/d(h_nd . u_d).
+    h = relu(pre) is taken in place, and the pullback overwrites ``pre``'s
+    value with ``pre``'s adjoint, so no second (D, N, M) array is kept in
+    either direction: ``pre`` must be an op's fresh output that nothing
+    else reads and whose own pullback does not read it, as ``spmm``'s and
+    ``batched_matmul``'s; a leaf is refused. Scores
+    s_nd = tanh(h_nd V_d^T y_d) are evaluated as h_nd u_d with
+    u_d = V_d^T y_d, one (D, M) block instead of a projected stack. Each
+    row is divided by its signed sum, so its weights sum to 1 and stay
+    bounded by AMPLIFICATION_BOUND; ill-conditioned rows fall back to
+    uniform weights 1/D and pass no gradient through the weights.
+    With one dimension every weight is exactly 1. The pullback forms
+    c = d(loss)/d(h_nd . u_d) and the gradients of V and y from h, then
+    writes the stack gradient (beta_.d g + c_d u_d^T) 1[h_d > 0] over h,
+    slice by slice.
     """
     tape = _same_tape(pre, v, y)
     hv, vv, yv = pre.value, v.value, y.value
@@ -351,23 +342,24 @@ def attend(pre: Node, v: Node, y: Node) -> Node:
         inner = (g_beta * beta).sum(axis=1, keepdims=True)
         # d(loss)/d(h_nd . u_d), through the normalization and the tanh.
         c = (np.where(safe, (g_beta - inner) / denom, 0.0) * (1.0 - scores * scores)).T
-        if pre.requires_grad:
-            # One (N, M) slice at a time, so each stays in cache. At M = 32
-            # einsum forms these broadcast products ~1.5x faster than
-            # np.multiply (2-core x86-64, numpy 2.4), to the same bits.
-            g_pre, cu = np.empty_like(hv), np.empty_like(g)
-            for k in range(d):
-                np.einsum("n,nm->nm", beta[:, k], g, out=g_pre[k])
-                np.einsum("n,m->nm", c[k], u[k], out=cu)
-                g_pre[k] += cu
-                g_pre[k] *= slope[k]
-            _accum_owned(pre, g_pre)
         if v.requires_grad or y.requires_grad:
             du = np.einsum("dnm,dn->dm", hv, c)
             if v.requires_grad:
                 _accum_owned(v, yv[:, :, None] * du[:, None, :])
             if y.requires_grad:
                 _accum_owned(y, np.einsum("dnm,dm->dn", vv, du))
+        if pre.requires_grad:
+            # h is read for the last time above. One (N, M) slice at a time,
+            # so each stays in cache. At M = 32 einsum forms these broadcast
+            # products ~1.5x faster than np.multiply (2-core x86-64, numpy
+            # 2.4), to the same bits.
+            cu = np.empty_like(g)
+            for k in range(d):
+                np.einsum("n,nm->nm", beta[:, k], g, out=hv[k])
+                np.einsum("n,m->nm", c[k], u[k], out=cu)
+                hv[k] += cu
+                hv[k] *= slope[k]
+            _accum_owned(pre, hv)
 
     node = tape._add(np.einsum("dnm,nd->nm", hv, beta), (pre, v, y), backward, name="attend")
     node.cache()["beta"] = beta
@@ -475,9 +467,7 @@ class UnionPattern:
             raise ValueError("union over differently sized adjacencies")
         keys = np.concatenate([adj.row_indices() * n + adj.indices for adj in adjacencies])
         keys, slots = np.unique(keys, return_inverse=True)
-        # int32 where it holds every index: the type scipy keeps, so the
-        # matrices built on these arrays share them instead of copying them.
-        index = np.int32 if max(keys.shape[0], n) <= np.iinfo(np.int32).max else np.int64
+        index = index_dtype(keys.shape[0], n)
         self.slots = slots.astype(index, copy=False)
         self.num_nodes = int(n)
         rows, indices = np.divmod(keys, n)

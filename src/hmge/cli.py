@@ -378,7 +378,6 @@ def cmd_export(options: _Options) -> int:
         load_model,
     )
     from .multiplex import load_multiplex
-    from .training import pin_malloc
 
     config, params, identity_features = load_model(options.get("model", required=True))
     graph = load_multiplex(options.get("data", required=True))
@@ -386,8 +385,6 @@ def cmd_export(options: _Options) -> int:
         graph = graph.with_features(np.eye(graph.num_nodes))
     _check_model_fits(params, graph)
     out = _out_dir(options)
-    # The malloc policy train() runs under, so encode runs as fast as there.
-    pin_malloc()
     z = encode(graph, params, config).z
     if config.num_layers:
         export_combination_weights(params, out)

@@ -11,6 +11,7 @@ combinations hold arbitrary non-negative reals in the same CSR container.
 from __future__ import annotations
 
 import io
+import itertools
 import json
 import re
 from dataclasses import dataclass
@@ -29,6 +30,16 @@ LABELS_FILE = "labels.csv"
 PARSE_CHUNK = 1 << 18
 
 
+def index_dtype(*sizes: int) -> type:
+    """np.int32 where it holds every one of ``sizes`` (node and entry
+    counts), else np.int64: the index type scipy keeps, so the CSR matrices
+    built on index arrays of it share them instead of copying them. Index
+    arithmetic that can leave the range, such as ``indices * n``, widens
+    first.
+    """
+    return np.int32 if max(sizes) <= np.iinfo(np.int32).max else np.int64
+
+
 def _frozen_array(a: np.ndarray, dtype) -> np.ndarray:
     out = np.ascontiguousarray(a, dtype=dtype)
     if out is a:
@@ -42,7 +53,8 @@ class SparseAdjacency:
     """Square CSR matrix: per-row sorted column indices, no duplicate entries.
 
     Immutable after construction; the backing arrays are marked read-only so
-    instances can be shared freely across passes and threads.
+    instances can be shared freely across passes and threads. ``indptr`` and
+    ``indices`` are of ``index_dtype(num_nodes, nnz)``.
     """
 
     num_nodes: int
@@ -54,11 +66,9 @@ class SparseAdjacency:
         n = self.num_nodes
         if n < 1:
             raise DataFormatError(f"adjacency needs at least one node, got {n}")
-        indptr = _frozen_array(self.indptr, np.int64)
-        indices = _frozen_array(self.indices, np.int64)
+        # Checked as int64, so no out-of-range index wraps into range.
+        indptr, indices = (np.asarray(a, dtype=np.int64) for a in (self.indptr, self.indices))
         values = _frozen_array(self.values, np.float64)
-        object.__setattr__(self, "indptr", indptr)
-        object.__setattr__(self, "indices", indices)
         object.__setattr__(self, "values", values)
         if indptr.shape != (n + 1,) or indptr[0] != 0 or indptr[-1] != indices.shape[0]:
             raise DataFormatError("malformed CSR indptr")
@@ -78,6 +88,9 @@ class SparseAdjacency:
                 raise DataFormatError("CSR columns must be sorted and unique per row")
         if not np.all(np.isfinite(values)):
             raise DataFormatError("adjacency values must be finite")
+        index = index_dtype(n, indices.shape[0])
+        object.__setattr__(self, "indptr", _frozen_array(self.indptr, index))
+        object.__setattr__(self, "indices", _frozen_array(self.indices, index))
 
     @property
     def nnz(self) -> int:
@@ -198,11 +211,9 @@ def _trusted_adjacency(num_nodes: int, indptr, indices, values) -> SparseAdjacen
     """
     adj = object.__new__(SparseAdjacency)
     object.__setattr__(adj, "num_nodes", num_nodes)
-    for name, a, dtype in (
-        ("indptr", indptr, np.int64),
-        ("indices", indices, np.int64),
-        ("values", values, np.float64),
-    ):
+    index = index_dtype(num_nodes, len(indices))
+    for name, a, dtype in (("indptr", indptr, index), ("indices", indices, index),
+                           ("values", values, np.float64)):
         out = np.ascontiguousarray(a, dtype=dtype)
         out.setflags(write=False)
         object.__setattr__(adj, name, out)
@@ -329,22 +340,38 @@ def save_multiplex(graph: MultiplexGraph, path) -> None:
             "num_features": graph.num_features,
         }
         (root / META_FILE).write_text(json.dumps(meta, indent=2) + "\n")
-        # Python ints and floats from tolist() format several times faster
-        # than numpy scalars, with the same text. One %-format per 2^16
-        # edges beats a format per line and bounds the text held at once.
         for k, dim in enumerate(graph.dimensions):
-            pairs = dim.undirected_pairs()
-            with open(root / f"dim_{k}.tsv", "w") as out:
-                for chunk in np.split(pairs, range(1 << 16, len(pairs), 1 << 16)):
-                    out.write(("%d\t%d\n" * len(chunk)) % tuple(chunk.ravel().tolist()))
-        # repr round-trips exactly through float(), keeping save/load bit-equal.
-        feat_lines = [",".join(map(repr, row)) for row in graph.features.tolist()]
-        (root / FEATURES_FILE).write_text("\n".join(feat_lines) + "\n")
+            write_table(root / f"dim_{k}.tsv", dim.undirected_pairs(), "%d", "\t")
+        # %r is repr, which round-trips exactly through float(), keeping
+        # save/load bit-equal.
+        write_table(root / FEATURES_FILE, graph.features, "%r", ",")
         if graph.labels is not None:
-            label_lines = [";".join(str(c) for c in row) for row in graph.labels]
-            (root / LABELS_FILE).write_text("\n".join(label_lines) + "\n")
+            with open(root / LABELS_FILE, "w") as out:
+                # Rows may differ in length (multilabel): one line pattern per length.
+                lines = {k: ";".join(["%d"] * k) + "\n" for k in set(map(len, graph.labels))}
+                for lo in range(0, len(graph.labels), 1 << 16):
+                    rows = graph.labels[lo:lo + (1 << 16)]
+                    out.write("".join(map(lines.__getitem__, map(len, rows)))
+                              % tuple(itertools.chain.from_iterable(rows)))
     except OSError as exc:
         raise DataFormatError(f"cannot write dataset to {root}: {exc}") from exc
+
+
+def write_table(path, table: np.ndarray, field: str, sep: str) -> None:
+    """Write the rows of a 2-D array as lines of ``field``-formatted values
+    joined by ``sep``.
+
+    Python ints and floats from tolist() format several times faster than
+    numpy scalars, with the same text. One %-format per 2^17 values beats a
+    format or a join per line and bounds the text held at once.
+    """
+    rows, width = table.shape
+    line = sep.join([field] * width) + "\n"
+    step = max(1, (1 << 17) // width)
+    with open(path, "w") as out:
+        for lo in range(0, rows, step):
+            chunk = table[lo:lo + step]
+            out.write((line * len(chunk)) % tuple(chunk.ravel().tolist()))
 
 
 def _decode(data: bytes, name: str) -> str:
@@ -596,6 +623,7 @@ def load_multiplex(path) -> MultiplexGraph:
             raise _edge_error(data.decode("ascii"), dim_path.name, n)
         dims.append(SparseAdjacency.from_undirected_edges(n, pairs[:, 0], pairs[:, 1]))
 
-    graph = MultiplexGraph(n, tuple(dims), features, labels)
-    graph.validate_loaded()
-    return graph
+    # from_undirected_edges builds every dimension binary, symmetric and
+    # loop-free, so validate_loaded would find nothing; the label rows are
+    # tuples of ints already, one per node.
+    return MultiplexGraph(n, tuple(dims), features)._replace(labels=labels)

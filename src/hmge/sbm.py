@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError
-from .multiplex import MultiplexGraph, SparseAdjacency, save_multiplex
+from .multiplex import MultiplexGraph, SparseAdjacency, save_multiplex, write_table
 
 PER_DIM_LABELS_FILE = "labels_per_dim.csv"
 # Uniforms drawn per chunk by generate_dimension: 2 MB of doubles, reused.
@@ -172,5 +172,4 @@ def generate_multiplex(config: SbmConfig) -> SynthDataset:
 def save_dataset(dataset: SynthDataset, path) -> None:
     """Dataset directory plus a per-dimension label audit file."""
     save_multiplex(dataset.graph, path)
-    lines = [",".join(map(str, row)) for row in dataset.per_dim_labels.T.tolist()]
-    (Path(path) / PER_DIM_LABELS_FILE).write_text("\n".join(lines) + "\n")
+    write_table(Path(path) / PER_DIM_LABELS_FILE, dataset.per_dim_labels.T, "%d", ",")

@@ -12,10 +12,7 @@ the returned parameters are the best-loss snapshot.
 from __future__ import annotations
 
 import csv
-import ctypes
-import functools
 import math
-import platform
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -36,18 +33,6 @@ ADAM_EPS = 1e-8
 # (41, 32) stacks took a median 40 ms unsliced, 18.5 ms at 2^15, 20.7 ms at
 # 2^13 and 22.4 ms at 2^17; reusing the buffers took it from 17.4 to 16.0 ms.
 ADAM_SLICE = 1 << 15
-# glibc malloc policy for training (mallopt parameters from malloc.h). By
-# default glibc serves large arrays from fresh mmaps and trims the free top
-# of the heap, so every epoch faults its tape arrays in again once the
-# previous epoch's tape is released. With every array below 32 MiB on the
-# heap and no trim below 512 MiB free, the next epoch reuses those pages.
-# On a 2-core x86-64 Xeon, a steady epoch of the three benchmark workloads
-# went from 3.9k-8.7k minor faults to 0, with bitwise-equal losses and no
-# higher peak RSS.
-M_TRIM_THRESHOLD = -1
-M_MMAP_THRESHOLD = -3
-MMAP_THRESHOLD_BYTES = 32 << 20
-TRIM_THRESHOLD_BYTES = 512 << 20
 
 
 @dataclass(frozen=True)
@@ -106,21 +91,6 @@ class AdamState:
                 p -= np.multiply(a, learning_rate, out=a)
 
 
-@functools.cache
-def pin_malloc() -> None:
-    """Set the process-wide glibc malloc policy above, once per process.
-
-    Elsewhere than on glibc it does nothing.
-    """
-    if platform.libc_ver()[0] != "glibc":
-        return
-    mallopt = ctypes.CDLL(None).mallopt
-    mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
-    mallopt.restype = ctypes.c_int
-    mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD_BYTES)
-    mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD_BYTES)
-
-
 def infomax_loss(z, z_hat, s, q) -> float:
     """Mean binary cross-entropy of the discriminator over both sample sets.
 
@@ -177,9 +147,9 @@ def train(
     uniform-weights ablation). A fresh parameter set is drawn from the seed
     unless ``params`` is supplied; supplied parameters that do not match
     ``hmge_config`` raise ConfigError before the first epoch. On glibc the
-    first call sets the process-wide malloc policy of ``pin_malloc``.
+    first call sets the process-wide malloc policy of ``model.pin_malloc``.
     """
-    pin_malloc()
+    mdl.pin_malloc()
     seed_init, seed_corrupt = np.random.SeedSequence(train_config.rng_seed).spawn(2)
     if params is None:
         params = mdl.init_params(

@@ -9,6 +9,8 @@ ops that only the tests use, to turn an op's output into a scalar loss;
 ``attention_weights`` and ``mix_stack`` are the attention step unfused, two
 tape ops after ``autodiff.relu``, the reference for ``autodiff.attend``;
 ``linearize_relu`` makes every ReLU of the encoder the identity;
+``permute_rows`` shuffles the rows of a stack, the reference for the
+column-shuffled first-level operator of the one-hot corrupted pass;
 ``select_matrix`` slices one matrix out of a stack, for the unfused output
 head (``spmm_var``, then a slice, then ``matmul``) that the tests compare
 the fused ``infomax_bce`` head against;
@@ -377,6 +379,22 @@ def select_matrix(stack: Node, index: int) -> Node:
             stack.adjoint[index] += g
 
     return stack.tape._add(stack.value[index].copy(), (stack,), backward, name="select_matrix")
+
+
+def permute_rows(a: Node, perm: np.ndarray) -> Node:
+    """Reorder the rows of every matrix in a (D, N, M) stack by one fixed
+    permutation, into a C-contiguous stack (np.take; the fancy index
+    ``a[:, perm]`` returns a strided one). The reference for the one-hot
+    corrupted pass, which ``model.EncodePlan.shuffled_first_gcn`` runs
+    without a shuffled copy: ``spmm`` of this op's output."""
+    if a.value.ndim != 3 or perm.shape != (a.value.shape[1],):
+        raise ValueError(f"bad permutation for shape {a.value.shape}")
+
+    def backward(g):
+        if a.requires_grad:
+            _accum_owned(a, np.take(g, np.argsort(perm), axis=1))
+
+    return a.tape._add(np.take(a.value, perm, axis=1), (a,), backward, name="permute_rows")
 
 
 def attention_weights(h: Node, v: Node, y: Node) -> Node:

@@ -19,6 +19,7 @@ from oracles import (
     latent_dense,
     mix_stack,
     negative_gradients,
+    permute_rows,
     normalized_dense,
     position_map,
     scale,
@@ -344,7 +345,7 @@ def op_cases():
     cases.append(
         ("permute_rows", [rng.uniform(-1, 1, (2, 5, 3))],
          lambda t, n: sum_all(tanh(add(
-             ad.permute_rows(n[0], perm), elementwise_mul(n[0], t.constant(c_pr))))))
+             permute_rows(n[0], perm), elementwise_mul(n[0], t.constant(c_pr))))))
     )
     for name, saturated in (("infomax_bce_head", False), ("infomax_bce_head_clamped", True)):
         arrays, plan = head_arrays(rng, saturated)
@@ -438,6 +439,26 @@ def test_attend_rectifies_its_input_in_place():
         ad.attend(x, t.constant(v), t.constant(y))
 
 
+@pytest.mark.parametrize("dims", [1, 3])
+def test_attend_pullback_writes_over_its_input(dims):
+    # The adjoint attend hands its input's op is that op's own value buffer,
+    # and every gradient equals the unfused chain's to the bit.
+    rng = np.random.default_rng(32 + dims)
+    arrays = pre_arrays(rng, dims, n=9, m=6)
+    coeffs = rng.uniform(-1, 1, (9, 6))
+    t = ad.Tape()
+    pre, v, y = (t.parameter(a) for a in arrays)
+    prod = scale(pre, 1.0)
+    buffer, pullback, seen = prod.value, prod._backward, []
+    prod._backward = lambda g: seen.append(g) or pullback(g)
+    out = ad.attend(prod, v, y)
+    t.backward(sum_all(elementwise_mul(out, t.constant(coeffs))))
+    assert len(seen) == 1 and seen[0] is buffer and prod.value is buffer
+    _, unfused, _, _ = attend_pair(arrays, coeffs, fused=False)
+    for got, want in zip((pre, v, y), unfused):
+        assert np.array_equal(got.adjoint, want.adjoint)
+
+
 @pytest.mark.parametrize("width", [1, 2])
 def test_attend_degenerate_rows_pass_no_weight_gradient(width):
     # One dimension gives weight exactly 1; two dimensions whose scores
@@ -478,7 +499,7 @@ def test_permute_rows_gathers_contiguous_stacks(dims):
     perm = rng.permutation(7)
     t = ad.Tape()
     x = t.parameter(a)
-    out = ad.permute_rows(x, perm)
+    out = permute_rows(x, perm)
     t.backward(sum_all(elementwise_mul(out, t.constant(g))))
     assert out.value.flags.c_contiguous and np.array_equal(out.value, a[:, perm])
     assert x.adjoint.flags.c_contiguous and np.array_equal(x.adjoint, g[:, np.argsort(perm)])

@@ -313,17 +313,16 @@ class TestEvalAblateSweep:
 
     def test_export_pins_malloc_before_encoding(self, dataset_dir, tmp_path, monkeypatch):
         import hmge.model
-        import hmge.training
 
         run = tmp_path / "run"
         assert main(
             ["train", "--data", str(dataset_dir), "--out", str(run), "--embed-size", "4",
              "--layers", "1", "--epochs", "2", "--patience", "2", "--seed", "1"]
         ) == EXIT_OK
-        calls, encode = [], hmge.model.encode
-        monkeypatch.setattr(hmge.training, "pin_malloc", lambda: calls.append("pin"))
-        monkeypatch.setattr(hmge.model, "encode",
-                            lambda *a, **k: calls.append("encode") or encode(*a, **k))
+        calls, forward = [], hmge.model.build_forward
+        monkeypatch.setattr(hmge.model, "pin_malloc", lambda: calls.append("pin"))
+        monkeypatch.setattr(hmge.model, "build_forward",
+                            lambda *a, **k: calls.append("encode") or forward(*a, **k))
         assert main(
             ["export", "--model", str(run / "model.bin"), "--data", str(dataset_dir),
              "--out", str(tmp_path / "exp")]

@@ -23,23 +23,30 @@ from hmge.model import (
     save_model,
     softmax_alpha,
 )
+from hmge.evaluation import split_links
 from hmge.multiplex import (
     MultiplexGraph,
     SparseAdjacency,
+    load_multiplex,
     mirror_positions,
     normalize_adjacency,
+    save_multiplex,
 )
 from hmge.model import param_leaves
+from hmge.training import build_loss_nodes
 from oracles import (
     attention_aggregate,
     chained_latent_structure,
     combine_adjacencies,
     discriminate,
+    elementwise_mul,
     from_dense,
     gcn_forward,
     linearize_relu,
     normalized_dense,
+    permute_rows,
     position_map,
+    sum_all,
     to_dense,
     union_pattern,
     value_block_loss,
@@ -601,6 +608,101 @@ def multiplex_graphs(draw):
             upper[rows, cols] = np.where(flags, weights, 0.0)
         dims.append(from_dense(upper + upper.T))
     return MultiplexGraph(n, tuple(dims), np.eye(n))
+
+
+@pytest.mark.parametrize("layers", [0, 1])
+def test_shuffled_operator_matches_permuted_stack(layers, monkeypatch):
+    # With one-hot features the corrupted pass multiplies w_0 by the
+    # column-shuffled operator. The reference shuffles w_0's rows and
+    # multiplies by the plain one: same loss and gradients to the bit.
+    n = 12
+    rng = np.random.default_rng(41)
+    dims = tuple(from_dense(random_sym_dense(n, rng, 0.4)) for _ in range(3))
+    graph = MultiplexGraph(n, dims, np.eye(n))
+    cfg = HmgeConfig(embed_size=4, num_layers=layers)
+    params = init_params(cfg, 3, n, np.random.default_rng(42))
+    plan = EncodePlan(graph, cfg)
+    perm = np.random.default_rng(43).permutation(n)
+
+    gcn, shuffled = plan.first_gcn, plan.shuffled_first_gcn(perm)
+    assert np.shares_memory(shuffled.data, gcn.data)
+    assert np.shares_memory(shuffled.indptr, gcn.indptr)
+    assert shuffled.indices.dtype == gcn.indices.dtype
+    w, g = rng.standard_normal((2, 3, n, 4))
+    outs, grads = [], []
+    for fused in (True, False):
+        t = ad.Tape()
+        x = t.parameter(w)
+        out = ad.spmm(shuffled, x) if fused else ad.spmm(gcn, permute_rows(x, perm))
+        t.backward(sum_all(elementwise_mul(out, t.constant(g))))
+        outs.append(out.value)
+        grads.append(x.adjoint)
+    assert np.array_equal(*outs) and np.array_equal(*grads)
+
+    def loss_and_gradients():
+        tape = ad.Tape()
+        loss = build_loss_nodes(plan, mdl.lift_params(tape, params), perm)
+        tape.backward(loss)
+        return float(loss.value), tape.gradients()
+
+    loss, gradients = loss_and_gradients()
+
+    def reference(plan, w, perm):
+        return ad.spmm(plan.first_gcn, w if perm is None else permute_rows(w, perm))
+
+    monkeypatch.setattr(mdl, "_first_level", reference)
+    ref_loss, ref_gradients = loss_and_gradients()
+    assert loss == ref_loss
+    assert all(np.array_equal(a, b) for a, b in zip(gradients, ref_gradients))
+
+
+def test_fifty_thousand_nodes_keep_int32_indices_and_wide_keys(tmp_path):
+    # N^2 > 2^31: every key u * N + v must be formed in int64, while the
+    # index arrays themselves stay int32.
+    n, rng = 50_000, np.random.default_rng(44)
+    dims = []
+    for _ in range(3):
+        u, v = rng.integers(0, n, (2, 300))
+        u, v = np.append(u[u != v], [0, n - 2]), np.append(v[u != v], [n - 1, n - 1])
+        dims.append(SparseAdjacency.from_undirected_edges(n, u, v))
+    graph = MultiplexGraph(n, tuple(dims), rng.random((n, 2)))
+    save_multiplex(graph, tmp_path / "big")
+    loaded = load_multiplex(tmp_path / "big")
+    assert all(a.equals(b) for a, b in zip(loaded.dimensions, graph.dimensions))
+    edge_sets = []
+    for d in loaded.dimensions:
+        assert d.indptr.dtype == d.indices.dtype == np.int32
+        pairs = d.undirected_pairs()
+        assert pairs.min() >= 0 and pairs.max() == n - 1 and np.all(pairs[:, 0] < pairs[:, 1])
+        edge_sets.append(set(map(tuple, pairs.tolist())))
+
+    keep = np.arange(len(edge_sets[0])) % 3 > 0
+    kept = loaded.dimensions[0].keep_pairs(keep)
+    want = loaded.dimensions[0].undirected_pairs()[keep]
+    assert kept.indices.dtype == np.int32
+    assert kept.equals(SparseAdjacency.from_undirected_edges(n, want[:, 0], want[:, 1]))
+
+    split = split_links(loaded, 0.2, np.random.default_rng(45))
+    for d, (dim, edges) in enumerate(zip(split.training_graph.dimensions, edge_sets)):
+        assert dim.indices.dtype == np.int32
+        removed = {(u, v) for k, u, v in split.positives if k == d}
+        negatives = [(u, v) for k, u, v in split.negatives if k == d]
+        assert removed <= edges and len(negatives) == len(removed)
+        assert all(0 <= u < v < n and (u, v) not in edges for u, v in negatives)
+        assert set(map(tuple, dim.undirected_pairs().tolist())) == edges - removed
+
+    train_graph = split.training_graph
+    cfg = HmgeConfig(embed_size=4, num_layers=2, dims_schedule=(3, 2, 1))
+    plan = EncodePlan(train_graph, cfg)
+    params = init_params(cfg, 3, 2, np.random.default_rng(46))
+    z = encode(train_graph, params, cfg, plan=plan).z
+    assert z.shape == (n, 4) and np.all(np.isfinite(z))
+    union = plan.union
+    assert union.indptr.dtype == union.indices.dtype == union.rows.dtype == np.int32
+    indptr, indices = union_pattern(train_graph.dimensions)
+    assert np.array_equal(union.indptr, indptr) and np.array_equal(union.indices, indices)
+    keys = union.rows.astype(np.int64) * n + union.indices
+    assert keys.max() > np.iinfo(np.int32).max and np.all(np.diff(keys) > 0)
 
 
 class TestEncodePlanPatterns:

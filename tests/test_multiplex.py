@@ -18,6 +18,7 @@ from hmge.errors import DataFormatError
 from hmge.multiplex import (
     MultiplexGraph,
     SparseAdjacency,
+    index_dtype,
     load_multiplex,
     normalize_adjacency,
     save_multiplex,
@@ -68,6 +69,10 @@ class TestSparseAdjacency:
             SparseAdjacency(2, np.array([0, 2, 2]), np.array([1, 1]), np.ones(2))
         with pytest.raises(DataFormatError):
             SparseAdjacency(2, np.array([0, 1, 2]), np.array([0, 1]), np.array([np.inf, 1.0]))
+        # Indices are stored as int32 here, but checked before they narrow:
+        # 2^32 + 1 would wrap to 1.
+        with pytest.raises(DataFormatError, match="out of range"):
+            SparseAdjacency(2, np.array([0, 1, 1]), np.array([2**32 + 1]), np.ones(1))
 
     def test_empty_trailing_rows(self):
         adj = SparseAdjacency.from_undirected_edges(5, [0], [1])
@@ -119,7 +124,8 @@ class TestNormalize:
         m = (rng.random((n, n)) < density) * rng.random((n, n))
         out = normalize_adjacency(from_dense(np.triu(m, 1) + np.triu(m, 1).T))
         assert SparseAdjacency(n, out.indptr, out.indices, out.values).equals(out)
-        for a, dtype in ((out.indptr, np.int64), (out.indices, np.int64), (out.values, np.float64)):
+        index = index_dtype(n, out.nnz)
+        for a, dtype in ((out.indptr, index), (out.indices, index), (out.values, np.float64)):
             assert a.dtype == dtype and a.flags.c_contiguous and not a.flags.writeable
 
     def test_single_node_no_edges(self):
@@ -276,6 +282,33 @@ class TestLoadSave:
         assert np.array_equal(g2.features, g.features)
         for a, b in zip(g.dimensions, g2.dimensions):
             assert a.equals(b)
+
+    def test_tables_spanning_chunks_match_per_row_text(self, tmp_path):
+        # 2^17 values per %-format: three chunks of features; label rows go
+        # 2^16 at a time, two chunks here, ragged (multilabel) rows among them.
+        n = 70_000
+        features = np.random.default_rng(6).standard_normal((n, 4))
+        features[0, 0], features[1, 1] = -0.0, 5e-324
+        labels = tuple((k % 3,) if k % 5 else (0, k % 7) for k in range(n))
+        adj = SparseAdjacency.from_undirected_edges(n, [0], [1])
+        save_multiplex(MultiplexGraph(n, (adj,), features, labels), tmp_path / "ds")
+        text = lambda rows, sep: "".join(sep.join(map(repr, r)) + "\n" for r in rows)
+        assert (tmp_path / "ds" / "features.csv").read_text() == text(features.tolist(), ",")
+        assert (tmp_path / "ds" / "labels.csv").read_text() == text(labels, ";")
+
+    def test_loaded_indices_are_shared_with_scipy(self, tmp_path):
+        # int32 index arrays are the ones scipy keeps, so the CSR matrices of
+        # a loaded graph are views of its arrays, not copies.
+        from hmge.autodiff import NormalizePlan
+
+        save_multiplex(graph_from_edges(4, [[(0, 1), (1, 2)], [(0, 3)]]), tmp_path / "ds")
+        g = load_multiplex(tmp_path / "ds")
+        plan = NormalizePlan(g.dimensions)
+        for d, a in zip(g.dimensions, plan.per_input):
+            assert d.indptr.dtype == d.indices.dtype == np.int32
+            for m in (d.to_scipy(), a):
+                assert np.shares_memory(m.indptr, d.indptr)
+                assert np.shares_memory(m.indices, d.indices)
 
     def test_round_trip_exact_floats(self, tmp_path):
         rng = np.random.default_rng(5)

@@ -4,6 +4,7 @@ import platform
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -692,8 +693,8 @@ def test_tape_keeps_one_stack_per_chain_and_layer(one_hot):
     # The attention step rectifies its (D_l, N, M) pre-activation stack in
     # place, so no ReLU copy is kept. Every other (D_l, N, M) value is named:
     # at l = 1 the latent GCN's operand (spmm_var's product); with one-hot
-    # features the first GCN weight w_0 and its row shuffle for the
-    # corrupted chain.
+    # features the first GCN weight w_0, which the corrupted chain reads
+    # through a column-shuffled operator, not as a shuffled copy.
     n, m = 9, 5
     cfg = HmgeConfig(embed_size=m, num_layers=2, dims_schedule=(4, 2, 1))
     graph = er_multiplex(n, (0.6, 0.4, 0.5, 0.5), 3)
@@ -708,18 +709,42 @@ def test_tape_keeps_one_stack_per_chain_and_layer(one_hot):
     first = "spmm" if one_hot else "batched_matmul"
     expected = {(first, 4): 2, ("batched_matmul", 2): 2, ("spmm_var", 2): 2}
     if one_hot:
-        expected |= {("w_0", 4): 1, ("permute_rows", 4): 1}
+        expected |= {("w_0", 4): 1}
     assert Counter((node.name, node.value.shape[0]) for node in stacks) == expected
     for node in stacks:
         if node.name in ("spmm", "batched_matmul"):
             assert node.value.min() >= 0.0 and node.value.max() > 0.0
 
 
+@pytest.mark.parametrize("layers", [0, 1])
+def test_one_hot_step_peak_holds_few_stacks(layers):
+    # At its traced peak one one-hot step (lift, forward, backward) holds
+    # w_0's tape copy, the two chains' pre-activation stacks, w_0's adjoint
+    # and one spmm pullback in flight: five (D, N, M) stacks, plus the
+    # shuffled operator's column indices and smaller arrays, about six in
+    # all. A fresh stack gradient in attend's pullback, or a shuffled copy
+    # of w_0 and its gather back, would take the peak to about eight.
+    n, d, m = 300, 8, 32
+    graph = er_multiplex(n, [0.02] * d, 3).with_features(np.eye(n))
+    cfg = HmgeConfig(embed_size=m, num_layers=layers)
+    params = init_params(cfg, d, n, np.random.default_rng(13))
+    plan = EncodePlan(graph, cfg)
+    perm = np.random.default_rng(14).permutation(n)
+    tracemalloc.start()
+    try:
+        tape = ad.Tape()
+        tape.backward(build_loss_nodes(plan, lift_params(tape, params), perm))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7 * d * n * m * 8
+
+
 @pytest.mark.parametrize("layers, one_hot", [(1, True), (0, True), (2, False)])
 def test_parameter_gradients_are_contiguous(layers, one_hot):
     # Adam steps through flat views of each gradient, which copy a strided
-    # one whole. With one-hot features w_0's adjoint starts in permute_rows'
-    # pullback, and the clean chain adds into it.
+    # one whole. With one-hot features w_0's adjoint starts in the corrupted
+    # chain's spmm pullback, and the clean chain adds into it.
     n = 9
     graph = er_multiplex(n, (0.6, 0.4, 0.5, 0.5), 3)
     if one_hot:
