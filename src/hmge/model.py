@@ -51,20 +51,25 @@ MMAP_THRESHOLD_BYTES = 32 << 20
 TRIM_THRESHOLD_BYTES = 512 << 20
 
 
-@functools.cache
-def pin_malloc() -> None:
-    """Set the glibc malloc policy above, once per process; ``encode`` and
-    ``training.train`` call it first. The policy is process-wide: it stays
-    set for the rest of the process, including code outside hmge.
-    Elsewhere than on glibc it does nothing.
-    """
+def set_malloc(settings: dict[int, int]) -> None:
+    """Call glibc's mallopt(param, value) for each item of ``settings``.
+    Elsewhere than on glibc it does nothing."""
     if platform.libc_ver()[0] != "glibc":
         return
     mallopt = ctypes.CDLL(None).mallopt
     mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
     mallopt.restype = ctypes.c_int
-    mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD_BYTES)
-    mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD_BYTES)
+    for param, value in settings.items():
+        mallopt(param, value)
+
+
+@functools.cache
+def pin_malloc() -> None:
+    """Set the glibc malloc policy above, once per process; ``encode`` and
+    ``training.train`` call it first. The policy is process-wide: it stays
+    set for the rest of the process, including code outside hmge.
+    """
+    set_malloc({M_MMAP_THRESHOLD: MMAP_THRESHOLD_BYTES, M_TRIM_THRESHOLD: TRIM_THRESHOLD_BYTES})
 
 
 def _validate_schedule(schedule: tuple[int, ...], num_layers: int) -> None:

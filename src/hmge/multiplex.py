@@ -25,9 +25,6 @@ from .errors import DataFormatError
 META_FILE = "meta.json"
 FEATURES_FILE = "features.csv"
 LABELS_FILE = "labels.csv"
-# Edge lists are parsed this many bytes at a time, cut after a newline, so
-# the parse holds O(chunk) temporaries beside the O(E) endpoints.
-PARSE_CHUNK = 1 << 18
 
 
 def index_dtype(*sizes: int) -> type:
@@ -314,7 +311,10 @@ class MultiplexGraph:
         return graph
 
     def validate_loaded(self) -> None:
-        """Check the load-time invariants: binary, symmetric, zero diagonal."""
+        """Check the load-time invariants: binary, symmetric, zero-diagonal
+        dimensions and label rows of one or more non-negative class ids."""
+        if self.labels is not None and not all(row and min(row) >= 0 for row in self.labels):
+            raise DataFormatError("every label row needs one or more non-negative class ids")
         for k, d in enumerate(self.dimensions):
             if not d.is_binary():
                 raise DataFormatError(f"dimension {k} has non-binary values")
@@ -329,6 +329,8 @@ def save_multiplex(graph: MultiplexGraph, path) -> None:
 
     The edge-list format is unweighted, so dimensions must be binary,
     symmetric, and diagonal-free; each undirected edge is written once.
+    Label rows must hold one or more non-negative class ids. A graph that
+    breaks these raises DataFormatError before any file is written.
     """
     graph.validate_loaded()
     root = Path(path)
@@ -405,144 +407,77 @@ def _read_ascii(path: Path) -> bytes:
     return _decode(data, path.name).translate(_ASCII_STAND_INS).encode("ascii", "replace")
 
 
-# Byte classes of the edge-list grammar (README, "Dataset directory
-# format"). _UNIT_SEP is \x1f: str.strip() drops it from a line's ends but
-# int() refuses it, so it may not stand between the ids.
-_DIGIT, _SIGN, _TAB, _SPACE, _UNIT_SEP, _BREAK, _OTHER = range(7)
-_BYTE_CLASS = np.full(256, _OTHER, dtype=np.uint8)
-_BYTE_CLASS[ord("0"):ord("9") + 1] = _DIGIT
-_BYTE_CLASS[[ord("+"), ord("-")]] = _SIGN
-_BYTE_CLASS[ord("\t")] = _TAB
-_BYTE_CLASS[ord(" ")] = _SPACE
-_BYTE_CLASS[0x1F] = _UNIT_SEP
-_BYTE_CLASS[[0x0A, 0x0B, 0x0C, 0x0D, 0x1C, 0x1D, 0x1E]] = _BREAK  # str.splitlines()
-# Between the ids of a line: a tab counts 1, \x1f 2 and a break 4, so the
-# sum is 1 exactly where one tab and no \x1f or break stands there.
-_GAP_WEIGHT = np.array([0, 0, 1, 0, 2, 4, 0], dtype=np.int32)
-_POW10 = 10 ** np.arange(19, dtype=np.int64)
+# int() also takes "1_0"; a node id is ASCII digits with an optional sign.
 _NODE_ID = re.compile(r" *[+-]?[0-9]+ *")
+# The bytes of the tables that save_multiplex writes, and CR for CRLF
+# files: a table of only these is read by np.loadtxt, any other line by line.
+_EDGE_BYTES = b"0123456789+- \t\r\n"
+_FEATURE_BYTES = _EDGE_BYTES + b".,eEinfa"
 
 
-def _edge_chunk(chunk: bytes, num_nodes: int) -> np.ndarray | None:
-    """(E, 2) endpoints of the whole lines in ``chunk``, or None if one of
-    them breaks the grammar, leaves [0, num_nodes) or is a self-loop."""
-    b = np.frombuffer(b" " + chunk + b" ", dtype=np.uint8)  # no id touches an end
-    cls = _BYTE_CLASS.take(b)
-    if cls.max() == _OTHER:
+def _loadtxt(data: bytes, alphabet: bytes, delimiter: str, dtype, width: int) -> np.ndarray | None:
+    """The rows of an ASCII table ``width`` values wide, read by np.loadtxt,
+    or None where the table holds a byte outside ``alphabet``, the reader
+    fails or the rows are of another width.
+
+    Over these alphabets np.loadtxt takes a subset of what the line readers
+    below take, and reads it as they do: lines end at LF, CRLF or CR, empty
+    ones are skipped, and spaces and tabs around a value are dropped. It
+    decodes as it reads, so it holds O(chunk) temporaries beside the rows.
+    """
+    if data.translate(None, alphabet):
         return None
-    # An id is a run of digits and signs: one sign at most, at its start.
-    step = np.diff((cls <= _SIGN).view(np.int8))
-    starts = np.flatnonzero(step == 1) + 1
-    ends = np.flatnonzero(step == -1) + 1
-    signs = np.flatnonzero(cls == _SIGN)
-    if starts.size % 2 or np.any(cls[signs - 1] <= _SIGN) or np.any(cls[signs + 1] != _DIGIT):
+    if not data.strip():  # blank lines only, on which np.loadtxt warns
+        return np.empty((0, width), dtype=dtype)
+    try:
+        rows = np.loadtxt(io.TextIOWrapper(io.BytesIO(data), encoding="ascii"),
+                          delimiter=delimiter, comments=None, ndmin=2, dtype=dtype)
+    except ValueError:
         return None
-    if not starts.size:
-        return np.empty((0, 2), dtype=np.int64)
-    # Ids 2k and 2k + 1 share a line with one tab and any spaces between
-    # them; a line break stands between ids 2k + 1 and 2k + 2.
-    index = np.int32 if b.size < 1 << 29 else np.int64  # sums of weights <= 4
-    breaks = np.cumsum(cls == _BREAK, dtype=index)
-    gaps = np.cumsum(_GAP_WEIGHT.take(cls), dtype=index)
-    if (np.any(gaps[starts[1::2]] - gaps[ends[0::2] - 1] != 1)
-            or np.any(breaks[starts[2::2]] == breaks[ends[1:-1:2] - 1])):
-        return None
-    digits = np.flatnonzero(cls == _DIGIT)
-    count = ends - starts - (cls[starts] == _SIGN)
-    first_digit = np.cumsum(count) - count
-    place = np.repeat(ends, count) - 1 - digits
-    value = b[digits] - ord("0")
-    if np.any(value[place > 17]):  # 10^18 or more: no node has that index
-        return None
-    ids = np.add.reduceat(value * _POW10[np.minimum(place, 18)], first_digit)
-    ids[b[starts] == ord("-")] *= -1
-    pairs = ids.reshape(-1, 2)
-    if ids.min() < 0 or ids.max() >= num_nodes or np.any(pairs[:, 0] == pairs[:, 1]):
-        return None
-    return pairs
+    return rows if rows.shape[1] == width else None
 
 
-def _edge_pairs(data: bytes, num_nodes: int) -> np.ndarray | None:
-    """(E, 2) endpoints of an ASCII edge list, PARSE_CHUNK bytes at a time,
-    or None if a line is malformed (see _edge_error)."""
-    pieces = [np.empty((0, 2), dtype=np.int64)]
-    lo = 0
-    while lo < len(data):
-        hi = len(data)
-        if hi - lo > PARSE_CHUNK:
-            hi = (data.rfind(b"\n", lo, lo + PARSE_CHUNK) + 1
-                  or data.find(b"\n", lo + PARSE_CHUNK) + 1 or hi)
-        pairs = _edge_chunk(data[lo:hi], num_nodes)
-        if pairs is None:
-            return None
-        pieces.append(pairs)
-        lo = hi
-    return np.concatenate(pieces)
-
-
-def _edge_error(text: str, name: str, num_nodes: int) -> DataFormatError:
-    """The error naming the first bad line of an edge list that
-    _edge_pairs refused, found by walking its lines."""
+def _edge_lines(text: str, name: str, num_nodes: int) -> np.ndarray:
+    """(E, 2) endpoints of an edge list, one stripped line at a time; the
+    first bad line raises DataFormatError naming it."""
+    pairs = []
     for ln, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line:
             continue
         parts = line.split("\t")
         if len(parts) != 2:
-            return DataFormatError(f"{name}:{ln}: expected 'u<TAB>v'")
+            raise DataFormatError(f"{name}:{ln}: expected 'u<TAB>v'")
         if not all(map(_NODE_ID.fullmatch, parts)):
-            return DataFormatError(f"{name}:{ln}: non-integer node id")
+            raise DataFormatError(f"{name}:{ln}: non-integer node id")
         u, v = int(parts[0]), int(parts[1])
         if not (0 <= u < num_nodes and 0 <= v < num_nodes):
-            return DataFormatError(f"{name}:{ln}: node index out of range [0, {num_nodes})")
+            raise DataFormatError(f"{name}:{ln}: node index out of range [0, {num_nodes})")
         if u == v:
-            return DataFormatError(f"{name}:{ln}: self-loop not allowed")
-    return DataFormatError(f"{name}: malformed edge list")
+            raise DataFormatError(f"{name}:{ln}: self-loop not allowed")
+        pairs.append((u, v))
+    return np.array(pairs, dtype=np.int64).reshape(-1, 2)
 
 
-_LINE_BREAKS = bytes.maketrans(b"\r\x0b\x0c\x1c\x1d\x1e", b"\n" * 6)
-_BLANK_LINE = re.compile(rb"^[ \t\x1f]+$", re.MULTILINE)
-
-
-def _feature_rows(data: bytes) -> np.ndarray | None:
-    """The rows of an ASCII features.csv read by numpy, or None where the
-    reader fails or could accept what float() refuses (\x1f beside a value)."""
-    text = _BLANK_LINE.sub(b"", data.translate(_LINE_BREAKS))
-    if not text.strip() or b"\x1f" in text:
-        return None
-    try:
-        return np.loadtxt(io.StringIO(text.decode("ascii")), delimiter=",",
-                          comments=None, ndmin=2, dtype=np.float64)
-    except ValueError:
-        return None
-
-
-def _is_float(field: str) -> bool:
-    try:
-        float(field)
-    except ValueError:
-        return False
-    return "_" not in field
-
-
-def _feature_error(text: str, num_nodes: int, num_features: int) -> DataFormatError:
-    """The error naming the first bad line of a features.csv that
-    _feature_rows refused or whose shape is wrong, found by walking its lines."""
-    rows = 0
+def _feature_lines(text: str, num_nodes: int, num_features: int) -> np.ndarray:
+    """The (N, F) rows of a features.csv, one line at a time; the first bad
+    line raises DataFormatError naming it."""
+    rows = []
     for ln, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
-        fields = line.split(",")
-        if not all(map(_is_float, fields)):
-            return DataFormatError(f"{FEATURES_FILE}:{ln}: bad float")
-        if len(fields) != num_features:
-            return DataFormatError(
-                f"{FEATURES_FILE}:{ln}: expected {num_features} values, got {len(fields)}"
+        try:  # float() takes "1_0", the grammar does not
+            row = [float(field) for field in line.replace("_", "?").split(",")]
+        except ValueError as exc:
+            raise DataFormatError(f"{FEATURES_FILE}:{ln}: bad float") from exc
+        if len(row) != num_features:
+            raise DataFormatError(
+                f"{FEATURES_FILE}:{ln}: expected {num_features} values, got {len(row)}"
             )
-        rows += 1
-    if rows != num_nodes:
-        return DataFormatError(f"{FEATURES_FILE}: expected {num_nodes} rows, got {rows}")
-    return DataFormatError(f"{FEATURES_FILE}: malformed")
+        rows.append(row)
+    if len(rows) != num_nodes:
+        raise DataFormatError(f"{FEATURES_FILE}: expected {num_nodes} rows, got {len(rows)}")
+    return np.array(rows, dtype=np.float64)
 
 
 def _read_labels(path: Path, num_nodes: int) -> tuple[tuple[int, ...], ...]:
@@ -552,9 +487,12 @@ def _read_labels(path: Path, num_nodes: int) -> tuple[tuple[int, ...], ...]:
         if not line:
             raise DataFormatError(f"{LABELS_FILE}:{ln}: empty label row")
         try:
-            label_rows.append(tuple(map(int, line.split(";"))))
+            row = tuple(map(int, line.split(";")))
+            if min(row) < 0:
+                raise ValueError(f"negative class id in {line!r}")
         except ValueError as exc:
             raise DataFormatError(f"{LABELS_FILE}:{ln}: bad class id") from exc
+        label_rows.append(row)
     if len(label_rows) != num_nodes:
         raise DataFormatError(
             f"{LABELS_FILE}: expected {num_nodes} rows, got {len(label_rows)}"
@@ -572,11 +510,13 @@ def load_multiplex(path) -> MultiplexGraph:
     class ids per node. Every file is UTF-8 text (DataFormatError otherwise);
     the README gives the line grammar.
 
-    Each edge list and the feature file are parsed in one array pass; only
-    a file that pass refuses has its lines walked, to name the first bad
-    one. The feature and label rows are counted before any dimension is
-    built, so a num_nodes that the files do not hold fails before O(N)
-    memory per dimension is spent on it.
+    An edge list or feature file that holds only the bytes save_multiplex
+    writes (and CR) is read by np.loadtxt in one pass. Any other file, and
+    one that this pass reads into an id out of range, a self-loop or the
+    wrong row count, is read line by line; those readers define the
+    grammar and name the first bad line. The feature and label rows are
+    counted before any dimension is built, so a num_nodes that the files
+    do not hold fails before O(N) memory per dimension is spent on it.
     """
     root = Path(path)
     meta_path = root / META_FILE
@@ -608,9 +548,9 @@ def load_multiplex(path) -> MultiplexGraph:
     if not feat_path.is_file():
         raise DataFormatError(f"missing {FEATURES_FILE} in {root}")
     data = _read_ascii(feat_path)
-    features = _feature_rows(data)
-    if features is None or features.shape != (n, num_features):
-        raise _feature_error(data.decode("ascii"), n, num_features)
+    features = _loadtxt(data, _FEATURE_BYTES, ",", np.float64, num_features)
+    if features is None or features.shape[0] != n:
+        features = _feature_lines(data.decode("ascii"), n, num_features)
 
     label_path = root / LABELS_FILE
     labels = _read_labels(label_path, n) if label_path.is_file() else None
@@ -618,9 +558,10 @@ def load_multiplex(path) -> MultiplexGraph:
     dims = []
     for dim_path in dim_paths:
         data = _read_ascii(dim_path)
-        pairs = _edge_pairs(data, n)
-        if pairs is None:
-            raise _edge_error(data.decode("ascii"), dim_path.name, n)
+        pairs = _loadtxt(data, _EDGE_BYTES, "\t", np.int64, 2)
+        if (pairs is None or np.any(pairs[:, 0] == pairs[:, 1])
+                or pairs.size and (pairs.min() < 0 or pairs.max() >= n)):
+            pairs = _edge_lines(data.decode("ascii"), dim_path.name, n)
         dims.append(SparseAdjacency.from_undirected_edges(n, pairs[:, 0], pairs[:, 1]))
 
     # from_undirected_edges builds every dimension binary, symmetric and

@@ -8,10 +8,8 @@ per-dimension degrees normalized by each dimension's maximum degree.
 
 from __future__ import annotations
 
-import ctypes
 import functools
 import os
-import platform
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -19,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError
+from .model import set_malloc
 from .multiplex import MultiplexGraph, SparseAdjacency, save_multiplex, write_table
 
 PER_DIM_LABELS_FILE = "labels_per_dim.csv"
@@ -72,12 +71,7 @@ def _share_malloc_arena() -> None:
     the cap when a second thread first allocates, so where one already has,
     this changes nothing. Elsewhere than on glibc it does nothing.
     """
-    if platform.libc_ver()[0] != "glibc":
-        return
-    mallopt = ctypes.CDLL(None).mallopt
-    mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
-    mallopt.restype = ctypes.c_int
-    mallopt(M_ARENA_MAX, 1)
+    set_malloc({M_ARENA_MAX: 1})
 
 
 def _usable_cores() -> int:

@@ -35,7 +35,7 @@ references for ``autodiff.UnionPattern`` and ``autodiff.NormalizePlan``;
 and ``latent_dense`` form a normalized graph as a dense matrix.
 ``edge_list_loop`` and ``feature_rows_loop`` parse an edge list and a
 feature file line by line with ``int()`` and ``float()``, as the references
-for the array parses in ``multiplex.load_multiplex``.
+for both readers of ``multiplex.load_multiplex``.
 ``auc_roc_loop`` ranks tied scores one run at a time, as the reference for
 ``evaluation.auc_roc``. ``split_links_loop`` samples negatives one
 candidate at a time and rebuilds every training dimension from its kept

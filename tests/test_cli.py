@@ -484,6 +484,20 @@ class TestDataFiles:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("data error: dim_0.tsv is not UTF-8")
 
+    @pytest.mark.parametrize("command", [["eval", "--task", "class"], ["ablate"]],
+                             ids=["eval", "ablate"])
+    def test_negative_class_id_is_data_error(self, tmp_path, capsys, command):
+        data = tmp_path / "d20"
+        assert main(["synth", "--nodes", "20", "--dims", "2", "--p-in", "0.4",
+                     "--seed", "1", "--out", str(data)]) == EXIT_OK
+        rows = (data / "labels.csv").read_text().splitlines()
+        rows[1] = "-1"
+        (data / "labels.csv").write_text("\n".join(rows) + "\n")
+        code = main(command + ["--data", str(data), "--out", str(tmp_path / "o"),
+                               "--epochs", "2"])
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err.splitlines() == ["data error: labels.csv:2: bad class id"]
+
 
 class TestThreads:
     def test_env_var_accepted(self, dataset_dir, tmp_path, monkeypatch):

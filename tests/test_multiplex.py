@@ -6,7 +6,6 @@ import tempfile
 import textwrap
 import warnings
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -417,6 +416,13 @@ class TestLoadSave:
             b"0.3333333333333333\n-0.0\n1e-300\n"
         )
 
+    @pytest.mark.parametrize("labels", [((0,), (), (1,)), ((0,), (1, -1), (1,))])
+    def test_save_refuses_labels_that_load_refuses(self, tmp_path, labels):
+        graph = graph_from_edges(3, [[(0, 1)]], labels=labels)
+        with pytest.raises(DataFormatError, match="non-negative class ids"):
+            save_multiplex(graph, tmp_path / "ds")
+        assert not (tmp_path / "ds").exists()
+
     def test_edge_list_spans_format_chunks(self, tmp_path):
         # The edge list is formatted 2^16 edges at a time; a dimension with
         # more edges than that is written line for line as one would be.
@@ -457,15 +463,29 @@ MESSY = st.sampled_from(list("0123456789+-.e,\t \n\r\x0b\x0c\x1c\x1e\x1fxn"
                              "\x00\x85\xa0\u2028\u3000\ufeff")
                         + ["\r\n", "inf", "0\t1", "2\t1", " 3 \t 0", "1.5,", "-2e-3"])
 
+# Text over the bytes that load_multiplex hands to np.loadtxt
+# (multiplex._EDGE_BYTES, multiplex._FEATURE_BYTES): well-formed lines with
+# spaces, signs and every line break, among single bytes and blank lines,
+# so that many draws are tables that the loadtxt pass reads.
+EDGE_TEXT = st.lists(st.one_of(
+    st.from_regex(r" ?[+-]?[0-9]{1,2} ?\t ?[+-]?[0-9]{1,2} ?(\n|\r\n|\r)", fullmatch=True),
+    st.sampled_from(list("0123456789+- \t\r\n") + ["\r\n"]),
+), max_size=12).map("".join)
+FEATURE_VALUE = r" ?[+-]?([0-9]{1,2}(\.[0-9]?)?([eE][+-]?[0-9])?|\.[0-9]|inf|nan) ?"
+FEATURE_TEXT = st.lists(st.one_of(
+    st.from_regex(rf"{FEATURE_VALUE}(,{FEATURE_VALUE}){{0,2}}(\n|\r\n|\r)", fullmatch=True),
+    st.sampled_from(list("0123456789+- \t\r\n.,eEinfa") + ["\r\n"]),
+), max_size=8).map("".join)
+
 
 class TestTextGrammar:
-    """The array parses of load_multiplex against the line-by-line references."""
+    """Both readers of load_multiplex, np.loadtxt and its own line readers,
+    against the line-by-line references."""
 
     @settings(max_examples=80, deadline=None)
     @given(n=st.integers(2, 40), data=st.data(),
-           newline=st.sampled_from(["\n", "\r\n"]),
-           chunk=st.sampled_from([multiplex.PARSE_CHUNK, 1, 13]))
-    def test_edge_layouts_load_as_the_reference(self, n, data, newline, chunk):
+           newline=st.sampled_from(["\n", "\r\n"]))
+    def test_edge_layouts_load_as_the_reference(self, n, data, newline):
         pairs = data.draw(st.lists(
             st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1]),
             max_size=60))
@@ -480,18 +500,15 @@ class TestTextGrammar:
         want = SparseAdjacency.from_undirected_edges(n, [u for u, _ in pairs],
                                                      [v for _, v in pairs])
         assert edge_list_loop(text, "dim_0.tsv", n).equals(want)
-        with tempfile.TemporaryDirectory() as tmp, \
-                mock.patch.object(multiplex, "PARSE_CHUNK", chunk):
+        with tempfile.TemporaryDirectory() as tmp:
             root = write_dataset(Path(tmp) / "ds", n, [text], "1\n" * n)
             assert load_multiplex(root).dimensions[0].equals(want)
 
     @settings(max_examples=300, deadline=None)
-    @given(text=st.lists(MESSY, max_size=30).map("".join), n=st.integers(1, 12),
-           chunk=st.sampled_from([multiplex.PARSE_CHUNK, 1, 5]))
-    def test_any_edge_text_loads_or_fails_as_the_reference(self, text, n, chunk):
+    @given(text=st.lists(MESSY, max_size=30).map("".join), n=st.integers(1, 12))
+    def test_any_edge_text_loads_or_fails_as_the_reference(self, text, n):
         want = load_outcome(lambda: edge_list_loop(text, "dim_0.tsv", n))
-        with tempfile.TemporaryDirectory() as tmp, \
-                mock.patch.object(multiplex, "PARSE_CHUNK", chunk):
+        with tempfile.TemporaryDirectory() as tmp:
             root = write_dataset(Path(tmp) / "ds", n, [text], "1\n" * n)
             got = load_outcome(lambda: load_multiplex(root).dimensions[0])
         assert got[0] == want[0]
@@ -510,6 +527,56 @@ class TestTextGrammar:
         assert got[0] == want[0]
         assert got[1] == want[1] if got[0] == "error" else np.array_equal(got[1], want[1])
 
+    @settings(max_examples=300, deadline=None)
+    @given(text=EDGE_TEXT, n=st.integers(1, 12))
+    def test_loadtxt_edge_text_loads_or_fails_as_the_reference(self, text, n):
+        assert not text.encode().translate(None, multiplex._EDGE_BYTES)
+        want = load_outcome(lambda: edge_list_loop(text, "dim_0.tsv", n))
+        with tempfile.TemporaryDirectory() as tmp:
+            root = write_dataset(Path(tmp) / "ds", n, [text], "1\n" * n)
+            got = load_outcome(lambda: load_multiplex(root).dimensions[0])
+        assert got[0] == want[0]
+        assert got[1] == want[1] if got[0] == "error" else got[1].equals(want[1])
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=FEATURE_TEXT, n=st.integers(1, 3),
+           num_features=st.integers(1, 3))
+    def test_loadtxt_feature_text_loads_or_fails_as_the_reference(self, text, n, num_features):
+        assert not text.encode().translate(None, multiplex._FEATURE_BYTES)
+        want = load_outcome(lambda: feature_rows_loop(text, n, num_features))
+        if want[0] == "ok" and not np.all(np.isfinite(want[1])):
+            want = ("error", "features must be finite")
+        with tempfile.TemporaryDirectory() as tmp:
+            root = write_dataset(Path(tmp) / "ds", n, [""], text, num_features=num_features)
+            got = load_outcome(lambda: load_multiplex(root).features)
+        assert got[0] == want[0]
+        assert got[1] == want[1] if got[0] == "error" else np.array_equal(got[1], want[1])
+
+    def test_saved_dataset_loads_without_the_line_readers(self, tmp_path, monkeypatch):
+        from hmge.sbm import SbmConfig, generate_multiplex, save_dataset
+
+        ds = generate_multiplex(SbmConfig(num_nodes=40, num_dims=3, p_in=0.3, p_out=0.05,
+                                          rng_seed=2))
+        save_dataset(ds, tmp_path / "lf")
+        crlf = tmp_path / "crlf"
+        crlf.mkdir()
+        for path in (tmp_path / "lf").iterdir():
+            data = path.read_bytes()
+            if path.suffix == ".tsv" or path.name == "features.csv":
+                data = b"\r\n" + data.replace(b"\n", b"\r\n\r\n")
+            (crlf / path.name).write_bytes(data)
+
+        def line_reader(*args):
+            raise AssertionError("a line reader read a file that save_multiplex wrote")
+
+        monkeypatch.setattr(multiplex, "_edge_lines", line_reader)
+        monkeypatch.setattr(multiplex, "_feature_lines", line_reader)
+        for root in (tmp_path / "lf", crlf):
+            graph = load_multiplex(root)
+            assert np.array_equal(graph.features, ds.graph.features)
+            assert graph.labels == ds.graph.labels
+            assert all(a.equals(b) for a, b in zip(graph.dimensions, ds.graph.dimensions))
+
     @pytest.mark.parametrize("file, text, message", [
         ("dim", "0\t1\n\n1\t2\t0\n", "dim_0.tsv:3: expected 'u<TAB>v'"),
         ("dim", "\n \n0\tx\n", "dim_0.tsv:3: non-integer node id"),
@@ -526,6 +593,7 @@ class TestTextGrammar:
         ("features", "1.0\n\n1_0\n3.0\n", "features.csv:3: bad float"),
         ("labels", "0\n\n1\n", "labels.csv:2: empty label row"),
         ("labels", "0\n1;x\n1\n", "labels.csv:2: bad class id"),
+        ("labels", "0\n1;-1\n1\n", "labels.csv:2: bad class id"),
         ("labels", "0\n1\n", "labels.csv: expected 3 rows, got 2"),
     ])
     def test_malformed_file_names_its_line(self, tmp_path, file, text, message):
