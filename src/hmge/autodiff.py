@@ -18,6 +18,9 @@ first multiplies by them, and the plan builds that pattern on its first
 such product, so a one-level plan never builds it. The pullback goes
 through the inputs in sparse mode and runs a BLAS product and an SDDMM in
 dense mode. Plain ``spmm`` treats its sparse operand as a constant.
+Every input is a dimension of a ``multiplex.MultiplexGraph``: exactly
+symmetric and free of diagonal entries, checked where the graph is built
+and nowhere here. Each product that reads A_k^T as A_k rests on it.
 
 The attention step is one op: ``attend`` rectifies a (D, N, M)
 pre-activation stack, scores it, normalizes the scores per node and forms
@@ -42,7 +45,7 @@ from typing import Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DataFormatError, HmgeError, NumericError
+from .errors import HmgeError, NumericError
 from .multiplex import SparseAdjacency, index_dtype
 
 # Latent graphs whose normalized form is at least this dense (and small
@@ -453,7 +456,8 @@ def infomax_bce(h: Node, h_hat: Node, q: Node, mixing: Node | None = None,
 
 
 class UnionPattern:
-    """Diagonal-free union of the sparsity patterns of D adjacencies over N nodes.
+    """Union of the sparsity patterns of a graph's D dimensions over N nodes
+    (``MultiplexGraph``), so of one size and diagonal-free.
 
     Built from one sort of the keys row * N + col of every stored entry of
     every adjacency: the distinct keys, in order, are the union in CSR
@@ -463,16 +467,12 @@ class UnionPattern:
 
     def __init__(self, adjacencies: Sequence[SparseAdjacency]):
         n = adjacencies[0].num_nodes
-        if any(adj.num_nodes != n for adj in adjacencies):
-            raise ValueError("union over differently sized adjacencies")
         keys = np.concatenate([adj.row_indices() * n + adj.indices for adj in adjacencies])
         keys, slots = np.unique(keys, return_inverse=True)
         index = index_dtype(keys.shape[0], n)
         self.slots = slots.astype(index, copy=False)
         self.num_nodes = int(n)
         rows, indices = np.divmod(keys, n)
-        if np.any(rows == indices):
-            raise ValueError("union pattern unexpectedly contains diagonal entries")
         self.rows, self.indices = rows.astype(index), indices.astype(index)
         self.indptr = np.searchsorted(rows, np.arange(n + 1)).astype(index)
         self.nnz = int(keys.shape[0])
@@ -484,8 +484,8 @@ class UnionPattern:
 class SpmmPlan:
     """Kernels for A @ H where A has a fixed pattern and per-pass values.
 
-    The pattern and the values must be symmetric (A == A^T), as
-    ``NormalizePlan`` produces them from the inputs it checks, so A^T @ H
+    The pattern and the values are symmetric (A == A^T), as ``NormalizePlan``
+    mixes them from a graph's dimensions (``MultiplexGraph``), so A^T @ H
     runs on the kernel of A. ``dense_mode`` picks the kernels: dense mode
     scatters the values into a dense matrix and runs BLAS, and takes the
     value gradient by a row-blocked SDDMM; sparse mode stays in CSR and has
@@ -576,16 +576,14 @@ class NormalizePlan:
     the inputs' diagonal-free union ``pattern``, ``stacked``, their values
     one row per input on it, so mixing column p makes a graph
     A = stacked^T p on it, and ``spmm``, which multiplies by such a graph.
-    The inputs are checked here (no diagonal entry, symmetry), so building
-    those later raises nothing new.
     Every consumer applies the normalized graph S by scaling the thin
     operand with dn = deg^{-1/2}: S X = dn (A (dn X) + dn X), A being the
     mixed graph (``forward``) or the sum of the weighted inputs
     (``through_inputs``).
 
-    Every input must be symmetric, pattern and values: ``through_inputs``
-    reads A_k as A_k^T, so an input that is not raises DataFormatError.
-    The latent graphs are forward-only (``latent``, ``graphs``). A consumer
+    The inputs are a graph's dimensions, symmetric and loop-free
+    (``MultiplexGraph``), so ``through_inputs`` reads A_k as A_k^T. The
+    latent graphs are forward-only (``latent``, ``graphs``). A consumer
     of Y = S H with G = d(loss)/dY pulls the gradient straight back to p;
     ``backward`` folds
       dp[k] = sum_{(i,j) in A_k} A_k[ij] dn_i dn_j (G_i . H_j) + sum_i R[k, i] ddeg_i,
@@ -597,13 +595,7 @@ class NormalizePlan:
     def __init__(self, adjacencies: Sequence[SparseAdjacency]):
         self.adjacencies = tuple(adjacencies)
         self.num_nodes = n = adjacencies[0].num_nodes
-        if any(np.any(adj.row_indices() == adj.indices) for adj in adjacencies):
-            raise ValueError("an input adjacency holds diagonal entries")
         self.per_input = [adj.to_scipy() for adj in adjacencies]
-        for k, a in enumerate(self.per_input):
-            t = a.T.tocsr()  # sorted, explicit zeros kept: equal to a iff a is symmetric
-            if any(np.any(getattr(t, f) != getattr(a, f)) for f in ("indptr", "indices", "data")):
-                raise DataFormatError(f"dimension {k} is not symmetric")
         self.row_sums = np.stack([a @ np.ones(n) for a in self.per_input])
 
     @functools.cached_property
@@ -716,7 +708,8 @@ def spmm_var(mixing: Node, plan: NormalizePlan, h: Node) -> Node:
     to H and, through ``plan.backward``, straight to ``mixing``. In dense
     mode S_d G_d is ``plan.forward`` again and the entry term a GEMM SDDMM
     folded onto the inputs; in sparse mode one CSR product per input gives
-    both (``through_inputs``).
+    both (``through_inputs``). The pullback takes S_d^T as S_d: the inputs
+    are a graph's dimensions, symmetric by its contract (``MultiplexGraph``).
     """
     tape = _same_tape(mixing, h)
     spmm = plan.spmm

@@ -51,11 +51,13 @@ def split_links(graph: MultiplexGraph, ratio: float, rng: np.random.Generator) -
     """Remove ``ratio`` of each dimension's undirected edges, uniformly.
 
     Each dimension loses ceil(ratio * E_d) edges (at least one); dimensions
-    with fewer than two edges are skipped with a warning. An equal number
-    of distinct uniform non-edges per dimension is sampled as negatives
-    (``_sample_non_edges``). Dimensions must be symmetric. A seeded split
-    is identical to the one earlier versions drew with a per-pair loop:
-    same positives and negatives in the same order, same training graph.
+    with fewer than two edges are skipped with a warning, and DataFormatError
+    is raised when all are, leaving nothing to score. An equal number of
+    distinct uniform non-edges per dimension is sampled as negatives
+    (``_sample_non_edges``). Dimensions are symmetric (``MultiplexGraph``).
+    A seeded split is identical to the one earlier versions drew with a
+    per-pair loop: same positives and negatives in the same order, same
+    training graph.
     """
     if not (0.0 < ratio < 1.0):
         raise ConfigError(f"removal ratio must be in (0, 1), got {ratio}")
@@ -86,6 +88,8 @@ def split_links(graph: MultiplexGraph, ratio: float, rng: np.random.Generator) -
             )
         keys = _sample_non_edges(n, pairs[:, 0] * n + pairs[:, 1], n_remove, rng)
         negatives.extend(zip(repeat(d), (keys // n).tolist(), (keys % n).tolist()))
+    if not positives:
+        raise DataFormatError("no dimension has two or more edges to hold out")
     return LinkSplit(
         training_graph=graph.with_dimensions(new_dims),
         positives=positives,

@@ -34,6 +34,7 @@ from .multiplex import (
     SparseAdjacency,
     index_dtype,
     normalize_adjacency,
+    write_table,
 )
 
 MODEL_FORMAT_VERSION = 2
@@ -628,16 +629,14 @@ def export_combination_weights(params: HmgeParams, out_dir) -> list[Path]:
     for l, layer in enumerate(params.layers):
         weights = softmax_alpha(layer.alpha)
         path = out / f"alpha_l{l}.csv"
-        lines = [",".join(repr(float(x)) for x in row) for row in weights]
-        path.write_text("\n".join(lines) + "\n")
+        write_table(path, weights, "%r", ",")
         written.append(path)
     return written
 
 
 def export_embeddings(z: np.ndarray, path) -> Path:
     path = Path(path)
-    lines = [",".join(repr(float(x)) for x in row) for row in np.atleast_2d(z)]
-    path.write_text("\n".join(lines) + "\n")
+    write_table(path, np.atleast_2d(z).astype(np.float64, copy=False), "%r", ",")
     return path
 
 

@@ -2,10 +2,13 @@
 and the on-disk dataset directory format.
 
 A multiplex graph is a set of D adjacency matrices (dimensions) over one node
-set with a shared feature matrix. Input dimensions are undirected: edge lists
-are symmetrized on load and every adjacency is kept symmetric with a zero
-diagonal. Values are {0,1} at load time; matrices produced later by trainable
-combinations hold arbitrary non-negative reals in the same CSR container.
+set with a shared feature matrix. Its dimensions are undirected: every one
+is exactly symmetric, pattern and values, and stores no diagonal entry.
+``MultiplexGraph`` refuses a dimension that breaks this wherever a graph is
+made (load, synth, a link split, code), so nothing downstream checks it
+again. Loaded dimensions hold 1.0 at every edge; matrices produced later by
+trainable combinations hold arbitrary non-negative reals in the same CSR
+container.
 """
 
 from __future__ import annotations
@@ -140,15 +143,18 @@ class SparseAdjacency:
         )
 
     def is_symmetric(self) -> bool:
-        m = self.to_scipy()
-        diff = m - m.T
-        return diff.nnz == 0 or float(np.abs(diff.data).max()) == 0.0
+        """Pattern and values equal the transpose's, explicit zeros included."""
+        t = self.to_scipy().T.tocsr()  # sorted, explicit zeros kept
+        return all(np.array_equal(a, b) for a, b in (
+            (t.indptr, self.indptr), (t.indices, self.indices), (t.data, self.values)))
 
     def has_zero_diagonal(self) -> bool:
-        return not np.any(self.to_scipy().diagonal())
+        """No diagonal entry is stored, not even an explicit zero."""
+        return not np.any(self.row_indices() == self.indices)
 
     def is_binary(self) -> bool:
-        return bool(np.all((self.values == 0.0) | (self.values == 1.0)))
+        """Every stored value is 1.0 (no explicit zero): each entry is an edge."""
+        return bool(np.all(self.values == 1.0))
 
     def undirected_pairs(self) -> np.ndarray:
         """All stored (u, v) pairs with u < v, as an array of shape (E, 2)."""
@@ -221,12 +227,11 @@ def normalize_adjacency(adj: SparseAdjacency) -> SparseAdjacency:
     """D^{-1/2} (A + I) D^{-1/2} with D the degree matrix of A + I.
 
     Every row of A + I has a positive sum because of the self-loop, so the
-    operation is total on valid inputs. Values must be finite and
-    non-negative. The result is symmetric for symmetric A, entry (i, i)
-    equals 1/deg(i), and all stored values lie in (0, 1].
+    operation is total on valid inputs. Values must be non-negative; a
+    SparseAdjacency is finite by construction. The result is symmetric for
+    symmetric A, entry (i, i) equals 1/deg(i), and all stored values lie in
+    (0, 1].
     """
-    if not np.all(np.isfinite(adj.values)):
-        raise DataFormatError("cannot normalize: non-finite adjacency value")
     if adj.values.size and adj.values.min() < 0.0:
         raise DataFormatError("cannot normalize: negative adjacency value")
     n = adj.num_nodes
@@ -241,12 +246,18 @@ def normalize_adjacency(adj: SparseAdjacency) -> SparseAdjacency:
 
 
 def _checked_dimensions(num_nodes: int, dimensions) -> tuple[SparseAdjacency, ...]:
+    """The graph's dimensions, each over ``num_nodes`` nodes, loop-free and
+    exactly symmetric; DataFormatError names the first that is not."""
     dims = tuple(dimensions)
     if len(dims) < 1:
         raise DataFormatError("graph needs at least one dimension")
     for k, d in enumerate(dims):
         if d.num_nodes != num_nodes:
             raise DataFormatError(f"dimension {k} has {d.num_nodes} nodes, expected {num_nodes}")
+        if not d.has_zero_diagonal():
+            raise DataFormatError(f"dimension {k} has a self-loop")
+        if not d.is_symmetric():
+            raise DataFormatError(f"dimension {k} is not symmetric")
     return dims
 
 
@@ -265,9 +276,10 @@ def _checked_features(num_nodes: int, features) -> np.ndarray:
 class MultiplexGraph:
     """Node set shared across D adjacency dimensions plus one feature matrix.
 
-    ``labels`` is optional; each node carries a tuple of class ids so that
-    multilabel datasets fit the same container (single-label nodes hold a
-    1-tuple).
+    Every dimension is exactly symmetric and stores no diagonal entry
+    (``_checked_dimensions``). ``labels`` is optional; each node carries a
+    tuple of one or more non-negative class ids so that multilabel datasets
+    fit the same container (single-label nodes hold a 1-tuple).
     """
 
     num_nodes: int
@@ -285,6 +297,8 @@ class MultiplexGraph:
             object.__setattr__(self, "labels", labels)
             if len(labels) != self.num_nodes:
                 raise DataFormatError("labels length does not match node count")
+            if not all(row and min(row) >= 0 for row in labels):
+                raise DataFormatError("every label row needs one or more non-negative class ids")
 
     @property
     def num_dims(self) -> int:
@@ -310,29 +324,18 @@ class MultiplexGraph:
         graph.__dict__.update(self.__dict__, **fields)
         return graph
 
-    def validate_loaded(self) -> None:
-        """Check the load-time invariants: binary, symmetric, zero-diagonal
-        dimensions and label rows of one or more non-negative class ids."""
-        if self.labels is not None and not all(row and min(row) >= 0 for row in self.labels):
-            raise DataFormatError("every label row needs one or more non-negative class ids")
-        for k, d in enumerate(self.dimensions):
-            if not d.is_binary():
-                raise DataFormatError(f"dimension {k} has non-binary values")
-            if not d.has_zero_diagonal():
-                raise DataFormatError(f"dimension {k} has a self-loop")
-            if not d.is_symmetric():
-                raise DataFormatError(f"dimension {k} is not symmetric")
-
 
 def save_multiplex(graph: MultiplexGraph, path) -> None:
     """Write a graph as a dataset directory (see load_multiplex for layout).
 
-    The edge-list format is unweighted, so dimensions must be binary,
-    symmetric, and diagonal-free; each undirected edge is written once.
-    Label rows must hold one or more non-negative class ids. A graph that
-    breaks these raises DataFormatError before any file is written.
+    The edge-list format is unweighted: each undirected edge is written
+    once and reads back as 1.0, so a dimension that stores any other value
+    (an explicit zero too) raises DataFormatError before any file is
+    written. The graph's own checks cover symmetry, loops and labels.
     """
-    graph.validate_loaded()
+    for k, d in enumerate(graph.dimensions):
+        if not d.is_binary():
+            raise DataFormatError(f"dimension {k} stores a value other than 1.0")
     root = Path(path)
     try:
         root.mkdir(parents=True, exist_ok=True)
@@ -407,7 +410,8 @@ def _read_ascii(path: Path) -> bytes:
     return _decode(data, path.name).translate(_ASCII_STAND_INS).encode("ascii", "replace")
 
 
-# int() also takes "1_0"; a node id is ASCII digits with an optional sign.
+# int() also takes "1_0"; a node id (and a class id) is ASCII digits with
+# an optional sign.
 _NODE_ID = re.compile(r" *[+-]?[0-9]+ *")
 # The bytes of the tables that save_multiplex writes, and CR for CRLF
 # files: a table of only these is read by np.loadtxt, any other line by line.
@@ -486,12 +490,9 @@ def _read_labels(path: Path, num_nodes: int) -> tuple[tuple[int, ...], ...]:
         line = line.strip()
         if not line:
             raise DataFormatError(f"{LABELS_FILE}:{ln}: empty label row")
-        try:
-            row = tuple(map(int, line.split(";")))
-            if min(row) < 0:
-                raise ValueError(f"negative class id in {line!r}")
-        except ValueError as exc:
-            raise DataFormatError(f"{LABELS_FILE}:{ln}: bad class id") from exc
+        fields = line.split(";")
+        if not all(map(_NODE_ID.fullmatch, fields)) or min(row := tuple(map(int, fields))) < 0:
+            raise DataFormatError(f"{LABELS_FILE}:{ln}: bad class id")
         label_rows.append(row)
     if len(label_rows) != num_nodes:
         raise DataFormatError(
@@ -524,9 +525,10 @@ def load_multiplex(path) -> MultiplexGraph:
         raise DataFormatError(f"missing {META_FILE} in {root}")
     try:
         meta = json.loads(_read_text(meta_path))
-        n = int(meta["num_nodes"])
-        num_dims = int(meta["num_dims"])
-        num_features = int(meta["num_features"])
+        n, num_dims, num_features = (meta[k] for k in ("num_nodes", "num_dims", "num_features"))
+        # type(), not isinstance(): a float, a string or a bool is no size.
+        if not all(type(size) is int for size in (n, num_dims, num_features)):
+            raise TypeError("sizes must be JSON integers")
     except (ValueError, KeyError, TypeError) as exc:
         raise DataFormatError(f"malformed {META_FILE}: {exc}") from exc
     if n < 1 or num_dims < 1 or num_features < 1:
@@ -564,7 +566,5 @@ def load_multiplex(path) -> MultiplexGraph:
             pairs = _edge_lines(data.decode("ascii"), dim_path.name, n)
         dims.append(SparseAdjacency.from_undirected_edges(n, pairs[:, 0], pairs[:, 1]))
 
-    # from_undirected_edges builds every dimension binary, symmetric and
-    # loop-free, so validate_loaded would find nothing; the label rows are
-    # tuples of ints already, one per node.
+    # The label rows are checked tuples of ints already, one per node.
     return MultiplexGraph(n, tuple(dims), features)._replace(labels=labels)

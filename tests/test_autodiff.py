@@ -603,10 +603,12 @@ def test_infomax_bce_head_invariant_under_output_basis_change():
 class TestSparseOps:
     @pytest.mark.parametrize("case", ["values", "pattern"])
     def test_normalize_plan_rejects_asymmetric_inputs(self, case):
-        # through_inputs reads every input as its own transpose. An input
-        # with asymmetric values on a symmetric pattern, or a one-directional
-        # input whose union with the others is symmetric, is refused.
+        # through_inputs reads every input as its own transpose, so the graph
+        # that holds the inputs refuses, where it is built, an input with
+        # asymmetric values on a symmetric pattern, and a one-directional
+        # input whose union with the others is symmetric.
         from hmge.errors import DataFormatError
+        from hmge.multiplex import MultiplexGraph
 
         upper = np.triu(random_sym_dense(5, np.random.default_rng(13), 0.6), 1)
         if case == "values":
@@ -615,7 +617,8 @@ class TestSparseOps:
             inputs = [from_dense(upper), from_dense(upper.T)]
         assert ad.UnionPattern(inputs).nnz == 2 * np.count_nonzero(upper)
         with pytest.raises(DataFormatError, match="dimension 1 is not symmetric"):
-            ad.NormalizePlan([from_dense(upper + upper.T), *inputs])
+            ad.NormalizePlan(
+                MultiplexGraph(5, [from_dense(upper + upper.T), *inputs], np.eye(5)).dimensions)
 
     @pytest.mark.parametrize("dense_mode", [True, False], ids=["dense", "sparse"])
     def test_normalize_plan_forward_matches_dense(self, monkeypatch, dense_mode):

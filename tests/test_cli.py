@@ -499,6 +499,32 @@ class TestDataFiles:
         assert capsys.readouterr().err.splitlines() == ["data error: labels.csv:2: bad class id"]
 
 
+    @pytest.mark.parametrize("command", [["eval", "--task", "link"], ["ablate"]],
+                             ids=["eval", "ablate"])
+    def test_nothing_to_hold_out_is_data_error(self, tmp_path, capsys, monkeypatch, command):
+        # One edge per dimension: the link split holds out no pair, so the
+        # command exits 2 before the first epoch, not after a full run.
+        import hmge.training
+
+        epochs, build = [], hmge.training.build_loss_nodes
+        monkeypatch.setattr(hmge.training, "build_loss_nodes",
+                            lambda *args: epochs.append(1) or build(*args))
+        data = tmp_path / "d6"
+        data.mkdir()
+        (data / "meta.json").write_text('{"num_nodes": 6, "num_dims": 2, "num_features": 1}')
+        (data / "dim_0.tsv").write_text("0\t1\n")
+        (data / "dim_1.tsv").write_text("2\t3\n")
+        (data / "features.csv").write_text("1\n2\n3\n4\n5\n6\n")
+        (data / "labels.csv").write_text("0\n1\n0\n1\n0\n1\n")
+        with pytest.warns(UserWarning, match="skipping link removal"):
+            code = main(command + ["--data", str(data), "--out", str(tmp_path / "o"),
+                                   "--epochs", "2"])
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err.splitlines() == [
+            "data error: no dimension has two or more edges to hold out"]
+        assert epochs == []
+
+
 class TestThreads:
     def test_env_var_accepted(self, dataset_dir, tmp_path, monkeypatch):
         monkeypatch.setenv("HMGE_THREADS", "1")

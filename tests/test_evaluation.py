@@ -277,6 +277,14 @@ class TestSplitLinks:
         assert all(d == 0 for d, _, _ in split.positives)
         assert split.training_graph.dimensions[1].equals(d_tiny)
 
+    def test_nothing_to_hold_out_is_data_error(self):
+        # Every dimension is skipped, so there is no positive to score.
+        dims = tuple(SparseAdjacency.from_undirected_edges(6, [u], [u + 1]) for u in (0, 2))
+        graph = MultiplexGraph(6, dims, np.ones((6, 1)))
+        with pytest.warns(UserWarning, match="skipping"):
+            with pytest.raises(DataFormatError, match="no dimension has two or more edges"):
+                split_links(graph, 0.1, np.random.default_rng(0))
+
     def test_bad_ratio(self):
         with pytest.raises(ConfigError):
             split_links(small_multiplex(), 1.5, np.random.default_rng(0))

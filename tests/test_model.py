@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from hmge import autodiff as ad
 from hmge import model as mdl
-from hmge.errors import ConfigError
+from hmge.errors import ConfigError, DataFormatError
 from hmge.model import (
     EncodePlan,
     HmgeConfig,
@@ -754,9 +754,11 @@ class TestEncodePlanPatterns:
         assert np.abs(norm.row_sums - dense.sum(axis=2)).max() <= 1e-12
 
     def test_diagonal_entries_rejected(self):
+        # The graph refuses a stored diagonal entry where it is built, so no
+        # union pattern is ever made over one.
         looped = from_dense(np.array([[1.0, 1.0], [1.0, 0.0]]))
-        with pytest.raises(ValueError, match="diagonal"):
-            ad.UnionPattern([looped])
+        with pytest.raises(DataFormatError, match="dimension 0 has a self-loop"):
+            ad.UnionPattern(MultiplexGraph(2, [looped], np.ones((2, 1))).dimensions)
 
     def test_lazy_union_matches_fresh_build(self):
         # At L = 2 the plan builds its union, stacked block and multiply plan
@@ -883,6 +885,25 @@ class TestModelFile:
         assert params2.depth == 2
         for (_, a, _, _), (_, b, _, _) in zip(param_leaves(params), param_leaves(params2)):
             assert np.array_equal(a, b)
+
+    def test_exports_write_the_per_row_join_text(self, tmp_path):
+        # The bytes the per-row join wrote: each value's repr, commas
+        # between, one line per row.
+        from hmge.model import export_combination_weights, export_embeddings
+
+        def join(rows):
+            lines = [",".join(repr(float(x)) for x in row) for row in rows]
+            return ("\n".join(lines) + "\n").encode()
+
+        z = np.array([[-0.0, 5e-324, 1e300], [1 / 3, -1e-300, 2.5]])
+        assert export_embeddings(z, tmp_path / "z.csv").read_bytes() == join(z)
+        cfg = HmgeConfig(embed_size=3, num_layers=2, dims_schedule=(3, 2, 1))
+        params = init_params(cfg, 3, 5, np.random.default_rng(0))
+        params.layers[0].alpha[:] = [[0.0, -744.0], [-0.0, 700.0], [1e-300, 0.0]]
+        paths = export_combination_weights(params, tmp_path / "alpha")
+        assert [p.name for p in paths] == ["alpha_l0.csv", "alpha_l1.csv"]
+        for path, layer in zip(paths, params.layers):
+            assert path.read_bytes() == join(softmax_alpha(layer.alpha))
 
     @pytest.mark.parametrize("layers", [0, 2])
     def test_load_draws_no_parameters(self, layers, tmp_path, monkeypatch):

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -252,6 +253,25 @@ class TestGraphModel:
         with pytest.raises(DataFormatError, match="dimension 1 has 4 nodes"):
             g.with_dimensions([g.dimensions[0], SparseAdjacency.from_undirected_edges(4, [0], [1])])
 
+    @pytest.mark.parametrize("entries, message", [
+        ({(0, 1): 1.0}, "dimension 1 is not symmetric"),
+        ({(0, 1): 1.0, (1, 0): 2.0}, "dimension 1 is not symmetric"),
+        ({(0, 1): 0.0}, "dimension 1 is not symmetric"),
+        ({(0, 1): 1.0, (1, 0): 1.0, (2, 2): 0.0}, "dimension 1 has a self-loop"),
+    ], ids=["one-directional", "values", "stored-zero", "zero-diagonal"])
+    def test_graph_refuses_dimension_off_contract(self, entries, message):
+        # Exact symmetry and no stored diagonal entry, explicit zeros
+        # included, wherever a graph is built.
+        (rows, cols), values = zip(*entries), list(entries.values())
+        m = sp.csr_matrix((values, (rows, cols)), shape=(3, 3))
+        m.sort_indices()
+        bad = SparseAdjacency(3, m.indptr, m.indices, m.data)
+        g = graph_from_edges(3, [[(0, 1)]])
+        with pytest.raises(DataFormatError, match=message):
+            MultiplexGraph(3, (g.dimensions[0], bad), g.features)
+        with pytest.raises(DataFormatError, match=message):
+            g.with_dimensions([g.dimensions[0], bad])
+
     def test_replacing_one_field_checks_only_that_field(self, monkeypatch):
         import hmge.multiplex as mx
 
@@ -418,10 +438,38 @@ class TestLoadSave:
 
     @pytest.mark.parametrize("labels", [((0,), (), (1,)), ((0,), (1, -1), (1,))])
     def test_save_refuses_labels_that_load_refuses(self, tmp_path, labels):
-        graph = graph_from_edges(3, [[(0, 1)]], labels=labels)
+        # Refused where the graph is built, so save has nothing to write.
         with pytest.raises(DataFormatError, match="non-negative class ids"):
-            save_multiplex(graph, tmp_path / "ds")
+            save_multiplex(graph_from_edges(3, [[(0, 1)]], labels=labels), tmp_path / "ds")
         assert not (tmp_path / "ds").exists()
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(2, 6), data=st.data())
+    def test_save_writes_only_what_load_reads_back_equal(self, n, data):
+        # Symmetric dimensions with a value drawn per stored pair, explicit
+        # zeros and weights among them: save refuses and writes nothing, or
+        # load returns the dimensions it saved.
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        value = st.one_of(st.just(1.0), st.sampled_from([0.0, 0.5, 2.0]))
+        dims = []
+        for _ in range(data.draw(st.integers(1, 3))):
+            chosen = data.draw(st.lists(st.sampled_from(pairs), unique=True))
+            values = [data.draw(value) for _ in chosen]
+            us, vs = (list(end) for end in zip(*chosen)) if chosen else ([], [])
+            m = sp.csr_matrix((values * 2, (us + vs, vs + us)), shape=(n, n))
+            m.sort_indices()
+            dims.append(SparseAdjacency(n, m.indptr, m.indices, m.data))
+        graph = MultiplexGraph(n, dims, np.arange(n, dtype=float)[:, None])
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp) / "ds"
+            try:
+                save_multiplex(graph, root)
+            except DataFormatError as exc:
+                assert "stores a value other than 1.0" in str(exc)
+                assert not root.exists()
+                return
+            loaded = load_multiplex(root)
+        assert all(a.equals(b) for a, b in zip(loaded.dimensions, graph.dimensions))
 
     def test_edge_list_spans_format_chunks(self, tmp_path):
         # The edge list is formatted 2^16 edges at a time; a dimension with
@@ -594,6 +642,9 @@ class TestTextGrammar:
         ("labels", "0\n\n1\n", "labels.csv:2: empty label row"),
         ("labels", "0\n1;x\n1\n", "labels.csv:2: bad class id"),
         ("labels", "0\n1;-1\n1\n", "labels.csv:2: bad class id"),
+        # int() takes these two; the loader does not.
+        ("labels", "0\n1_0\n1\n", "labels.csv:2: bad class id"),
+        ("labels", "0\n\u0661\n1\n", "labels.csv:2: bad class id"),
         ("labels", "0\n1\n", "labels.csv: expected 3 rows, got 2"),
     ])
     def test_malformed_file_names_its_line(self, tmp_path, file, text, message):
@@ -604,6 +655,16 @@ class TestTextGrammar:
         with pytest.raises(DataFormatError) as info:
             load_multiplex(root)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("key, size", [("num_nodes", 2.9), ("num_dims", True),
+                                           ("num_features", "1")])
+    def test_meta_size_must_be_a_json_integer(self, tmp_path, key, size):
+        # int() would read these as 2, 1 and 1.
+        root = write_dataset(tmp_path / "ds", 3, ["0\t1\n"], "1.0\n2.0\n3.0\n")
+        meta = {"num_nodes": 3, "num_dims": 1, "num_features": 1, key: size}
+        (root / "meta.json").write_text(json.dumps(meta))
+        with pytest.raises(DataFormatError, match="^malformed meta.json"):
+            load_multiplex(root)
 
     @pytest.mark.parametrize("text", ["", "\n\n", " \r\n"])
     def test_empty_edge_list_loads_without_a_warning(self, tmp_path, text):

@@ -542,17 +542,19 @@ class TestParamsMatchConfig:
             encode(graph, init_params(cfg, 3, 3, np.random.default_rng(0)), cfg)
         assert calls == []
 
-    @pytest.mark.parametrize("layers", [1, 2])
+    @pytest.mark.parametrize("layers", [0, 1, 2])
     @pytest.mark.parametrize("case", ["values", "pattern"])
     def test_asymmetric_input_refused_before_first_epoch(self, case, layers, monkeypatch):
-        # The latent path reads every input as its own transpose. Refused:
-        # asymmetric values on a symmetric pattern, and two one-directional
-        # inputs whose union is symmetric.
+        # The latent path reads every input as its own transpose. Refused
+        # where the graph is built, so before any plan or epoch at every
+        # depth, the linear baseline included: asymmetric values on a
+        # symmetric pattern, and two one-directional inputs whose union is
+        # symmetric.
         import scipy.sparse as sp
 
         from hmge.errors import DataFormatError
-        from hmge.model import EncodePlan, encode
-        from hmge.multiplex import SparseAdjacency
+        from hmge.model import EncodePlan
+        from hmge.multiplex import MultiplexGraph, SparseAdjacency
 
         graph = self.sbm60()
         dims = list(graph.dimensions)
@@ -565,40 +567,34 @@ class TestParamsMatchConfig:
             upper.sort_indices()
             dims[1:] = [SparseAdjacency(60, m.indptr, m.indices, m.data)
                         for m in (upper, upper.T.tocsr())]
-        graph = graph.with_dimensions(dims)
-        assert not graph.dimensions[1].is_symmetric()
+        assert not dims[1].is_symmetric()
         cfg = HmgeConfig(4, layers)
         calls = self.count_epochs(monkeypatch)
         with pytest.raises(DataFormatError, match="dimension 1 is not symmetric"):
-            EncodePlan(graph, cfg)
+            EncodePlan(MultiplexGraph(60, dims, graph.features), cfg)
         with pytest.raises(DataFormatError, match="dimension 1 is not symmetric"):
-            train(graph, cfg, TrainConfig(epochs=3, patience=3))
-        with pytest.raises(DataFormatError, match="dimension 1 is not symmetric"):
-            encode(graph, init_params(cfg, 3, 3, np.random.default_rng(0)), cfg)
+            train(graph.with_dimensions(dims), cfg, TrainConfig(epochs=3, patience=3))
         assert calls == []
 
-    @pytest.mark.parametrize("layers", [1, 2])
+    @pytest.mark.parametrize("layers", [0, 1, 2])
     def test_diagonal_input_refused_before_first_epoch(self, layers, monkeypatch):
         # The union pattern is built lazily, but its diagonal-free contract
-        # is checked when the plan is constructed.
-        from hmge.model import EncodePlan, encode
+        # holds from the moment the graph is built, at every depth.
+        from hmge.errors import DataFormatError
+        from hmge.model import EncodePlan
+        from hmge.multiplex import MultiplexGraph
 
         graph = self.sbm60()
         dense = to_dense(graph.dimensions[1])
         dense[5, 5] = 1.0
         dims = list(graph.dimensions)
         dims[1] = from_dense(dense)
-        graph = graph.with_dimensions(dims)
         cfg = HmgeConfig(4, layers)
         calls = self.count_epochs(monkeypatch)
-        with pytest.raises(ValueError, match="diagonal"):
-            ad.NormalizePlan(graph.dimensions)
-        with pytest.raises(ValueError, match="diagonal"):
-            EncodePlan(graph, cfg)
-        with pytest.raises(ValueError, match="diagonal"):
-            train(graph, cfg, TrainConfig(epochs=3, patience=3))
-        with pytest.raises(ValueError, match="diagonal"):
-            encode(graph, init_params(cfg, 3, 3, np.random.default_rng(0)), cfg)
+        with pytest.raises(DataFormatError, match="dimension 1 has a self-loop"):
+            EncodePlan(MultiplexGraph(60, dims, graph.features), cfg)
+        with pytest.raises(DataFormatError, match="dimension 1 has a self-loop"):
+            train(graph.with_dimensions(dims), cfg, TrainConfig(epochs=3, patience=3))
         assert calls == []
 
     @pytest.mark.parametrize("case", mismatched_params(), ids=lambda c: c[0])
