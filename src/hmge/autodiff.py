@@ -102,7 +102,7 @@ class Node:
 
     def __repr__(self):
         tag = self.name or ("param" if self.is_parameter else "node")
-        return f"Node({tag}, shape={self.value.shape})"
+        return f"Node({tag}, shape={getattr(self.value, 'shape', None)})"
 
 
 class Tape:
@@ -126,7 +126,10 @@ class Tape:
         return node
 
     def parameter(self, value, name=None) -> Node:
-        node = Node(self, np.array(value, dtype=np.float64), requires_grad=True,
+        """A leaf whose adjoint ``backward`` keeps. A float64 array is held as
+        is, not copied: no op writes to a leaf, and the caller may step it in
+        place once ``backward`` has run."""
+        node = Node(self, np.asarray(value, dtype=np.float64), requires_grad=True,
                     is_parameter=True, name=name)
         self.nodes.append(node)
         self.parameters.append(node)
@@ -138,7 +141,9 @@ class Tape:
         Reverse insertion order guarantees every consumer of a node ran
         before the node itself, so intermediate adjoints and kernel caches
         are dropped as soon as they have been propagated (parameters keep
-        theirs).
+        theirs), and each pullback as soon as it has run, with the arrays
+        it captured. Node values stay until ``release``, except where a
+        pullback frees its own input's (``attend``).
         """
         if self._backward_done:
             raise HmgeError("backward already ran on this tape; rebuild the forward pass")
@@ -153,6 +158,7 @@ class Tape:
         for node in reversed(self.nodes):
             if node.adjoint is not None and node._backward is not None:
                 node._backward(node.adjoint)
+            node._backward = None
             if not node.is_parameter:
                 node.adjoint = None
                 node._cache = None
@@ -244,14 +250,16 @@ def relu(a: Node) -> Node:
 
 
 def sigmoid_value(x: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function (eager helper)."""
+    """Numerically stable logistic function (eager helper).
+
+    1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below, with one
+    exponential e = exp(-|x|) that cannot overflow; min(x, -x) is -|x| and
+    passes a NaN through as it is, so the bits equal those of the two
+    branches evaluated apart.
+    """
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0.0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    e = np.exp(x[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    e = np.exp(np.minimum(x, -x))
+    return np.where(x >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def softmax_cols(a: Node) -> Node:
@@ -307,11 +315,12 @@ def attend(pre: Node, v: Node, y: Node) -> Node:
     rows sum_d beta_nd h_dn (N, M), with the weights beta (N, D) kept
     forward-only in the node's cache ("beta").
 
-    h = relu(pre) is taken in place, and the pullback overwrites ``pre``'s
-    value with ``pre``'s adjoint, so no second (D, N, M) array is kept in
-    either direction: ``pre`` must be an op's fresh output that nothing
-    else reads and whose own pullback does not read it, as ``spmm``'s and
-    ``batched_matmul``'s; a leaf is refused. Scores
+    h = relu(pre) is taken in place, and the pullback overwrites that
+    buffer with ``pre``'s adjoint and sets ``pre.value`` to None, so the
+    buffer lives on only as the adjoint and no second (D, N, M) array is
+    kept in either direction: ``pre`` must be an op's fresh output that
+    nothing else reads and whose own pullback does not read it, as
+    ``spmm``'s and ``batched_matmul``'s; a leaf is refused. Scores
     s_nd = tanh(h_nd V_d^T y_d) are evaluated as h_nd u_d with
     u_d = V_d^T y_d, one (D, M) block instead of a projected stack. Each
     row is divided by its signed sum, so its weights sum to 1 and stay
@@ -363,6 +372,7 @@ def attend(pre: Node, v: Node, y: Node) -> Node:
                 hv[k] += cu
                 hv[k] *= slope[k]
             _accum_owned(pre, hv)
+        pre.value = None
 
     node = tape._add(np.einsum("dnm,nd->nm", hv, beta), (pre, v, y), backward, name="attend")
     node.cache()["beta"] = beta

@@ -7,7 +7,9 @@ check it; keys that name no flag of the subcommand are ignored.
 ``--threads``/``HMGE_THREADS`` is validated and copied into the BLAS thread
 variables, but ``import hmge`` has loaded numpy by then, so it does not
 cap the pool yet. Exit codes: 0 success, 1 usage error, 2 data error (an
-output file that cannot be written included), 3 numeric failure.
+output file that cannot be written included), 3 numeric failure. A
+warning the library emits, such as a dimension the link split skips, is
+one ``note:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 from pathlib import Path
 
 from .errors import ConfigError, DataFormatError, NumericError
@@ -403,6 +406,10 @@ _COMMANDS = {
 }
 
 
+def _print_note(message, category, filename, lineno, file=None, line=None) -> None:
+    print(f"note: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -412,7 +419,9 @@ def main(argv=None) -> int:
     try:
         options = _Options(namespace)
         _setup_threads(options)
-        return _COMMANDS[namespace.command](options)
+        with warnings.catch_warnings():
+            warnings.showwarning = _print_note
+            return _COMMANDS[namespace.command](options)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

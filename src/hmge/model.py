@@ -334,16 +334,18 @@ def _block_diagonal(blocks: list[SparseAdjacency]) -> sp.csr_matrix:
 class EncodePlan:
     """Per-graph precomputation shared by every epoch.
 
-    Holds the first-level GCN operator (the D input graphs, each normalized
-    to D^{-1/2}(A + I)D^{-1/2}, as one block-diagonal scipy CSR matrix over
-    D*N nodes, built once so no epoch converts it again), the first-level
-    propagation of the clean features and, with hierarchical layers, the
-    latent-path plan ``norm_plan`` (``autodiff.NormalizePlan``). Its union
-    pattern (``union``) and the input values stacked one row per dimension
-    on it (``stacked``) are built on first access, which at L = 1 neither
-    ``train`` nor ``encode`` makes. The union comes from one sort of all E
-    stored input entries (``autodiff.UnionPattern``): O(E log E) time and
-    O(E) memory.
+    Holds the first-level GCN operator (``first_gcn``: the D input graphs,
+    each normalized to D^{-1/2}(A + I)D^{-1/2}, as one block-diagonal scipy
+    CSR matrix over D*N nodes, so no epoch converts it again), the
+    first-level propagation of the clean features (``feature_prop``) and,
+    with hierarchical layers, the latent-path plan ``norm_plan``
+    (``autodiff.NormalizePlan``). The operator and the propagation are built
+    on first access, so a plan held across ``train`` (which builds its own)
+    holds neither until its first product. The union pattern (``union``) and
+    the input values stacked one row per dimension on it (``stacked``) are
+    built on first access too, which at L = 1 neither ``train`` nor
+    ``encode`` makes. The union comes from one sort of all E stored input
+    entries (``autodiff.UnionPattern``): O(E log E) time and O(E) memory.
     """
 
     def __init__(self, graph: MultiplexGraph, config: HmgeConfig):
@@ -352,12 +354,18 @@ class EncodePlan:
         self.num_nodes = graph.num_nodes
         self.dimensions = graph.dimensions
         self.features = graph.features
-        self.first_gcn = _block_diagonal([normalize_adjacency(d) for d in graph.dimensions])
         # With one-hot node features the first GCN collapses to A_d @ W_d
         # (and ``shuffled_first_gcn`` @ W on the corrupted side): no propagation.
         self.identity_features = _is_identity(graph.features)
-        self.feature_prop = None if self.identity_features else self.propagate(graph.features)
         self.norm_plan = ad.NormalizePlan(graph.dimensions) if config.num_layers >= 1 else None
+
+    @functools.cached_property
+    def first_gcn(self) -> sp.csr_matrix:
+        return _block_diagonal([normalize_adjacency(d) for d in self.dimensions])
+
+    @functools.cached_property
+    def feature_prop(self) -> np.ndarray | None:
+        return None if self.identity_features else self.propagate(self.features)
 
     @property
     def union(self) -> ad.UnionPattern | None:
@@ -429,7 +437,11 @@ def structure_from_leaves(params, leaves):
 
 
 def lift_params(tape: ad.Tape, params, train_alpha: bool = True, constant: bool = False):
-    """Register all parameter arrays on a tape; returns their container of nodes."""
+    """Register all parameter arrays on a tape; returns their container of nodes.
+
+    The nodes hold the arrays themselves, not copies: an optimizer that
+    steps them in place after ``Tape.backward`` steps the next tape's leaves.
+    """
     nodes = []
     for name, arr, _, trainable in param_leaves(params, train_alpha):
         if constant or not trainable:
@@ -465,7 +477,7 @@ def build_latent_structure(plan: EncodePlan, pnodes) -> list[ad.Node]:
     so level l is a convex combination of the input graphs with weights
     P_l = softmax_cols(alpha_0) ... softmax_cols(alpha_l): one small
     ``matmul`` per layer composes P_l. Inputs and weights are non-negative
-    (``normalize_adjacency`` refuses negative values), so no ReLU follows.
+    (``MultiplexGraph`` refuses negative values), so no ReLU follows.
 
     P_l's node is the only tape parent of level l's graphs. Their consumers
     cache what they read on that node and pull their gradient straight back

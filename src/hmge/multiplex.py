@@ -3,12 +3,12 @@ and the on-disk dataset directory format.
 
 A multiplex graph is a set of D adjacency matrices (dimensions) over one node
 set with a shared feature matrix. Its dimensions are undirected: every one
-is exactly symmetric, pattern and values, and stores no diagonal entry.
-``MultiplexGraph`` refuses a dimension that breaks this wherever a graph is
-made (load, synth, a link split, code), so nothing downstream checks it
-again. Loaded dimensions hold 1.0 at every edge; matrices produced later by
-trainable combinations hold arbitrary non-negative reals in the same CSR
-container.
+is exactly symmetric, pattern and values, stores no diagonal entry and no
+negative value. ``MultiplexGraph`` refuses a dimension that breaks this
+wherever a graph is made (load, synth, a link split, code), so nothing
+downstream checks it again. Loaded dimensions hold 1.0 at every edge;
+matrices produced later by trainable combinations hold arbitrary
+non-negative reals in the same CSR container.
 """
 
 from __future__ import annotations
@@ -227,10 +227,11 @@ def normalize_adjacency(adj: SparseAdjacency) -> SparseAdjacency:
     """D^{-1/2} (A + I) D^{-1/2} with D the degree matrix of A + I.
 
     Every row of A + I has a positive sum because of the self-loop, so the
-    operation is total on valid inputs. Values must be non-negative; a
-    SparseAdjacency is finite by construction. The result is symmetric for
-    symmetric A, entry (i, i) equals 1/deg(i), and all stored values lie in
-    (0, 1].
+    operation is total on valid inputs. Values must be non-negative, which
+    a graph's dimensions are by its contract; this takes bare adjacencies
+    too, so it checks. A SparseAdjacency is finite by construction. The
+    result is symmetric for symmetric A, entry (i, i) equals 1/deg(i), and
+    all stored values lie in (0, 1].
     """
     if adj.values.size and adj.values.min() < 0.0:
         raise DataFormatError("cannot normalize: negative adjacency value")
@@ -246,8 +247,9 @@ def normalize_adjacency(adj: SparseAdjacency) -> SparseAdjacency:
 
 
 def _checked_dimensions(num_nodes: int, dimensions) -> tuple[SparseAdjacency, ...]:
-    """The graph's dimensions, each over ``num_nodes`` nodes, loop-free and
-    exactly symmetric; DataFormatError names the first that is not."""
+    """The graph's dimensions, each over ``num_nodes`` nodes, loop-free,
+    exactly symmetric and non-negative; DataFormatError names the first
+    that is not."""
     dims = tuple(dimensions)
     if len(dims) < 1:
         raise DataFormatError("graph needs at least one dimension")
@@ -258,6 +260,8 @@ def _checked_dimensions(num_nodes: int, dimensions) -> tuple[SparseAdjacency, ..
             raise DataFormatError(f"dimension {k} has a self-loop")
         if not d.is_symmetric():
             raise DataFormatError(f"dimension {k} is not symmetric")
+        if d.values.size and d.values.min() < 0.0:
+            raise DataFormatError(f"dimension {k} has a negative value")
     return dims
 
 
@@ -276,10 +280,11 @@ def _checked_features(num_nodes: int, features) -> np.ndarray:
 class MultiplexGraph:
     """Node set shared across D adjacency dimensions plus one feature matrix.
 
-    Every dimension is exactly symmetric and stores no diagonal entry
-    (``_checked_dimensions``). ``labels`` is optional; each node carries a
-    tuple of one or more non-negative class ids so that multilabel datasets
-    fit the same container (single-label nodes hold a 1-tuple).
+    Every dimension is exactly symmetric, non-negative and stores no
+    diagonal entry (``_checked_dimensions``). ``labels`` is optional; each
+    node carries a tuple of one or more non-negative class ids so that
+    multilabel datasets fit the same container (single-label nodes hold a
+    1-tuple).
     """
 
     num_nodes: int

@@ -146,8 +146,12 @@ def train(
     ``train_alpha=False`` freezes the combination logits (used by the
     uniform-weights ablation). A fresh parameter set is drawn from the seed
     unless ``params`` is supplied; supplied parameters that do not match
-    ``hmge_config`` raise ConfigError before the first epoch. On glibc the
-    first call sets the process-wide malloc policy of ``model.pin_malloc``.
+    ``hmge_config`` raise ConfigError before the first epoch, and matching
+    ones are copied, never stepped. Each epoch's tape holds the live arrays
+    that Adam steps in place; an epoch that improves the loss first copies
+    them into the best-loss set, the one other copy kept, allocated once
+    before the first epoch. On glibc the first call sets the process-wide
+    malloc policy of ``model.pin_malloc``.
     """
     mdl.pin_malloc()
     seed_init, seed_corrupt = np.random.SeedSequence(train_config.rng_seed).spawn(2)
@@ -166,6 +170,10 @@ def train(
                in mdl.param_leaves(params, train_alpha) if trainable]
     flat_refs, decay_flags = [arr for arr, _ in trained], [decay for _, decay in trained]
     adam = AdamState(flat_refs)
+    # The one best-loss set, written in place whenever the loss improves.
+    best_params = params.copy()
+    best_pairs = [(best, live) for (_, best, _, _), (_, live, _, _)
+                  in zip(mdl.param_leaves(best_params), mdl.param_leaves(params))]
 
     history: list[float] = []
     best_loss = math.inf
@@ -189,9 +197,9 @@ def train(
         if loss < best_loss:
             best_loss = loss
             best_epoch = epoch
-            # The tape's leaves: copies, or a frozen alpha Adam never steps; no op writes to one.
-            best_params = mdl.structure_from_leaves(
-                params, [n.value for _, n, _, _ in mdl.param_leaves(pnodes)])
+            # The tape's leaves are the live arrays: copy them before Adam steps them.
+            for best, live in best_pairs:
+                np.copyto(best, live)
             since_best = 0
         else:
             since_best += 1

@@ -101,6 +101,26 @@ class TestForwardValues:
     def test_sigmoid_zero(self):
         assert ad.sigmoid_value(np.zeros(1))[0] == 0.5
 
+    def test_sigmoid_matches_the_two_branch_form_bitwise(self):
+        def two_branch(x):
+            out = np.empty_like(x)
+            pos = x >= 0.0
+            out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+            e = np.exp(x[~pos])
+            out[~pos] = e / (1.0 + e)
+            return out
+
+        rng = np.random.default_rng(5)
+        special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan])
+        draws = np.concatenate([rng.normal(0.0, 3.0, 1000), rng.uniform(-700, 700, 1000)])
+        # exp(-800) underflows to zero in either form; nothing else may
+        # overflow, divide by zero or make a NaN.
+        for x, errors in ((special, {"all": "raise"}), (draws, {"all": "raise"}),
+                          (np.array([800.0, -800.0]), {"all": "raise", "under": "ignore"})):
+            with np.errstate(**errors):
+                got, want = ad.sigmoid_value(x), two_branch(x)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
     def test_relu_negative_and_derivative(self):
         t = ad.Tape()
         x = t.parameter(np.array([-3.0]))
@@ -442,7 +462,8 @@ def test_attend_rectifies_its_input_in_place():
 @pytest.mark.parametrize("dims", [1, 3])
 def test_attend_pullback_writes_over_its_input(dims):
     # The adjoint attend hands its input's op is that op's own value buffer,
-    # and every gradient equals the unfused chain's to the bit.
+    # which then lives on only as that adjoint, and every gradient equals
+    # the unfused chain's to the bit.
     rng = np.random.default_rng(32 + dims)
     arrays = pre_arrays(rng, dims, n=9, m=6)
     coeffs = rng.uniform(-1, 1, (9, 6))
@@ -453,7 +474,8 @@ def test_attend_pullback_writes_over_its_input(dims):
     prod._backward = lambda g: seen.append(g) or pullback(g)
     out = ad.attend(prod, v, y)
     t.backward(sum_all(elementwise_mul(out, t.constant(coeffs))))
-    assert len(seen) == 1 and seen[0] is buffer and prod.value is buffer
+    assert len(seen) == 1 and seen[0] is buffer and prod.value is None
+    assert repr(prod).endswith("shape=None)")
     _, unfused, _, _ = attend_pair(arrays, coeffs, fused=False)
     for got, want in zip((pre, v, y), unfused):
         assert np.array_equal(got.adjoint, want.adjoint)

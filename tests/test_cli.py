@@ -516,13 +516,34 @@ class TestDataFiles:
         (data / "dim_1.tsv").write_text("2\t3\n")
         (data / "features.csv").write_text("1\n2\n3\n4\n5\n6\n")
         (data / "labels.csv").write_text("0\n1\n0\n1\n0\n1\n")
-        with pytest.warns(UserWarning, match="skipping link removal"):
-            code = main(command + ["--data", str(data), "--out", str(tmp_path / "o"),
-                                   "--epochs", "2"])
+        code = main(command + ["--data", str(data), "--out", str(tmp_path / "o"),
+                               "--epochs", "2"])
         assert code == EXIT_DATA
         assert capsys.readouterr().err.splitlines() == [
+            "note: dimension 0 has 1 edge(s); skipping link removal",
+            "note: dimension 1 has 1 edge(s); skipping link removal",
             "data error: no dimension has two or more edges to hold out"]
         assert epochs == []
+
+    @pytest.mark.parametrize("command", [["eval", "--task", "link"], ["ablate"]],
+                             ids=["eval", "ablate"])
+    def test_skipped_dimension_is_one_note_line(self, tmp_path, capsys, command):
+        # A dimension with one edge is skipped by the link split and named
+        # once on stderr as a plain line, with no warning report around it;
+        # the other dimension is split and the command succeeds.
+        data = tmp_path / "d8"
+        data.mkdir()
+        (data / "meta.json").write_text('{"num_nodes": 8, "num_dims": 2, "num_features": 1}')
+        (data / "dim_0.tsv").write_text("0\t1\n")
+        (data / "dim_1.tsv").write_text("".join(f"{u}\t{v}\n" for u in range(8)
+                                                for v in range(u + 1, 8) if (u + v) % 3))
+        (data / "features.csv").write_text("".join(f"{k}\n" for k in range(1, 9)))
+        (data / "labels.csv").write_text("0\n1\n" * 4)
+        code = main(command + ["--data", str(data), "--out", str(tmp_path / "o"),
+                               "--epochs", "2"])
+        assert code == EXIT_OK
+        assert capsys.readouterr().err.splitlines() == [
+            "note: dimension 0 has 1 edge(s); skipping link removal"]
 
 
 class TestThreads:

@@ -787,6 +787,31 @@ class TestEncodePlanPatterns:
             assert a.dtype == b.dtype and np.array_equal(a, b)
         assert plan.norm_plan.spmm.indptr is union.indptr
 
+    @pytest.mark.parametrize("identity", [False, True], ids=["features", "one-hot"])
+    @pytest.mark.parametrize("layers", [0, 1])
+    def test_lazy_first_level_matches_eager_build(self, layers, identity):
+        # The first-level operator and the propagation of the clean
+        # features are built on first use, equal to the eager builds
+        # bitwise, index dtypes included.
+        rng = np.random.default_rng(33)
+        dims = tuple(from_dense(random_sym_dense(12, rng, 0.3)) for _ in range(3))
+        graph = MultiplexGraph(12, dims, np.eye(12) if identity else rng.standard_normal((12, 2)))
+        cfg = HmgeConfig(embed_size=3, num_layers=layers)
+        plan = EncodePlan(graph, cfg)
+        assert {"first_gcn", "feature_prop"}.isdisjoint(vars(plan))
+        encode(graph, init_params(cfg, 3, graph.num_features, np.random.default_rng(34)), cfg,
+               plan=plan)
+        assert "first_gcn" in vars(plan) and ("feature_prop" in vars(plan)) is not identity
+        want = mdl._block_diagonal([normalize_adjacency(d) for d in dims])
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(plan.first_gcn, name), getattr(want, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        if identity:
+            assert plan.feature_prop is None
+        else:
+            eager = (want @ np.tile(graph.features, (3, 1))).reshape(3, 12, -1)
+            assert np.array_equal(plan.feature_prop, eager)
+
 
 class TestLearnedAttention:
     """The tape's learned attention against the eager ``attention_aggregate``."""

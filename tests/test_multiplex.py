@@ -258,10 +258,12 @@ class TestGraphModel:
         ({(0, 1): 1.0, (1, 0): 2.0}, "dimension 1 is not symmetric"),
         ({(0, 1): 0.0}, "dimension 1 is not symmetric"),
         ({(0, 1): 1.0, (1, 0): 1.0, (2, 2): 0.0}, "dimension 1 has a self-loop"),
-    ], ids=["one-directional", "values", "stored-zero", "zero-diagonal"])
+        ({(0, 1): -0.5, (1, 0): -0.5, (1, 2): 1.0, (2, 1): 1.0},
+         "dimension 1 has a negative value"),
+    ], ids=["one-directional", "values", "stored-zero", "zero-diagonal", "negative"])
     def test_graph_refuses_dimension_off_contract(self, entries, message):
-        # Exact symmetry and no stored diagonal entry, explicit zeros
-        # included, wherever a graph is built.
+        # Exact symmetry, no stored diagonal entry (explicit zeros included)
+        # and no negative value, wherever a graph is built.
         (rows, cols), values = zip(*entries), list(entries.values())
         m = sp.csr_matrix((values, (rows, cols)), shape=(3, 3))
         m.sort_indices()

@@ -393,8 +393,8 @@ class TestTrainLoop:
 
     @pytest.mark.parametrize("train_alpha", [True, False])
     def test_returned_params_share_no_memory_with_adam(self, monkeypatch, train_alpha):
-        # The best-loss snapshot is taken from the tape's parameter copies;
-        # later Adam steps must not reach it.
+        # The best-loss snapshot is a copy of the live arrays; later Adam
+        # steps must not reach it.
         updated = []
         step = AdamState.step
 
@@ -409,6 +409,50 @@ class TestTrainLoop:
         assert updated
         for _, arr, _, _ in param_leaves(res.params):
             assert not any(np.shares_memory(arr, p) for p in updated)
+
+    @pytest.mark.parametrize("layers", [0, 1, 2])
+    def test_best_params_outlive_later_steps(self, monkeypatch, layers):
+        # Every epoch's tape holds the live arrays themselves. Here the best
+        # epoch is neither the first nor the last, so Adam stepped the live
+        # arrays past it: the returned parameters share no memory with them,
+        # differ from them and encode to the returned embeddings.
+        import hmge.model
+        from hmge.model import encode
+
+        lift, lifted = hmge.model.lift_params, []
+
+        def recording_lift(tape, params, **kwargs):
+            pnodes = lift(tape, params, **kwargs)
+            lifted.append((params, all(node.value is arr for (_, node, _, _), (_, arr, _, _)
+                                        in zip(param_leaves(pnodes), param_leaves(params)))))
+            return pnodes
+
+        monkeypatch.setattr(hmge.model, "lift_params", recording_lift)
+        g, cfg = self.graph16(), HmgeConfig(embed_size=4, num_layers=layers)
+        res = train(g, cfg, TrainConfig(epochs=8, patience=8, rng_seed=0, learning_rate=0.2))
+        assert 0 < res.best_epoch < len(res.loss_history) - 1
+        # One lift per epoch, then the final encode's, of the best parameters.
+        live = lifted[0][0]
+        assert len(lifted) == 9 and lifted[-1][0] is res.params
+        assert all(p is live and shared for p, shared in lifted[:-1])
+        best = [arr for _, arr, _, _ in param_leaves(res.params)]
+        now = [arr for _, arr, _, _ in param_leaves(live)]
+        assert not any(np.shares_memory(a, b) for a in best for b in now)
+        assert not all(np.array_equal(a, b) for a, b in zip(best, now))
+        assert np.array_equal(encode(g, res.params, cfg).z, res.embeddings)
+
+    @pytest.mark.parametrize("layers", [0, 1, 2])
+    def test_backward_drops_every_pullback(self, layers):
+        # Each pullback goes once it has run, with the arrays it captured.
+        g = self.graph16()
+        cfg = HmgeConfig(embed_size=3, num_layers=layers)
+        params = init_params(cfg, g.num_dims, g.num_features, np.random.default_rng(0))
+        tape = ad.Tape()
+        loss = build_loss_nodes(EncodePlan(g, cfg), lift_params(tape, params),
+                                np.random.default_rng(1).permutation(g.num_nodes))
+        assert any(node._backward is not None for node in tape.nodes)
+        tape.backward(loss)
+        assert all(node._backward is None for node in tape.nodes)
 
     def test_frozen_alpha_stays_uniform(self):
         g = self.graph16()
@@ -468,6 +512,32 @@ HEAP_SCRIPT = textwrap.dedent("""
 """)
 
 
+# Peak RSS of one train() on a one-hot graph whose first-level operator is
+# ~19 MB, with an unused plan of that graph held across it when argv[1] is 1;
+# prints the peak in bytes and the operator's bytes.
+HELD_PLAN_SCRIPT = textwrap.dedent("""
+    import resource, sys
+    import numpy as np
+    from hmge.model import EncodePlan, HmgeConfig
+    from hmge.multiplex import MultiplexGraph, SparseAdjacency
+    from hmge.training import TrainConfig, train
+
+    n, rng = 1000, np.random.default_rng(0)
+    dims = []
+    for _ in range(4):
+        u, v = rng.integers(0, n, (2, 250_000))
+        keep = u != v
+        dims.append(SparseAdjacency.from_undirected_edges(n, u[keep], v[keep]))
+    graph = MultiplexGraph(n, tuple(dims), np.eye(n))
+    config = HmgeConfig(embed_size=4, num_layers=1)
+    held = EncodePlan(graph, config) if sys.argv[1] == "1" else None
+    train(graph, config, TrainConfig(epochs=2, patience=2, rng_seed=1))
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
+    gcn = EncodePlan(graph, config).first_gcn
+    print(peak, gcn.data.nbytes + gcn.indices.nbytes + gcn.indptr.nbytes)
+""")
+
+
 def mismatched_params():
     """(id, config, params) whose params the config does not describe, on
     the 3-dimension graph of ``sbm60``."""
@@ -518,11 +588,12 @@ class TestParamsMatchConfig:
     @pytest.mark.parametrize("layers", [0, 1, 2])
     def test_negative_value_refused_before_first_epoch(self, layers, monkeypatch):
         # Latent graphs are convex combinations of the inputs and take no
-        # ReLU, so no input may hold a negative value.
+        # ReLU, so no input may hold a negative value. Refused where the
+        # graph is built, so before any plan or epoch at every depth.
         from hmge.errors import DataFormatError
-        from hmge.model import EncodePlan, encode
+        from hmge.model import EncodePlan
 
-        from hmge.multiplex import SparseAdjacency, mirror_positions
+        from hmge.multiplex import MultiplexGraph, SparseAdjacency, mirror_positions
 
         graph = self.sbm60()
         bad = graph.dimensions[1]
@@ -530,16 +601,14 @@ class TestParamsMatchConfig:
         values[[0, mirror_positions(60, bad.indptr, bad.indices)[0]]] = -0.5
         dims = list(graph.dimensions)
         dims[1] = SparseAdjacency(60, bad.indptr, bad.indices, values)
-        graph = graph.with_dimensions(dims)
-        assert graph.dimensions[1].is_symmetric()
+        assert dims[1].is_symmetric()
         cfg = HmgeConfig(4, layers)
         calls = self.count_epochs(monkeypatch)
-        with pytest.raises(DataFormatError, match="negative"):
-            EncodePlan(graph, cfg)
-        with pytest.raises(DataFormatError, match="negative"):
-            train(graph, cfg, TrainConfig(epochs=3, patience=3))
-        with pytest.raises(DataFormatError, match="negative"):
-            encode(graph, init_params(cfg, 3, 3, np.random.default_rng(0)), cfg)
+        with pytest.raises(DataFormatError, match="negative") as plan_error:
+            EncodePlan(MultiplexGraph(60, dims, graph.features), cfg)
+        with pytest.raises(DataFormatError, match="negative") as train_error:
+            train(graph.with_dimensions(dims), cfg, TrainConfig(epochs=3, patience=3))
+        assert str(plan_error.value) == str(train_error.value) == "dimension 1 has a negative value"
         assert calls == []
 
     @pytest.mark.parametrize("layers", [0, 1, 2])
@@ -656,6 +725,22 @@ class TestHeap:
             timeout=300, check=True, env={**os.environ, "PYTHONPATH": src},
         )
         assert float(out.stdout.split()[-1]) <= 64
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc malloc policy")
+    def test_plan_held_across_train_builds_nothing(self):
+        # A plan builds its first-level operator on first use, so one held
+        # unused across train() adds none of it to the peak; built eagerly
+        # it added all of it (19.0 MB for an 18.9 MB operator).
+        src = str(Path(hmge.__file__).resolve().parents[1])
+        peaks = []
+        for hold in ("0", "1"):
+            out = subprocess.run(
+                [sys.executable, "-c", HELD_PLAN_SCRIPT, hold], capture_output=True, text=True,
+                timeout=300, check=True, env={**os.environ, "PYTHONPATH": src},
+            )
+            peak, operator_bytes = map(int, out.stdout.split())
+            peaks.append(peak)
+        assert peaks[1] - peaks[0] < operator_bytes / 2
 
 
 class TestFullGradients:
