@@ -230,7 +230,7 @@ def matmul(a: Node, b: Node) -> Node:
 
 def _relu(x: np.ndarray, inplace: bool = False):
     """(max(x, 0), its slope 1[x > 0]), into x itself with ``inplace``: the
-    encoder's one non-linearity, which ``relu`` and ``attend`` both apply.
+    encoder's one non-linearity, which ``attend`` applies.
 
     The slope at exactly zero is taken as zero. np.maximum passes NaN
     through (np.where would zero it), so a non-finite pre-activation still
@@ -238,15 +238,6 @@ def _relu(x: np.ndarray, inplace: bool = False):
     """
     slope = x > 0.0
     return np.maximum(x, 0.0, out=x if inplace else None), slope
-
-
-def relu(a: Node) -> Node:
-    value, slope = _relu(a.value)
-
-    def backward(g):
-        _accum_owned(a, g * slope)
-
-    return a.tape._add(value, (a,), backward, name="relu")
 
 
 def sigmoid_value(x: np.ndarray) -> np.ndarray:
@@ -315,7 +306,7 @@ def attend(pre: Node, v: Node, y: Node) -> Node:
     rows sum_d beta_nd h_dn (N, M), with the weights beta (N, D) kept
     forward-only in the node's cache ("beta").
 
-    h = relu(pre) is taken in place, and the pullback overwrites that
+    h = max(pre, 0) is taken in place, and the pullback overwrites that
     buffer with ``pre``'s adjoint and sets ``pre.value`` to None, so the
     buffer lives on only as the adjoint and no second (D, N, M) array is
     kept in either direction: ``pre`` must be an op's fresh output that

@@ -1,17 +1,15 @@
 """Downstream evaluation: link-prediction splits and ranking metrics, node
-classification with an in-package logistic regression, the synthetic
-dimension-sweep experiment, and the ablation runner.
+classification with an in-package logistic regression, and the ablation
+runner.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass, field
 from itertools import repeat
 from operator import itemgetter
-from pathlib import Path
 
 import numpy as np
 
@@ -19,7 +17,6 @@ from . import model as mdl
 from .autodiff import sigmoid_value
 from .errors import ConfigError, DataFormatError
 from .multiplex import MultiplexGraph
-from .sbm import SbmConfig, generate_multiplex
 from .training import TrainConfig, train
 
 LOGISTIC_L2 = 1e-4
@@ -406,6 +403,11 @@ def evaluate_link_prediction(
 ) -> dict:
     """Split (seeded by the run seed), retrain, and score held-out pairs."""
     split = split_links(graph, ratio, np.random.default_rng(train_config.rng_seed))
+    return _link_metrics(split, hmge_config, train_config, train_alpha)
+
+
+def _link_metrics(split: LinkSplit, hmge_config, train_config, train_alpha: bool) -> dict:
+    """Train on ``split``'s training graph and score its held-out pairs."""
     result = train(split.training_graph, hmge_config, train_config, train_alpha=train_alpha)
     pairs = split.positives + split.negatives
     scores = link_scores(result.embeddings, pairs)
@@ -458,103 +460,6 @@ def classification_metrics(z, labels, train_fraction, rng) -> dict:
     }
 
 
-def run_synthetic_experiment(
-    dims_list,
-    seeds,
-    *,
-    num_nodes: int = 1000,
-    embed_size: int = 32,
-    num_layers: int = 1,
-    linear_depth: int | None = None,
-    epochs: int = 500,
-    patience: int = 100,
-    learning_rate: float = 0.005,
-    weight_decay: float = 1e-2,
-    train_fraction: float = 0.1,
-    p_in: float = 0.05,
-    p_out: float = 0.01,
-    identity_features: bool = True,
-    out_csv=None,
-) -> list[dict]:
-    """Accuracy-vs-dimension sweep comparing the hierarchical encoder with
-    the linear-aggregation baseline on voted-label SBM data.
-
-    SBM graphs carry no informative node attributes, so by default the
-    models run on one-hot node features (a per-node embedding table), the
-    standard featureless-graph setup; degree features leave the corruption
-    task unsolvable. The linear baseline stacks ``num_layers + 1``
-    per-dimension GCNs so both methods see the same receptive field.
-    """
-    if linear_depth is None:
-        linear_depth = num_layers + 1
-    rows = []
-    for num_dims in dims_list:
-        for seed in seeds:
-            dataset = generate_multiplex(
-                SbmConfig(
-                    num_nodes=num_nodes,
-                    num_dims=num_dims,
-                    p_in=p_in,
-                    p_out=p_out,
-                    rng_seed=seed,
-                )
-            )
-            graph = dataset.graph
-            require_labels(graph, train_fraction)
-            if identity_features:
-                graph = graph.with_features(np.eye(num_nodes))
-            tcfg = TrainConfig(
-                epochs=epochs,
-                patience=patience,
-                rng_seed=seed,
-                learning_rate=learning_rate,
-                weight_decay=weight_decay,
-            )
-            for method in ("hmge", "linear"):
-                if method == "hmge":
-                    config = mdl.HmgeConfig(embed_size=embed_size, num_layers=num_layers)
-                    params = None
-                else:
-                    config = mdl.HmgeConfig(embed_size=embed_size, num_layers=0)
-                    params = mdl.init_linear_params(
-                        embed_size,
-                        graph.num_dims,
-                        graph.num_features,
-                        linear_depth,
-                        np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[0]),
-                    )
-                result = train(graph, config, tcfg, params=params)
-                metrics = classification_metrics(
-                    result.embeddings,
-                    graph.labels,
-                    train_fraction,
-                    np.random.default_rng(seed),
-                )
-                rows.append(
-                    {
-                        "dims": num_dims,
-                        "method": method,
-                        "seed": seed,
-                        "accuracy": metrics["accuracy"],
-                    }
-                )
-    if out_csv is not None:
-        write_fig6_csv(rows, out_csv)
-    return rows
-
-
-def write_fig6_csv(rows, path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["dims", "method", "seed", "accuracy"])
-        for row in rows:
-            writer.writerow(
-                [row["dims"], row["method"], row["seed"], repr(row["accuracy"])]
-            )
-
-
 ABLATION_VARIANTS = ("full", "no_hierarchy", "uniform_weights")
 
 
@@ -569,9 +474,12 @@ def run_ablations(
     """Full model vs no-hidden-layer vs frozen-uniform combination weights.
 
     Each variant is trained separately for the link and classification
-    tasks; the report has one row per variant with all four metrics.
+    tasks; the report has one row per variant with all four metrics. One
+    link split, seeded by the run seed as in ``evaluate_link_prediction``,
+    serves every variant.
     """
     require_labels(graph, train_fraction)
+    split = split_links(graph, ratio, np.random.default_rng(train_config.rng_seed))
     rows = []
     for variant in ABLATION_VARIANTS:
         if variant == "no_hierarchy":
@@ -580,9 +488,7 @@ def run_ablations(
         else:
             config = hmge_config
             train_alpha = variant != "uniform_weights"
-        link = evaluate_link_prediction(
-            graph, config, train_config, ratio, train_alpha=train_alpha
-        )
+        link = _link_metrics(split, config, train_config, train_alpha)
         cls = evaluate_classification(
             graph, config, train_config, train_fraction, train_alpha=train_alpha
         )

@@ -10,7 +10,7 @@ follows it. After the last layer a plain GCN on the single remaining
 latent graph produces the embeddings Z. A bilinear discriminator against
 the mean-readout summary drives the InfoMax loss.
 
-The linear-aggregation baseline (per-dimension GCN stacks plus one attention
+The linear-aggregation baseline (one GCN per dimension plus one attention
 step, no adjacency combination) doubles as the zero-layer configuration.
 """
 
@@ -163,20 +163,13 @@ class HmgeParams(_Params):
 
 @dataclass
 class LinearParams(_Params):
-    """Parameters of the linear-aggregation baseline.
+    """Parameters of the linear-aggregation baseline: one GCN weight per
+    dimension, stacked, with one attention aggregation on top."""
 
-    ``gcn_w[k]`` stacks the level-k GCN weights of every dimension
-    (D x width x M); one attention aggregation sits on top of the stacks.
-    """
-
-    gcn_w: list[np.ndarray]
+    gcn_w: np.ndarray    # D x F x M
     attn_v: np.ndarray   # D x M x M
     attn_y: np.ndarray   # D x M
     disc_q: np.ndarray
-
-    @property
-    def depth(self) -> int:
-        return len(self.gcn_w)
 
 
 def _uniform_init(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
@@ -206,12 +199,13 @@ def init_params(
     identity-leaning attention, zero alpha logits.
 
     Zero logits make every input dimension contribute equally at step 0.
-    Returns LinearParams (depth 1) when the config has no hierarchical
-    layers.
+    Returns LinearParams when the config has no hierarchical layers.
     """
     m = config.embed_size
     if config.num_layers == 0:
-        return init_linear_params(m, num_dims, num_features, 1, rng)
+        gcn_w = _uniform_init(rng, (num_dims, num_features, m), num_features)
+        attn_v, attn_y = _attention_init(rng, m, num_dims)
+        return LinearParams(gcn_w, attn_v, attn_y, _uniform_init(rng, (m, m), m))
     schedule = config.schedule_for(num_dims)
     layers = []
     width = num_features
@@ -232,37 +226,15 @@ def init_params(
     return HmgeParams(layers, final_w, disc_q)
 
 
-def init_linear_params(
-    embed_size: int,
-    num_dims: int,
-    num_features: int,
-    depth: int,
-    rng: np.random.Generator,
-) -> LinearParams:
-    if depth < 1:
-        raise ConfigError(f"linear aggregation depth must be >= 1, got {depth}")
-    m = embed_size
-    widths = [num_features] + [m] * (depth - 1)
-    # Drawn dimension by dimension, each through all levels, then stacked.
-    draws = [[_uniform_init(rng, (w, m), w) for w in widths] for _ in range(num_dims)]
-    attn_v, attn_y = _attention_init(rng, m, num_dims)
-    return LinearParams(
-        gcn_w=[np.stack([stack[k] for stack in draws]) for k in range(depth)],
-        attn_v=attn_v,
-        attn_y=attn_y,
-        disc_q=_uniform_init(rng, (m, m), m),
-    )
-
-
 def check_params(config: HmgeConfig, params, num_dims: int,
                  num_features: int | None = None) -> None:
     """Raise ConfigError unless ``params`` are of the encoder ``config`` describes.
 
-    Zero layers take LinearParams of any depth >= 1; L layers take
-    HmgeParams with L layers. Every array must have the shape a fresh
-    parameter set takes for ``num_dims`` input dimensions and
-    ``num_features`` features per node (any width when None): alpha
-    follows ``schedule_for``, the other arrays the embed size.
+    Zero layers take LinearParams; L layers take HmgeParams with L layers.
+    Every array must have the shape a fresh parameter set takes for
+    ``num_dims`` input dimensions and ``num_features`` features per node
+    (any width when None): alpha follows ``schedule_for``, the other arrays
+    the embed size.
     """
     schedule, m = config.schedule_for(num_dims), config.embed_size
     kind = HmgeParams if config.num_layers else LinearParams
@@ -273,8 +245,7 @@ def check_params(config: HmgeConfig, params, num_dims: int,
             f"got {layers}-layer {type(params).__name__}"
         )
     if kind is LinearParams:
-        shapes = {f"w_{k}": (num_dims, m, m) for k in range(params.depth)}
-        shapes |= {"v": (num_dims, m, m), "y": (num_dims, m)}
+        shapes = {"v": (num_dims, m, m), "y": (num_dims, m)}
     else:
         shapes = {}
         for l, (d_in, d_out) in enumerate(zip(schedule, schedule[1:])):
@@ -412,8 +383,7 @@ def param_leaves(params, train_alpha: bool = True):
         yield "final_w", params.final_w, True, True
         yield "disc_q", params.disc_q, True, True
     elif isinstance(params, LinearParams):
-        for k, w in enumerate(params.gcn_w):
-            yield f"w_{k}", w, True, True
+        yield "w_0", params.gcn_w, True, True
         yield "v", params.attn_v, True, True
         yield "y", params.attn_y, False, True
         yield "disc_q", params.disc_q, True, True
@@ -429,7 +399,7 @@ def structure_from_leaves(params, leaves):
         layers = [LayerParams(next(it), next(it), next(it), next(it)) for _ in params.layers]
         out = HmgeParams(layers, next(it), next(it))
     else:
-        out = LinearParams([next(it) for _ in params.gcn_w], next(it), next(it), next(it))
+        out = LinearParams(next(it), next(it), next(it), next(it))
     leftover = object()
     if next(it, leftover) is not leftover:
         raise ValueError("leaf count does not match the parameter template")
@@ -543,8 +513,8 @@ def build_forward(plan: EncodePlan, pnodes, perms):
     output space measurably discards class information, and the two-layer
     expansion of this architecture is stated without a trailing
     non-linearity. The hierarchical encoder shares its latent caches across
-    chains; the linear baseline, per-dimension GCN stacks with one
-    attention on top, has none and an empty head (z = h).
+    chains; the linear baseline, one GCN per dimension with one attention
+    on top, has none and an empty head (z = h).
     """
     if isinstance(pnodes, HmgeParams):
         latent = build_latent_structure(plan, pnodes)
@@ -552,10 +522,8 @@ def build_forward(plan: EncodePlan, pnodes, perms):
         return latent, head, [build_embedding_chain(plan, pnodes, perm, latent) for perm in perms]
     chains = []
     for perm in perms:
-        pre = _first_level(plan, pnodes.gcn_w[0], perm)
-        for w in pnodes.gcn_w[1:]:
-            pre = ad.batched_matmul(ad.spmm(plan.first_gcn, ad.relu(pre)), w)
-        h, beta = _stack_attention(pre, pnodes.attn_v, pnodes.attn_y)
+        h, beta = _stack_attention(_first_level(plan, pnodes.gcn_w, perm), pnodes.attn_v,
+                                   pnodes.attn_y)
         chains.append(([h], [beta]))
     return [], (), chains
 
@@ -677,8 +645,6 @@ def save_model(path, config: HmgeConfig, params, identity_features: bool = False
         },
         "identity_features": bool(identity_features),
     }
-    if not config.num_layers:
-        meta["depth"] = params.depth
     with open(path, "wb") as fh:
         np.savez(fh, meta=np.str_(json.dumps(meta)), **arrays)
 
@@ -736,13 +702,13 @@ def load_model(path):
         config = HmgeConfig(
             cfg["embed_size"], cfg["num_layers"], tuple(schedule) if schedule else None
         )
-        kind, depth = meta.get("kind"), meta.get("depth")
+        kind = meta.get("kind")
         # A container of the right kind and size, its arrays still missing.
         if kind == "hmge" and config.num_layers > 0:
             skeleton = HmgeParams([LayerParams(None, None, None, None)] * config.num_layers,
                                   None, None)
-        elif kind == "linear" and config.num_layers == 0 and _is_int(depth) and depth > 0:
-            skeleton = LinearParams([None] * depth, None, None, None)
+        elif kind == "linear" and config.num_layers == 0:
+            skeleton = LinearParams(None, None, None, None)
         else:
             raise DataFormatError(f"{path}: model kind {kind!r} does not match its config")
         names = [name for name, _, _, _ in param_leaves(skeleton)]

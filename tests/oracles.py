@@ -6,8 +6,8 @@ numpy versions compute the same quantities one matrix at a time, in the
 order the paper writes them, so the tests can check the tape's results.
 ``elementwise_mul``, ``tanh``, ``add``, ``scale`` and ``sum_all`` are tape
 ops that only the tests use, to turn an op's output into a scalar loss;
-``attention_weights`` and ``mix_stack`` are the attention step unfused, two
-tape ops after ``autodiff.relu``, the reference for ``autodiff.attend``;
+``relu``, ``attention_weights`` and ``mix_stack`` are the attention step
+unfused, three tape ops, the reference for ``autodiff.attend``;
 ``linearize_relu`` makes every ReLU of the encoder the identity;
 ``permute_rows`` shuffles the rows of a stack, the reference for the
 column-shuffled first-level operator of the one-hot corrupted pass;
@@ -452,10 +452,20 @@ def mix_stack(stack: Node, weights: Node) -> Node:
     return tape._add(np.einsum("dnm,nd->nm", sv, wv), (stack, weights), backward, name="mix_stack")
 
 
+def relu(a: Node) -> Node:
+    """max(a, 0) by ``autodiff._relu``, the activation ``attend`` applies."""
+    value, slope = ad._relu(a.value)
+
+    def backward(g):
+        _accum_owned(a, g * slope)
+
+    return a.tape._add(value, (a,), backward, name="relu")
+
+
 def unfused_attention(pre: Node, v: Node, y: Node) -> tuple[Node, Node]:
     """``autodiff.attend`` as three ops: relu, attention_weights, mix_stack.
     Returns (fused rows, weights); ``pre`` is left as it was."""
-    h = ad.relu(pre)
+    h = relu(pre)
     beta = attention_weights(h, v, y)
     return mix_stack(h, beta), beta
 
@@ -463,9 +473,9 @@ def unfused_attention(pre: Node, v: Node, y: Node) -> tuple[Node, Node]:
 def linearize_relu(monkeypatch) -> None:
     """Make every ReLU of the encoder the identity, derivative included.
 
-    ``autodiff._relu`` is the one activation that ``autodiff.relu`` and
-    ``autodiff.attend`` apply; its identity returns the input itself and a
-    slope of ones.
+    ``autodiff._relu`` is the one activation that ``autodiff.attend`` and
+    this module's ``relu`` apply; its identity returns the input itself and
+    a slope of ones.
     """
     monkeypatch.setattr(ad, "_relu", lambda x, inplace=False: (x, np.ones(x.shape, dtype=bool)))
 
@@ -695,7 +705,7 @@ def chained_latent_structure(plan, pnodes):
             block = ad.matmul(raw[-1], weights)
         else:
             block = csr_combine_stack(weights, plan.stacked)
-        raw.append(ad.relu(block))
+        raw.append(relu(block))
         gcn_ready.append(csr_normalize(raw[-1], plan.union))
     return raw, gcn_ready
 

@@ -370,6 +370,34 @@ class TestEvalAblateSweep:
         assert code == EXIT_DATA
         assert "unsupported model format version 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("depth", [1, 2])
+    def test_export_linear_model_with_depth_meta(self, dataset_dir, tmp_path, depth, capsys):
+        # Earlier versions recorded a linear model's depth in its meta and
+        # stored one weight stack per level: w_0, ..., w_(depth-1).
+        run = tmp_path / "run"
+        assert main(
+            ["train", "--data", str(dataset_dir), "--out", str(run), "--embed-size", "4",
+             "--layers", "0", "--epochs", "2", "--patience", "2", "--seed", "1"]
+        ) == EXIT_OK
+        capsys.readouterr()
+        with np.load(run / "model.bin") as archive:
+            arrays = dict(archive)
+        meta = json.loads(str(arrays.pop("meta")))
+        meta["depth"] = depth
+        deeper = {f"w_{k}": np.zeros((3, 4, 4)) for k in range(1, depth)}
+        model, exp = tmp_path / "model.bin", tmp_path / "exp"
+        with open(model, "wb") as fh:
+            np.savez(fh, meta=np.str_(json.dumps(meta)), **arrays, **deeper)
+        code = main(["export", "--model", str(model), "--data", str(dataset_dir),
+                     "--out", str(exp)])
+        if depth == 1:
+            assert code == EXIT_OK
+            assert (exp / "embeddings.csv").read_bytes() == (run / "embeddings.csv").read_bytes()
+        else:
+            assert code == EXIT_DATA
+            lines = capsys.readouterr().err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("data error: ") and "w_1" in lines[0]
+
     @pytest.mark.parametrize("layers", ["0", "1"])
     def test_export_dimension_mismatch_is_data_error(self, dataset_dir, tmp_path, layers, capsys):
         run = tmp_path / "run"

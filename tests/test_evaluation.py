@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -406,22 +407,35 @@ class TestEvalReport:
         assert payload["task"] == "link" and payload["metrics"]["auc"] == 0.9
 
 
-class TestSyntheticExperiment:
-    def test_smoke_sweep_writes_reproducible_csv(self, tmp_path):
-        from hmge.evaluation import run_synthetic_experiment
+class TestAblations:
+    def test_one_link_split_serves_every_variant(self, monkeypatch):
+        # Dimension 0 has one edge, so the link split skips it with a notice.
+        import hmge.evaluation as ev
+        from hmge.model import HmgeConfig
+        from hmge.training import TrainConfig
 
-        settings = dict(num_nodes=40, embed_size=4, epochs=3, patience=3)
-        first, second = tmp_path / "a" / "fig6.csv", tmp_path / "b" / "fig6.csv"
-        rows = run_synthetic_experiment([2, 3], [1], out_csv=first, **settings)
-        run_synthetic_experiment([2, 3], [1], out_csv=second, **settings)
-        assert [(r["dims"], r["method"], r["seed"]) for r in rows] == [
-            (2, "hmge", 1), (2, "linear", 1), (3, "hmge", 1), (3, "linear", 1)
-        ]
-        assert all(0.0 <= r["accuracy"] <= 1.0 for r in rows)
-        lines = first.read_text().splitlines()
-        assert lines[0] == "dims,method,seed,accuracy"
-        assert len(lines) == 5
-        assert first.read_bytes() == second.read_bytes()
+        pairs = [(u, v) for u in range(8) for v in range(u + 1, 8) if (u + v) % 3]
+        us, vs = np.array(pairs).T
+        dims = (SparseAdjacency.from_undirected_edges(8, np.array([0]), np.array([1])),
+                SparseAdjacency.from_undirected_edges(8, us, vs))
+        graph = MultiplexGraph(8, dims, np.arange(1.0, 9.0)[:, None], ((0,), (1,)) * 4)
+        cfg, tcfg = HmgeConfig(embed_size=4, num_layers=1), TrainConfig(epochs=2, patience=2, rng_seed=3)
+        calls, split = [], ev.split_links
+        monkeypatch.setattr(ev, "split_links", lambda *args: calls.append(1) or split(*args))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rows = ev.run_ablations(graph, cfg, tcfg, ratio=0.2, train_fraction=0.2)
+        assert len(calls) == 1
+        assert [str(w.message) for w in caught if "link removal" in str(w.message)] == [
+            "dimension 0 has 1 edge(s); skipping link removal"]
+        # Each row scores what a separate split for its variant scored.
+        variants = [(cfg, True), (HmgeConfig(embed_size=4, num_layers=0), True), (cfg, False)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for row, (config, train_alpha) in zip(rows, variants, strict=True):
+                link = ev.evaluate_link_prediction(graph, config, tcfg, 0.2,
+                                                   train_alpha=train_alpha)
+                assert (row["auc"], row["ap"]) == (link["auc"], link["ap"])
 
 
 @pytest.mark.slow

@@ -16,7 +16,6 @@ from hmge.model import (
     HmgeParams,
     LinearParams,
     encode,
-    init_linear_params,
     init_params,
     load_model,
     readout,
@@ -450,20 +449,19 @@ class TestClosedFormOracles:
             assert np.abs(trace.z - expected).max() < 1e-8
 
     def test_linear_aggregation_matches_closed_form(self):
-        # (N(A1)^2 + N(A2)^2)/2 X W^2 holds for arbitrary graphs.
+        # (N(A1) + N(A2))/2 X W holds for arbitrary graphs.
         for trial in range(20):
             rng = np.random.default_rng(700 + trial)
             a1, a2 = random_sym_dense(5, rng), random_sym_dense(5, rng)
             x = rng.standard_normal((5, 4))
             w = rng.standard_normal((4, 4))
             graph = two_dim_graph(a1, a2, x)
-            params = init_linear_params(4, 2, 4, 2, rng)
-            params.gcn_w = [np.stack([w, w]), np.stack([w, w])]
-            params.attn_y[:] = 0.0
             config = HmgeConfig(embed_size=4, num_layers=0)
+            params = init_params(config, 2, 4, rng)
+            params.gcn_w = np.stack([w, w])
+            params.attn_y[:] = 0.0
             z = encode(graph, params, config).z
-            n1, n2 = normalized_dense(a1), normalized_dense(a2)
-            expected = 0.5 * (n1 @ n1 + n2 @ n2) @ x @ w @ w
+            expected = 0.5 * (normalized_dense(a1) + normalized_dense(a2)) @ x @ w
             assert np.abs(z - expected).max() < 1e-8
 
 
@@ -478,13 +476,19 @@ class TestEncode:
         return MultiplexGraph(n, tuple(mats), x)
 
     def test_zero_layers_equals_linear_depth_one(self):
-        graph = self.make_graph()
-        cfg = HmgeConfig(embed_size=4, num_layers=0)
-        params = init_params(cfg, 2, 3, np.random.default_rng(1))
-        assert isinstance(params, LinearParams)
-        trace = encode(graph, params, cfg)
-        depth_one = init_linear_params(4, 2, 3, 1, np.random.default_rng(1))
-        assert np.array_equal(trace.z, encode(graph, depth_one, cfg).z)
+        # One (D, F, M) draw is the stream the per-dimension (F, M) draws
+        # of earlier versions took, then attention, then the discriminator.
+        for dims, features, m in [(2, 3, 4), (3, 5, 4), (41, 1000, 32)]:
+            params = init_params(HmgeConfig(m, 0), dims, features, np.random.default_rng(1))
+            assert isinstance(params, LinearParams) and isinstance(params.gcn_w, np.ndarray)
+            rng = np.random.default_rng(1)
+            w = np.stack([mdl._uniform_init(rng, (features, m), features) for _ in range(dims)])
+            v, y = mdl._attention_init(rng, m, dims)
+            want = LinearParams(w, v, y, mdl._uniform_init(rng, (m, m), m))
+            for (name, a, _, _), (name2, b, _, _) in zip(
+                param_leaves(params), param_leaves(want), strict=True
+            ):
+                assert name == name2 and np.array_equal(a, b)
 
     def test_single_dimension_is_plain_gcn_stack(self):
         graph = self.make_graph(dims=1)
@@ -846,14 +850,12 @@ class TestLearnedAttention:
         cfg = HmgeConfig(embed_size=5, num_layers=0)
         for seed in range(20):
             graph = self.make_graph(seed)
-            params = init_linear_params(5, 4, 3, 2, np.random.default_rng(200 + seed))
+            params = init_params(cfg, 4, 3, np.random.default_rng(200 + seed))
             trace = encode(graph, params, cfg)
-            stack = []
-            for d, adj in enumerate(graph.dimensions):
-                h = graph.features
-                for w in params.gcn_w:
-                    h = gcn_forward(h, normalize_adjacency(adj), w[d])
-                stack.append(h)
+            stack = [
+                gcn_forward(graph.features, normalize_adjacency(adj), w)
+                for adj, w in zip(graph.dimensions, params.gcn_w)
+            ]
             h, beta = attention_aggregate(stack, params.attn_v, params.attn_y)
             assert np.abs(trace.embeddings[0] - h).max() <= 1e-12
             assert np.abs(trace.attention[0] - beta).max() <= 1e-12
@@ -866,19 +868,18 @@ class TestLinearAggregation:
         x = rng.standard_normal((6, 3))
         graph2 = two_dim_graph(a, a, x)
         graph1 = MultiplexGraph(6, (from_dense(a),), x)
-        params2 = init_linear_params(4, 2, 3, 1, rng)
-        # same stack and attention for both dims
-        for w in params2.gcn_w:
-            w[1] = w[0]
+        cfg = HmgeConfig(embed_size=4, num_layers=0)
+        params2 = init_params(cfg, 2, 3, rng)
+        # same GCN weight and attention for both dims
+        params2.gcn_w[1] = params2.gcn_w[0]
         params2.attn_v[1] = params2.attn_v[0]
         params2.attn_y[1] = params2.attn_y[0]
         params1 = LinearParams(
-            gcn_w=[w[:1].copy() for w in params2.gcn_w],
+            gcn_w=params2.gcn_w[:1].copy(),
             attn_v=params2.attn_v[:1].copy(),
             attn_y=params2.attn_y[:1].copy(),
             disc_q=params2.disc_q.copy(),
         )
-        cfg = HmgeConfig(embed_size=4, num_layers=0)
         z2 = encode(graph2, params2, cfg).z
         z1 = encode(graph1, params1, cfg).z
         # identical dims with identical weights: attention 0.5/0.5 reproduces
@@ -900,14 +901,17 @@ class TestModelFile:
             assert np.array_equal(a, b)
 
     def test_round_trip_linear(self, tmp_path):
-        params = init_linear_params(4, 3, 5, 2, np.random.default_rng(1))
         cfg = HmgeConfig(embed_size=4, num_layers=0)
+        params = init_params(cfg, 3, 5, np.random.default_rng(1))
         path = tmp_path / "model.bin"
         save_model(path, cfg, params, identity_features=True)
+        with np.load(path) as archive:
+            assert sorted(archive.files) == ["disc_q", "meta", "v", "w_0", "y"]
+            assert "depth" not in json.loads(str(archive["meta"]))
         cfg2, params2, identity_features = load_model(path)
+        assert cfg2 == cfg
         assert isinstance(params2, LinearParams)
         assert identity_features is True
-        assert params2.depth == 2
         for (_, a, _, _), (_, b, _, _) in zip(param_leaves(params), param_leaves(params2)):
             assert np.array_equal(a, b)
 
@@ -942,7 +946,6 @@ class TestModelFile:
             raise AssertionError("load_model drew a parameter set")
 
         monkeypatch.setattr(hmge.model, "init_params", refuse)
-        monkeypatch.setattr(hmge.model, "init_linear_params", refuse)
         _, loaded, _ = load_model(tmp_path / "model.bin")
         for (_, a, _, _), (_, b, _, _) in zip(param_leaves(params), param_leaves(loaded),
                                               strict=True):

@@ -17,7 +17,6 @@ from hmge.errors import ConfigError, NumericError
 from hmge.model import (
     EncodePlan,
     HmgeConfig,
-    init_linear_params,
     init_params,
     lift_params,
     param_leaves,
@@ -466,20 +465,18 @@ class TestTrainLoop:
 
 
 GRAD_CHECK_CASES = {
-    # name: (config, input dimensions, one-hot features, linear depth, linear
-    # ReLUs); the zero-layer configs train the linear baseline at that depth.
-    "l1": (HmgeConfig(embed_size=4, num_layers=1), 2, False, None, False),
+    # name: (config, input dimensions, one-hot features, linear ReLUs); the
+    # zero-layer configs train the linear baseline.
+    "l1": (HmgeConfig(embed_size=4, num_layers=1), 2, False, False),
     # Linear ReLUs keep finite differences off the kinks: with the ReLU one
     # 6e-8 gradient entry reads 1.3e-4 from step noise alone.
-    "l2": (HmgeConfig(embed_size=4, num_layers=2, dims_schedule=(3, 2, 1)), 3, False, None,
-           True),
+    "l2": (HmgeConfig(embed_size=4, num_layers=2, dims_schedule=(3, 2, 1)), 3, False, True),
     "l2-onehot": (HmgeConfig(embed_size=4, num_layers=2, dims_schedule=(3, 2, 1)), 3, True,
-                  None, True),
+                  True),
     # Two compositions of the combination weights: P_2 = P_1 softmax(alpha_2).
-    "l3": (HmgeConfig(embed_size=4, num_layers=3, dims_schedule=(3, 2, 1, 1)), 3, False, None,
-           True),
-    "linear2": (HmgeConfig(embed_size=4, num_layers=0), 2, False, 2, False),
-    "linear2-onehot": (HmgeConfig(embed_size=4, num_layers=0), 2, True, 2, False),
+    "l3": (HmgeConfig(embed_size=4, num_layers=3, dims_schedule=(3, 2, 1, 1)), 3, False, True),
+    "linear1": (HmgeConfig(embed_size=4, num_layers=0), 2, False, False),
+    "linear1-onehot": (HmgeConfig(embed_size=4, num_layers=0), 2, True, False),
 }
 
 
@@ -545,8 +542,7 @@ def mismatched_params():
         return init_params(HmgeConfig(embed_size, layers), 3, 3, np.random.default_rng(0))
 
     return [
-        ("linear-under-1-layer", HmgeConfig(4, 1),
-         init_linear_params(4, 3, 3, 1, np.random.default_rng(0))),
+        ("linear-under-1-layer", HmgeConfig(4, 1), hmge(4, 0)),
         ("1-layer-under-0-layer", HmgeConfig(4, 0), hmge(4, 1)),
         ("2-layer-under-1-layer", HmgeConfig(4, 1), hmge(4, 2)),
         ("embed-4-under-8", HmgeConfig(8, 1), hmge(4, 1)),
@@ -699,12 +695,11 @@ class TestParamsMatchConfig:
         save_model(tmp_path / "model.bin", cfg, params)
         assert (tmp_path / "model.bin").exists()
 
-    @pytest.mark.parametrize("depth", [None, 1, 2])
+    # depth: None for the two-layer encoder, 1 for the one-level linear baseline.
+    @pytest.mark.parametrize("depth", [None, 1])
     def test_copy_owns_every_array(self, depth):
-        if depth is None:
-            params = init_params(HmgeConfig(4, 2), 3, 3, np.random.default_rng(0))
-        else:
-            params = init_linear_params(4, 3, 3, depth, np.random.default_rng(0))
+        layers = 2 if depth is None else 0
+        params = init_params(HmgeConfig(4, layers), 3, 3, np.random.default_rng(0))
         copy = params.copy()
         assert type(copy) is type(params)
         for (name, a, decay, _), (name2, b, decay2, _) in zip(
@@ -746,18 +741,13 @@ class TestHeap:
 class TestFullGradients:
     @pytest.mark.parametrize("case", list(GRAD_CHECK_CASES))
     def test_full_loss_grad_check(self, case, monkeypatch):
-        cfg, num_dims, one_hot, depth, linear_relu = GRAD_CHECK_CASES[case]
+        cfg, num_dims, one_hot, linear_relu = GRAD_CHECK_CASES[case]
         if linear_relu:
             linearize_relu(monkeypatch)
         graph = er_multiplex(6, (0.6, 0.4, 0.5)[:num_dims], 3)
         if one_hot:
             graph = graph.with_features(np.eye(6))
-        if depth is None:
-            params = init_params(cfg, num_dims, graph.num_features, np.random.default_rng(4))
-        else:
-            params = init_linear_params(
-                4, num_dims, graph.num_features, depth, np.random.default_rng(4)
-            )
+        params = init_params(cfg, num_dims, graph.num_features, np.random.default_rng(4))
         rng = np.random.default_rng(4)
         for name, arr, _, _ in param_leaves(params):
             if name.startswith("alpha"):
@@ -869,45 +859,39 @@ PINNED_RUNS = {
             [-0.019350827015541795, -0.0029856743494836913, -0.0011814785732674224],
         ],
     ),
-    "linear2": (
-        [0.6932028720942007, 0.6931796120039313, 0.6931438444669187],
+    # Recorded at one level from the list of per-level weight stacks that
+    # the one (D, F, M) array replaced.
+    "linear1": (
+        [0.6943457048650528, 0.6950289310806905, 0.6952482406684617],
         [
-            [0.04050595310275095, 0.004582950606191462, 0.008687485423530001],
-            [0.08424466299209193, 0.0022338495074658805, 0.0027642842487823763],
-            [0.0, 0.028533289227069627, 0.02007055355614716],
-            [0.0524934285387497, 0.0032247321742573127, 0.004624742440017509],
-            [0.05281295048074953, 0.006243338603812443, 0.006191720802251383],
-            [0.052960980354131194, 0.011727077552349231, 0.010337845866979332],
-            [0.0673455369925715, 0.003739176223861798, 0.005710218454354128],
-            [0.0021609275684732446, 0.023809044216380162, 0.01668996395200772],
+            [0.23811816695087845, 0.1926887893145103, 0.0],
+            [0.16214914274737718, 0.008593974773212172, 0.048656470570316],
+            [0.0, 0.0, 0.0],
+            [0.0, 0.0, 0.06486685150085779],
+            [0.0038776244693975114, 0.44572819652110335, 0.43038319644153294],
+            [0.0, 0.1058556187065585, 0.0],
+            [0.17829788806517247, 0.11492909050147643, 0.0],
+            [0.0, 0.0, 0.012801805714204733],
         ],
     ),
 }
 
 
 def pinned_setups():
-    """(name, graph, config, linear depth) of the three pinned training runs."""
+    """(name, graph, config) of the three pinned training runs."""
     g3 = er_multiplex(8, (0.5, 0.4, 0.6), 21)
     g2 = er_multiplex(8, (0.5, 0.4), 22)
     return [
-        ("l2", g3, HmgeConfig(embed_size=3, num_layers=2), None),
-        ("l1-onehot", g2.with_features(np.eye(8)), HmgeConfig(embed_size=3, num_layers=1), None),
-        ("linear2", g2, HmgeConfig(embed_size=3, num_layers=0), 2),
+        ("l2", g3, HmgeConfig(embed_size=3, num_layers=2)),
+        ("l1-onehot", g2.with_features(np.eye(8)), HmgeConfig(embed_size=3, num_layers=1)),
+        ("linear1", g2, HmgeConfig(embed_size=3, num_layers=0)),
     ]
 
 
 @pytest.mark.parametrize("setup", pinned_setups(), ids=lambda s: s[0])
 def test_training_matches_pinned_numerics(setup):
-    name, graph, cfg, depth = setup
-    params = None
-    if depth is not None:
-        params = init_linear_params(
-            3, graph.num_dims, graph.num_features, depth, np.random.default_rng(6)
-        )
-    res = train(
-        graph, cfg, TrainConfig(epochs=3, patience=3, rng_seed=5, learning_rate=0.01),
-        params=params,
-    )
+    name, graph, cfg = setup
+    res = train(graph, cfg, TrainConfig(epochs=3, patience=3, rng_seed=5, learning_rate=0.01))
     losses, embeddings = PINNED_RUNS[name]
     assert np.abs(np.array(res.loss_history) - losses).max() <= 1e-12
     assert np.abs(res.embeddings - np.array(embeddings)).max() <= 1e-12
